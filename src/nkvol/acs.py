@@ -14,13 +14,10 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
-import scipy.linalg
 
-from .multilinear import Form, basis_form, form_from_one_coeffs, index_tuples, wedge, zero_form
+from .multilinear import Form, compound, form_from_one_coeffs, substitution, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
 
 __all__ = [
@@ -44,11 +41,12 @@ class AlmostComplexStructure:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("J must be a square matrix")
-        n = m.shape[0]
+        if m.shape != (6, 6):
+            raise ValueError(f"J must be a 6x6 matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("J has non-finite entries")
         scale = max(1.0, np.linalg.norm(m, 2) ** 2)
-        if np.max(np.abs(m @ m + np.eye(n))) > 1e-10 * scale:
+        if not np.max(np.abs(m @ m + np.eye(6))) <= 1e-10 * scale:
             raise ValueError("J^2 != -Id")
         m = m.copy()
         m.flags.writeable = False
@@ -93,7 +91,7 @@ class AlmostComplexStructure:
         cache = self._cache()
         key = ("deriv", k)
         if key not in cache:
-            cache[key] = _derivation_matrix(self, k)
+            cache[key] = substitution(self.jstar, 1, k)
         return cache[key]
 
     def bidegree_projector(self, p: int, q: int) -> np.ndarray:
@@ -126,34 +124,6 @@ def bidegrees(n: int, k: int) -> list[tuple[int, int]]:
     """Admissible (p, q) with p + q = k on complex dimension n/2."""
     h = n // 2
     return [(p, k - p) for p in range(max(0, k - h), min(h, k) + 1)]
-
-
-def _derivation_matrix(J: AlmostComplexStructure, k: int) -> np.ndarray:
-    n = J.dimension
-    tups = index_tuples(n, k)
-    m = len(tups)
-    D = np.zeros((m, m), dtype=np.complex128)
-    if k == 0:
-        return D
-    js = J.jstar
-    for col, idx in enumerate(tups):
-        f = zero_form(n, k)
-        for slot, i in enumerate(idx):
-            jei = form_from_one_coeffs(n, js @ _unit(n, i - 1))
-            factors = [basis_form(n, (j,)) for j in idx]
-            factors[slot] = jei
-            term = factors[0]
-            for fac in factors[1:]:
-                term = wedge(term, fac)
-            f = f + term
-        D[:, col] = f.coeffs
-    return D
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
 
 
 @dataclass(frozen=True)
@@ -202,15 +172,16 @@ class ComplexFrame:
 
 def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:
     """Build the dual (1,0) vectors for three independent (1,0)-form rows."""
-    n = J.dimension
     rows = np.asarray(rows, dtype=np.complex128)
-    B = scipy.linalg.orth(J.q10())  # (n, 3) basis of T^{1,0}
+    # the leading left singular vectors of a rank-3 projector span its range
+    B = np.linalg.svd(J.q10(), full_matrices=False)[0][:, :3]  # basis of T^{1,0}
     v = B @ np.linalg.inv(rows @ B)
     return ComplexFrame(J, rows, v)
 
 
 def _default_frame(J: AlmostComplexStructure) -> ComplexFrame:
-    rows = scipy.linalg.orth(J.p10()).T  # orthonormal basis of Lambda^{1,0}
+    # orthonormal basis of Lambda^{1,0}
+    rows = np.linalg.svd(J.p10(), full_matrices=False)[0][:, :3].T
     return frame_from_thetas(J, rows)
 
 
@@ -286,27 +257,4 @@ def d_split(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
 
 def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:
     """Precompose every slot with J: on a (p, q) form this is i^{p-q} times it."""
-    n, k = a.dimension, a.degree
-    if k == 0:
-        return a
-    W = _multiplicative_matrix(J, k)
-    return Form(n, k, W @ a.coeffs)
-
-
-def _multiplicative_matrix(J: AlmostComplexStructure, k: int) -> np.ndarray:
-    cache = J._cache()
-    key = ("mult", k)
-    if key not in cache:
-        n = J.dimension
-        tups = index_tuples(n, k)
-        js = J.jstar
-        m = len(tups)
-        W = np.zeros((m, m), dtype=np.complex128)
-        for col, idx in enumerate(tups):
-            fac = [form_from_one_coeffs(n, js @ _unit(n, i - 1)) for i in idx]
-            term = fac[0]
-            for f in fac[1:]:
-                term = wedge(term, f)
-            W[:, col] = term.coeffs
-        cache[key] = W
-    return cache[key]
+    return Form(a.dimension, a.degree, compound(J.jstar, a.degree) @ a.coeffs)

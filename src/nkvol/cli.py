@@ -88,6 +88,8 @@ def _cmd_check(manifest: Manifest):
     }
     verdicts = {"jacobi": rep.holds}
     if manifest.J is not None:
+        if manifest.dimension != 6:
+            raise InputError(f"J is supported only in dimension 6, got {manifest.dimension}")
         j_res = float(np.max(np.abs(manifest.J @ manifest.J + np.eye(manifest.dimension))))
         checks["j_squared_residual"] = j_res
         verdicts["j_valid"] = bool(j_res <= 1e-10)

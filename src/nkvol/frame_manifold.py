@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .multilinear import Form, Metric, basis_form, index_tuples, merge_sign, wedge, zero_form
+from .multilinear import Form, Metric, index_tuples, substitution
 
 __all__ = [
     "CoframeAlgebra",
@@ -63,16 +63,15 @@ class CoframeAlgebra:
     def coframe_differentials(self) -> tuple[Form, ...]:
         """d e^i = -1/2 c^i_{jk} e^j ^ e^k as 2-forms."""
         n = self.dimension
-        out = []
-        pos = {t: p for p, t in enumerate(index_tuples(n, 2))}
-        for i in range(n):
-            coeffs = np.zeros(comb(n, 2), dtype=np.complex128)
-            for j in range(n):
-                for k in range(j + 1, n):
-                    # only j < k; the factor 1/2 cancels against the (j,k)/(k,j) pair
-                    coeffs[pos[(j + 1, k + 1)]] = -self.structure_constants[i, j, k]
-            out.append(Form(n, 2, coeffs))
-        return tuple(out)
+        j, k = (np.array(index_tuples(n, 2), dtype=np.intp).reshape(-1, 2) - 1).T
+        # only j < k; the factor 1/2 cancels against the (j,k)/(k,j) pair
+        return tuple(Form(n, 2, -self.structure_constants[i, j, k]) for i in range(n))
+
+    @cached_property
+    def d_matrices(self) -> tuple[np.ndarray, ...]:
+        """The differential on degree-k coefficient vectors, k = 0..n-1."""
+        de = np.array([f.coeffs for f in self.coframe_differentials]).T
+        return tuple(substitution(de, 2, k) for k in range(self.dimension))
 
 
 def d_invariant(alg: CoframeAlgebra, a: Form) -> Form:
@@ -82,19 +81,7 @@ def d_invariant(alg: CoframeAlgebra, a: Form) -> Form:
         raise ValueError("form dimension does not match the algebra")
     if k >= n:
         raise ValueError("cannot differentiate a top-degree form")
-    de = alg.coframe_differentials
-    out = zero_form(n, k + 1)
-    if k == 0:
-        return out  # invariant functions are constant
-    for pos, idx in enumerate(index_tuples(n, k)):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        for slot, i in enumerate(idx):
-            rest = idx[:slot] + idx[slot + 1:]
-            term = de[i - 1] if not rest else wedge(de[i - 1], basis_form(n, rest))
-            out = out + ((-1) ** slot * c) * term
-    return out
+    return Form(n, k + 1, alg.d_matrices[k] @ a.coeffs)
 
 
 @dataclass(frozen=True)
@@ -150,42 +137,11 @@ def levi_civita(alg: CoframeAlgebra, g: Metric) -> np.ndarray:
 
 def covariant_derivative_form(gamma: np.ndarray, a: Form) -> tuple[Form, ...]:
     """The family (nabla_{e_i} a)_i for an invariant form: pure connection terms."""
+    # nabla_{e_i} acts on tangent vectors by the matrix gamma[:, i, :] and on
+    # forms by minus the derivation action of its transpose
     n = gamma.shape[1]
-    k = a.degree
-    if k == 0:
-        return tuple(zero_form(n, 0) for _ in range(n))
-    pos = {t: p for p, t in enumerate(index_tuples(n, k))}
-    outs = []
-    for i in range(n):
-        coeffs = np.zeros(comb(n, k), dtype=np.complex128)
-        for p, idx in enumerate(index_tuples(n, k)):
-            # (nabla_i a)(e_{j1},..) = -sum_slots a(.., nabla_i e_{js}, ..)
-            total = 0.0 + 0.0j
-            for slot, j in enumerate(idx):
-                for m in range(n):
-                    gcoef = gamma[m, i, j - 1]
-                    if gcoef == 0.0:
-                        continue
-                    rep = idx[:slot] + (m + 1,) + idx[slot + 1:]
-                    if len(set(rep)) != k:
-                        continue
-                    sign = _sort_sign(rep)
-                    total -= gcoef * sign * a.coeffs[pos[tuple(sorted(rep))]]
-            coeffs[p] = total
-        outs.append(Form(n, k, coeffs))
-    return tuple(outs)
-
-
-def _sort_sign(indices) -> int:
-    lst = list(indices)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    return sign
+    return tuple(Form(n, a.degree, -substitution(gamma[:, i, :].T, 1, a.degree) @ a.coeffs)
+                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +195,7 @@ class Manifest:
                 raise ValueError(f"structure constants must be stored with j < k: {entry}")
             c[i - 1, j - 1, k - 1] = v
             c[i - 1, k - 1, j - 1] = -v
+        _require_finite(c, "structure_constants")
         J = _read_matrix(data.get("J"), n, "J")
         metric = _read_matrix(data.get("metric"), n, "metric")
         omega = _read_form(data.get("omega"), n, 2, "omega")
@@ -289,7 +246,7 @@ def _read_matrix(raw, n: int, field_name: str):
     m = np.asarray(raw, dtype=np.float64)
     if m.shape != (n, n):
         raise ValueError(f"field '{field_name}' must be a {n}x{n} row-major matrix")
-    return m
+    return _require_finite(m, field_name)
 
 
 def _read_form(raw, n: int, degree: int, field_name: str):
@@ -306,7 +263,14 @@ def _read_form(raw, n: int, degree: int, field_name: str):
         if not all(isinstance(i, int) and 1 <= i <= n for i in idx):
             raise ValueError(f"{field_name} index out of range: {entry}")
         coeffs[pos[idx]] = entry["re"] + 1j * entry["im"]
-    return Form(n, degree, coeffs)
+    return Form(n, degree, _require_finite(coeffs, field_name))
+
+
+def _require_finite(values: np.ndarray, field_name: str) -> np.ndarray:
+    # json.loads accepts NaN and Infinity
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"field '{field_name}' has non-finite entries")
+    return values
 
 
 def _form_entries(f: Form) -> list:

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .multilinear import Form, Metric, basis_form, contract, hodge_star, index_tuples, wedge, zero_form
+from .multilinear import Form, Metric, basis_form, contract, hodge_star, index_tuples, substitution, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import AlmostComplexStructure, j_multiplicative
 from .hermitian_torsion import hermitian_metric
@@ -224,37 +224,10 @@ def stability_check(phi: Form) -> Stable3FormReport:
 
 def _gl7_action_rank(phi: Form) -> int:
     """Rank of a in gl(7) -> (derivation action of a on phi)."""
-    cols = []
-    for p in range(7):
-        for q in range(7):
-            a = np.zeros((7, 7))
-            a[p, q] = 1.0
-            cols.append(_derivation_action(a, phi).coeffs)
-    M = np.column_stack(cols)
+    M = np.column_stack([substitution(a.T, 1, phi.degree) @ phi.coeffs
+                         for a in np.eye(49).reshape(49, 7, 7)])
     M = np.vstack([M.real, M.imag])
     return int(np.linalg.matrix_rank(M, tol=1e-8))
-
-
-def _derivation_action(a: np.ndarray, phi: Form) -> Form:
-    """Sum over slots of phi(..., aX, ...) as a derivation on coefficients."""
-    from .multilinear import form_from_one_coeffs
-
-    n, k = phi.dimension, phi.degree
-    out = zero_form(n, k)
-    aT = a.T
-    for p, idx in enumerate(index_tuples(n, k)):
-        c = phi.coeffs[p]
-        if c == 0:
-            continue
-        for slot, i in enumerate(idx):
-            moved = form_from_one_coeffs(n, aT[:, i - 1])
-            factors = [basis_form(n, (j,)) for j in idx]
-            factors[slot] = moved
-            term = factors[0]
-            for fac in factors[1:]:
-                term = wedge(term, fac)
-            out = out + c * term
-    return out
 
 
 def flat_su3_forms() -> tuple[Form, Form]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Form, Metric, wedge
+from .multilinear import Form, Metric, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra
 from .acs import AlmostComplexStructure, ComplexFrame, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF
@@ -41,12 +41,7 @@ for _i, _j, _k, _v in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     """g(X, Y) = omega(X, JY); raises with a diagnostic when not positive."""
-    n = J.dimension
-    G = np.zeros((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = omega.evaluate([eye[i], J.matrix @ eye[j]]).real
+    G = _omega_j(J, omega)
     sym_defect = np.max(np.abs(G - G.T))
     if sym_defect > 1e-9 * max(1.0, np.max(np.abs(G))):
         raise ValueError(
@@ -56,6 +51,11 @@ def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     if eigs.min() <= 0:
         raise ValueError(f"omega not positive: metric eigenvalues {np.round(eigs, 6)}")
     return Metric(0.5 * (G + G.T))
+
+
+def _omega_j(J: AlmostComplexStructure, omega: Form) -> np.ndarray:
+    """The bilinear form omega(X, JY) as a real matrix."""
+    return (two_form_matrix(omega) @ J.matrix).real
 
 
 def norm30_sq(omega: Form, p30: Form) -> float:
@@ -242,10 +242,7 @@ def _combine(basis, coeffs) -> Form:
 
 def _orient_positive(J: AlmostComplexStructure, omega: Form) -> tuple[Form, bool]:
     """Flip the sign if that makes omega positive; report definiteness."""
-    n = J.dimension
-    eye = np.eye(n)
-    G = np.array([[omega.evaluate([eye[i], J.matrix @ eye[j]]).real for j in range(n)]
-                  for i in range(n)])
+    G = _omega_j(J, omega)
     G = 0.5 * (G + G.T)
     eigs = np.linalg.eigvalsh(G)
     if eigs.min() > 0:

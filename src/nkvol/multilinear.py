@@ -10,6 +10,21 @@ unnormalized "determinant" evaluation convention
 so basis products carry pure permutation signs and no factorials.  All
 constants downstream (normalizations, duality factors) are derived under this
 convention.
+
+Every operator is built from two primitives over index tables cached per
+(n, k).  The first is the k-th compound of a matrix, its k x k minors
+det M[I, J]: evaluating a form is its coefficient vector dotted with the
+minors of the stacked vectors, the multiplicative action of a map on
+degree-k forms is the compound of the map, and the metric Gram matrix is the
+compound of g^{-1}.  The second is the substitution operator
+
+    e^J  ->  sum_s (-1)^s beta(e^{j_s}) ^ e^{J minus j_s}
+
+for a linear beta from 1-forms to degree-p forms.  With p = 0 it is the
+interior product, with p = 1 the derivation action of a map on forms, and
+with beta(e^i) = d e^i the exterior derivative.  Both the substitution and
+the wedge read one table, the wedge tensor, whose entries are the signs of
+one permutation-sign helper.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ __all__ = [
     "Form",
     "Metric",
     "basis_form",
+    "compound",
     "contract",
     "form_from_one_coeffs",
     "forms_close",
@@ -32,7 +48,8 @@ __all__ = [
     "hodge_star",
     "index_tuples",
     "inner_product",
-    "merge_sign",
+    "substitution",
+    "two_form_matrix",
     "wedge",
     "wedge_all",
     "zero_form",
@@ -50,43 +67,72 @@ def _tuple_position(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(index_tuples(n, k))}
 
 
-def merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sign of sorting the concatenation of two increasing tuples; 0 on overlap."""
-    if set(a) & set(b):
-        return 0, ()
-    merged = a + b
-    swaps = 0
-    lst = list(merged)
-    # insertion sort, counting inversions; tuples are tiny (k <= 7)
+@lru_cache(maxsize=None)
+def _index_array(n: int, k: int) -> np.ndarray:
+    """index_tuples(n, k) as a 0-based integer array of shape (comb(n, k), k)."""
+    return np.array(index_tuples(n, k), dtype=np.intp).reshape(comb(n, k), k) - 1
+
+
+def _inversion_sign(indices) -> int:
+    """Sign of the permutation sorting `indices`; 0 when an index repeats."""
+    lst = list(indices)
+    if len(set(lst)) != len(lst):
+        return 0
+    sign = 1
     for i in range(1, len(lst)):
         j = i
         while j > 0 and lst[j - 1] > lst[j]:
             lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            swaps += 1
+            sign = -sign
             j -= 1
-    return (-1) ** swaps, tuple(lst)
+    return sign
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, ka: int, kb: int):
-    """Sparse quadruples (ia, ib, iout, sign) for the degree (ka, kb) wedge."""
-    ta, tb = index_tuples(n, ka), index_tuples(n, kb)
-    pos_out = _tuple_position(n, ka + kb)
-    ia_l, ib_l, io_l, s_l = [], [], [], []
-    for ia, A in enumerate(ta):
-        for ib, B in enumerate(tb):
-            s, merged = merge_sign(A, B)
-            if s != 0:
-                ia_l.append(ia)
-                ib_l.append(ib)
-                io_l.append(pos_out[merged])
-                s_l.append(s)
-    return (
-        np.array(ia_l, dtype=np.intp),
-        np.array(ib_l, dtype=np.intp),
-        np.array(io_l, dtype=np.intp),
-        np.array(s_l, dtype=np.float64),
-    )
+def _wedge_tensor(n: int, ka: int, kb: int) -> np.ndarray:
+    """W[out, A, B] = coefficient of e^out in e^A ^ e^B, for |A| = ka, |B| = kb."""
+    pos = _tuple_position(n, ka + kb)
+    W = np.zeros((comb(n, ka + kb), comb(n, ka), comb(n, kb)), dtype=np.complex128)
+    for ia, A in enumerate(index_tuples(n, ka)):
+        for ib, B in enumerate(index_tuples(n, kb)):
+            s = _inversion_sign(A + B)
+            if s:
+                W[pos[tuple(sorted(A + B))], ia, ib] = s
+    return W
+
+
+def compound(M, k: int) -> np.ndarray:
+    """The k-th compound: C[I, J] = det M[I, J] over increasing row and column tuples.
+
+    For a square M acting on 1-form coefficient vectors this is the matrix of
+    its multiplicative action on degree-k forms; for an (n, k) matrix of
+    stacked vectors it is the single column of their minors.
+    """
+    M = np.asarray(M)
+    rows = _index_array(M.shape[0], k)
+    cols = _index_array(M.shape[1], k)
+    return np.linalg.det(M[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+def substitution(beta, p: int, k: int) -> np.ndarray:
+    """Matrix of e^J -> sum_s (-1)^s beta(e^{j_s}) ^ e^{J minus j_s} on degree k.
+
+    `beta` has shape (comb(n, p), n); column i holds the coefficients of the
+    degree-p form beta(e^i).  The image has degree k - 1 + p:
+
+      p = 0, beta = v as a row      interior product with the vector v;
+      p = 1, beta = L               derivation action of the 1-form map L;
+      p = 2, beta(e^i) = d e^i      the Maurer-Cartan differential.
+    """
+    beta = np.asarray(beta)
+    n = beta.shape[1]
+    if k == 0:
+        return np.zeros((comb(n, p - 1), 1), dtype=beta.dtype)
+    # e^i ^ . is W1[:, i, :]; in the orthonormal monomial basis its transpose
+    # is the interior product with e_i
+    W1 = _wedge_tensor(n, 1, k - 1)
+    inner = np.tensordot(beta, W1, axes=(1, 1))  # [a, out_k, rest]
+    return np.tensordot(_wedge_tensor(n, p, k - 1), inner, axes=([1, 2], [0, 2]))
 
 
 @dataclass(frozen=True)
@@ -156,9 +202,8 @@ class Form:
         """Coefficient of an arbitrary index tuple, with antisymmetry signs."""
         if len(set(indices)) != len(indices):
             return 0.0
-        order = tuple(sorted(indices))
-        perm_sign = _permutation_sign(indices)
-        return perm_sign * self.coeffs[_tuple_position(self.dimension, self.degree)[order]]
+        pos = _tuple_position(self.dimension, self.degree)[tuple(sorted(indices))]
+        return _inversion_sign(indices) * self.coeffs[pos]
 
     def evaluate(self, vectors) -> complex:
         """Evaluate on degree-many frame-coordinate vectors (determinant convention)."""
@@ -168,25 +213,7 @@ class Form:
         if k == 0:
             return complex(self.coeffs[0])
         V = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
-        total = 0.0 + 0.0j
-        for pos, idx in enumerate(index_tuples(self.dimension, k)):
-            c = self.coeffs[pos]
-            if c != 0:
-                rows = [i - 1 for i in idx]
-                total += c * np.linalg.det(V[rows, :])
-        return complex(total)
-
-
-def _permutation_sign(indices) -> int:
-    lst = list(indices)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    return sign
+        return complex(self.coeffs @ compound(V, k)[:, 0])
 
 
 def zero_form(n: int, k: int) -> Form:
@@ -214,11 +241,8 @@ def wedge(a: Form, b: Form) -> Form:
     k = a.degree + b.degree
     if k > n:
         raise ValueError(f"degree overflow: {a.degree}+{b.degree} > {n}")
-    ia, ib, io, s = _wedge_table(n, a.degree, b.degree)
-    out = np.zeros(comb(n, k), dtype=np.complex128)
-    if len(io):
-        np.add.at(out, io, s * a.coeffs[ia] * b.coeffs[ib])
-    return Form(n, k, out)
+    W = _wedge_tensor(n, a.degree, b.degree)
+    return Form(n, k, (W @ b.coeffs) @ a.coeffs)
 
 
 def wedge_all(forms) -> Form:
@@ -233,18 +257,18 @@ def contract(v, a: Form) -> Form:
     """Interior product: (iota_v a)(X2,...,Xk) = a(v, X2,...,Xk)."""
     if a.degree == 0:
         raise ValueError("cannot contract a degree-0 form")
-    n, k = a.dimension, a.degree
-    vv = np.asarray(v, dtype=np.complex128)
-    pos_out = _tuple_position(n, k - 1)
-    out = np.zeros(comb(n, k - 1), dtype=np.complex128)
-    for pos, idx in enumerate(index_tuples(n, k)):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        for slot, i in enumerate(idx):
-            rest = idx[:slot] + idx[slot + 1:]
-            out[pos_out[rest]] += ((-1) ** slot) * vv[i - 1] * c
-    return Form(n, k - 1, out)
+    row = np.asarray(v, dtype=np.complex128)[None, :]
+    return Form(a.dimension, a.degree - 1, substitution(row, 0, a.degree) @ a.coeffs)
+
+
+def two_form_matrix(a: Form) -> np.ndarray:
+    """The antisymmetric matrix A[i, j] = a(e_i, e_j) of a 2-form."""
+    if a.degree != 2:
+        raise ValueError("expected a 2-form")
+    rows, cols = _index_array(a.dimension, 2).T
+    A = np.zeros((a.dimension, a.dimension), dtype=np.complex128)
+    A[rows, cols] = a.coeffs
+    return A - A.T
 
 
 @dataclass(frozen=True)
@@ -286,16 +310,7 @@ class Metric:
 
 def gram_matrix(g: Metric, k: int) -> np.ndarray:
     """Inner products <e^I, e^J> = det(g^{-1} restricted), on degree-k monomials."""
-    ginv = g.inverse()
-    tups = index_tuples(g.dimension, k)
-    m = len(tups)
-    G = np.zeros((m, m), dtype=np.float64)
-    for a, I in enumerate(tups):
-        ri = [i - 1 for i in I]
-        for b, J in enumerate(tups):
-            rj = [j - 1 for j in J]
-            G[a, b] = np.linalg.det(ginv[np.ix_(ri, rj)]) if k else 1.0
-    return G
+    return compound(g.inverse(), k)
 
 
 def inner_product(g: Metric, a: Form, b: Form) -> complex:
@@ -306,25 +321,12 @@ def inner_product(g: Metric, a: Form, b: Form) -> complex:
     return complex(a.coeffs @ G @ b.coeffs)
 
 
-@lru_cache(maxsize=None)
-def _top_pairing(n: int, k: int) -> np.ndarray:
-    """P[I, K] = coefficient of e^{1..n} in e^I ^ e^K, for |I| = k, |K| = n - k."""
-    ti, tk = index_tuples(n, k), index_tuples(n, n - k)
-    P = np.zeros((len(ti), len(tk)), dtype=np.float64)
-    for a, I in enumerate(ti):
-        for b, K in enumerate(tk):
-            s, merged = merge_sign(I, K)
-            if s != 0:
-                P[a, b] = s
-    return P
-
-
 def hodge_star(g: Metric, a: Form) -> Form:
     """Hodge dual: a ^ *b = <a, b>_g Vol_g for all a of the degree of b."""
     n, k = a.dimension, a.degree
     if g.dimension != n:
         raise ValueError("metric dimension mismatch")
-    P = _top_pairing(n, k)
+    P = _wedge_tensor(n, k, n - k)[0]  # coefficient of e^{1..n} in e^I ^ e^K
     G = gram_matrix(g, k)
     vol = g.orientation * np.sqrt(np.linalg.det(g.matrix))
     # P is a signed permutation matrix, so its inverse is its transpose.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Form, forms_close, wedge
+from .multilinear import Form, forms_close, index_tuples, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
 from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas, is_pure_bidegree
 from .conventions import NABLA_OMEGA_TO_DOMEGA, ZH_DUALITY_FACTOR
@@ -129,24 +129,14 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     g = hermitian_metric(s.J, s.omega)
     gamma = levi_civita(alg, g)
     nablas = covariant_derivative_form(gamma, s.omega)
-    n = 6
-    T = np.zeros((n, n, n))
-    for i, f in enumerate(nablas):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if j != k:
-                    T[i, j - 1, k - 1] = f.coefficient((j, k)).real
+    T = np.array([two_form_matrix(f).real for f in nablas])
     S = (T + np.einsum("jki->ijk", T) + np.einsum("kij->ijk", T)) / 3.0
     scale = max(1.0, float(np.max(np.abs(T))))
     anti_res = float(np.max(np.abs(T - S))) / scale
 
     # identify the antisymmetric part with a 3-form and compare with d omega
-    from .multilinear import index_tuples
-
-    coeffs = np.zeros(20, dtype=np.complex128)
-    for p, (j, k, l) in enumerate(index_tuples(6, 3)):
-        coeffs[p] = S[j - 1, k - 1, l - 1]
-    phi = Form(6, 3, coeffs)
+    j, k, l = (np.array(index_tuples(6, 3)) - 1).T
+    phi = Form(6, 3, S[j, k, l])
     domega = d_invariant(alg, s.omega)
     ident_res = (NABLA_OMEGA_TO_DOMEGA * phi - domega).norm() / max(1.0, domega.norm())
 

@@ -40,6 +40,21 @@ def perm_sign(p) -> int:
     return sign
 
 
+def oracle_evaluate(a: Form, vectors) -> complex:
+    """Leibniz-formula evaluation, independent of any determinant routine.
+
+    a(X_1..X_k) = sum_I a_I sum_sigma sgn(sigma) prod_s X_sigma(s)[I_s].
+    """
+    total = 0.0 + 0.0j
+    for c, idx in zip(a.coeffs, index_tuples(a.dimension, a.degree)):
+        for sigma in permutations(range(a.degree)):
+            term = perm_sign(sigma) * c
+            for s, i in enumerate(idx):
+                term *= vectors[sigma[s]][i - 1]
+            total += term
+    return total
+
+
 def oracle_wedge_evaluate(a: Form, b: Form, vectors) -> complex:
     """Antisymmetrized-sum evaluation of a ^ b, independent of the wedge code.
 

@@ -30,6 +30,12 @@ def s3s3_J():
 def test_construction_rejects_non_acs():
     with pytest.raises(ValueError):
         AlmostComplexStructure(np.eye(6))
+    nan_J = catalog("torus6").J.copy()
+    nan_J[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        AlmostComplexStructure(nan_J)
+    with pytest.raises(ValueError, match="6x6"):
+        AlmostComplexStructure(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_projector_identities():

@@ -43,6 +43,14 @@ def test_check_rejects_bad_manifest(tmp_path):
     assert p.returncode == 2
     assert "j < k" in p.stdout or "malformed" in p.stdout
 
+    # NaN constants are rejected as non-finite, not as asymmetric
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"name": "nan", "dimension": 6, "structure_constants": '
+                   '[{"i": 1, "j": 2, "k": 3, "value": NaN}]}')
+    p = run_cli("check", str(nan))
+    assert p.returncode == 2
+    assert "non-finite" in p.stdout
+
 
 def test_check_rejects_unknown_field(tmp_path):
     bad = tmp_path / "bad2.json"
@@ -51,6 +59,29 @@ def test_check_rejects_unknown_field(tmp_path):
     }))
     p = run_cli("check", str(bad))
     assert p.returncode == 2
+
+
+def test_out_of_scope_J_is_input_error(tmp_path):
+    # a valid 4-dimensional manifest: every J-dependent subcommand rejects it
+    d4 = tmp_path / "d4.json"
+    d4.write_text(json.dumps({
+        "name": "d4", "dimension": 4, "structure_constants": [],
+        "J": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    }))
+    for command in ("check", "nijenhuis", "torsion", "nk", "cone", "alt12", "functional",
+                    "optimize"):
+        p = run_cli(command, str(d4))
+        assert p.returncode == 2, (command, p.stdout, p.stderr)
+        assert "dimension 6" in p.stdout or "6x6" in p.stdout
+
+    nan_j = tmp_path / "nan_j.json"
+    nan_j.write_text(json.dumps({
+        "name": "nan_j", "dimension": 6, "structure_constants": [],
+        "J": [[float("nan")] * 6] * 6,
+    }))
+    p = run_cli("nijenhuis", str(nan_j))
+    assert p.returncode == 2
+    assert "non-finite" in p.stdout
 
 
 def test_missing_file_is_input_error():

@@ -229,6 +229,16 @@ def test_manifest_rejects_bad_indices_and_shapes():
         Manifest.from_dict({**base, "dimension": 9})
     with pytest.raises(ValueError):
         Manifest.from_dict({"name": "x", "dimension": 6})
+    # json.loads accepts NaN and Infinity; every numeric field rejects them
+    for field, value in (
+        ("structure_constants", [{"i": 1, "j": 2, "k": 3, "value": float("nan")}]),
+        ("J", [[float("inf")] * 6] * 6),
+        ("metric", [[float("nan")] * 6] * 6),
+        ("omega", [{"indices": [1, 2], "re": 1.0, "im": float("-inf")}]),
+        ("Omega3", [{"indices": [1, 2, 3], "re": float("nan"), "im": 0.0}]),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            Manifest.from_json(json.dumps({**base, field: value}))
 
 
 # -- catalog -----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exterior algebra: wedge convention, interior product, Hodge duality."""
+"""Exterior algebra: wedge convention, interior product, Hodge duality, and the
+compound and derivation actions of a matrix."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from nkvol.multilinear import (
     Form,
     Metric,
     basis_form,
+    compound,
     contract,
     forms_close,
     hodge_star,
     inner_product,
+    substitution,
     wedge,
     zero_form,
 )
 
-from helpers import oracle_wedge_evaluate, random_form, random_vectors
+from helpers import oracle_evaluate, oracle_wedge_evaluate, random_form, random_vectors
 
 
 def test_basis_products():
@@ -23,6 +26,53 @@ def test_basis_products():
     e2 = basis_form(6, (2,))
     assert forms_close(wedge(e1, e2), basis_form(6, (1, 2)))
     assert wedge(e1, e1).norm() == 0.0
+
+
+def test_evaluate_against_leibniz_oracle():
+    rng = np.random.default_rng(70)
+    for k in range(1, 8):
+        a = random_form(rng, 7, k)
+        vecs = random_vectors(rng, 7, k)
+        oracle = oracle_evaluate(a, vecs)
+        assert abs(a.evaluate(vecs) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+def _apply(op, a: Form) -> Form:
+    """Apply a degree-preserving operator given as a function of the degree."""
+    return Form(a.dimension, a.degree, op(a.degree) @ a.coeffs)
+
+
+def test_compound_is_multiplicative():
+    rng = np.random.default_rng(71)
+    for n, k in ((6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6), (7, 3)):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        N = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lhs = compound(M @ N, k)
+        rhs = compound(M, k) @ compound(N, k)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
+    L = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    power = lambda k: compound(L, k)
+    for ka, kb in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
+        a, b = random_form(rng, 6, ka), random_form(rng, 6, kb)
+        assert forms_close(_apply(power, wedge(a, b)),
+                           wedge(_apply(power, a), _apply(power, b)), tol=1e-10)
+
+
+def test_derivation_is_derivative_of_compound():
+    rng = np.random.default_rng(72)
+    h = 1e-5
+    for n, k in ((6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 3)):
+        M = 0.5 * rng.standard_normal((n, n))
+        eye = np.eye(n)
+        fd = (compound(eye + h * M, k) - compound(eye - h * M, k)) / (2.0 * h)
+        assert np.max(np.abs(substitution(M, 1, k) - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+    L = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    derivation = lambda k: substitution(L, 1, k)
+    for ka, kb in ((1, 1), (1, 2), (2, 2), (2, 3), (1, 4)):
+        a, b = random_form(rng, 6, ka), random_form(rng, 6, kb)
+        lhs = _apply(derivation, wedge(a, b))
+        rhs = wedge(_apply(derivation, a), b) + wedge(a, _apply(derivation, b))
+        assert forms_close(lhs, rhs, tol=1e-10)
 
 
 def test_wedge_sign_example():
