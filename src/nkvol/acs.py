@@ -14,13 +14,16 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .multilinear import Form, compound, form_from_one_coeffs, substitution, wedge, zero_form
+from .multilinear import (EPS3, Form, compound, form_from_one_coeffs, substitution,
+                          two_form_from_matrix, two_form_matrix, wedge, zero_form)
 from .frame_manifold import CoframeAlgebra, d_invariant
 
 __all__ = [
+    "EPS3",
     "AlmostComplexStructure",
     "ComplexFrame",
     "bidegree_project",
@@ -133,6 +136,18 @@ class ComplexFrame:
     theta[a](v[b]) = delta_ab, conjugates give the (0,1) side.  Any complex
     frame works for the invariant computations; adapted (orthonormal) frames
     are built in the SU(3) module.
+
+    Frame coordinates are taken on the six vectors F = [v, conj v] with the
+    dual coframe Theta = [theta; conj theta]: `components` reads a 1- or
+    2-form there (a(F_i), a(F_i, F_j)) and `two_form` writes the 2-form with
+    a given 6x6 coordinate matrix X, Theta^T X Theta.  The basis of
+    Lambda^{2,0} dual to theta is
+
+        tcheck^b = 1/2 eps_bcd theta^c ^ theta^d,
+        (tcheck^1 = theta^23, tcheck^2 = -theta^13, tcheck^3 = theta^12)
+
+    so theta^a ^ tcheck^b = delta_ab theta^123, and the (v, v) block of the
+    coordinate matrix of tcheck^b is EPS3[b].
     """
 
     J: AlmostComplexStructure
@@ -155,19 +170,37 @@ class ComplexFrame:
     def v_bar(self, a: int) -> np.ndarray:
         return np.conj(self.v_coords[:, a])
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """F = [v, conj v] as the columns of a 6x6 matrix."""
+        return np.hstack([self.v_coords, np.conj(self.v_coords)])
+
+    @cached_property
+    def coframe(self) -> np.ndarray:
+        """Theta = [theta; conj theta] as the rows of a 6x6 matrix, the inverse of F."""
+        return np.vstack([self.theta_coeffs, np.conj(self.theta_coeffs)])
+
+    def components(self, a: Form) -> np.ndarray:
+        """a(F_i) of a 1-form, or the matrix a(F_i, F_j) = F^T A F of a 2-form."""
+        F = self.vectors
+        if a.degree == 1:
+            return a.coeffs @ F
+        return F.T @ two_form_matrix(a) @ F
+
+    def two_form(self, X) -> Form:
+        """The 2-form with frame-coordinate matrix X (antisymmetric 6x6)."""
+        T = self.coframe
+        return two_form_from_matrix(T.T @ X @ T)
+
     def theta_top(self) -> Form:
         """theta^1 ^ theta^2 ^ theta^3."""
         return wedge(wedge(self.theta(0), self.theta(1)), self.theta(2))
 
     def check_residual(self) -> float:
         """Max deviation of duality/type relations; diagnostics for tests."""
-        res = 0.0
-        pair = self.theta_coeffs @ self.v_coords
-        res = max(res, float(np.max(np.abs(pair - np.eye(3)))))
-        jt = self.J.jstar
-        for a in range(3):
-            res = max(res, float(np.max(np.abs(jt @ self.theta_coeffs[a] - 1j * self.theta_coeffs[a]))))
-        return res
+        theta = self.theta_coeffs
+        return float(max(np.max(np.abs(theta @ self.v_coords - np.eye(3))),
+                         np.max(np.abs(theta @ self.J.matrix - 1j * theta))))
 
 
 def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:

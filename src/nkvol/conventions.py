@@ -38,7 +38,7 @@ NABLA_OMEGA_TO_DOMEGA = 3.0
 # In an adapted frame Omega = theta^123 of a structure solving the shape
 # equations, the bracket-route Nijenhuis map acts diagonally on conjugate
 # coframe elements:  N*(conj theta^i) = ZH_DUALITY_FACTOR * lambda * tcheck^i,
-# with tcheck^1 = theta^23, tcheck^2 = -theta^13, tcheck^3 = theta^12.
+# in the tcheck basis of Lambda^{2,0} defined in `acs.ComplexFrame`.
 ZH_DUALITY_FACTOR = -1.0j
 
 # Measured homogeneity of the volume density under N* -> c N* at fixed frame:

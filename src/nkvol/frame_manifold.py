@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .multilinear import Form, Metric, index_tuples, substitution
+from .multilinear import EPS3, Form, Metric, index_tuples, substitution
 
 __all__ = [
     "CoframeAlgebra",
@@ -103,7 +103,8 @@ def check_jacobi(alg: CoframeAlgebra, tol: float = JACOBI_TOL) -> JacobiReport:
     """
     n = alg.dimension
     res_dd = 0.0
-    for i in range(n):
+    # for n <= 2 the 2-forms d e^i are top-degree or absent, so d d = 0 trivially
+    for i in range(n if n > 2 else 0):
         res_dd = max(res_dd, d_invariant(alg, alg.coframe_differentials[i]).norm())
     c = alg.structure_constants
     # sum_m ( c^m_{jk} c^l_{im} + c^m_{ki} c^l_{jm} + c^m_{ij} c^l_{km} )
@@ -179,17 +180,20 @@ class Manifest:
             if req not in data:
                 raise ValueError(f"manifest missing required field '{req}'")
         name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError("field 'name' must be a JSON string")
         n = data["dimension"]
-        if not isinstance(n, int) or not (1 <= n <= 7):
+        if not _is_int(n) or not (1 <= n <= 7):
             raise ValueError("dimension must be an integer in 1..7")
         c = np.zeros((n, n, n), dtype=np.float64)
-        for entry in data["structure_constants"]:
+        for entry in _entries(data["structure_constants"], "structure_constants"):
             keys = set(entry)
             if keys != {"i", "j", "k", "value"}:
                 raise ValueError(f"bad structure-constant entry keys: {sorted(keys)}")
-            i, j, k, v = entry["i"], entry["j"], entry["k"], entry["value"]
+            i, j, k = entry["i"], entry["j"], entry["k"]
+            v = _number(entry["value"], "structure_constants", entry)
             for ix in (i, j, k):
-                if not isinstance(ix, int) or not (1 <= ix <= n):
+                if not _is_int(ix) or not (1 <= ix <= n):
                     raise ValueError(f"structure-constant index out of range: {entry}")
             if not j < k:
                 raise ValueError(f"structure constants must be stored with j < k: {entry}")
@@ -240,12 +244,31 @@ class Manifest:
             fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _number(x, field_name: str, where) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"field '{field_name}' needs JSON numbers, got {x!r} in {where}")
+    return x
+
+
+def _entries(raw, field_name: str) -> list:
+    """A JSON list, checked only as a container; each entry must be an object."""
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ValueError(f"field '{field_name}' must be a JSON list of objects")
+    return raw
+
+
 def _read_matrix(raw, n: int, field_name: str):
     if raw is None:
         return None
-    m = np.asarray(raw, dtype=np.float64)
-    if m.shape != (n, n):
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(isinstance(row, list) and len(row) == n for row in raw)):
         raise ValueError(f"field '{field_name}' must be a {n}x{n} row-major matrix")
+    m = np.array([[_number(x, field_name, row) for x in row] for row in raw], dtype=np.float64)
     return _require_finite(m, field_name)
 
 
@@ -254,15 +277,17 @@ def _read_form(raw, n: int, degree: int, field_name: str):
         return None
     coeffs = np.zeros(comb(n, degree), dtype=np.complex128)
     pos = {t: p for p, t in enumerate(index_tuples(n, degree))}
-    for entry in raw:
+    for entry in _entries(raw, field_name):
         if set(entry) != {"indices", "re", "im"}:
             raise ValueError(f"bad {field_name} entry keys: {sorted(set(entry))}")
-        idx = tuple(entry["indices"])
+        idx = entry["indices"]
+        if not isinstance(idx, list) or not all(_is_int(i) and 1 <= i <= n for i in idx):
+            raise ValueError(f"{field_name} indices must be a list of integers in 1..{n}: {entry}")
+        idx = tuple(idx)
         if len(idx) != degree or idx != tuple(sorted(idx)) or len(set(idx)) != degree:
             raise ValueError(f"{field_name} indices must be strictly increasing: {entry}")
-        if not all(isinstance(i, int) and 1 <= i <= n for i in idx):
-            raise ValueError(f"{field_name} index out of range: {entry}")
-        coeffs[pos[idx]] = entry["re"] + 1j * entry["im"]
+        re, im = (_number(entry[part], field_name, entry) for part in ("re", "im"))
+        coeffs[pos[idx]] = re + 1j * im
     return Form(n, degree, _require_finite(coeffs, field_name))
 
 
@@ -288,10 +313,8 @@ def _form_entries(f: Form) -> list:
 
 def _su2_block(c: np.ndarray, offset: int):
     """Write c^i_{jk} = -eps_{ijk} on indices offset..offset+2 (de^1 = e^23 cyclically)."""
-    eps = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-           (0, 2, 1, -1.0), (1, 0, 2, -1.0), (2, 1, 0, -1.0)]
-    for i, j, k, v in eps:
-        c[offset + i, offset + j, offset + k] = -v
+    block = slice(offset, offset + 3)
+    c[block, block, block] = -EPS3
 
 
 def _standard_torus_J(n: int = 6) -> np.ndarray:

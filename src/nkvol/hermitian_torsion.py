@@ -12,14 +12,15 @@ linear algebra in a chosen (1,0) frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .multilinear import Form, Metric, two_form_matrix, wedge
+from .multilinear import Form, Metric, _wedge_tensor, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra
-from .acs import AlmostComplexStructure, ComplexFrame, is_pure_bidegree
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF
-from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets
+from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, nijenhuis_vectors
 
 __all__ = [
     "Alt12Report",
@@ -32,11 +33,6 @@ __all__ = [
     "norm30_sq",
     "torsion_criterion",
 ]
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k, _v in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
-    _EPS3[_i, _j, _k] = _v
 
 
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
@@ -76,22 +72,14 @@ def norm30_sq(omega: Form, p30: Form) -> float:
 
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
-    """rho[a, b, c] = omega(N(v_a, v_b), v_c), antisymmetric in (a, b)."""
-    q01 = J.q01()
-    rho = np.zeros((3, 3, 3), dtype=np.complex128)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            nab = q01 @ alg.bracket(fr.v(a), fr.v(b))
-            for c in range(3):
-                val = omega.evaluate([nab, fr.v(c)])
-                rho[a, b, c] = val
-                rho[b, a, c] = -val
-    return rho
+    """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
+    R = nijenhuis_vectors(alg, J, fr).T @ two_form_matrix(omega) @ fr.v_coords
+    return np.einsum("dab,dc->abc", EPS3, R)
 
 
 def _skew_part(rho: np.ndarray) -> np.ndarray:
-    """Total antisymmetrization of a tensor already skew in its first two slots."""
-    return (rho + np.einsum("bca->abc", rho) + np.einsum("cab->abc", rho)) / 3.0
+    """Total antisymmetrization of tensors already skew in their first two slots."""
+    return (rho + np.einsum("...bca->...abc", rho) + np.einsum("...cab->...abc", rho)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -140,14 +128,13 @@ def c_map(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
         raise ValueError("c_map expects a (1,1)-form")
     if nij is None:
         nij = nijenhuis_via_brackets(alg, J)
-    fr = nij.frame
-    A = np.array([[a.evaluate([fr.v(c), fr.v_bar(b)]) for b in range(3)] for c in range(3)])
+    A = nij.frame.components(a)[:3, 3:]
     return A @ nij.matrix.T
 
 
 def c_map_trilinear(C: np.ndarray) -> np.ndarray:
-    """Expand a C-matrix into trilinear components T[a, b, c] = eps_{dab} C[c, d]."""
-    return np.einsum("dab,cd->abc", _EPS3, C)
+    """Expand C-matrices into trilinear components T[a, b, c] = eps_{dab} C[c, d]."""
+    return np.einsum("dab,...cd->...abc", EPS3, C)
 
 
 @dataclass(frozen=True)
@@ -162,18 +149,39 @@ class ConformalSolveReport:
     candidate_residual: float        # smallest singular value (relative)
 
 
-def _hermitian_basis_forms(fr: ComplexFrame) -> list[Form]:
-    """The 9 real (1,1)-forms i sum h_{ab} theta^a ^ conj theta^b, h Hermitian."""
-    thetas = [fr.theta(a) for a in range(3)]
-    tbars = [fr.theta_bar(a) for a in range(3)]
-    out = []
-    for a in range(3):
-        out.append(1j * wedge(thetas[a], tbars[a]))
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out.append(1j * (wedge(thetas[a], tbars[b]) + wedge(thetas[b], tbars[a])))
-            out.append(wedge(thetas[b], tbars[a]) - wedge(thetas[a], tbars[b]))
-    return out
+def _hermitian_units() -> np.ndarray:
+    """A basis h_1..h_9 of the Hermitian 3x3 matrices: E_aa, then per a < b the
+    pair E_ab + E_ba, i (E_ab - E_ba)."""
+    E = np.eye(3)
+    out = [np.outer(E[a], E[a]) for a in range(3)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        S = np.outer(E[a], E[b])
+        out += [S + S.T, 1j * (S - S.T)]
+    return np.array(out, dtype=np.complex128)
+
+
+_HERMITIAN_UNITS = _hermitian_units()
+
+
+def _hermitian_basis(fr: ComplexFrame) -> np.ndarray:
+    """Columns: the real (1,1)-forms i sum h_ab theta^a ^ conj theta^b, h = h_1..h_9."""
+    cols = []
+    for h in _HERMITIAN_UNITS:
+        X = np.zeros((6, 6), dtype=np.complex128)
+        X[:3, 3:] = 1j * h
+        X[3:, :3] = -1j * h.T
+        cols.append(fr.two_form(X).coeffs)
+    return np.array(cols).T
+
+
+def _conformal_system(M: np.ndarray) -> np.ndarray:
+    """The real 54 x 9 system of the conformal solve for the N* matrix M.
+
+    Column k is the non-skew part of the trilinear of C(i h_k) = i h_k M^T.
+    """
+    T = c_map_trilinear(1j * _HERMITIAN_UNITS @ M.T)
+    complement = (T - _skew_part(T)).reshape(9, 27)
+    return np.hstack([complement.real, complement.imag]).T
 
 
 def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -187,32 +195,25 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
     """
     nij = nijenhuis_via_brackets(alg, J)
     fr = nij.frame
-    basis = _hermitian_basis_forms(fr)
-    cols = []
-    for w in basis:
-        C = c_map(alg, J, w, nij=nij)
-        T = c_map_trilinear(C)
-        complement = T - _skew_part(T)
-        cols.append(np.concatenate([complement.ravel().real, complement.ravel().imag]))
-    L = np.column_stack(cols)  # 54 x 9 real
-    u, s, vt = np.linalg.svd(L)
+    B = _hermitian_basis(fr)
+    u, s, vt = np.linalg.svd(_conformal_system(nij.matrix))
     smax = s.max() if s.size else 0.0
     null_dim = int(np.sum(s <= nullspace_rtol * max(smax, 1e-300))) if smax > 0 else 9
     null_vectors = vt[9 - null_dim:, :] if null_dim else np.zeros((0, 9))
-    sol_basis = tuple(_combine(basis, v) for v in null_vectors)
+    sol_basis = tuple(Form(6, 2, B @ v) for v in null_vectors)
 
     # candidate: the canonical positive direction projected onto the strict
     # nullspace when that stays positive (covers large solution spaces such as
     # the integrable case), otherwise the least-squares singular direction
     cand_vec = vt[-1, :]
-    candidate = _combine(basis, cand_vec)
+    candidate = Form(6, 2, B @ cand_vec)
     candidate, positive = _orient_positive(J, candidate)
     if null_dim > 1:
         canonical = np.zeros(9)
         canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
         proj = null_vectors.T @ (null_vectors @ canonical)
         if np.linalg.norm(proj) > 1e-9:
-            alt, alt_pos = _orient_positive(J, _combine(basis, proj / np.linalg.norm(proj)))
+            alt, alt_pos = _orient_positive(J, Form(6, 2, B @ (proj / np.linalg.norm(proj))))
             if alt_pos:
                 candidate, positive = alt, alt_pos
     normalized = None
@@ -231,13 +232,6 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
         normalized_omega=normalized,
         candidate_residual=float(s[-1] / max(smax, 1e-300)) if smax > 0 else 0.0,
     )
-
-
-def _combine(basis, coeffs) -> Form:
-    out = coeffs[0] * basis[0]
-    for c, b in zip(coeffs[1:], basis[1:]):
-        out = out + c * b
-    return out
 
 
 def _orient_positive(J: AlmostComplexStructure, omega: Form) -> tuple[Form, bool]:
@@ -265,45 +259,24 @@ class Alt12Report:
 
 
 def _alt12_matrix(n: int = 6) -> np.ndarray:
-    """Alt over the first two slots: Lambda^1 (x) Lambda^2 -> Lambda^2 (x) Lambda^1."""
-    from nkvol.multilinear import index_tuples
+    """Alt over the first two slots: Lambda^1 (x) Lambda^2 -> Lambda^2 (x) Lambda^1.
 
-    pairs = list(index_tuples(n, 2))
-    pos2 = {t: i for i, t in enumerate(pairs)}
-    dim = n * len(pairs)
-    M = np.zeros((dim, dim))
-
-    def tixd(i: int, pair_idx: int) -> int:  # domain index (i, (j<k))
-        return i * len(pairs) + pair_idx
-
-    def tixt(pair_idx: int, k: int) -> int:  # target index ((x<y), z)
-        return pair_idx * n + k
-
-    for i in range(n):
-        for pidx, (j, k) in enumerate(pairs):
-            jj, kk = j - 1, k - 1
-            col = tixd(i, pidx)
-            # U_{i jj kk} = +1, U_{i kk jj} = -1; S_{xy,z} = (U_{xyz} - U_{yxz})/2
-            for (x, y, z, val) in ((i, jj, kk, 0.5), (jj, i, kk, -0.5),
-                                   (i, kk, jj, -0.5), (kk, i, jj, 0.5)):
-                if x == y:
-                    continue
-                sgn = 1.0 if x < y else -1.0
-                key = (min(x, y) + 1, max(x, y) + 1)
-                M[tixt(pos2[key], z), col] += sgn * val
-    return M
+    E2 takes 2-form coefficients to the full antisymmetric tensor A[x, y], so
+    e^i (x) a becomes the tensor U = (Id (x) E2) and its image at x < y is
+    U_xyz - U_yxz = ((E2^T (x) Id) U)[(x, y), z].
+    """
+    E2 = _wedge_tensor(n, 1, 1).reshape(comb(n, 2), n * n).T.real
+    return np.kron(E2.T, np.eye(n)) @ np.kron(np.eye(n), E2)
 
 
 def _tensor_projector_21_12(J: AlmostComplexStructure) -> np.ndarray:
     """Projector of Lambda^2 (x) Lambda^1 onto total bidegree (2,1)+(1,2)."""
-    from nkvol.multilinear import index_tuples
-
     n = J.dimension
     parts2 = {(p, q): J.bidegree_projector(p, q) for (p, q) in ((2, 0), (1, 1), (0, 2))}
     parts1 = {(p, q): 0.5 * (np.eye(n, dtype=np.complex128) - 1j * (2 * p - 1) * J.jstar)
               for (p, q) in ((1, 0), (0, 1))}
     # parts1[(1,0)] = P^{1,0} on coefficients, parts1[(0,1)] = P^{0,1}
-    total = np.zeros((len(index_tuples(n, 2)) * n,) * 2, dtype=np.complex128)
+    total = np.zeros((comb(n, 2) * n,) * 2, dtype=np.complex128)
     for (a, b), P2 in parts2.items():
         for (c, d), P1 in parts1.items():
             if (a + c, b + d) in ((2, 1), (1, 2)):
@@ -311,61 +284,27 @@ def _tensor_projector_21_12(J: AlmostComplexStructure) -> np.ndarray:
     return total
 
 
-def _embed_threeform(phi: Form) -> np.ndarray:
-    """A 3-form as an element of Lambda^2 (x) Lambda^1 (coefficient vector)."""
-    from nkvol.multilinear import index_tuples
-
-    n = phi.dimension
-    pairs = list(index_tuples(n, 2))
-    out = np.zeros(len(pairs) * n, dtype=np.complex128)
-    for pidx, (j, k) in enumerate(pairs):
-        for z in range(1, n + 1):
-            out[pidx * n + (z - 1)] = phi.coefficient((j, k, z))
-    return out
-
-
 def alt12_analysis(J: AlmostComplexStructure) -> Alt12Report:
     """Exact integer ranks of the Alt_12 operator and its Hermitian restriction."""
-    from nkvol.multilinear import basis_form, index_tuples
-
     n = J.dimension
     M = _alt12_matrix(n)
     rank_full = int(np.linalg.matrix_rank(M, tol=1e-8))
 
-    # domain basis of Lambda^1 (x) Lambda^{1,1}_R
-    fr = J.frame()
-    herm = _hermitian_basis_forms(fr)
-    pairs = list(index_tuples(n, 2))
-    cols = []
+    # domain basis of Lambda^1 (x) Lambda^{1,1}_R: e^i (x) the Hermitian basis
     Pi = _tensor_projector_21_12(J)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        for w in herm:
-            vec = np.zeros(n * len(pairs), dtype=np.complex128)
-            for pidx in range(len(pairs)):
-                vec[i * len(pairs) + pidx] = w.coeffs[pidx]
-            img = M @ vec
-            cols.append(Pi @ img)
-    A = np.column_stack(cols)  # complex 90 x 54
+    A = Pi @ M @ np.kron(np.eye(n), _hermitian_basis(J.frame()))  # complex 90 x 54
     A_real = np.vstack([A.real, A.imag])
     rank_herm = int(np.linalg.matrix_rank(A_real, tol=1e-8))
 
-    # cokernel side: real 3-forms of bidegree (2,1)+(1,2), embedded as tensors
-    proj_sum = J.bidegree_projector(2, 1) + J.bidegree_projector(1, 2)
-    reals = []
-    for idx in index_tuples(n, 3):
-        f = basis_form(n, idx)
-        pf = Form(n, 3, proj_sum @ f.coeffs)
-        if pf.norm() > 1e-12:
-            reals.append(pf)
-    emb = [_embed_threeform(f) for f in reals]
-    emb_real = [np.concatenate([v.real, v.imag]) for v in emb]
-    span = np.column_stack([A_real] + [v.reshape(-1, 1) for v in emb_real])
+    # cokernel side: real 3-forms of bidegree (2,1)+(1,2), embedded as the
+    # tensors phi(e_j, e_k, e_z), j < k, which the wedge tensor lists
+    embed = _wedge_tensor(n, 2, 1).reshape(comb(n, 3), -1).T
+    emb = embed @ (J.bidegree_projector(2, 1) + J.bidegree_projector(1, 2))
+    span = np.hstack([A_real, np.vstack([emb.real, emb.imag])])
     span_rank = int(np.linalg.matrix_rank(span, tol=1e-8))
 
     # dimension of the real (2,1)+(1,2) part of the tensor target
-    dim = n * len(pairs)
+    dim = n * comb(n, 2)
     fix = np.vstack([(Pi - np.eye(dim)).real, (Pi - np.eye(dim)).imag])
     target_dim = dim - int(np.linalg.matrix_rank(fix, tol=1e-8))
     return Alt12Report(rank_full=rank_full, rank_hermitian=rank_herm,

@@ -37,6 +37,7 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "EPS3",
     "Form",
     "Metric",
     "basis_form",
@@ -49,6 +50,7 @@ __all__ = [
     "index_tuples",
     "inner_product",
     "substitution",
+    "two_form_from_matrix",
     "two_form_matrix",
     "wedge",
     "wedge_all",
@@ -86,6 +88,11 @@ def _inversion_sign(indices) -> int:
             sign = -sign
             j -= 1
     return sign
+
+
+# The Levi-Civita symbol eps_abc on three indices.
+EPS3 = np.array([[[_inversion_sign((a, b, c)) for c in range(3)] for b in range(3)]
+                 for a in range(3)], dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -269,6 +276,12 @@ def two_form_matrix(a: Form) -> np.ndarray:
     A = np.zeros((a.dimension, a.dimension), dtype=np.complex128)
     A[rows, cols] = a.coeffs
     return A - A.T
+
+
+def two_form_from_matrix(A) -> Form:
+    """Inverse of `two_form_matrix`: the 2-form with a(e_i, e_j) = A[i, j], A antisymmetric."""
+    rows, cols = _index_array(len(A), 2).T
+    return Form(len(A), 2, np.asarray(A)[rows, cols])
 
 
 @dataclass(frozen=True)

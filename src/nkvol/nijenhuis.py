@@ -5,8 +5,9 @@ The tensor is computed either from frame brackets,
     N(X, Y) = P^{0,1} [P^{1,0} X, P^{1,0} Y],
 
 dualized against a chosen (1,0) coframe, or as the (2,-1) component of the
-exterior derivative on (0,1)-forms.  The two agree up to the frozen route
-sign in `conventions`.
+exterior derivative on (0,1)-forms.  Both are written in the tcheck basis of
+Lambda^{2,0}, whose convention is stated once, in `acs.ComplexFrame`.  The
+two agree up to the frozen route sign in `conventions`.
 
 The volume form is assembled by the canonical contraction of
 det N* (x) conj(det N*): with M the matrix of N* in a frame theta and
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Form, wedge, zero_form
+from .multilinear import Form, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project
 from .conventions import NIJ_D_ROUTE_SIGN
 
 __all__ = [
@@ -42,18 +43,13 @@ __all__ = [
 NONDEGENERACY_RTOL = 1e-9
 
 
-def _zh_two_forms(frame: ComplexFrame) -> list[Form]:
-    """tcheck^1 = theta^23, tcheck^2 = -theta^13, tcheck^3 = theta^12."""
-    t = [frame.theta(a) for a in range(3)]
-    return [wedge(t[1], t[2]), -1.0 * wedge(t[0], t[2]), wedge(t[0], t[1])]
-
-
 @dataclass(frozen=True)
 class NijenhuisTensor:
     """N*: Lambda^{0,1} -> Lambda^{2,0} in the stored (1,0) coframe.
 
     matrix[b, a] is the tcheck^b-coefficient of N*(conj theta^a), where the
-    tcheck basis is dual to theta under theta^a ^ tcheck^b = delta Theta.
+    tcheck basis (`ComplexFrame`) is dual to theta under
+    theta^a ^ tcheck^b = delta_ab Theta.
     """
 
     frame: ComplexFrame
@@ -68,42 +64,34 @@ class NijenhuisTensor:
 
     def apply(self, zeta: Form) -> Form:
         """N* on an arbitrary (0,1)-form (expanded over conj theta)."""
-        coeffs = np.array([zeta.evaluate([self.frame.v_bar(a)]) for a in range(3)])
-        out = zero_form(6, 2)
-        zh = _zh_two_forms(self.frame)
-        img = self.matrix @ coeffs
-        for b in range(3):
-            out = out + img[b] * zh[b]
-        return out
+        img = self.matrix @ self.frame.components(zeta)[3:]
+        X = np.zeros((6, 6), dtype=np.complex128)
+        X[:3, :3] = np.einsum("b,bcd->cd", img, EPS3)
+        return self.frame.two_form(X)
 
     def in_frame(self, frame: ComplexFrame) -> np.ndarray:
         """The matrix transported to another (1,0) coframe of the same J."""
         # theta'^a = sum_c S[a, c] theta^c
-        S = np.array([[frame.theta(a).evaluate([self.frame.v(c)]) for c in range(3)]
-                      for a in range(3)])
+        S = frame.theta_coeffs @ self.frame.v_coords
         det = np.linalg.det(S)
         return (S @ self.matrix @ np.conj(S).T) / det
+
+
+def nijenhuis_vectors(alg: CoframeAlgebra, J: AlmostComplexStructure,
+                      fr: ComplexFrame) -> np.ndarray:
+    """Columns N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d], so N(v_c, v_d) = eps_bcd N^b."""
+    V = fr.v_coords
+    brackets = np.einsum("ijk,jc,kd->icd", alg.structure_constants, V, V)
+    return J.q01() @ (0.5 * np.einsum("bcd,icd->ib", EPS3, brackets))
 
 
 def nijenhuis_via_brackets(alg: CoframeAlgebra, J: AlmostComplexStructure,
                            frame: ComplexFrame | None = None) -> NijenhuisTensor:
     """Frame-bracket route: dualize N(X,Y) = P^{0,1}[P^{1,0}X, P^{1,0}Y]."""
     fr = frame if frame is not None else J.frame()
-    q01 = J.q01()
-    M = np.zeros((3, 3), dtype=np.complex128)
-    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d))
-    for a in range(3):
-        tb = fr.theta_bar(a)
-        vals = {}
-        for c in range(3):
-            for d in range(c + 1, 3):
-                ncd = q01 @ alg.bracket(fr.v(c), fr.v(d))
-                vals[(c, d)] = tb.evaluate([ncd])
-        # express the (2,0)-form with values vals on (v_c, v_d) in the tcheck basis:
-        # tcheck^1 = theta^23 evaluates to 1 on (v_2, v_3) etc., with signs
-        M[0, a] = vals[(1, 2)]
-        M[1, a] = -vals[(0, 2)]
-        M[2, a] = vals[(0, 1)]
+    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d)), so M[b, a] is
+    # the conj(theta^a) coordinate of N^b
+    M = (fr.coframe[3:] @ nijenhuis_vectors(alg, J, fr)).T
     return NijenhuisTensor(fr, M, route="brackets")
 
 
@@ -111,18 +99,14 @@ def nijenhuis_via_d(alg: CoframeAlgebra, J: AlmostComplexStructure,
                     frame: ComplexFrame | None = None) -> NijenhuisTensor:
     """(2,-1)-part-of-d route: N* = Pi^{2,0} d restricted to (0,1)-forms.
 
+    The (2,0) part of a 2-form is its (v, v) block in frame coordinates.
     Returned in the bracket-route normalization (the frozen route sign is
     divided out), so both constructors are interchangeable downstream.
     """
     fr = frame if frame is not None else J.frame()
-    M = np.zeros((3, 3), dtype=np.complex128)
-    for a in range(3):
-        img = bidegree_project(J, d_invariant(alg, fr.theta_bar(a)), 2, 0)
-        for b in range(3):
-            # tcheck-coefficient via evaluation against the dual vector pairs
-            pair = [(1, 2), (0, 2), (0, 1)][b]
-            sign = [1.0, -1.0, 1.0][b]
-            M[b, a] = sign * img.evaluate([fr.v(pair[0]), fr.v(pair[1])])
+    blocks = np.array([fr.components(d_invariant(alg, fr.theta_bar(a)))[:3, :3]
+                       for a in range(3)])
+    M = 0.5 * np.einsum("bcd,acd->ba", EPS3, blocks)
     return NijenhuisTensor(fr, M / NIJ_D_ROUTE_SIGN, route="d")
 
 
@@ -164,12 +148,9 @@ def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
     lhs = bidegree_project(J, d_invariant(alg, omega), 3, 0)
     nij = nijenhuis_via_brackets(alg, J)
     fr = nij.frame
-    rhs = zero_form(6, 3)
-    for a in range(3):
-        for b in range(3):
-            # coefficient of theta^a (x) conj theta^b in omega
-            coef = omega.evaluate([fr.v(a), fr.v_bar(b)])
-            if coef != 0:
-                rhs = rhs + coef * wedge(fr.theta(a), nij.apply(fr.theta_bar(b)))
+    # omega = sum A[a, b] theta^a ^ conj theta^b and theta^a ^ tcheck^c = delta_ac
+    # theta^123, so sum A[a, b] theta^a ^ N*(conj theta^b) = tr(A M^T) theta^123
+    A = fr.components(omega)[:3, 3:]
+    rhs = np.trace(A @ nij.matrix.T) * fr.theta_top()
     scale = max(1.0, lhs.norm(), rhs.norm())
     return float((lhs - rhs).norm() / scale)

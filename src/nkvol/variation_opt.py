@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multilinear import Form, contract, wedge
+from .multilinear import Form, contract, form_from_one_coeffs, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project
 from .conventions import KAPPA_CONV
@@ -89,11 +89,8 @@ def deform_J(J: AlmostComplexStructure, delta: Deformation, t: float,
     if t == 0.0:
         return J
     fr = frame if frame is not None else J.frame()
-    W = np.zeros((6, 3), dtype=np.complex128)
-    for b in range(3):
-        W[:, b] = fr.v_bar(b)
-        for a in range(3):
-            W[:, b] += t * delta.matrix[a, b] * fr.v(a)
+    V = fr.v_coords
+    W = np.conj(V) + t * V @ delta.matrix  # columns conj(v_b) + t sum_a delta[a, b] v_a
     B = np.hstack([np.conj(W), W])
     det = np.linalg.det(B)
     if abs(det) < 1e-10:
@@ -126,18 +123,12 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
     if P.norm() < 1e-12:
         raise ValueError("trilinear identification degenerate: skew part of rho vanishes")
     P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
-    out = None
+    # sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b; row a of legs is
+    # sum_b delta[a, b] conj theta^b
+    legs = delta.matrix @ fr.coframe[3:]
+    out = zero_form(6, 3)
     for a in range(3):
-        ia = contract(fr.v(a), P)
-        for b in range(3):
-            c = delta.matrix[a, b]
-            if c != 0:
-                term = c * wedge(ia, fr.theta_bar(b))
-                out = term if out is None else out + term
-    if out is None:
-        from .multilinear import zero_form
-
-        return zero_form(6, 3)
+        out = out + wedge(contract(fr.v(a), P), form_from_one_coeffs(6, legs[a]))
     return out
 
 
@@ -262,6 +253,10 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     collapse the residual on structures with no critical point) is reported
     as a failure, never as a solution.
     """
+    if not 0.0 < tol < np.inf:  # written so that NaN fails it
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     inner_tol = min(tol, 1e-26)
     vec, rep = criticality_residual_vector(alg, J0)
     if vec is None:

@@ -8,6 +8,7 @@ import pytest
 from nkvol.multilinear import Form, basis_form, form_from_one_coeffs, forms_close, wedge, zero_form
 from nkvol.frame_manifold import catalog
 from nkvol.acs import (
+    EPS3,
     AlmostComplexStructure,
     bidegree_project,
     bidegrees,
@@ -239,3 +240,27 @@ def test_project_to_acs_near_identity_on_acs():
     J = s3s3_J().matrix
     again = project_to_acs(J + 1e-13 * np.ones((6, 6)))
     assert np.max(np.abs(again - J)) < 1e-10
+
+
+def test_frame_writer_inverts_reader():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        fr = random_acs(rng).frame()
+        a = random_form(rng, 6, 2)
+        assert forms_close(fr.two_form(fr.components(a)), a, tol=1e-12)
+        b = random_form(rng, 6, 1)
+        assert np.max(np.abs(fr.components(b) @ fr.coframe - b.coeffs)) < 1e-12
+
+
+def test_tcheck_dual_to_theta():
+    # tcheck^b has the (v, v) block EPS3[b]; theta^a ^ tcheck^b = delta_ab theta^123
+    rng = np.random.default_rng(6)
+    fr = random_acs(rng).frame()
+    top = fr.theta_top()
+    for b in range(3):
+        X = np.zeros((6, 6), dtype=np.complex128)
+        X[:3, :3] = EPS3[b]
+        tcheck = fr.two_form(X)
+        for a in range(3):
+            expected = top if a == b else zero_form(6, 3)
+            assert forms_close(wedge(fr.theta(a), tcheck), expected, tol=1e-12)

@@ -51,6 +51,22 @@ def test_check_rejects_bad_manifest(tmp_path):
     assert p.returncode == 2
     assert "non-finite" in p.stdout
 
+    # values of the wrong JSON type are input errors naming the field
+    sc = {"i": 1, "j": 2, "k": 3, "value": 1.0}
+    for field, value in (
+        ("structure_constants", [{**sc, "value": None}]),
+        ("omega", [{"indices": [1, 2], "re": "x", "im": 0.0}]),
+        ("structure_constants", 5),
+        ("omega", [{"indices": 5, "re": 1.0, "im": 0.0}]),
+        ("dimension", True),
+    ):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({"name": "typed", "dimension": 6,
+                                     "structure_constants": [], field: value}))
+        p = run_cli("check", str(typed))
+        assert p.returncode == 2, (field, value, p.stdout, p.stderr)
+        assert field in p.stdout
+
 
 def test_check_rejects_unknown_field(tmp_path):
     bad = tmp_path / "bad2.json"
@@ -82,6 +98,27 @@ def test_out_of_scope_J_is_input_error(tmp_path):
     p = run_cli("nijenhuis", str(nan_j))
     assert p.returncode == 2
     assert "non-finite" in p.stdout
+
+
+def test_check_low_dimensions(tmp_path):
+    # for n <= 2 the forms d e^i are top-degree or absent: d d = 0 trivially
+    for n in (1, 2):
+        low = tmp_path / f"d{n}.json"
+        low.write_text(json.dumps({"name": f"d{n}", "dimension": n, "structure_constants": []}))
+        p = run_cli("check", str(low), "--json")
+        assert p.returncode == 0, p.stdout
+        rep = json.loads(p.stdout)
+        assert rep["verdicts"]["jacobi"] is True
+        assert rep["checks"]["jacobi_residual_dd"] == 0.0
+
+
+def test_optimize_rejects_bad_numeric_arguments(tmp_path):
+    src = tmp_path / "p7.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
+    for args in (("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--max-iter", "-3")):
+        p = run_cli("optimize", str(src), *args)
+        assert p.returncode == 2, (args, p.stdout, p.stderr)
+        assert ("tol" if args[0] == "--tol" else "max_iter") in p.stdout
 
 
 def test_missing_file_is_input_error():

@@ -239,6 +239,16 @@ def test_manifest_rejects_bad_indices_and_shapes():
     ):
         with pytest.raises(ValueError, match="non-finite"):
             Manifest.from_json(json.dumps({**base, field: value}))
+    # values of the wrong JSON type are rejected with the field named
+    for field, value in (
+        ("structure_constants", [{"i": 1, "j": 2, "k": 3, "value": None}]),
+        ("omega", [{"indices": [1, 2], "re": "x", "im": 0.0}]),
+        ("structure_constants", 5),
+        ("omega", [{"indices": 5, "re": 1.0, "im": 0.0}]),
+        ("dimension", True),
+    ):
+        with pytest.raises(ValueError, match=field):
+            Manifest.from_json(json.dumps({**base, field: value}))
 
 
 # -- catalog -----------------------------------------------------------------

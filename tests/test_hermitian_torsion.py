@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from nkvol.multilinear import basis_form, forms_close, wedge
+from nkvol.multilinear import Form, basis_form, forms_close, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import (
+    _conformal_system,
+    _hermitian_basis,
+    _skew_part,
     alt12_analysis,
     c_map,
     c_map_trilinear,
@@ -17,7 +20,7 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import random_acs
+from helpers import random_acs, random_valid_algebra
 
 
 def s3s3():
@@ -196,3 +199,25 @@ def test_alt12_ranks_basis_independent():
         rep = alt12_analysis(J)
         assert (rep.rank_full, rep.rank_hermitian, rep.span_with_cokernel,
                 rep.target_dimension) == (90, 54, 72, 72)
+
+
+def test_conformal_system_matches_c_map():
+    # the closed-form system against c_map applied to each Hermitian basis form
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        alg, J = random_valid_algebra(rng), random_acs(rng)
+        nij = nijenhuis_via_brackets(alg, J)
+        fr = nij.frame
+        B = _hermitian_basis(fr)
+        # h_1 = E_11 and h_8 = i (E_23 - E_32): i theta^1 ^ conj theta^1 and
+        # theta^3 ^ conj theta^2 - theta^2 ^ conj theta^3
+        assert forms_close(Form(6, 2, B[:, 0]), 1j * wedge(fr.theta(0), fr.theta_bar(0)))
+        assert forms_close(Form(6, 2, B[:, 8]), wedge(fr.theta(2), fr.theta_bar(1))
+                           - wedge(fr.theta(1), fr.theta_bar(2)))
+        cols = []
+        for coeffs in B.T:
+            T = c_map_trilinear(c_map(alg, J, Form(6, 2, coeffs), nij=nij))
+            complement = (T - _skew_part(T)).ravel()
+            cols.append(np.concatenate([complement.real, complement.imag]))
+        L = np.column_stack(cols)
+        assert np.max(np.abs(_conformal_system(nij.matrix) - L)) <= 1e-13 * max(1.0, np.max(np.abs(L)))

@@ -199,3 +199,19 @@ def test_degenerate_exactly_when_d21_vanishes():
             for a in range(3)
         )
         assert (np.max(np.abs(nij.matrix)) < 1e-13) == (d21_norm < 1e-13)
+
+
+def test_apply_is_the_20_part_of_d():
+    # N* written back as a form reproduces Pi^{2,0} d on (0,1)-forms, up to the
+    # frozen route sign, for arbitrary (0,1)-forms
+    from nkvol.conventions import NIJ_D_ROUTE_SIGN
+    from nkvol.frame_manifold import d_invariant
+
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        alg, J = random_valid_algebra(rng), random_acs(rng)
+        nij = nijenhuis_via_brackets(alg, J)
+        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        zeta = form_from_one_coeffs(6, coeffs @ np.conj(nij.frame.theta_coeffs))
+        d20 = bidegree_project(J, d_invariant(alg, zeta), 2, 0)
+        assert forms_close(d20, NIJ_D_ROUTE_SIGN * nij.apply(zeta), tol=1e-10)
