@@ -21,6 +21,7 @@ import numpy as np
 from .multilinear import (EPS3, Form, compound, form_from_one_coeffs, substitution,
                           two_form_from_matrix, two_form_matrix, wedge, zero_form)
 from .frame_manifold import CoframeAlgebra, d_invariant
+from .conventions import within
 
 __all__ = [
     "EPS3",
@@ -30,10 +31,9 @@ __all__ = [
     "bidegrees",
     "d_split",
     "j_multiplicative",
+    "j_squared_residual",
     "project_to_acs",
 ]
-
-ACS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class AlmostComplexStructure:
             raise ValueError(f"J must be a 6x6 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("J has non-finite entries")
-        scale = max(1.0, np.linalg.norm(m, 2) ** 2)
-        if not np.max(np.abs(m @ m + np.eye(6))) <= 1e-10 * scale:
+        res, scale = j_squared_residual(m)
+        if not within(res, "j_squared", scale):
             raise ValueError("J^2 != -Id")
         m = m.copy()
         m.flags.writeable = False
@@ -76,9 +76,6 @@ class AlmostComplexStructure:
 
     def q01(self) -> np.ndarray:
         return 0.5 * (np.eye(self.dimension) + 1j * self.matrix)
-
-    def apply_tangent(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=np.complex128)
 
     # -- derived structure, cached per instance -------------------------------
 
@@ -121,6 +118,12 @@ class AlmostComplexStructure:
         if "frame" not in cache:
             cache["frame"] = _default_frame(self)
         return cache["frame"]
+
+
+def j_squared_residual(m: np.ndarray) -> tuple[float, float]:
+    """max|J^2 + Id| and the scale max(1, |J|_2^2) against which it is judged."""
+    res = float(np.max(np.abs(m @ m + np.eye(len(m)))))
+    return res, max(1.0, float(np.linalg.norm(m, 2)) ** 2)
 
 
 def bidegrees(n: int, k: int) -> list[tuple[int, int]]:
@@ -166,9 +169,6 @@ class ComplexFrame:
 
     def v(self, a: int) -> np.ndarray:
         return self.v_coords[:, a]
-
-    def v_bar(self, a: int) -> np.ndarray:
-        return np.conj(self.v_coords[:, a])
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -234,13 +234,8 @@ def project_to_acs(K: np.ndarray) -> np.ndarray:
     Vm = np.conj(Vp)
     basis = np.hstack([Vp, Vm])
     D = np.diag([1j] * (n // 2) + [-1j] * (n // 2))
-    Jnew = basis @ D @ np.linalg.inv(basis)
-    Jnew = Jnew.real
-    # symmetrize the tiny imaginary leakage away and enforce the invariant
-    err = np.max(np.abs(Jnew @ Jnew + np.eye(n)))
-    if err > 1e-9:
-        raise ValueError(f"projection failed: |J^2 + Id| = {err:g}")
-    return Jnew
+    # drop the tiny imaginary leakage; the constructor enforces the invariant
+    return AlmostComplexStructure((basis @ D @ np.linalg.inv(basis)).real).matrix
 
 
 def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form:
@@ -253,9 +248,8 @@ def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form
     return Form(a.dimension, a.degree, proj @ a.coeffs)
 
 
-def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int,
-                     tol: float = 1e-10) -> bool:
-    return (bidegree_project(J, a, p, q) - a).norm() <= tol * max(1.0, a.norm())
+def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int) -> bool:
+    return within((bidegree_project(J, a, p, q) - a).norm(), "pure_bidegree", max(1.0, a.norm()))
 
 
 def d_split(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,

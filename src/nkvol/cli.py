@@ -1,10 +1,12 @@
 """Command-line front end with deterministic machine-readable reports.
 
 Exit codes: 0 when every verdict passes, 1 when a verdict fails, 2 on input
-errors (malformed manifests, unknown files, bad arguments).  With `--json`
-the output is a single report object printed with sorted keys and
-shortest-round-trip floats, so identical inputs produce byte-identical
-output; wall-clock timing appears only in the human-readable format.
+errors (malformed manifests, unknown files, bad arguments, an output file that
+cannot be written, a non-finite value among the checks), 3 on an internal
+error, with the traceback on stderr.  With `--json` the output is a single
+report object printed with sorted keys and shortest-round-trip floats, so
+identical inputs produce byte-identical output and every number is finite;
+wall-clock timing appears only in the human-readable format.
 """
 
 from __future__ import annotations
@@ -12,16 +14,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
-from .multilinear import Form
-from .frame_manifold import Manifest, catalog, catalog_names, check_jacobi, d_invariant
-from .acs import AlmostComplexStructure, bidegree_project
-from .conventions import constants_table
-from .hermitian_torsion import alt12_analysis, conformal_solve, norm30_sq, torsion_criterion
+from .frame_manifold import Manifest, catalog, catalog_names, check_jacobi
+from .acs import AlmostComplexStructure, j_squared_residual
+from .conventions import CONSTANTS, TOLERANCES, within
+from .hermitian_torsion import (_omega_j, alt12_analysis, conformal_solve, hermitian_metric,
+                                norm30_sq, torsion_criterion)
 from .nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d, volume_form
 from .nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
 from .g2_cone import fernandez_gray_check, metric_roundtrip, stability_check
@@ -63,11 +67,11 @@ def _acs_of(manifest: Manifest) -> AlmostComplexStructure:
         raise InputError(f"invalid J: {ex}") from ex
 
 
-def _pick_omega(alg, J, manifest: Manifest):
+def _pick_omega(alg, J, manifest: Manifest, rep=None):
     """Manifest omega when present, else the conformal-solver candidate."""
     if manifest.omega is not None:
         return manifest.omega, "manifest"
-    rep = conformal_solve(alg, J)
+    rep = rep if rep is not None else conformal_solve(alg, J)
     if rep.normalized_omega is not None:
         return rep.normalized_omega, "conformal_solve normalized"
     if rep.candidate_positive:
@@ -90,9 +94,13 @@ def _cmd_check(manifest: Manifest):
     if manifest.J is not None:
         if manifest.dimension != 6:
             raise InputError(f"J is supported only in dimension 6, got {manifest.dimension}")
-        j_res = float(np.max(np.abs(manifest.J @ manifest.J + np.eye(manifest.dimension))))
+        j_res, scale = j_squared_residual(manifest.J)
         checks["j_squared_residual"] = j_res
-        verdicts["j_valid"] = bool(j_res <= 1e-10)
+        verdicts["j_valid"] = within(j_res, "j_squared", scale)
+        if verdicts["j_valid"] and manifest.omega is not None and manifest.metric is not None:
+            G = _omega_j(AlmostComplexStructure(manifest.J), manifest.omega)
+            verdicts["metric_compatible"] = within(np.max(np.abs(manifest.metric - G)), "metric",
+                                                   max(1.0, np.max(np.abs(G))))
     return checks, verdicts
 
 
@@ -118,9 +126,9 @@ def _cmd_nijenhuis(manifest: Manifest):
             checks["cartan_omega_source"] = source
         except ValueError:
             pass
-    verdicts = {"routes_agree": bool(agree <= 1e-12 * scale)}
+    verdicts = {"routes_agree": within(agree, "routes_agree", scale)}
     if "cartan_residual" in checks:
-        verdicts["cartan_identity"] = bool(checks["cartan_residual"] <= 1e-10)
+        verdicts["cartan_identity"] = within(checks["cartan_residual"], "cartan")
     return checks, verdicts
 
 
@@ -134,7 +142,7 @@ def _cmd_torsion(manifest: Manifest):
         "candidate_residual": rep.candidate_residual,
         "singular_values": [float(x) for x in rep.singular_values],
     }
-    omega, source = _pick_omega(alg, J, manifest)
+    omega, source = _pick_omega(alg, J, manifest, rep)
     if omega is None:
         raise InputError("no positive Hermitian candidate available for the criterion")
     crit = torsion_criterion(alg, J, omega)
@@ -143,12 +151,13 @@ def _cmd_torsion(manifest: Manifest):
         "skewness_residual": crit.skewness_residual,
         "rho_norm": crit.rho_norm,
     })
-    if rep.normalized_omega is not None:
-        crit_n = torsion_criterion(alg, J, rep.normalized_omega)
-        checks["normalized_gauge_residual"] = abs(
-            norm30_sq(rep.normalized_omega, crit_n.lambda30_component) - 1.0
-        )
     verdicts = {"admits_connection": crit.admits_connection}
+    if rep.normalized_omega is not None:
+        if omega is not rep.normalized_omega:
+            crit = torsion_criterion(alg, J, rep.normalized_omega)
+        checks["normalized_gauge_residual"] = abs(
+            norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0
+        )
     return checks, verdicts
 
 
@@ -196,10 +205,8 @@ def _cmd_cone(manifest: Manifest):
              "reason": solved.reason},
             {"shape_equations": False},
         )
-    if manifest.Omega3 is not None:
-        s = SU3Structure(J, omega, manifest.Omega3, solved.lam)
-    else:
-        s = SU3Structure(J, omega, solved.Omega, solved.lam)
+    Omega = manifest.Omega3 if manifest.Omega3 is not None else solved.Omega
+    s = SU3Structure(J, omega, Omega, solved.lam)
     fg = fernandez_gray_check(alg, s)
     mr = metric_roundtrip(alg, s)
     checks = {
@@ -215,12 +222,12 @@ def _cmd_cone(manifest: Manifest):
     }
     verdicts = {
         "shape_equations": True,
-        "closed": bool(fg.d_rho_residual <= 1e-9),
-        "coclosed": bool(fg.dstar_rho_residual <= 1e-9),
-        "dual_formula": bool(fg.star_formula_residual <= 1e-10),
+        "closed": fg.closed,
+        "coclosed": fg.coclosed,
+        "dual_formula": within(fg.star_formula_residual, "cone_dual_formula"),
         "stable": mr.stable,
         "stabilizer_14": bool(mr.stabilizer_dimension == 14),
-        "metric_proportional": bool(mr.ratio_spread <= 1e-9),
+        "metric_proportional": within(mr.ratio_spread, "cone"),
     }
     return checks, verdicts
 
@@ -269,8 +276,6 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
         checks["lambda"] = res.suite.lam
     if emit and res.converged:
         solved = solve_Omega(alg, res.J, res.omega)
-        from .hermitian_torsion import hermitian_metric
-
         g = hermitian_metric(res.J, res.omega)
         out = Manifest(manifest.name + "_critical", manifest.dimension,
                        manifest.structure_constants, J=res.J.matrix, metric=g.matrix,
@@ -301,23 +306,19 @@ def _cmd_alt12(manifest: Manifest):
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _finite(value) -> bool:
+    """False when a float anywhere inside `value` is NaN or infinite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _emit_report(report: dict, as_json: bool, elapsed: float) -> None:
     if as_json:
-        print(json.dumps(_sanitize(report), indent=2, sort_keys=True))
+        # numpy scalars other than floats (bool_, integers) through .item()
+        print(json.dumps(report, indent=2, sort_keys=True, default=lambda x: x.item()))
         return
     print(f"command: {report['command']}")
     if "manifest" in report:
@@ -377,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="search for a critical structure")
     opt.add_argument("file")
-    opt.add_argument("--tol", type=float, default=1e-12)
+    opt.add_argument("--tol", type=float, default=TOLERANCES["objective"])
     opt.add_argument("--max-iter", type=int, default=100)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--emit", default=None, help="write the solved manifest here")
@@ -396,7 +397,7 @@ def run(argv: list[str]) -> int:
     args.json = as_json
     started = time.monotonic()
 
-    report: dict = {"command": args.command, "constants": constants_table()}
+    report: dict = {"command": args.command, "constants": CONSTANTS, "tolerances": TOLERANCES}
     try:
         if args.command == "catalog":
             if args.catalog_command == "list":
@@ -435,19 +436,24 @@ def run(argv: list[str]) -> int:
                                                  args.seed, args.emit)
             else:  # pragma: no cover
                 raise InputError(f"unknown command {args.command}")
+            bad = [key for key, value in checks.items() if not _finite(value)]
+            if bad:
+                raise InputError(f"non-finite values in checks: {', '.join(bad)}")
             report["checks"] = checks
             report["verdicts"] = verdicts
     except InputError as ex:
-        report["error"] = str(ex)
-        _emit_report(report, args.json, time.monotonic() - started)
-        return 2
+        report["error"], code = str(ex), 2
     except ValueError as ex:
-        report["error"] = f"invalid input: {ex}"
-        _emit_report(report, args.json, time.monotonic() - started)
-        return 2
-
+        report["error"], code = f"invalid input: {ex}", 2
+    except OSError as ex:  # manifests are read in _load, so this is a write
+        report["error"], code = f"cannot write {ex.filename}: {ex.strerror}", 2
+    except Exception as ex:
+        report["error"], code = f"internal error: {type(ex).__name__}: {ex}", 3
+        traceback.print_exc()
+    else:
+        code = 0 if all(report["verdicts"].values()) else 1
     _emit_report(report, args.json, time.monotonic() - started)
-    return 0 if all(report["verdicts"].values()) else 1
+    return code
 
 
 def main() -> None:

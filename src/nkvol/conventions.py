@@ -1,22 +1,29 @@
-"""The single table of convention constants shared across modules.
+"""The tables of convention constants and pass/fail tolerances shared across modules.
 
 Every identification constant (route signs, duality factors, tensor/form
 normalizations) is calibrated once -- on the flat model where possible,
 otherwise on the su(2)+su(2) solution family -- frozen here, and asserted by
 the test-suite.  Nothing below is re-derived ad hoc at call sites; an input
 that would require a different constant is a build failure, not a tunable.
+
+Every verdict is a residual compared against one entry of `TOLERANCES`,
+through `within`, which fails on NaN and infinities.
 """
 
 from __future__ import annotations
 
+from math import isfinite
+
 __all__ = [
     "CONSTANTS",
+    "TOLERANCES",
     "HERMITIAN_30_NORM_COEF",
     "NABLA_OMEGA_TO_DOMEGA",
     "NIJ_D_ROUTE_SIGN",
     "PSI_SCALING_EXPONENT",
     "ZH_DUALITY_FACTOR",
     "KAPPA_CONV",
+    "within",
 ]
 
 # Relation between the two Nijenhuis routes:
@@ -55,16 +62,50 @@ PSI_SCALING_EXPONENT = 6
 KAPPA_CONV = 64.0
 
 
-def constants_table() -> dict:
-    """The convention constants as a JSON-ready report section."""
-    return {
-        "nij_d_route_sign": NIJ_D_ROUTE_SIGN,
-        "hermitian_30_norm_coef": [HERMITIAN_30_NORM_COEF.real, HERMITIAN_30_NORM_COEF.imag],
-        "nabla_omega_to_domega": NABLA_OMEGA_TO_DOMEGA,
-        "zh_duality_factor": [ZH_DUALITY_FACTOR.real, ZH_DUALITY_FACTOR.imag],
-        "psi_scaling_exponent": PSI_SCALING_EXPONENT,
-        "kappa_conv": KAPPA_CONV,
-    }
+# The convention constants as a JSON-ready report section.
+CONSTANTS = {
+    "nij_d_route_sign": NIJ_D_ROUTE_SIGN,
+    "hermitian_30_norm_coef": [HERMITIAN_30_NORM_COEF.real, HERMITIAN_30_NORM_COEF.imag],
+    "nabla_omega_to_domega": NABLA_OMEGA_TO_DOMEGA,
+    "zh_duality_factor": [ZH_DUALITY_FACTOR.real, ZH_DUALITY_FACTOR.imag],
+    "psi_scaling_exponent": PSI_SCALING_EXPONENT,
+    "kappa_conv": KAPPA_CONV,
+}
 
 
-CONSTANTS = constants_table()
+# One entry per question a gate answers.  A residual passes when it is at most
+# the entry times the scale named beside it; the gates marked ">" pass when a
+# quantity exceeds the entry instead.
+TOLERANCES = {
+    "j_squared": 1e-10,             # max|J^2 + Id|, scale max(1, |J|_2^2)
+    "jacobi": 1e-12,                # max_i |d d e^i|
+    "symmetric": 1e-9,              # asymmetry of a metric or omega(., J.), scale max(1, max entry)
+    "metric": 1e-9,                 # manifest metric - omega(., J.), scale max(1, max entry)
+    "real": 1e-9,                   # imaginary part of a form or number, scale max(1, its size)
+    "pure_bidegree": 1e-10,         # |Pi^{p,q} a - a|, scale max(1, |a|)
+    "vanishes": 1e-12,              # a form or coefficient treated as zero
+    "close": 1e-12,                 # forms_close default, scale max(1, both norms)
+    "routes_agree": 1e-12,          # bracket route - d route of N*, scale max(1, max|N*|)
+    "cartan": 1e-10,                # Cartan identity d^{2,-1} = wedge after Id (x) N*, relative
+    "skew_torsion": 1e-10,          # non-skew part of rho = omega(N(.,.),.), scale max|rho|
+    "nondegenerate": 1e-9,          # >: |det N*| against |N*|_2^3
+    "nullspace": 1e-9,              # zero singular values of the conformal system, scale the top one
+    "shape": 1e-8,                  # (2,1)+(1,2) part of d omega, scale max(1, |d omega|)
+    "verdict": 1e-8,                # structure equations, non-antisymmetric part of nabla omega
+    "strict": 1e-8,                 # >: lambda and the strictness of nabla omega
+    "nabla_identification": 1e-7,   # |3 Alt(nabla omega) - d omega|, scale max(1, |d omega|)
+    "cone": 1e-9,                   # d rho, d * rho, spread of the cone metric roundtrip, relative
+    "cone_dual_formula": 1e-10,     # * rho against its explicit display, relative
+    "rank": 1e-8,                   # zero singular values in the integer rank checks
+    "complementary": 1e-10,         # >: |det| of the deformed graph basis
+    "objective": 1e-12,             # squared criticality residual where the optimizer stops
+}
+
+
+def within(residual, name, scale=1.0) -> bool:
+    """residual <= TOLERANCES[name] * scale; False if residual or scale is not finite.
+
+    `name` may be a number instead, for the calls that take a tolerance argument.
+    """
+    tol = TOLERANCES[name] if isinstance(name, str) else name
+    return bool(isfinite(residual) and isfinite(scale) and residual <= tol * scale)

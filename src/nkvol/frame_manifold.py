@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 
 from .multilinear import EPS3, Form, Metric, index_tuples, substitution
+from .conventions import within
 
 __all__ = [
     "CoframeAlgebra",
@@ -29,8 +30,6 @@ __all__ = [
     "d_invariant",
     "levi_civita",
 ]
-
-JACOBI_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,17 @@ class JacobiReport:
         return max(self.residual_dd, self.residual_bracket)
 
 
-def check_jacobi(alg: CoframeAlgebra, tol: float = JACOBI_TOL) -> JacobiReport:
+def check_jacobi(alg: CoframeAlgebra) -> JacobiReport:
     """Well-posedness gate: d after d annihilates the coframe iff Jacobi holds.
 
     Both formulations are computed; they must agree (this is asserted by the
     test-suite on valid and invalid constants, not silently assumed here).
     """
     n = alg.dimension
-    res_dd = 0.0
-    # for n <= 2 the 2-forms d e^i are top-degree or absent, so d d = 0 trivially
-    for i in range(n if n > 2 else 0):
-        res_dd = max(res_dd, d_invariant(alg, alg.coframe_differentials[i]).norm())
+    # for n <= 2 the 2-forms d e^i are top-degree or absent, so d d = 0
+    # trivially; np.max, unlike the builtin max, keeps a NaN norm
+    dd = [d_invariant(alg, de).norm() for de in alg.coframe_differentials] if n > 2 else []
+    res_dd = float(np.max(dd, initial=0.0))
     c = alg.structure_constants
     # sum_m ( c^m_{jk} c^l_{im} + c^m_{ki} c^l_{jm} + c^m_{ij} c^l_{km} )
     cyc = (
@@ -114,7 +113,7 @@ def check_jacobi(alg: CoframeAlgebra, tol: float = JACOBI_TOL) -> JacobiReport:
         + np.einsum("mij,lkm->lijk", c, c)
     )
     res_br = float(np.max(np.abs(cyc))) if cyc.size else 0.0
-    return JacobiReport(holds=bool(res_dd <= tol), residual_dd=res_dd, residual_bracket=res_br)
+    return JacobiReport(holds=within(res_dd, "jacobi"), residual_dd=res_dd, residual_bracket=res_br)
 
 
 def levi_civita(alg: CoframeAlgebra, g: Metric) -> np.ndarray:

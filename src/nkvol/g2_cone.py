@@ -24,7 +24,8 @@ import numpy as np
 
 from .multilinear import Form, Metric, basis_form, contract, hodge_star, index_tuples, substitution, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import AlmostComplexStructure, j_multiplicative
+from .acs import j_multiplicative
+from .conventions import TOLERANCES, within
 from .hermitian_torsion import hermitian_metric
 from .nk_su3 import SU3Structure
 
@@ -86,9 +87,6 @@ class ConeForm:
 
     def norm(self) -> float:
         return max((f.norm() for _, _, f in self.terms), default=0.0)
-
-    def weights(self) -> set:
-        return {w for w, _, _ in self.terms}
 
     def at_t(self, t: float) -> Form:
         """Evaluate on the 7-dimensional tangent space at parameter t (e^7 = dt)."""
@@ -227,7 +225,7 @@ def _gl7_action_rank(phi: Form) -> int:
     M = np.column_stack([substitution(a.T, 1, phi.degree) @ phi.coeffs
                          for a in np.eye(49).reshape(49, 7, 7)])
     M = np.vstack([M.real, M.imag])
-    return int(np.linalg.matrix_rank(M, tol=1e-8))
+    return int(np.linalg.matrix_rank(M, tol=TOLERANCES["rank"]))
 
 
 def flat_su3_forms() -> tuple[Form, Form]:
@@ -258,8 +256,16 @@ class FernandezGrayReport:
     rotation_relation_residual: float  # lam I(d omega) = Im Omega, slotwise action
     lambda_rescale: float
 
-    def passes(self, tol: float = 1e-9) -> bool:
-        return max(self.d_rho_residual, self.dstar_rho_residual) <= tol
+    @property
+    def closed(self) -> bool:
+        return within(self.d_rho_residual, "cone")
+
+    @property
+    def coclosed(self) -> bool:
+        return within(self.dstar_rho_residual, "cone")
+
+    def passes(self) -> bool:
+        return self.closed and self.coclosed
 
 
 def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayReport:

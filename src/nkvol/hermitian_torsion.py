@@ -19,7 +19,7 @@ import numpy as np
 from .multilinear import Form, Metric, _wedge_tensor, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra
 from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree
-from .conventions import HERMITIAN_30_NORM_COEF
+from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, nijenhuis_vectors
 
 __all__ = [
@@ -39,7 +39,7 @@ def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     """g(X, Y) = omega(X, JY); raises with a diagnostic when not positive."""
     G = _omega_j(J, omega)
     sym_defect = np.max(np.abs(G - G.T))
-    if sym_defect > 1e-9 * max(1.0, np.max(np.abs(G))):
+    if not within(sym_defect, "symmetric", max(1.0, np.max(np.abs(G)))):
         raise ValueError(
             f"omega is not J-compatible: induced bilinear form asymmetric by {sym_defect:g}"
         )
@@ -65,8 +65,8 @@ def norm30_sq(omega: Form, p30: Form) -> float:
     if abs(dens) == 0.0:
         raise ValueError("degenerate omega: omega^3 = 0")
     val = HERMITIAN_30_NORM_COEF * wedge(p30, p30.conjugate()).coeffs[0] / dens
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValueError("norm computation returned a non-real value")
+    if not within(abs(val.imag), "real", max(1.0, abs(val))):
+        raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
     return float(val.real)
 
 
@@ -97,7 +97,7 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
     """Decide existence of a Hermitian connection with skew torsion for omega."""
     if not is_pure_bidegree(J, omega, 1, 1):
         raise ValueError("torsion criterion expects a real (1,1)-form")
-    if not omega.is_real(tol=1e-10):
+    if not omega.is_real():
         raise ValueError("torsion criterion expects a real form")
     hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
     fr = J.frame()
@@ -113,7 +113,7 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
         lambda30_component=p30,
         skewness_residual=residual,
         rho_norm=rho_norm,
-        admits_connection=bool(residual <= 1e-10 * max(rho_norm, 1e-300)),
+        admits_connection=within(residual, "skew_torsion", max(rho_norm, 1e-300)),
     )
 
 
@@ -184,12 +184,11 @@ def _conformal_system(M: np.ndarray) -> np.ndarray:
     return np.hstack([complement.real, complement.imag]).T
 
 
-def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                    nullspace_rtol: float = 1e-9) -> ConformalSolveReport:
+def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> ConformalSolveReport:
     """Solve {a real (1,1): C(a) is totally antisymmetric} and report positivity.
 
-    The strict nullspace is cut at `nullspace_rtol` relative to the largest
-    singular value; independently, the least-squares direction (the smallest
+    The strict nullspace is cut at the `nullspace` tolerance relative to the
+    largest singular value; independently, the least-squares direction (the smallest
     singular vector) is always reported, which keeps the solver usable along
     optimization paths where the structure is only approximately compatible.
     """
@@ -198,7 +197,7 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
     B = _hermitian_basis(fr)
     u, s, vt = np.linalg.svd(_conformal_system(nij.matrix))
     smax = s.max() if s.size else 0.0
-    null_dim = int(np.sum(s <= nullspace_rtol * max(smax, 1e-300))) if smax > 0 else 9
+    null_dim = int(np.sum(s <= TOLERANCES["nullspace"] * max(smax, 1e-300))) if smax > 0 else 9
     null_vectors = vt[9 - null_dim:, :] if null_dim else np.zeros((0, 9))
     sol_basis = tuple(Form(6, 2, B @ v) for v in null_vectors)
 
@@ -212,14 +211,16 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure,
         canonical = np.zeros(9)
         canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
         proj = null_vectors.T @ (null_vectors @ canonical)
-        if np.linalg.norm(proj) > 1e-9:
+        if np.linalg.norm(proj) > TOLERANCES["nullspace"]:
             alt, alt_pos = _orient_positive(J, Form(6, 2, B @ (proj / np.linalg.norm(proj))))
             if alt_pos:
                 candidate, positive = alt, alt_pos
     normalized = None
     if positive:
-        rep = torsion_criterion(alg, J, candidate)
-        n2 = norm30_sq(candidate, rep.lambda30_component)
+        # the skew part of rho for a = A_ab theta^a ^ conj theta^b is
+        # -tr(A M^T)/3 theta^123, read off the N* matrix M in hand
+        A = fr.components(candidate)[:3, 3:]
+        n2 = norm30_sq(candidate, (-np.trace(A @ nij.matrix.T) / 3.0) * fr.theta_top())
         if n2 > 0:
             normalized = n2 * candidate
     return ConformalSolveReport(
@@ -273,9 +274,7 @@ def _tensor_projector_21_12(J: AlmostComplexStructure) -> np.ndarray:
     """Projector of Lambda^2 (x) Lambda^1 onto total bidegree (2,1)+(1,2)."""
     n = J.dimension
     parts2 = {(p, q): J.bidegree_projector(p, q) for (p, q) in ((2, 0), (1, 1), (0, 2))}
-    parts1 = {(p, q): 0.5 * (np.eye(n, dtype=np.complex128) - 1j * (2 * p - 1) * J.jstar)
-              for (p, q) in ((1, 0), (0, 1))}
-    # parts1[(1,0)] = P^{1,0} on coefficients, parts1[(0,1)] = P^{0,1}
+    parts1 = {(1, 0): J.p10(), (0, 1): J.p01()}
     total = np.zeros((comb(n, 2) * n,) * 2, dtype=np.complex128)
     for (a, b), P2 in parts2.items():
         for (c, d), P1 in parts1.items():
@@ -288,24 +287,24 @@ def alt12_analysis(J: AlmostComplexStructure) -> Alt12Report:
     """Exact integer ranks of the Alt_12 operator and its Hermitian restriction."""
     n = J.dimension
     M = _alt12_matrix(n)
-    rank_full = int(np.linalg.matrix_rank(M, tol=1e-8))
+    rank_full = int(np.linalg.matrix_rank(M, tol=TOLERANCES["rank"]))
 
     # domain basis of Lambda^1 (x) Lambda^{1,1}_R: e^i (x) the Hermitian basis
     Pi = _tensor_projector_21_12(J)
     A = Pi @ M @ np.kron(np.eye(n), _hermitian_basis(J.frame()))  # complex 90 x 54
     A_real = np.vstack([A.real, A.imag])
-    rank_herm = int(np.linalg.matrix_rank(A_real, tol=1e-8))
+    rank_herm = int(np.linalg.matrix_rank(A_real, tol=TOLERANCES["rank"]))
 
     # cokernel side: real 3-forms of bidegree (2,1)+(1,2), embedded as the
     # tensors phi(e_j, e_k, e_z), j < k, which the wedge tensor lists
     embed = _wedge_tensor(n, 2, 1).reshape(comb(n, 3), -1).T
     emb = embed @ (J.bidegree_projector(2, 1) + J.bidegree_projector(1, 2))
     span = np.hstack([A_real, np.vstack([emb.real, emb.imag])])
-    span_rank = int(np.linalg.matrix_rank(span, tol=1e-8))
+    span_rank = int(np.linalg.matrix_rank(span, tol=TOLERANCES["rank"]))
 
     # dimension of the real (2,1)+(1,2) part of the tensor target
     dim = n * comb(n, 2)
     fix = np.vstack([(Pi - np.eye(dim)).real, (Pi - np.eye(dim)).imag])
-    target_dim = dim - int(np.linalg.matrix_rank(fix, tol=1e-8))
+    target_dim = dim - int(np.linalg.matrix_rank(fix, tol=TOLERANCES["rank"]))
     return Alt12Report(rank_full=rank_full, rank_hermitian=rank_herm,
                        span_with_cokernel=span_rank, target_dimension=target_dim)

@@ -36,6 +36,8 @@ from math import comb
 
 import numpy as np
 
+from .conventions import TOLERANCES, within
+
 __all__ = [
     "EPS3",
     "Form",
@@ -53,7 +55,6 @@ __all__ = [
     "two_form_from_matrix",
     "two_form_matrix",
     "wedge",
-    "wedge_all",
     "zero_form",
 ]
 
@@ -201,9 +202,8 @@ class Form:
         """Max-abs coefficient norm; the comparison norm used everywhere."""
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, self.norm())
-        return float(np.max(np.abs(self.coeffs.imag))) <= tol * scale
+    def is_real(self, tol: float = TOLERANCES["real"]) -> bool:
+        return within(float(np.max(np.abs(self.coeffs.imag))), tol, max(1.0, self.norm()))
 
     def coefficient(self, indices: tuple[int, ...]) -> complex:
         """Coefficient of an arbitrary index tuple, with antisymmetry signs."""
@@ -252,14 +252,6 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(n, k, (W @ b.coeffs) @ a.coeffs)
 
 
-def wedge_all(forms) -> Form:
-    it = iter(forms)
-    acc = next(it)
-    for f in it:
-        acc = wedge(acc, f)
-    return acc
-
-
 def contract(v, a: Form) -> Form:
     """Interior product: (iota_v a)(X2,...,Xk) = a(v, X2,...,Xk)."""
     if a.degree == 0:
@@ -295,7 +287,7 @@ class Metric:
         g = np.asarray(self.matrix, dtype=np.float64)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("metric must be a square matrix")
-        if not np.allclose(g, g.T, atol=1e-12):
+        if not within(np.max(np.abs(g - g.T)), "symmetric", max(1.0, np.max(np.abs(g)))):
             raise ValueError("metric must be symmetric")
         eigs = np.linalg.eigvalsh(g)
         if eigs.min() <= 0:
@@ -347,7 +339,6 @@ def hodge_star(g: Metric, a: Form) -> Form:
     return Form(n, n - k, S @ a.coeffs)
 
 
-def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
+def forms_close(a: Form, b: Form, tol: float = TOLERANCES["close"]) -> bool:
     """Comparison at absolute tolerance after scaling to unit max-norm."""
-    scale = max(1.0, a.norm(), b.norm())
-    return (a - b).norm() <= tol * scale
+    return within((a - b).norm(), tol, max(1.0, a.norm(), b.norm()))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .multilinear import Form, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project
-from .conventions import NIJ_D_ROUTE_SIGN
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree
+from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
 
 __all__ = [
     "NijenhuisTensor",
@@ -39,8 +39,6 @@ __all__ = [
     "nijenhuis_via_d",
     "volume_form",
 ]
-
-NONDEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class NijenhuisTensor:
     def nondegenerate(self) -> bool:
         m = self.matrix
         op = np.linalg.norm(m, 2)
-        return bool(abs(np.linalg.det(m)) > NONDEGENERACY_RTOL * max(op, 1e-300) ** 3)
+        return bool(abs(np.linalg.det(m)) > TOLERANCES["nondegenerate"] * max(op, 1e-300) ** 3)
 
     def apply(self, zeta: Form) -> Form:
         """N* on an arbitrary (0,1)-form (expanded over conj theta)."""
@@ -139,10 +137,9 @@ def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
     The left side is the (3,0) component of d omega; the right side applies
     the bracket-route N* to the (0,1) leg of omega and wedges the legs back
-    together.  The contract is residual <= 1e-10 for every valid input.
+    together.  The contract is that the residual passes the `cartan` entry of
+    `conventions.TOLERANCES` for every valid input.
     """
-    from .acs import is_pure_bidegree
-
     if not is_pure_bidegree(J, omega, 1, 1):
         raise ValueError("cartan_compatibility expects a (1,1)-form")
     lhs = bidegree_project(J, d_invariant(alg, omega), 3, 0)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Form, forms_close, index_tuples, two_form_matrix, wedge
+from .multilinear import Form, index_tuples, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
 from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas, is_pure_bidegree
-from .conventions import NABLA_OMEGA_TO_DOMEGA, ZH_DUALITY_FACTOR
-from .hermitian_torsion import hermitian_metric, norm30_sq, torsion_criterion
+from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, ZH_DUALITY_FACTOR, within
+from .hermitian_torsion import _skew_part, hermitian_metric, norm30_sq, torsion_criterion
 from .nijenhuis import nijenhuis_via_brackets
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "solve_Omega",
 ]
 
-VERDICT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SU3Structure:
@@ -49,15 +47,6 @@ class SU3Structure:
     omega: Form
     Omega: Form
     lam: float
-
-    def vol_h(self) -> Form:
-        return (1.0 / 6.0) * wedge(wedge(self.omega, self.omega), self.omega)
-
-    def validate(self, tol: float = 1e-9) -> dict:
-        """Invariant diagnostics: |Omega| = 1, purity of bidegrees."""
-        n30 = norm30_sq(self.omega, self.Omega)
-        pure = (bidegree_project(self.J, self.Omega, 3, 0) - self.Omega).norm()
-        return {"norm_defect": abs(n30 - 1.0), "bidegree_defect": pure}
 
 
 @dataclass(frozen=True)
@@ -70,20 +59,21 @@ class SolveOmegaResult:
 
 
 def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
-                tol: float = 1e-9) -> SolveOmegaResult:
+                tol: float = TOLERANCES["shape"]) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
-    if not is_pure_bidegree(J, omega, 1, 1) or not omega.is_real(tol=1e-9):
+    if not is_pure_bidegree(J, omega, 1, 1) or not omega.is_real():
         raise ValueError("solve expects a real (1,1)-form")
+    hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
     domega = d_invariant(alg, omega)
     scale = max(1.0, domega.norm())
     off = (bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)).norm()
     p30 = bidegree_project(J, domega, 3, 0)
-    if domega.norm() <= 1e-12:
+    if within(domega.norm(), "vanishes"):
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
-    if p30.norm() <= 1e-12 * scale:
+    if within(p30.norm(), "vanishes", scale):
         return SolveOmegaResult(False, None, 0.0, off / scale,
                                 reason="d omega has no (3,0) component")
-    if off > tol * scale:
+    if not within(off, tol, scale):
         return SolveOmegaResult(False, None, 0.0, off / scale,
                                 reason="d omega has (2,1)+(1,2) components: not of the required shape")
     u = np.sqrt(norm30_sq(omega, p30))
@@ -98,8 +88,8 @@ class StructureEquationReport:
     r2: float   # |d Omega + 2i lambda omega^2|
     r3: float   # |d Im Omega + 2 lambda omega^2|
 
-    def passes(self, tol: float = VERDICT_TOL) -> bool:
-        return max(self.r1, self.r2, self.r3) <= tol
+    def passes(self) -> bool:
+        return within(max(self.r1, self.r2, self.r3), "verdict")
 
 
 def check_structure_equations(alg: CoframeAlgebra, s: SU3Structure) -> StructureEquationReport:
@@ -120,9 +110,6 @@ class NablaOmegaReport:
     strictness_sigma: float          # smallest singular value of X -> nabla_X omega
     strict: bool
 
-    def totally_antisymmetric(self, tol: float = VERDICT_TOL) -> bool:
-        return self.antisymmetry_residual <= tol
-
 
 def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     """Levi-Civita test: nabla omega totally antisymmetric, equal to d omega."""
@@ -130,7 +117,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     gamma = levi_civita(alg, g)
     nablas = covariant_derivative_form(gamma, s.omega)
     T = np.array([two_form_matrix(f).real for f in nablas])
-    S = (T + np.einsum("jki->ijk", T) + np.einsum("kij->ijk", T)) / 3.0
+    S = _skew_part(T)
     scale = max(1.0, float(np.max(np.abs(T))))
     anti_res = float(np.max(np.abs(T - S))) / scale
 
@@ -144,7 +131,8 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     mat = np.array([f.coeffs for f in nablas])
     sigmas = np.linalg.svd(np.vstack([mat.real.T, mat.imag.T]), compute_uv=False)
     smin = float(sigmas[5]) if len(sigmas) >= 6 else 0.0
-    strict = bool(per_dir.min() > 1e-8 * max(1.0, per_dir.max()) and smin > 1e-8)
+    strict = bool(per_dir.min() > TOLERANCES["strict"] * max(1.0, per_dir.max())
+                  and smin > TOLERANCES["strict"])
     return NablaOmegaReport(
         antisymmetry_residual=anti_res,
         identification_residual=float(ident_res),
@@ -191,7 +179,7 @@ class NkSuiteReport:
 
 
 def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                         omega: Form, tol: float = VERDICT_TOL) -> NkSuiteReport:
+                         omega: Form) -> NkSuiteReport:
     """Evaluate the three equivalent characterizations on (J, omega).
 
     The contract, which the test-suite enforces on every nondegenerate input:
@@ -200,28 +188,19 @@ def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
     strict lambda > 0 regime.
     """
     crit = torsion_criterion(alg, J, omega)
-    nij = nijenhuis_via_brackets(alg, J)
-    degenerate = not nij.nondegenerate
-
-    solved = solve_Omega(alg, J, omega, tol=max(tol, 1e-9))
-    if solved.ok:
-        s = SU3Structure(J, omega, solved.Omega, solved.lam)
-        eq_rep = check_structure_equations(alg, s)
-        equations_ok = eq_rep.passes(tol) and solved.lam > 1e-8
-        nab_rep = check_nabla_omega(alg, s)
-    else:
-        degenerate = degenerate or "d omega = 0" in solved.reason
-        eq_rep = None
-        equations_ok = False
-        dummy = SU3Structure(J, omega, _unit30(J), 0.0)
-        nab_rep = check_nabla_omega(alg, dummy)
-    nabla_ok = nab_rep.totally_antisymmetric(tol) and nab_rep.strict \
-        and nab_rep.identification_residual <= max(tol, 1e-7)
+    solved = solve_Omega(alg, J, omega)
+    # the nabla omega test reads only J and omega: without a solution the
+    # frame's unit (3,0)-form stands in for Omega
+    s = SU3Structure(J, omega, solved.Omega if solved.ok else J.frame().theta_top(), solved.lam)
+    eq_rep = check_structure_equations(alg, s) if solved.ok else None
+    nab_rep = check_nabla_omega(alg, s)
     return NkSuiteReport(
         torsion_ok=crit.admits_connection,
-        equations_ok=equations_ok,
-        nabla_ok=nabla_ok,
-        degenerate=degenerate,
+        equations_ok=eq_rep is not None and eq_rep.passes() and solved.lam > TOLERANCES["strict"],
+        nabla_ok=(within(nab_rep.antisymmetry_residual, "verdict") and nab_rep.strict
+                  and within(nab_rep.identification_residual, "nabla_identification")),
+        degenerate=("d omega = 0" in solved.reason
+                    or not nijenhuis_via_brackets(alg, J).nondegenerate),
         hypothesis_ok=solved.ok,
         skewness_residual=crit.skewness_residual,
         offshape_residual=solved.offshape_residual,
@@ -230,10 +209,6 @@ def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
         lam=solved.lam,
         reason=solved.reason,
     )
-
-
-def _unit30(J: AlmostComplexStructure) -> Form:
-    return J.frame().theta_top()
 
 
 def adapted_frame(J: AlmostComplexStructure, omega: Form,
@@ -253,7 +228,7 @@ def adapted_frame(J: AlmostComplexStructure, omega: Form,
     fr = frame_from_thetas(J, rows_on)
     if Omega is not None:
         c = Omega.evaluate([fr.v(0), fr.v(1), fr.v(2)])
-        if abs(c) < 1e-12:
+        if within(abs(c), "vanishes"):
             raise ValueError("Omega degenerate in the adapted frame")
         rows_on = rows_on.copy()
         rows_on[0] = c * rows_on[0]  # absorbs the phase so Omega = theta^123 exactly

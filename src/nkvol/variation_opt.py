@@ -26,8 +26,8 @@ import numpy as np
 from .multilinear import Form, contract, form_from_one_coeffs, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project
-from .conventions import KAPPA_CONV
-from .hermitian_torsion import ConformalSolveReport, conformal_solve, torsion_criterion
+from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
+from .hermitian_torsion import ConformalSolveReport, conformal_solve, norm30_sq, torsion_criterion
 from .nijenhuis import nijenhuis_via_brackets, volume_form
 from .nk_su3 import NkSuiteReport, nk_equivalence_suite
 
@@ -44,6 +44,9 @@ __all__ = [
     "psi_gradient_fd",
     "psi_value",
 ]
+
+PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
+JACOBIAN_FD_STEP = 1e-6   # central difference of the optimizer's Jacobian, per real parameter
 
 
 @dataclass(frozen=True)
@@ -67,20 +70,10 @@ class Deformation:
             raise ValueError("expected 18 real parameters")
         return Deformation((p[:9] + 1j * p[9:]).reshape(3, 3))
 
-    def real_params(self) -> np.ndarray:
-        return np.concatenate([self.matrix.real.ravel(), self.matrix.imag.ravel()])
-
 
 def delta_basis() -> list[Deformation]:
     """The 18 canonical real directions (E_ab and i E_ab)."""
-    out = []
-    for scale in (1.0, 1j):
-        for a in range(3):
-            for b in range(3):
-                m = np.zeros((3, 3), dtype=np.complex128)
-                m[a, b] = scale
-                out.append(Deformation(m))
-    return out
+    return [Deformation.from_real_params(p) for p in np.eye(18)]
 
 
 def deform_J(J: AlmostComplexStructure, delta: Deformation, t: float,
@@ -93,7 +86,7 @@ def deform_J(J: AlmostComplexStructure, delta: Deformation, t: float,
     W = np.conj(V) + t * V @ delta.matrix  # columns conj(v_b) + t sum_a delta[a, b] v_a
     B = np.hstack([np.conj(W), W])
     det = np.linalg.det(B)
-    if abs(det) < 1e-10:
+    if not abs(det) > TOLERANCES["complementary"]:
         raise ValueError(f"graph not complementary to its conjugate (det = {det:.3e})")
     D = np.diag([1j] * 3 + [-1j] * 3)
     Jnew = (B @ D @ np.linalg.inv(B)).real
@@ -114,13 +107,10 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
     by the inverse duality factor so that on shape-equation solutions the
     Nijenhuis endomorphism itself is identified with the identity.
     """
-    from .conventions import ZH_DUALITY_FACTOR
-    from .hermitian_torsion import norm30_sq
-
     fr = frame if frame is not None else J.frame()
     crit = torsion_criterion(alg, J, omega)
     P = crit.lambda30_component
-    if P.norm() < 1e-12:
+    if within(P.norm(), "vanishes"):
         raise ValueError("trilinear identification degenerate: skew part of rho vanishes")
     P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
     # sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b; row a of legs is
@@ -146,7 +136,7 @@ def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 
 def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                    delta: Deformation, step: float = 1e-4) -> float:
+                    delta: Deformation) -> float:
     """Central finite differences with one Richardson extrapolation step."""
     fr = J.frame()
 
@@ -155,8 +145,8 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
         minus = psi_value(alg, deform_J(J, delta, -h, frame=fr))
         return (plus - minus) / (2.0 * h)
 
-    d1 = d_at(step)
-    d2 = d_at(step / 2.0)
+    d1 = d_at(PSI_FD_STEP)
+    d2 = d_at(PSI_FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -194,7 +184,7 @@ def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 
 def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                     omega: Form | None = None, tol: float = 1e-8) -> CriticalityReport:
+                     omega: Form | None = None) -> CriticalityReport:
     """Extremality criterion: d omega confined to bidegrees (3,0) + (0,3).
 
     With a degenerate Nijenhuis tensor the functional vanishes identically on
@@ -212,7 +202,7 @@ def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
     dw = d_invariant(alg, omega)
     off = bidegree_project(J, dw, 2, 1) + bidegree_project(J, dw, 1, 2)
     residual = off.norm() / max(1.0, dw.norm())
-    verdict = "critical" if residual <= tol else "non-critical"
+    verdict = "critical" if within(residual, "shape") else "non-critical"
     return CriticalityReport(verdict, float(residual), False, omega)
 
 
@@ -236,8 +226,8 @@ def _objective(vec) -> float:
 
 
 def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
-                  tol: float = 1e-12, max_iter: int = 100,
-                  seed: int = 0, fd_step: float = 1e-6) -> FindCriticalResult:
+                  tol: float = TOLERANCES["objective"], max_iter: int = 100,
+                  seed: int = 0) -> FindCriticalResult:
     """Damped Gauss-Newton minimization of the squared criticality residual.
 
     Steps are taken in the 18-parameter graph chart recentered at each
@@ -275,7 +265,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         fr = J.frame()
         for p in range(18):
             dp = np.zeros(18)
-            dp[p] = fd_step
+            dp[p] = JACOBIAN_FD_STEP
             d = Deformation.from_real_params(dp)
             try:
                 vp, _ = criticality_residual_vector(alg, deform_J(J, d, 1.0, frame=fr))
@@ -285,7 +275,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
             if vp is None or vm is None:
                 jac[:, p] = 0.0
             else:
-                jac[:, p] = (vp - vm) / (2.0 * fd_step)
+                jac[:, p] = (vp - vm) / (2.0 * JACOBIAN_FD_STEP)
         accepted = False
         for _ in range(40):
             try:
@@ -329,7 +319,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
             break
         trace.append(R)
         iterations += 1
-    converged = bool(R <= tol)
+    converged = within(R, tol)
     if converged and reason == "converged" and R > inner_tol and iterations >= max_iter:
         reason = "max iterations reached after convergence"
     if not converged and reason == "converged":

@@ -167,12 +167,22 @@ def test_torsion_and_nijenhuis_fixture():
     assert rq["checks"]["psi"] > 0
 
 
-def test_cone_fixture():
+def test_cone_fixture(tmp_path):
     p = run_cli("cone", str(FIXTURE), "--json")
     assert p.returncode == 0
     rep = json.loads(p.stdout)
     assert rep["verdicts"]["stabilizer_14"] is True
     assert rep["verdicts"]["metric_proportional"] is True
+
+    # a negative omega is rejected with the same diagnostic by every command
+    data = json.loads(FIXTURE.read_text())
+    data["omega"] = [{**e, "re": -e["re"], "im": -e["im"]} for e in data["omega"]]
+    neg = tmp_path / "neg.json"
+    neg.write_text(json.dumps(data))
+    for command in ("torsion", "nk", "cone"):
+        p = run_cli(command, str(neg))
+        assert p.returncode == 2, (command, p.stdout, p.stderr)
+        assert "omega not positive" in p.stdout, (command, p.stdout)
 
 
 def test_functional_gradient():
@@ -216,3 +226,91 @@ def test_alt12_command(tmp_path):
     assert rep["checks"]["rank_full"] == 90
     assert rep["checks"]["rank_hermitian"] == 54
     assert rep["checks"]["span_with_cokernel"] == 72
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_carry_the_tolerance_table(tmp_path):
+    from nkvol.conventions import TOLERANCES
+
+    for args in (("check", str(FIXTURE)), ("catalog", "list"), ("nk", "/nonexistent/file.json")):
+        rep = json.loads(run_cli(*args, "--json").stdout)
+        assert rep["tolerances"] == TOLERANCES, args
+
+
+def test_j_valid_agrees_with_constructor(tmp_path):
+    # J^2 = -(1 + eps) Id with |J|_2^2 = 100: the residual eps is judged
+    # against 1e-10 * 100 by the constructor and by `check` alike
+    for eps, accepted in ((5e-10, True), (5e-8, False)):
+        J = [[0.0] * 6 for _ in range(6)]
+        for k in (0, 2, 4):
+            J[k][k + 1] = 10.0
+            J[k + 1][k] = -(1.0 + eps) / 10.0
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"name": "block", "dimension": 6,
+                                    "structure_constants": [], "J": J}))
+        p = run_cli("check", str(path), "--json")
+        assert p.returncode == (0 if accepted else 1), (eps, p.stdout)
+        assert json.loads(p.stdout)["verdicts"]["j_valid"] is accepted
+        for command in ("torsion", "alt12"):
+            q = run_cli(command, str(path))
+            if accepted:
+                assert q.returncode == 0, (eps, command, q.stdout, q.stderr)
+            else:
+                assert q.returncode == 2 and "invalid J" in q.stdout, (eps, command, q.stdout)
+
+
+def test_check_reads_manifest_metric(tmp_path):
+    p = run_cli("check", str(FIXTURE), "--json")
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["verdicts"]["metric_compatible"] is True
+
+    data = json.loads(FIXTURE.read_text())
+    data["metric"] = [[2.0 * x for x in row] for row in data["metric"]]
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(data))
+    p = run_cli("check", str(doubled), "--json")
+    assert p.returncode == 1
+    assert json.loads(p.stdout)["verdicts"]["metric_compatible"] is False
+
+
+def test_unwritable_output_is_input_error(tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    p = run_cli("catalog", "emit", "s3s3", "--out", target)
+    assert p.returncode == 2, (p.stdout, p.stderr)
+    assert "cannot write" in p.stdout and "Traceback" not in p.stderr
+    p = run_cli("optimize", str(FIXTURE), "--emit", target)
+    assert p.returncode == 2, (p.stdout, p.stderr)
+    assert "cannot write" in p.stdout and "Traceback" not in p.stderr
+
+
+def test_internal_error_exit_three(monkeypatch, capsys):
+    from nkvol import cli
+
+    def boom(manifest):
+        raise RuntimeError("deliberate failure")
+
+    monkeypatch.setattr(cli, "_cmd_check", boom)
+    assert cli.run(["check", str(FIXTURE), "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert "RuntimeError" in json.loads(out)["error"]
+    assert "Traceback" in err and "deliberate failure" in err
+
+
+def test_reports_are_strict_json(tmp_path):
+    # constants of size 1e160 overflow the products of two of them
+    data = json.loads(run_cli("catalog", "emit", "s3s3", "--json").stdout)["checks"]["manifest"]
+    for c in data["structure_constants"]:
+        c["value"] *= 1e160
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    # check reaches its report and names the non-finite key; the others stop
+    # earlier, at the norm of the conformal candidate
+    for command, words in (("check", "jacobi_residual_bracket"), ("nijenhuis", "non-finite"),
+                           ("torsion", "non-finite")):
+        p = run_cli(command, str(big), "--json")
+        assert p.returncode == 2, (command, p.stdout)
+        rep = json.loads(p.stdout, parse_constant=_reject_constant)
+        assert "checks" not in rep and words in rep["error"], (command, rep)

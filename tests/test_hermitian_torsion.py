@@ -52,6 +52,9 @@ def test_norm30_flat_calibration():
     dz = lambda k: basis_form(6, (2 * k + 1,)) + 1j * basis_form(6, (2 * k + 2,))
     Omega0 = wedge(wedge(dz(0), dz(1)), dz(2))
     assert abs(norm30_sq(flat_omega(), Omega0) - 1.0) < 1e-14
+    # an overflowed (NaN) norm fails the reality gate instead of passing it
+    with pytest.raises(ValueError, match="non-finite"):
+        norm30_sq(flat_omega(), Form(6, 3, np.full(20, np.nan)))
 
 
 def test_hermitian_metric_s3s3_product():
