@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .multilinear import (EPS3, Form, compound, form_from_one_coeffs, substitution,
-                          two_form_from_matrix, two_form_matrix, wedge, zero_form)
+                          two_form_from_matrix, two_form_matrix, wedge_coeffs, zero_form)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .conventions import within
 
@@ -27,12 +27,16 @@ __all__ = [
     "EPS3",
     "AlmostComplexStructure",
     "ComplexFrame",
+    "acs_gates",
     "bidegree_project",
     "bidegrees",
     "d_split",
+    "default_frame_coords",
     "j_multiplicative",
     "j_squared_residual",
     "project_to_acs",
+    "projector_from_derivation",
+    "theta_top_coeffs",
 ]
 
 
@@ -46,10 +50,10 @@ class AlmostComplexStructure:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (6, 6):
             raise ValueError(f"J must be a 6x6 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        finite, valid = acs_gates(m)
+        if not finite:
             raise ValueError("J has non-finite entries")
-        res, scale = j_squared_residual(m)
-        if not within(res, "j_squared", scale):
+        if not valid:
             raise ValueError("J^2 != -Id")
         m = m.copy()
         m.flags.writeable = False
@@ -70,13 +74,6 @@ class AlmostComplexStructure:
     def p01(self) -> np.ndarray:
         return 0.5 * (np.eye(self.dimension) + 1j * self.jstar)
 
-    def q10(self) -> np.ndarray:
-        """Projector onto (1,0) tangent vectors (the +i eigenspace of J)."""
-        return 0.5 * (np.eye(self.dimension) - 1j * self.matrix)
-
-    def q01(self) -> np.ndarray:
-        return 0.5 * (np.eye(self.dimension) + 1j * self.matrix)
-
     # -- derived structure, cached per instance -------------------------------
 
     def _cache(self) -> dict:
@@ -96,20 +93,11 @@ class AlmostComplexStructure:
 
     def bidegree_projector(self, p: int, q: int) -> np.ndarray:
         """Matrix of Pi^{p,q} on degree-(p+q) coefficient vectors."""
-        k = p + q
         cache = self._cache()
         key = ("proj", p, q)
         if key not in cache:
-            D = self.derivation_matrix(k)
-            eye = np.eye(D.shape[0], dtype=np.complex128)
-            proj = eye
-            target = 1j * (p - q)
-            for pp, qq in bidegrees(self.dimension, k):
-                if (pp, qq) == (p, q):
-                    continue
-                ev = 1j * (pp - qq)
-                proj = proj @ (D - ev * eye) / (target - ev)
-            cache[key] = proj
+            cache[key] = projector_from_derivation(self.derivation_matrix(p + q),
+                                                   self.dimension, p, q)
         return cache[key]
 
     def frame(self) -> "ComplexFrame":
@@ -120,10 +108,36 @@ class AlmostComplexStructure:
         return cache["frame"]
 
 
-def j_squared_residual(m: np.ndarray) -> tuple[float, float]:
-    """max|J^2 + Id| and the scale max(1, |J|_2^2) against which it is judged."""
-    res = float(np.max(np.abs(m @ m + np.eye(len(m)))))
-    return res, max(1.0, float(np.linalg.norm(m, 2)) ** 2)
+def j_squared_residual(m: np.ndarray):
+    """max|J^2 + Id| and the scale max(1, |J|_2^2) against which it is judged.
+
+    Leading axes of m are a stack; the entries must be finite.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    res = np.max(np.abs(m @ m + np.eye(m.shape[-1])), axis=(-2, -1))
+    return res, np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)) ** 2)
+
+
+def acs_gates(m: np.ndarray):
+    """The constructor's gates per matrix of a stack: (finite entries, finite and J^2 = -Id)."""
+    m = np.asarray(m, dtype=np.float64)
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    res, scale = j_squared_residual(np.where(finite[..., None, None], m, 0.0))
+    return finite, finite & within(res, "j_squared", scale)
+
+
+def projector_from_derivation(D: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """Pi^{p,q} as the polynomial in the charge operator D that kills every other
+    eigenvalue i (p' - q'); leading axes of D stack."""
+    eye = np.eye(D.shape[-1], dtype=np.complex128)
+    proj = eye
+    target = 1j * (p - q)
+    for pp, qq in bidegrees(n, p + q):
+        if (pp, qq) == (p, q):
+            continue
+        ev = 1j * (pp - qq)
+        proj = proj @ (D - ev * eye) / (target - ev)
+    return proj
 
 
 def bidegrees(n: int, k: int) -> list[tuple[int, int]]:
@@ -194,7 +208,7 @@ class ComplexFrame:
 
     def theta_top(self) -> Form:
         """theta^1 ^ theta^2 ^ theta^3."""
-        return wedge(wedge(self.theta(0), self.theta(1)), self.theta(2))
+        return Form(self.dimension, 3, theta_top_coeffs(self.theta_coeffs))
 
     def check_residual(self) -> float:
         """Max deviation of duality/type relations; diagnostics for tests."""
@@ -203,19 +217,39 @@ class ComplexFrame:
                          np.max(np.abs(theta @ self.J.matrix - 1j * theta))))
 
 
+def theta_top_coeffs(theta) -> np.ndarray:
+    """Coefficients of theta^1 ^ theta^2 ^ theta^3 from the rows theta; leading axes stack."""
+    n = theta.shape[-1]
+    return wedge_coeffs(wedge_coeffs(theta[..., 0, :], theta[..., 1, :], n, 1, 1),
+                        theta[..., 2, :], n, 2, 1)
+
+
 def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:
     """Build the dual (1,0) vectors for three independent (1,0)-form rows."""
     rows = np.asarray(rows, dtype=np.complex128)
+    return ComplexFrame(J, rows, _dual_vectors(J.matrix, rows))
+
+
+def _dual_vectors(Jm, rows) -> np.ndarray:
+    """(1,0) vectors dual to the (1,0)-form rows, for J matrices Jm; leading axes stack."""
+    q10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * Jm)  # projector onto T^{1,0}, the +i eigenspace of J
     # the leading left singular vectors of a rank-3 projector span its range
-    B = np.linalg.svd(J.q10(), full_matrices=False)[0][:, :3]  # basis of T^{1,0}
-    v = B @ np.linalg.inv(rows @ B)
-    return ComplexFrame(J, rows, v)
+    B = np.linalg.svd(q10, full_matrices=False)[0][..., :3]
+    return B @ np.linalg.inv(rows @ B)
+
+
+def default_frame_coords(Jm) -> tuple[np.ndarray, np.ndarray]:
+    """theta rows and dual vectors of the deterministic frame of `AlmostComplexStructure.frame`.
+
+    The rows are an orthonormal basis of Lambda^{1,0}; leading axes of Jm stack.
+    """
+    p10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * np.swapaxes(Jm, -2, -1))
+    rows = np.swapaxes(np.linalg.svd(p10, full_matrices=False)[0][..., :3], -2, -1)
+    return rows, _dual_vectors(Jm, rows)
 
 
 def _default_frame(J: AlmostComplexStructure) -> ComplexFrame:
-    # orthonormal basis of Lambda^{1,0}
-    rows = np.linalg.svd(J.p10(), full_matrices=False)[0][:, :3].T
-    return frame_from_thetas(J, rows)
+    return ComplexFrame(J, *default_frame_coords(J.matrix))
 
 
 def project_to_acs(K: np.ndarray) -> np.ndarray:

@@ -29,13 +29,7 @@ from .hermitian_torsion import (_omega_j, alt12_analysis, conformal_solve, hermi
 from .nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d, volume_form
 from .nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
 from .g2_cone import fernandez_gray_check, metric_roundtrip, stability_check
-from .variation_opt import (
-    criticality_test,
-    delta_basis,
-    find_critical,
-    psi_gradient_analytic,
-    psi_value,
-)
+from .variation_opt import criticality_test, find_critical, psi_gradient, psi_value
 
 __all__ = ["main", "run"]
 
@@ -98,7 +92,7 @@ def _cmd_check(manifest: Manifest):
         checks["j_squared_residual"] = j_res
         verdicts["j_valid"] = within(j_res, "j_squared", scale)
         if verdicts["j_valid"] and manifest.omega is not None and manifest.metric is not None:
-            G = _omega_j(AlmostComplexStructure(manifest.J), manifest.omega)
+            G = _omega_j(manifest.J, manifest.omega.coeffs)
             verdicts["metric_compatible"] = within(np.max(np.abs(manifest.metric - G)), "metric",
                                                    max(1.0, np.max(np.abs(G))))
     return checks, verdicts
@@ -250,7 +244,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
         if crit_rep is None or crit_rep.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
         omega = crit_rep.omega
-        comps = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
+        comps = psi_gradient(alg, J, omega).tolist()
         checks["gradient_components"] = comps
         checks["gradient_max_abs"] = float(np.max(np.abs(comps)))
     return checks, verdicts
@@ -268,12 +262,14 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
         "reason": res.reason,
         "monotone": bool(all(res.trace[i + 1] <= res.trace[i]
                              for i in range(len(res.trace) - 1))),
+        "records": [r._asdict() for r in res.records],
     }
     verdicts = {"converged": res.converged}
     if res.converged and res.suite is not None:
         verdicts["nk_suite"] = res.suite.all_true
         checks["psi_final"] = psi_value(alg, res.J)
         checks["lambda"] = res.suite.lam
+        checks["psi_gradient_max_abs"] = res.psi_gradient_max_abs
     if emit and res.converged:
         solved = solve_Omega(alg, res.J, res.omega)
         g = hermitian_metric(res.J, res.omega)
@@ -333,6 +329,8 @@ def _emit_report(report: dict, as_json: bool, elapsed: float) -> None:
 
 
 def _human(val):
+    if isinstance(val, list) and val and isinstance(val[0], dict):
+        return f"[{len(val)} records]"
     if isinstance(val, float):
         return f"{val:.6g}"
     if isinstance(val, (list, tuple)) and val and isinstance(val[0], float):

@@ -12,7 +12,7 @@ through `within`, which fails on NaN and infinities.
 
 from __future__ import annotations
 
-from math import isfinite
+import numpy as np
 
 __all__ = [
     "CONSTANTS",
@@ -102,10 +102,12 @@ TOLERANCES = {
 }
 
 
-def within(residual, name, scale=1.0) -> bool:
+def within(residual, name, scale=1.0):
     """residual <= TOLERANCES[name] * scale; False if residual or scale is not finite.
 
     `name` may be a number instead, for the calls that take a tolerance argument.
+    On arrays the gate is taken elementwise and the answer is a boolean array.
     """
     tol = TOLERANCES[name] if isinstance(name, str) else name
-    return bool(isfinite(residual) and isfinite(scale) and residual <= tol * scale)
+    ok = np.isfinite(residual) & np.isfinite(scale) & (np.asarray(residual) <= tol * np.asarray(scale))
+    return bool(ok) if np.ndim(ok) == 0 else ok

@@ -13,45 +13,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, Metric, _wedge_tensor, two_form_matrix, wedge
+from .multilinear import (Form, Metric, _wedge_tensor, matvec, two_form_coeffs,
+                          two_form_matrices, two_form_matrix, wedge_coeffs)
 from .frame_manifold import CoframeAlgebra
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree, theta_top_coeffs
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
-from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, nijenhuis_vectors
+from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
+                        nijenhuis_vectors, nstar_wedge_trace)
 
 __all__ = [
     "Alt12Report",
     "ConformalSolveReport",
+    "ConformalStack",
     "TorsionCriterionReport",
     "alt12_analysis",
     "c_map",
     "conformal_solve",
+    "conformal_stack",
     "hermitian_metric",
     "norm30_sq",
+    "skew30_coefficient",
     "torsion_criterion",
 ]
 
 
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     """g(X, Y) = omega(X, JY); raises with a diagnostic when not positive."""
-    G = _omega_j(J, omega)
+    G = _omega_j(J.matrix, omega.coeffs)
     sym_defect = np.max(np.abs(G - G.T))
     if not within(sym_defect, "symmetric", max(1.0, np.max(np.abs(G)))):
         raise ValueError(
             f"omega is not J-compatible: induced bilinear form asymmetric by {sym_defect:g}"
         )
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-    if eigs.min() <= 0:
-        raise ValueError(f"omega not positive: metric eigenvalues {np.round(eigs, 6)}")
-    return Metric(0.5 * (G + G.T))
+    try:  # the Metric constructor is the one positivity check
+        return Metric(0.5 * (G + G.T))
+    except ValueError as ex:
+        raise ValueError(f"omega not positive: {ex}") from ex
 
 
-def _omega_j(J: AlmostComplexStructure, omega: Form) -> np.ndarray:
-    """The bilinear form omega(X, JY) as a real matrix."""
-    return (two_form_matrix(omega) @ J.matrix).real
+def _omega_j(Jm, omega) -> np.ndarray:
+    """omega(X, JY) as a real matrix, from J matrices and 2-form coefficients; leading axes stack."""
+    return (two_form_matrices(omega, Jm.shape[-1]) @ Jm).real
 
 
 def norm30_sq(omega: Form, p30: Form) -> float:
@@ -60,12 +66,28 @@ def norm30_sq(omega: Form, p30: Form) -> float:
     Calibrated so the flat model dz1^dz2^dz3 against (i/2) sum dz^dzbar gives 1:
     |P|^2 = coef * (P ^ conj P) / (omega^3 / 6), coef = i/8.
     """
-    volh = (1.0 / 6.0) * wedge(wedge(omega, omega), omega)
-    dens = volh.coeffs[0]
-    if abs(dens) == 0.0:
+    return _checked_norm30(*_norm30(omega.coeffs, p30.coeffs))
+
+
+def _norm30(omega, p30):
+    """|P|^2 before its gates, and the density of omega^3 / 6, from coefficient
+    vectors; leading axes stack."""
+    dens = (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(omega, omega, 6, 2, 2), omega, 6, 4, 2)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p30, np.conj(p30), 6, 3, 3)[..., 0] / dens
+    return val, dens
+
+
+def _norm30_gates(val, dens):
+    """The gates of `norm30_sq`, per slice: omega^3 != 0, and |P|^2 real and finite."""
+    return dens != 0, within(np.abs(val.imag), "real", np.maximum(1.0, np.abs(val)))
+
+
+def _checked_norm30(val, dens) -> float:
+    nondegenerate, real = _norm30_gates(val, dens)
+    if not nondegenerate:
         raise ValueError("degenerate omega: omega^3 = 0")
-    val = HERMITIAN_30_NORM_COEF * wedge(p30, p30.conjugate()).coeffs[0] / dens
-    if not within(abs(val.imag), "real", max(1.0, abs(val))):
+    if not real:
         raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
     return float(val.real)
 
@@ -73,7 +95,7 @@ def norm30_sq(omega: Form, p30: Form) -> float:
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
     """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
-    R = nijenhuis_vectors(alg, J, fr).T @ two_form_matrix(omega) @ fr.v_coords
+    R = nijenhuis_vectors(alg, J.matrix, fr.v_coords).T @ two_form_matrix(omega) @ fr.v_coords
     return np.einsum("dab,dc->abc", EPS3, R)
 
 
@@ -163,25 +185,108 @@ def _hermitian_units() -> np.ndarray:
 _HERMITIAN_UNITS = _hermitian_units()
 
 
-def _hermitian_basis(fr: ComplexFrame) -> np.ndarray:
-    """Columns: the real (1,1)-forms i sum h_ab theta^a ^ conj theta^b, h = h_1..h_9."""
-    cols = []
-    for h in _HERMITIAN_UNITS:
-        X = np.zeros((6, 6), dtype=np.complex128)
-        X[:3, 3:] = 1j * h
-        X[3:, :3] = -1j * h.T
-        cols.append(fr.two_form(X).coeffs)
-    return np.array(cols).T
+def _hermitian_basis(T: np.ndarray) -> np.ndarray:
+    """Columns: the real (1,1)-forms i sum h_ab theta^a ^ conj theta^b, h = h_1..h_9.
+
+    T = [theta; conj theta] is the coframe as rows (`ComplexFrame.coframe`);
+    a form with frame coordinates X has the coefficient matrix T^T X T.
+    Leading axes of T stack.
+    """
+    X = np.zeros((9, 6, 6), dtype=np.complex128)
+    X[:, :3, 3:] = 1j * _HERMITIAN_UNITS
+    X[:, 3:, :3] = -1j * np.swapaxes(_HERMITIAN_UNITS, -2, -1)
+    T = T[..., None, :, :]
+    # contiguous rows, so the columns are strided: this fixes the summation
+    # order, and so the rounding, of the products B @ v
+    return np.swapaxes(np.ascontiguousarray(two_form_coeffs(np.swapaxes(T, -2, -1) @ X @ T)), -2, -1)
+
+
+def skew30_coefficient(F: np.ndarray, omega: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """c with skew part c theta^123 of rho = omega(N(.,.),.), for the (1,1)-form
+    coefficients omega, frame vectors F = [v, conj v] and N* matrix M; leading
+    axes stack.
+
+    For omega = sum A_ab theta^a ^ conj theta^b the skew part is -tr(A M^T)/3 theta^123.
+    """
+    return -nstar_wedge_trace(F, omega, M) / 3.0
 
 
 def _conformal_system(M: np.ndarray) -> np.ndarray:
     """The real 54 x 9 system of the conformal solve for the N* matrix M.
 
     Column k is the non-skew part of the trilinear of C(i h_k) = i h_k M^T.
+    Leading axes of M stack.
     """
-    T = c_map_trilinear(1j * _HERMITIAN_UNITS @ M.T)
-    complement = (T - _skew_part(T)).reshape(9, 27)
-    return np.hstack([complement.real, complement.imag]).T
+    T = c_map_trilinear(1j * _HERMITIAN_UNITS @ np.swapaxes(M, -2, -1)[..., None, :, :])
+    complement = T - _skew_part(T)
+    complement = complement.reshape(complement.shape[:-4] + (9, 27))
+    return np.swapaxes(np.concatenate([complement.real, complement.imag], axis=-1), -2, -1)
+
+
+def _orient_positive(Jm, omega) -> tuple[np.ndarray, np.ndarray]:
+    """Flip the sign of 2-form coefficients where that makes omega positive;
+    report definiteness.  Leading axes stack."""
+    G = _omega_j(Jm, omega)
+    eigs = np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -2, -1)))
+    positive, negative = eigs[..., 0] > 0, eigs[..., -1] < 0
+    return np.where(negative[..., None], -omega, omega), positive | negative
+
+
+class ConformalStack(NamedTuple):
+    """The conformal solve for a stack of structures, as arrays over the leading axes.
+
+    Every gate of the solve is a mask here; `conformal_solve` is the case
+    without leading axes and raises where the gates of `norm30_sq` fail.
+    """
+
+    basis: np.ndarray            # the Hermitian basis forms as columns [..., 15, 9]
+    singular_values: np.ndarray  # [..., 9], descending
+    vt: np.ndarray               # right singular vectors as rows [..., 9, 9]
+    null: np.ndarray             # [..., 9]: singular values cut as the strict nullspace
+    candidate: np.ndarray        # coefficients of the sign-fixed candidate [..., 15]
+    positive: np.ndarray         # the candidate is definite
+    n2: np.ndarray               # |P|^2 of the candidate's skew (3,0) part, before its gates
+    dens: np.ndarray             # omega^3 / 6 density of the candidate
+
+    @property
+    def normalizable(self) -> np.ndarray:
+        """Positive candidates whose |P|^2 passes the gates of `norm30_sq` and is > 0."""
+        nondegenerate, real = _norm30_gates(self.n2, self.dens)
+        return self.positive & nondegenerate & real & (self.n2.real > 0)
+
+    @property
+    def normalized_omega(self) -> np.ndarray:
+        """Coefficients of the candidate scaled to |rho|_omega = 1; zero where not normalizable."""
+        return self.candidate * np.where(self.normalizable, self.n2.real, 0.0)[..., None]
+
+
+def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
+                    V: np.ndarray) -> ConformalStack:
+    """The conformal solve for J matrices Jm with (1,0) frames (theta rows, V columns).
+
+    Leading axes stack.  The candidate is the canonical positive direction
+    projected onto the strict nullspace when that has dimension > 1 and stays
+    positive (covers large solution spaces such as the integrable case),
+    otherwise the least-squares singular direction.
+    """
+    M = nijenhuis_matrices(alg, Jm, theta, V)
+    B = _hermitian_basis(np.concatenate([theta, np.conj(theta)], axis=-2))
+    _, s, vt = np.linalg.svd(_conformal_system(M), full_matrices=False)
+    null = s <= TOLERANCES["nullspace"] * np.maximum(s[..., :1], 1e-300)
+    candidate, positive = _orient_positive(Jm, matvec(B, vt[..., -1, :]))
+
+    canonical = np.zeros(9)
+    canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
+    proj = matvec(np.swapaxes(vt, -2, -1), null * matvec(vt, canonical))
+    pn = np.linalg.norm(proj, axis=-1)
+    alt, alt_pos = _orient_positive(Jm, matvec(B, proj / np.maximum(pn, 1e-300)[..., None]))
+    use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & alt_pos
+    candidate = np.where(use_alt[..., None], alt, candidate)
+
+    c = skew30_coefficient(np.concatenate([V, np.conj(V)], axis=-1), candidate, M)
+    n2, dens = _norm30(candidate, theta_top_coeffs(theta) * c[..., None])
+    return ConformalStack(basis=B, singular_values=s, vt=vt, null=null,
+                          candidate=candidate, positive=positive | use_alt, n2=n2, dens=dens)
 
 
 def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> ConformalSolveReport:
@@ -192,59 +297,25 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> Conformal
     singular vector) is always reported, which keeps the solver usable along
     optimization paths where the structure is only approximately compatible.
     """
-    nij = nijenhuis_via_brackets(alg, J)
-    fr = nij.frame
-    B = _hermitian_basis(fr)
-    u, s, vt = np.linalg.svd(_conformal_system(nij.matrix))
+    fr = J.frame()
+    st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+    s = st.singular_values
     smax = s.max() if s.size else 0.0
-    null_dim = int(np.sum(s <= TOLERANCES["nullspace"] * max(smax, 1e-300))) if smax > 0 else 9
-    null_vectors = vt[9 - null_dim:, :] if null_dim else np.zeros((0, 9))
-    sol_basis = tuple(Form(6, 2, B @ v) for v in null_vectors)
-
-    # candidate: the canonical positive direction projected onto the strict
-    # nullspace when that stays positive (covers large solution spaces such as
-    # the integrable case), otherwise the least-squares singular direction
-    cand_vec = vt[-1, :]
-    candidate = Form(6, 2, B @ cand_vec)
-    candidate, positive = _orient_positive(J, candidate)
-    if null_dim > 1:
-        canonical = np.zeros(9)
-        canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
-        proj = null_vectors.T @ (null_vectors @ canonical)
-        if np.linalg.norm(proj) > TOLERANCES["nullspace"]:
-            alt, alt_pos = _orient_positive(J, Form(6, 2, B @ (proj / np.linalg.norm(proj))))
-            if alt_pos:
-                candidate, positive = alt, alt_pos
     normalized = None
-    if positive:
-        # the skew part of rho for a = A_ab theta^a ^ conj theta^b is
-        # -tr(A M^T)/3 theta^123, read off the N* matrix M in hand
-        A = fr.components(candidate)[:3, 3:]
-        n2 = norm30_sq(candidate, (-np.trace(A @ nij.matrix.T) / 3.0) * fr.theta_top())
-        if n2 > 0:
-            normalized = n2 * candidate
+    if st.positive:
+        _checked_norm30(st.n2, st.dens)  # raises where the stack masks
+        if st.normalizable:
+            normalized = Form(6, 2, st.normalized_omega)
     return ConformalSolveReport(
         frame=fr,
         singular_values=s,
-        solution_dimension=null_dim,
-        basis=sol_basis,
-        candidate=candidate,
-        candidate_positive=positive,
+        solution_dimension=int(st.null.sum()),
+        basis=tuple(Form(6, 2, st.basis @ v) for v in st.vt[st.null]),
+        candidate=Form(6, 2, st.candidate),
+        candidate_positive=bool(st.positive),
         normalized_omega=normalized,
         candidate_residual=float(s[-1] / max(smax, 1e-300)) if smax > 0 else 0.0,
     )
-
-
-def _orient_positive(J: AlmostComplexStructure, omega: Form) -> tuple[Form, bool]:
-    """Flip the sign if that makes omega positive; report definiteness."""
-    G = _omega_j(J, omega)
-    G = 0.5 * (G + G.T)
-    eigs = np.linalg.eigvalsh(G)
-    if eigs.min() > 0:
-        return omega, True
-    if eigs.max() < 0:
-        return -1.0 * omega, True
-    return omega, False
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +362,7 @@ def alt12_analysis(J: AlmostComplexStructure) -> Alt12Report:
 
     # domain basis of Lambda^1 (x) Lambda^{1,1}_R: e^i (x) the Hermitian basis
     Pi = _tensor_projector_21_12(J)
-    A = Pi @ M @ np.kron(np.eye(n), _hermitian_basis(J.frame()))  # complex 90 x 54
+    A = Pi @ M @ np.kron(np.eye(n), _hermitian_basis(J.frame().coframe))  # complex 90 x 54
     A_real = np.vstack([A.real, A.imag])
     rank_herm = int(np.linalg.matrix_rank(A_real, tol=TOLERANCES["rank"]))
 

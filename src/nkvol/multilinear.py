@@ -51,10 +51,14 @@ __all__ = [
     "hodge_star",
     "index_tuples",
     "inner_product",
+    "matvec",
     "substitution",
+    "two_form_coeffs",
     "two_form_from_matrix",
+    "two_form_matrices",
     "two_form_matrix",
     "wedge",
+    "wedge_coeffs",
     "zero_form",
 ]
 
@@ -114,33 +118,36 @@ def compound(M, k: int) -> np.ndarray:
 
     For a square M acting on 1-form coefficient vectors this is the matrix of
     its multiplicative action on degree-k forms; for an (n, k) matrix of
-    stacked vectors it is the single column of their minors.
+    stacked vectors it is the single column of their minors.  Leading axes
+    of M are a stack.
     """
     M = np.asarray(M)
-    rows = _index_array(M.shape[0], k)
-    cols = _index_array(M.shape[1], k)
-    return np.linalg.det(M[rows[:, None, :, None], cols[None, :, None, :]])
+    rows = _index_array(M.shape[-2], k)
+    cols = _index_array(M.shape[-1], k)
+    return np.linalg.det(M[..., rows[:, None, :, None], cols[None, :, None, :]])
 
 
 def substitution(beta, p: int, k: int) -> np.ndarray:
     """Matrix of e^J -> sum_s (-1)^s beta(e^{j_s}) ^ e^{J minus j_s} on degree k.
 
     `beta` has shape (comb(n, p), n); column i holds the coefficients of the
-    degree-p form beta(e^i).  The image has degree k - 1 + p:
+    degree-p form beta(e^i).  Leading axes of beta stack.  The image has
+    degree k - 1 + p:
 
       p = 0, beta = v as a row      interior product with the vector v;
       p = 1, beta = L               derivation action of the 1-form map L;
       p = 2, beta(e^i) = d e^i      the Maurer-Cartan differential.
     """
     beta = np.asarray(beta)
-    n = beta.shape[1]
+    n = beta.shape[-1]
     if k == 0:
-        return np.zeros((comb(n, p - 1), 1), dtype=beta.dtype)
+        return np.zeros(beta.shape[:-2] + (comb(n, p - 1), 1), dtype=beta.dtype)
     # e^i ^ . is W1[:, i, :]; in the orthonormal monomial basis its transpose
     # is the interior product with e_i
     W1 = _wedge_tensor(n, 1, k - 1)
-    inner = np.tensordot(beta, W1, axes=(1, 1))  # [a, out_k, rest]
-    return np.tensordot(_wedge_tensor(n, p, k - 1), inner, axes=([1, 2], [0, 2]))
+    inner = np.tensordot(beta, W1, axes=(-1, 1))  # [..., a, out_k, rest]
+    out = np.tensordot(inner, _wedge_tensor(n, p, k - 1), axes=([-3, -1], [1, 2]))
+    return np.swapaxes(out, -2, -1)
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,17 @@ def wedge(a: Form, b: Form) -> Form:
     k = a.degree + b.degree
     if k > n:
         raise ValueError(f"degree overflow: {a.degree}+{b.degree} > {n}")
-    W = _wedge_tensor(n, a.degree, b.degree)
-    return Form(n, k, (W @ b.coeffs) @ a.coeffs)
+    return Form(n, k, wedge_coeffs(a.coeffs, b.coeffs, n, a.degree, b.degree))
+
+
+def wedge_coeffs(a, b, n: int, ka: int, kb: int) -> np.ndarray:
+    """Coefficients of a ^ b from coefficient vectors of degrees ka and kb; leading axes stack."""
+    return matvec(matvec(_wedge_tensor(n, ka, kb), b[..., None, :]), a)
+
+
+def matvec(A, x) -> np.ndarray:
+    """The products A x over the last axes; leading axes of A and x broadcast."""
+    return (A @ x[..., None])[..., 0]
 
 
 def contract(v, a: Form) -> Form:
@@ -264,16 +280,27 @@ def two_form_matrix(a: Form) -> np.ndarray:
     """The antisymmetric matrix A[i, j] = a(e_i, e_j) of a 2-form."""
     if a.degree != 2:
         raise ValueError("expected a 2-form")
-    rows, cols = _index_array(a.dimension, 2).T
-    A = np.zeros((a.dimension, a.dimension), dtype=np.complex128)
-    A[rows, cols] = a.coeffs
-    return A - A.T
+    return two_form_matrices(a.coeffs, a.dimension)
+
+
+def two_form_matrices(coeffs, n: int) -> np.ndarray:
+    """`two_form_matrix` from 2-form coefficient vectors; leading axes stack."""
+    coeffs = np.asarray(coeffs)
+    rows, cols = _index_array(n, 2).T
+    A = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
+    A[..., rows, cols] = coeffs
+    return A - np.swapaxes(A, -2, -1)
+
+
+def two_form_coeffs(A) -> np.ndarray:
+    """Coefficients of the 2-forms with matrices A (antisymmetric); leading axes stack."""
+    rows, cols = _index_array(np.shape(A)[-1], 2).T
+    return np.asarray(A)[..., rows, cols]
 
 
 def two_form_from_matrix(A) -> Form:
     """Inverse of `two_form_matrix`: the 2-form with a(e_i, e_j) = A[i, j], A antisymmetric."""
-    rows, cols = _index_array(len(A), 2).T
-    return Form(len(A), 2, np.asarray(A)[rows, cols])
+    return Form(len(A), 2, two_form_coeffs(A))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import Form, wedge
+from .multilinear import Form, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree
 from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
@@ -35,8 +35,10 @@ __all__ = [
     "NijenhuisTensor",
     "VolumeDensity",
     "cartan_compatibility",
+    "nijenhuis_matrices",
     "nijenhuis_via_brackets",
     "nijenhuis_via_d",
+    "nstar_wedge_trace",
     "volume_form",
 ]
 
@@ -75,21 +77,41 @@ class NijenhuisTensor:
         return (S @ self.matrix @ np.conj(S).T) / det
 
 
-def nijenhuis_vectors(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                      fr: ComplexFrame) -> np.ndarray:
-    """Columns N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d], so N(v_c, v_d) = eps_bcd N^b."""
-    V = fr.v_coords
-    brackets = np.einsum("ijk,jc,kd->icd", alg.structure_constants, V, V)
-    return J.q01() @ (0.5 * np.einsum("bcd,icd->ib", EPS3, brackets))
+def nijenhuis_vectors(alg: CoframeAlgebra, Jm: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Columns N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d], so N(v_c, v_d) = eps_bcd N^b.
+
+    Jm is the J matrix and V the (1,0) frame vectors as columns; leading axes stack.
+    """
+    brackets = np.einsum("ijk,...jc,...kd->...icd", alg.structure_constants, V, V)
+    q01 = 0.5 * (np.eye(Jm.shape[-1]) + 1j * Jm)
+    return q01 @ (0.5 * np.einsum("bcd,...icd->...ib", EPS3, brackets))
+
+
+def nijenhuis_matrices(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
+                       V: np.ndarray) -> np.ndarray:
+    """The bracket-route matrix of N* for J matrices with frames (theta, V); leading axes stack."""
+    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d)), so M[b, a] is
+    # the conj(theta^a) coordinate of N^b
+    return np.swapaxes(np.conj(theta) @ nijenhuis_vectors(alg, Jm, V), -2, -1)
+
+
+def nstar_wedge_trace(F: np.ndarray, omega: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """tr(A M^T): sum A[a, b] theta^a ^ N*(conj theta^b) = tr(A M^T) theta^123.
+
+    omega holds the coefficients of the (1,1)-form sum A[a, b] theta^a ^ conj theta^b,
+    F the frame vectors [v, conj v] as columns (`ComplexFrame.vectors`) and M
+    the N* matrix; since theta^a ^ tcheck^c = delta_ac theta^123, only the
+    trace survives.  Leading axes stack.
+    """
+    A = (np.swapaxes(F, -2, -1) @ two_form_matrices(omega, F.shape[-1]) @ F)[..., :3, 3:]
+    return np.trace(A @ np.swapaxes(M, -2, -1), axis1=-2, axis2=-1)
 
 
 def nijenhuis_via_brackets(alg: CoframeAlgebra, J: AlmostComplexStructure,
                            frame: ComplexFrame | None = None) -> NijenhuisTensor:
     """Frame-bracket route: dualize N(X,Y) = P^{0,1}[P^{1,0}X, P^{1,0}Y]."""
     fr = frame if frame is not None else J.frame()
-    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d)), so M[b, a] is
-    # the conj(theta^a) coordinate of N^b
-    M = (fr.coframe[3:] @ nijenhuis_vectors(alg, J, fr)).T
+    M = nijenhuis_matrices(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
     return NijenhuisTensor(fr, M, route="brackets")
 
 
@@ -145,9 +167,6 @@ def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
     lhs = bidegree_project(J, d_invariant(alg, omega), 3, 0)
     nij = nijenhuis_via_brackets(alg, J)
     fr = nij.frame
-    # omega = sum A[a, b] theta^a ^ conj theta^b and theta^a ^ tcheck^c = delta_ac
-    # theta^123, so sum A[a, b] theta^a ^ N*(conj theta^b) = tr(A M^T) theta^123
-    A = fr.components(omega)[:3, 3:]
-    rhs = np.trace(A @ nij.matrix.T) * fr.theta_top()
+    rhs = nstar_wedge_trace(fr.vectors, omega.coeffs, nij.matrix) * fr.theta_top()
     scale = max(1.0, lhs.norm(), rhs.norm())
     return float((lhs - rhs).norm() / scale)

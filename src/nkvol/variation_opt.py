@@ -14,32 +14,40 @@ analytic first variation is the (2,2) pairing
 in the |rho|_omega = 1 gauge, equal to the central finite-difference
 derivative up to the single frozen constant KAPPA_CONV.  The optimizer
 minimizes the squared criticality residual |Pi^{(2,1)+(1,2)} d omega|^2 over
-the 18 real deformation parameters with a damped Gauss-Newton loop.
+the 18 real deformation parameters with a damped Gauss-Newton loop, whose
+central-difference Jacobian is one evaluation over the stack of 36 deformed
+structures (`criticality_residuals`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, contract, form_from_one_coeffs, wedge, zero_form
+from .multilinear import Form, contract, matvec, substitution, wedge_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project
+from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, bidegree_project,
+                  default_frame_coords, is_pure_bidegree, projector_from_derivation)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import ConformalSolveReport, conformal_solve, norm30_sq, torsion_criterion
-from .nijenhuis import nijenhuis_via_brackets, volume_form
+from .hermitian_torsion import (ConformalSolveReport, conformal_solve, conformal_stack,
+                                hermitian_metric, norm30_sq, skew30_coefficient)
+from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, volume_form
 from .nk_su3 import NkSuiteReport, nk_equivalence_suite
 
 __all__ = [
     "CriticalityReport",
     "Deformation",
     "FindCriticalResult",
+    "IterationRecord",
     "criticality_residual_vector",
+    "criticality_residuals",
     "criticality_test",
     "deform_J",
     "delta_basis",
     "find_critical",
+    "psi_gradient",
     "psi_gradient_analytic",
     "psi_gradient_fd",
     "psi_value",
@@ -82,15 +90,26 @@ def deform_J(J: AlmostComplexStructure, delta: Deformation, t: float,
     if t == 0.0:
         return J
     fr = frame if frame is not None else J.frame()
-    V = fr.v_coords
-    W = np.conj(V) + t * V @ delta.matrix  # columns conj(v_b) + t sum_a delta[a, b] v_a
-    B = np.hstack([np.conj(W), W])
-    det = np.linalg.det(B)
-    if not abs(det) > TOLERANCES["complementary"]:
+    Jnew, det, complementary = _graph_chart(fr.v_coords, t * delta.matrix)
+    if not complementary:
         raise ValueError(f"graph not complementary to its conjugate (det = {det:.3e})")
-    D = np.diag([1j] * 3 + [-1j] * 3)
-    Jnew = (B @ D @ np.linalg.inv(B)).real
     return AlmostComplexStructure(Jnew)
+
+
+def _graph_chart(V: np.ndarray, T: np.ndarray):
+    """J matrices whose T^{0,1} is spanned by conj(v_b) + sum_a T[a, b] v_a.
+
+    Returns the matrices, the determinants of the graph bases [conj W, W] and
+    the complementarity gate on them; leading axes of T stack, and a slice
+    failing the gate gets the matrix of the identity basis.
+    """
+    W = np.conj(V) + V @ T
+    B = np.concatenate([np.conj(W), W], axis=-1)
+    det = np.linalg.det(B)
+    complementary = np.abs(det) > TOLERANCES["complementary"]  # written so that NaN fails it
+    B = np.where(complementary[..., None, None], B, np.eye(6))
+    D = np.diag([1j] * 3 + [-1j] * 3)
+    return (B @ D @ np.linalg.inv(B)).real, det, complementary
 
 
 def psi_value(alg: CoframeAlgebra, J: AlmostComplexStructure) -> float:
@@ -98,41 +117,62 @@ def psi_value(alg: CoframeAlgebra, J: AlmostComplexStructure) -> float:
     return volume_form(nijenhuis_via_brackets(alg, J)).psi
 
 
-def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
-                     delta: Deformation, frame: ComplexFrame | None = None) -> Form:
-    """Convert delta to a (2,1)-form through the unit-norm trilinear identification.
+def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
+    """Coefficients [a, b] of the (2,1)-forms (iota_{v_a} P) ^ conj theta^b of the unit deformations E_ab.
 
     T^{1,0} is identified with Lambda^{2,0} by contracting into the skew
     (3,0) part P of omega(N(.,.),.), normalized to |P|_omega = 1 and rescaled
     by the inverse duality factor so that on shape-equation solutions the
     Nijenhuis endomorphism itself is identified with the identity.
     """
-    fr = frame if frame is not None else J.frame()
-    crit = torsion_criterion(alg, J, omega)
-    P = crit.lambda30_component
+    fr = nij.frame
+    P = skew30_coefficient(fr.vectors, omega.coeffs, nij.matrix) * fr.theta_top()
     if within(P.norm(), "vanishes"):
         raise ValueError("trilinear identification degenerate: skew part of rho vanishes")
     P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
-    # sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b; row a of legs is
-    # sum_b delta[a, b] conj theta^b
-    legs = delta.matrix @ fr.coframe[3:]
-    out = zero_form(6, 3)
-    for a in range(3):
-        out = out + wedge(contract(fr.v(a), P), form_from_one_coeffs(6, legs[a]))
-    return out
+    iota = np.array([contract(fr.v(a), P).coeffs for a in range(3)])
+    return wedge_coeffs(iota[:, None, :], fr.coframe[None, 3:], 6, 2, 1)
+
+
+def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
+                     delta: Deformation, frame: ComplexFrame | None = None) -> Form:
+    """Convert delta to the (2,1)-form sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b.
+
+    P is the unit skew (3,0) part of omega(N(.,.),.) (`_unit_delta_forms`).
+    """
+    fr = frame if frame is not None else J.frame()
+    Q = _unit_delta_forms(omega, nijenhuis_via_brackets(alg, J, frame=fr))
+    return Form(6, 3, np.einsum("ab,abk->k", delta.matrix, Q))
+
+
+def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
+    """c[a, b] = KAPPA_CONV * 2 * density(Pi^{2,2} d(E_ab-form) ^ omega), oriented.
+
+    The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b].
+    omega must be a positive real (1,1)-form; it is checked once here.
+    """
+    if not (is_pure_bidegree(J, omega, 1, 1) and omega.is_real()):
+        raise ValueError("psi gradient expects a real (1,1)-form omega")
+    hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
+    nij = nijenhuis_via_brackets(alg, J)
+    if not nij.nondegenerate:
+        raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
+    Q = _unit_delta_forms(omega, nij)
+    dd = matvec(J.bidegree_projector(2, 2), matvec(alg.d_matrices[3], Q))
+    pairing = wedge_coeffs(dd, omega.coeffs, 6, 4, 2)[..., 0]
+    return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
 
 
 def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
                           omega: Form, delta: Deformation) -> float:
     """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
-    nij = nijenhuis_via_brackets(alg, J)
-    if not nij.nondegenerate:
-        raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
-    dform = delta_as_21_form(alg, J, omega, delta, frame=nij.frame)
-    dd = bidegree_project(J, d_invariant(alg, dform), 2, 2)
-    pairing = wedge(dd, omega)
-    orient = volume_form(nij).orientation
-    return float(KAPPA_CONV * 2.0 * (pairing.coeffs[0] * orient).real)
+    return float(np.sum(delta.matrix * _gradient_pairings(alg, J, omega)).real)
+
+
+def psi_gradient(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
+    """`psi_gradient_analytic` along the 18 directions of `delta_basis`, from one pass."""
+    c = _gradient_pairings(alg, J, omega)
+    return np.concatenate([c.real.ravel(), -c.imag.ravel()])
 
 
 def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -177,10 +217,36 @@ def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure,
     w = rep.normalized_omega
     if w is None:
         return None, rep
-    dw = d_invariant(alg, w)
-    off = bidegree_project(J, dw, 2, 1) + bidegree_project(J, dw, 1, 2)
-    vec = np.concatenate([off.coeffs.real, off.coeffs.imag])
-    return vec, rep
+    return _offshape(alg, J.matrix, w.coeffs), rep
+
+
+def _offshape(alg: CoframeAlgebra, Jm: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """[Re; Im] of Pi^{2,1} d omega + Pi^{1,2} d omega from J matrices and 2-form
+    coefficients; leading axes stack."""
+    dw = matvec(alg.d_matrices[2], omega)
+    D = substitution(np.swapaxes(Jm, -2, -1), 1, 3)  # J* as a derivation of 3-forms
+    off = (matvec(projector_from_derivation(D, 6, 2, 1), dw)
+           + matvec(projector_from_derivation(D, 6, 1, 2), dw))
+    return np.concatenate([off.real, off.imag], axis=-1)
+
+
+def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas: np.ndarray,
+                          frame: ComplexFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vectors at the graph-chart deformations of J by a stack of delta matrices.
+
+    Slice k is `criticality_residual_vector` at `deform_J(J, Deformation(deltas[k]), 1.0, frame)`.
+    Returns the vectors and a mask that is False where that scalar path raises
+    or returns None (graph not complementary, J^2 != -Id, no positive or no
+    normalizable candidate); the vectors are zero there.
+    """
+    fr = frame if frame is not None else J.frame()
+    Jm, _, valid = _graph_chart(fr.v_coords, deltas)
+    valid = valid & acs_gates(Jm)[1]
+    Jm = np.where(valid[..., None, None], Jm, J.matrix)  # a valid stand-in keeps every slice finite
+    theta, V = default_frame_coords(Jm)
+    st = conformal_stack(alg, Jm, theta, V)
+    valid = valid & st.normalizable
+    return np.where(valid[..., None], _offshape(alg, Jm, st.normalized_omega), 0.0), valid
 
 
 def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -210,6 +276,17 @@ def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
 # Optimizer
 # ---------------------------------------------------------------------------
 
+class IterationRecord(NamedTuple):
+    """What one Gauss-Newton iteration did; deterministic, no timings."""
+
+    objective: float            # after the iteration
+    mu: float                   # damping after the iteration
+    step_norm: float | None     # |accepted step| in the 18 real parameters; None if none was
+    rejected_trials: int        # damped trials rejected
+    kick: float | None          # magnitude of the accepted kick; None without one
+    residual_evals: int         # structures evaluated: the Jacobian's 36, then trials and kicks
+
+
 @dataclass
 class FindCriticalResult:
     J: AlmostComplexStructure
@@ -219,10 +296,36 @@ class FindCriticalResult:
     omega: Form | None = None
     suite: NkSuiteReport | None = None
     reason: str = ""
+    records: list[IterationRecord] = field(default_factory=list)
+    psi_gradient_max_abs: float | None = None   # the analytic certificate, on convergence
 
 
 def _objective(vec) -> float:
     return float(vec @ vec)
+
+
+def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
+           params: np.ndarray, norm_cap: float, R: float):
+    """Try the step of 18 real parameters from J against the objective R.
+
+    Returns ((J', vector, report, objective) or None, whether the residual was
+    evaluated).  None rejects the step: it leaves the chart or the working
+    region (tested before the residual is paid for), finds no normalizable
+    candidate, or does not strictly lower R.
+    """
+    try:
+        Jtry = deform_J(J, Deformation.from_real_params(params), 1.0, frame=frame)
+    except ValueError:
+        return None, False
+    if np.linalg.norm(Jtry.matrix, 2) > norm_cap:
+        return None, False  # left the working region
+    try:
+        vec, rep = criticality_residual_vector(alg, Jtry)
+    except ValueError:
+        return None, True
+    if vec is None or not _objective(vec) < R:
+        return None, True
+    return (Jtry, vec, rep, _objective(vec)), True
 
 
 def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
@@ -236,12 +339,13 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     rejected and the damping increased.  The accepted trace is monotone by
     construction.  If the local model stalls above tolerance, a bounded set
     of seeded kick directions is probed and a kick is accepted only when it
-    strictly lowers the objective.
+    strictly lowers the objective.  Each iteration leaves an `IterationRecord`.
 
     Success is gated on the equivalence suite: a vanishing residual reached
     by escaping the compatibility domain (the normalization gauge can
     collapse the residual on structures with no critical point) is reported
-    as a failure, never as a solution.
+    as a failure, never as a solution.  A solution also carries the largest
+    analytic psi-gradient component, an independent certificate of criticality.
     """
     if not 0.0 < tol < np.inf:  # written so that NaN fails it
         raise ValueError(f"tol must be a finite positive number, got {tol}")
@@ -255,66 +359,54 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     J = J0
     R = _objective(vec)
     trace = [R]
+    records = []
     mu = 1e-4
     rng = np.random.default_rng(seed)
     iterations = 0
     reason = "converged"
     norm_cap = 100.0 * max(1.0, np.linalg.norm(J0.matrix, 2))
+    # central differences: +h and -h along each of the 18 real directions
+    steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
+    fd_deltas = np.concatenate([steps, -steps])
     while R > inner_tol and iterations < max_iter:
-        jac = np.zeros((len(vec), 18))
         fr = J.frame()
-        for p in range(18):
-            dp = np.zeros(18)
-            dp[p] = JACOBIAN_FD_STEP
-            d = Deformation.from_real_params(dp)
-            try:
-                vp, _ = criticality_residual_vector(alg, deform_J(J, d, 1.0, frame=fr))
-                vm, _ = criticality_residual_vector(alg, deform_J(J, d, -1.0, frame=fr))
-            except ValueError:
-                vp = vm = None
-            if vp is None or vm is None:
-                jac[:, p] = 0.0
-            else:
-                jac[:, p] = (vp - vm) / (2.0 * JACOBIAN_FD_STEP)
-        accepted = False
+        vecs, valid = criticality_residuals(alg, J, fd_deltas, frame=fr)
+        both = valid[:18] & valid[18:]  # a column with a rejected side stays zero
+        jac = np.zeros((len(vec), 18))  # C-ordered: fixes the summation order of jac.T @ jac
+        jac[:, both] = ((vecs[:18] - vecs[18:]) / (2.0 * JACOBIAN_FD_STEP))[both].T
+        evals, rejected = len(fd_deltas), 0
+        step_norm = kick = None
         for _ in range(40):
             try:
                 step = np.linalg.solve(jac.T @ jac + mu * np.eye(18), -jac.T @ vec)
             except np.linalg.LinAlgError:
                 mu *= 4.0
+                rejected += 1
                 continue
-            try:
-                Jtry = deform_J(J, Deformation.from_real_params(step), 1.0, frame=fr)
-                vt, _ = criticality_residual_vector(alg, Jtry)
-                if np.linalg.norm(Jtry.matrix, 2) > norm_cap:
-                    vt = None  # left the working region: treat as a rejected step
-            except ValueError:
-                vt = None
-            if vt is not None and _objective(vt) < R:
-                J, vec, R = Jtry, vt, _objective(vt)
+            got, evaluated = _trial(alg, J, fr, step, norm_cap, R)
+            evals += evaluated
+            if got is not None:
+                J, vec, rep, R = got
                 mu = max(mu / 3.0, 1e-14)
-                accepted = True
+                step_norm = float(np.linalg.norm(step))
                 break
             mu *= 4.0
-        if not accepted:
+            rejected += 1
+        if step_norm is None:
             # bounded deterministic kicks; accepted only on strict descent
             for mag in (0.02, 0.05, 0.1, 0.2):
                 for _ in range(6):
-                    kick = Deformation.from_real_params(mag * rng.standard_normal(18))
-                    try:
-                        Jtry = deform_J(J, kick, 1.0)
-                        vt, _ = criticality_residual_vector(alg, Jtry)
-                        if np.linalg.norm(Jtry.matrix, 2) > norm_cap:
-                            continue
-                    except ValueError:
-                        continue
-                    if vt is not None and _objective(vt) < R:
-                        J, vec, R = Jtry, vt, _objective(vt)
-                        accepted = True
+                    params = mag * rng.standard_normal(18)
+                    got, evaluated = _trial(alg, J, fr, params, norm_cap, R)
+                    evals += evaluated
+                    if got is not None:
+                        J, vec, rep, R = got
+                        step_norm, kick = float(np.linalg.norm(params)), mag
                         break
-                if accepted:
+                if kick is not None:
                     break
-        if not accepted:
+        records.append(IterationRecord(R, mu, step_norm, rejected, kick, evals))
+        if step_norm is None:
             reason = "trust region exhausted above tolerance"
             break
         trace.append(R)
@@ -326,12 +418,15 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         reason = "max iterations reached"
     omega = None
     suite = None
+    gradient_max = None
     if converged:
-        _, rep = criticality_residual_vector(alg, J)
         omega = rep.normalized_omega
         suite = nk_equivalence_suite(alg, J, omega)
-        if not suite.all_true:
+        if suite.all_true:
+            gradient_max = float(np.max(np.abs(psi_gradient(alg, J, omega))))
+        else:
             converged = False
             reason = ("residual vanished outside the compatibility domain: "
                       "the equivalence suite rejects the candidate")
-    return FindCriticalResult(J, converged, iterations, trace, omega, suite, reason)
+    return FindCriticalResult(J, converged, iterations, trace, omega, suite, reason,
+                              records, gradient_max)

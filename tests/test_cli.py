@@ -193,6 +193,21 @@ def test_functional_gradient():
     assert rep["checks"]["criticality_verdict"] == "critical"
 
 
+def test_functional_gradient_rejects_bad_omega(tmp_path):
+    # a manifest omega reaches the gradient unchecked by criticality_test
+    data = json.loads(FIXTURE.read_text())
+    negated = [{**e, "re": -e["re"], "im": -e["im"]} for e in data["omega"]]
+    mixed = [{**e, "re": e["re"] + (0.01 if e["indices"] == [1, 2] else 0.0)}
+             for e in data["omega"]]
+    for name, omega, diagnostic in (("neg", negated, "omega not positive"),
+                                    ("mixed", mixed, "real (1,1)-form")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "omega": omega}))
+        p = run_cli("functional", str(path), "--gradient", "--json")
+        assert p.returncode == 2, (name, p.stdout, p.stderr)
+        assert diagnostic in p.stdout, (name, p.stdout)
+
+
 def test_optimize_end_to_end(tmp_path):
     src = tmp_path / "p7.json"
     run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
@@ -314,3 +329,22 @@ def test_reports_are_strict_json(tmp_path):
         assert p.returncode == 2, (command, p.stdout)
         rep = json.loads(p.stdout, parse_constant=_reject_constant)
         assert "checks" not in rep and words in rep["error"], (command, rep)
+
+
+def test_optimize_reports_iteration_records(tmp_path):
+    src = tmp_path / "p7.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
+    p = run_cli("optimize", str(src), "--json")
+    assert p.returncode == 0, p.stderr
+    checks = json.loads(p.stdout)["checks"]
+    records = checks["records"]
+    assert len(records) == checks["iterations"] == 6
+    for rec in records:
+        assert set(rec) == {"objective", "mu", "step_norm", "rejected_trials", "kick",
+                            "residual_evals"}
+        assert rec["residual_evals"] >= 36 and rec["kick"] is None
+    assert [rec["objective"] for rec in records] == checks["trace"][1:]
+    assert checks["psi_gradient_max_abs"] < 1e-8
+    # the human-readable report summarizes the records
+    p = run_cli("optimize", str(src))
+    assert "records: [6 records]" in p.stdout

@@ -211,7 +211,7 @@ def test_conformal_system_matches_c_map():
         alg, J = random_valid_algebra(rng), random_acs(rng)
         nij = nijenhuis_via_brackets(alg, J)
         fr = nij.frame
-        B = _hermitian_basis(fr)
+        B = _hermitian_basis(fr.coframe)
         # h_1 = E_11 and h_8 = i (E_23 - E_32): i theta^1 ^ conj theta^1 and
         # theta^3 ^ conj theta^2 - theta^2 ^ conj theta^3
         assert forms_close(Form(6, 2, B[:, 0]), 1j * wedge(fr.theta(0), fr.theta_bar(0)))
@@ -224,3 +224,15 @@ def test_conformal_system_matches_c_map():
             cols.append(np.concatenate([complement.real, complement.imag]))
         L = np.column_stack(cols)
         assert np.max(np.abs(_conformal_system(nij.matrix) - L)) <= 1e-13 * max(1.0, np.max(np.abs(L)))
+
+
+def test_hermitian_metric_checks_positivity_once(monkeypatch):
+    alg, J = s3s3()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(1) or eigvalsh(G))
+    hermitian_metric(J, product_omega())
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="omega not positive"):
+        hermitian_metric(J, -1.0 * product_omega())
+    assert len(calls) == 2

@@ -1,5 +1,6 @@
 """Deformations, the first variation against finite differences, optimization."""
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,16 @@ from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.hermitian_torsion import conformal_solve
 from nkvol.variation_opt import (
+    JACOBIAN_FD_STEP,
     Deformation,
+    criticality_residual_vector,
+    criticality_residuals,
     criticality_test,
     deform_J,
     delta_as_21_form,
     delta_basis,
     find_critical,
+    psi_gradient,
     psi_gradient_analytic,
     psi_gradient_fd,
     psi_value,
@@ -278,3 +283,187 @@ def test_find_critical_on_rescaled_algebra():
     assert res.converged
     assert res.suite.all_true
     assert abs(res.suite.lam - 2.0) < 1e-9
+
+
+# -- the stacked residual kernel ------------------------------------------------------
+
+# A deformation of the s3s3 J whose conformal candidate is indefinite.
+NON_POSITIVE_DELTA = np.array([[0.2 - 0.6j, 0.6 - 0.3j, -0.1 + 0.1j],
+                               [0.8 - 0.6j, -0.4 - 0.1j, 0.2 - 0.1j],
+                               [0.5 + 0.3j, 0.1 + 0.1j, -0.4 + 0.2j]])
+
+
+def fd_deltas():
+    steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
+    return np.concatenate([steps, -steps])
+
+
+def scalar_residuals(alg, J, deltas):
+    """criticality_residual_vector at deform_J(J, delta, 1.0); None where that raises."""
+    fr = J.frame()
+    out = []
+    for d in deltas:
+        try:
+            vec, _ = criticality_residual_vector(alg, deform_J(J, Deformation(d), 1.0, frame=fr))
+        except ValueError:
+            vec = None
+        out.append(vec)
+    return out
+
+
+def assert_stack_matches_scalar(alg, J, deltas):
+    vecs, valid = criticality_residuals(alg, J, deltas)
+    assert vecs.shape == (len(deltas), 40)
+    for k, ref in enumerate(scalar_residuals(alg, J, deltas)):
+        assert valid[k] == (ref is not None), k
+        if ref is None:
+            assert not np.any(vecs[k]), k
+        else:
+            assert np.max(np.abs(vecs[k] - ref)) <= 1e-13 * np.max(np.abs(ref)), k
+    return valid
+
+
+def test_stacked_residuals_match_scalar_path():
+    rng = np.random.default_rng(11)
+    mp = catalog("s3s3_perturbed", seed=7)
+    cases = [nk_fixture()[:2], (mp.algebra(), AlmostComplexStructure(mp.J)), su2r3()]
+    for alg, J in cases:
+        kicks = 0.05 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+        valid = assert_stack_matches_scalar(alg, J, np.concatenate([fd_deltas(), kicks]))
+        assert valid.all()
+
+
+def test_stacked_residuals_mask_rejected_slices():
+    alg, J = s3s3()
+    rng = np.random.default_rng(2)
+    small = 0.01 * (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
+    deltas = np.array([small[0], np.eye(3), NON_POSITIVE_DELTA, small[1]])
+    # the scalar path raises on the non-complementary graph and finds no
+    # positive candidate at the other structure
+    with pytest.raises(ValueError, match="not complementary"):
+        deform_J(J, Deformation(np.eye(3)), 1.0)
+    vec, rep = criticality_residual_vector(alg, deform_J(J, Deformation(NON_POSITIVE_DELTA), 1.0))
+    assert vec is None and not rep.candidate_positive
+    valid = assert_stack_matches_scalar(alg, J, deltas)
+    assert valid.tolist() == [True, False, False, True]
+
+
+def test_stacked_conformal_solve_canonical_branch():
+    # on the flat torus N* = 0, so the strict nullspace is everything (dimension 9)
+    # and the candidate comes from the canonical projection; its |P|^2 is 0
+    from nkvol.acs import default_frame_coords
+    from nkvol.hermitian_torsion import _hermitian_basis, conformal_stack
+
+    m = catalog("torus6")
+    alg, J = m.algebra(), AlmostComplexStructure(m.J)
+    rng = np.random.default_rng(4)
+    deltas = 0.05 * (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+    valid = assert_stack_matches_scalar(alg, J, deltas)
+    assert not valid.any()
+    Js = [deform_J(J, Deformation(d), 1.0) for d in deltas]
+    Jm = np.array([Jd.matrix for Jd in Js])
+    st = conformal_stack(alg, Jm, *default_frame_coords(Jm))
+    for k, Jd in enumerate(Js):
+        rep = conformal_solve(alg, Jd)
+        assert rep.solution_dimension == int(st.null[k].sum()) == 9
+        assert bool(st.positive[k]) == rep.candidate_positive
+        assert np.max(np.abs(st.candidate[k] - rep.candidate.coeffs)) <= 1e-13
+        # the canonical direction i sum theta^a ^ conj theta^a, unit length in the
+        # Hermitian basis, is the positive candidate up to sign
+        canonical = _hermitian_basis(Jd.frame().coframe) @ np.r_[np.ones(3), np.zeros(6)] / np.sqrt(3.0)
+        assert rep.candidate_positive
+        assert min(np.max(np.abs(rep.candidate.coeffs - sign * canonical)) for sign in (1, -1)) <= 1e-12
+
+
+def test_find_critical_iteration_counts_pinned():
+    for magnitude, iterations in ((0.05, 6), (0.3, 7)):
+        mp = catalog("s3s3_perturbed", seed=7, magnitude=magnitude)
+        res = find_critical(mp.algebra(), AlmostComplexStructure(mp.J))
+        assert res.converged and res.iterations == iterations
+        assert len(res.records) == iterations
+        assert [r.objective for r in res.records] == res.trace[1:]
+        # the paper's functional certifies the solution independently
+        assert res.psi_gradient_max_abs is not None and res.psi_gradient_max_abs < 1e-8
+
+
+# The su(2)+R^3 trace to 18 iterations, as recorded before the Jacobian became
+# one stacked evaluation.
+SU2R3_TRACE_18 = [
+    0.00018310546874999992, 4.094715294867571e-05, 1.2925485471639774e-05,
+    4.44900281829695e-06, 1.3334534993252882e-06, 3.976054480441269e-07,
+    1.2505365946280563e-07, 4.055547570989832e-08, 1.3346714257326932e-08,
+    8.477783866365932e-09, 6.639148424080614e-09, 5.7081663117430355e-09,
+    5.164534961923213e-09, 4.820122152610256e-09, 4.590488356584371e-09,
+    4.580258367727958e-09, 4.57834531817936e-09, 4.577986799275466e-09,
+    4.577717946949834e-09,
+]
+
+
+@lru_cache(maxsize=None)
+def su2r3_search_18():
+    alg, J = su2r3()
+    return find_critical(alg, J, max_iter=18)
+
+
+def test_su2r3_trace_matches_record():
+    res = su2r3_search_18()
+    assert not res.converged and res.iterations == 18
+    assert len(res.trace) == len(SU2R3_TRACE_18)
+    for got, want in zip(res.trace, SU2R3_TRACE_18):
+        assert abs(got - want) <= 1e-9 * want
+    assert res.psi_gradient_max_abs is None
+
+
+def test_telemetry_counts_every_structure(monkeypatch):
+    import nkvol.variation_opt as vo
+
+    stacks, scalar_calls = [], [0]
+    stacked, scalar = vo.criticality_residuals, vo.criticality_residual_vector
+
+    def count_stack(alg, J, deltas, frame=None):
+        stacks.append(len(deltas))
+        return stacked(alg, J, deltas, frame=frame)
+
+    def count_scalar(*args, **kwargs):
+        scalar_calls[0] += 1
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(vo, "criticality_residuals", count_stack)
+    monkeypatch.setattr(vo, "criticality_residual_vector", count_scalar)
+    alg, J = su2r3()
+    res = vo.find_critical(alg, J, max_iter=18)
+    # one stacked Jacobian of 36 structures per iteration, each counted as one
+    # evaluation; then one evaluation per trial that stayed in the working region
+    assert stacks == [36] * len(res.records)
+    assert sum(r.residual_evals for r in res.records) == 36 * len(stacks) + scalar_calls[0] - 1
+    # every trial rejected on this search left the working region, which is
+    # tested before the residual is paid for: only the accepted trial is evaluated
+    assert sum(r.rejected_trials for r in res.records) > 0
+    assert all(r.residual_evals == 37 and r.kick is None for r in res.records)
+    assert [r.objective for r in res.records] == res.trace[1:]
+    assert res.records == su2r3_search_18().records  # deterministic
+
+
+def test_psi_gradient_one_pass_matches_each_direction():
+    from nkvol.conventions import ZH_DUALITY_FACTOR
+    from nkvol.hermitian_torsion import norm30_sq, torsion_criterion
+    from nkvol.multilinear import contract, form_from_one_coeffs, forms_close, wedge
+
+    mp = catalog("s3s3_perturbed", seed=7)
+    rng = np.random.default_rng(5)
+    for alg, J, omega in (nk_fixture(), (mp.algebra(), AlmostComplexStructure(mp.J), None)):
+        if omega is None:
+            omega = conformal_solve(alg, J).normalized_omega
+        grad = psi_gradient(alg, J, omega)
+        each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
+        assert np.max(np.abs(grad - each)) <= 1e-15
+        # the (2,1)-form against its construction from the full torsion criterion
+        fr = J.frame()
+        P = torsion_criterion(alg, J, omega).lambda30_component
+        P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
+        d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        legs = d.matrix @ fr.coframe[3:]
+        ref = wedge(contract(fr.v(0), P), form_from_one_coeffs(6, legs[0]))
+        for a in (1, 2):
+            ref = ref + wedge(contract(fr.v(a), P), form_from_one_coeffs(6, legs[a]))
+        assert forms_close(delta_as_21_form(alg, J, omega, d), ref, 1e-13)
