@@ -74,38 +74,17 @@ class AlmostComplexStructure:
     def p01(self) -> np.ndarray:
         return 0.5 * (np.eye(self.dimension) + 1j * self.jstar)
 
-    # -- derived structure, cached per instance -------------------------------
-
-    def _cache(self) -> dict:
-        try:
-            return object.__getattribute__(self, "_cache_dict")
-        except AttributeError:
-            object.__setattr__(self, "_cache_dict", {})
-            return object.__getattribute__(self, "_cache_dict")
-
     def derivation_matrix(self, k: int) -> np.ndarray:
         """Extension of J* to degree-k forms as a derivation (charge operator)."""
-        cache = self._cache()
-        key = ("deriv", k)
-        if key not in cache:
-            cache[key] = substitution(self.jstar, 1, k)
-        return cache[key]
+        return substitution(self.jstar, 1, k)
 
     def bidegree_projector(self, p: int, q: int) -> np.ndarray:
         """Matrix of Pi^{p,q} on degree-(p+q) coefficient vectors."""
-        cache = self._cache()
-        key = ("proj", p, q)
-        if key not in cache:
-            cache[key] = projector_from_derivation(self.derivation_matrix(p + q),
-                                                   self.dimension, p, q)
-        return cache[key]
+        return projector_from_derivation(self.derivation_matrix(p + q), self.dimension, p, q)
 
     def frame(self) -> "ComplexFrame":
-        """Deterministic (1,0) coframe/frame pair (QR-pivoted choice)."""
-        cache = self._cache()
-        if "frame" not in cache:
-            cache["frame"] = _default_frame(self)
-        return cache["frame"]
+        """Deterministic (1,0) coframe/frame pair (`default_frame_coords`)."""
+        return ComplexFrame(self, *default_frame_coords(self.matrix))
 
 
 def j_squared_residual(m: np.ndarray):
@@ -246,10 +225,6 @@ def default_frame_coords(Jm) -> tuple[np.ndarray, np.ndarray]:
     p10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * np.swapaxes(Jm, -2, -1))
     rows = np.swapaxes(np.linalg.svd(p10, full_matrices=False)[0][..., :3], -2, -1)
     return rows, _dual_vectors(Jm, rows)
-
-
-def _default_frame(J: AlmostComplexStructure) -> ComplexFrame:
-    return ComplexFrame(J, *default_frame_coords(J.matrix))
 
 
 def project_to_acs(K: np.ndarray) -> np.ndarray:

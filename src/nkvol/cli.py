@@ -1,10 +1,10 @@
 """Command-line front end with deterministic machine-readable reports.
 
 Exit codes: 0 when every verdict passes, 1 when a verdict fails, 2 on input
-errors (malformed manifests, unknown files, bad arguments, an output file that
-cannot be written, a non-finite value among the checks), 3 on an internal
-error, with the traceback on stderr.  With `--json` the output is a single
-report object printed with sorted keys and shortest-round-trip floats, so
+errors (malformed manifests, unknown files, bad arguments, an output file or
+stdout that cannot be written, a non-finite value among the checks), 3 on an
+internal error, with the traceback on stderr.  With `--json` the output is a
+single report object printed with sorted keys and shortest-round-trip floats, so
 identical inputs produce byte-identical output and every number is finite;
 wall-clock timing appears only in the human-readable format.
 """
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -174,9 +175,7 @@ def _cmd_nk(manifest: Manifest):
         "strictness_min": suite.nabla_report.strictness_min,
     }
     if suite.equation_report is not None:
-        checks["structure_equation_residuals"] = [
-            suite.equation_report.r1, suite.equation_report.r2, suite.equation_report.r3,
-        ]
+        checks["structure_equation_residuals"] = list(suite.equation_report)
     verdicts = {
         "torsion_criterion": suite.torsion_ok,
         "structure_equations": suite.equations_ok,
@@ -284,12 +283,7 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
 def _cmd_alt12(manifest: Manifest):
     J = _acs_of(manifest)
     rep = alt12_analysis(J)
-    checks = {
-        "rank_full": rep.rank_full,
-        "rank_hermitian": rep.rank_hermitian,
-        "span_with_cokernel": rep.span_with_cokernel,
-        "target_dimension": rep.target_dimension,
-    }
+    checks = rep._asdict()
     verdicts = {
         "alt12_isomorphism": rep.rank_full == 90,
         "alt12_injective_hermitian": rep.rank_hermitian == 54,
@@ -450,7 +444,14 @@ def run(argv: list[str]) -> int:
         traceback.print_exc()
     else:
         code = 0 if all(report["verdicts"].values()) else 1
-    _emit_report(report, args.json, time.monotonic() - started)
+    try:
+        _emit_report(report, args.json, time.monotonic() - started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a closed stdout is unwritable output; on devnull the interpreter's
+        # last flush of the pending report cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -10,13 +10,14 @@ coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import EPS3, Form, Metric, index_tuples, substitution
+from .multilinear import EPS3, Form, Metric, index_tuples, substitution, two_form_coeffs
 from .conventions import within
 
 __all__ = [
@@ -61,10 +62,9 @@ class CoframeAlgebra:
     @cached_property
     def coframe_differentials(self) -> tuple[Form, ...]:
         """d e^i = -1/2 c^i_{jk} e^j ^ e^k as 2-forms."""
+        # only j < k is read; the factor 1/2 cancels against the (j,k)/(k,j) pair
         n = self.dimension
-        j, k = (np.array(index_tuples(n, 2), dtype=np.intp).reshape(-1, 2) - 1).T
-        # only j < k; the factor 1/2 cancels against the (j,k)/(k,j) pair
-        return tuple(Form(n, 2, -self.structure_constants[i, j, k]) for i in range(n))
+        return tuple(Form(n, 2, a) for a in two_form_coeffs(-self.structure_constants))
 
     @cached_property
     def d_matrices(self) -> tuple[np.ndarray, ...]:
@@ -83,8 +83,7 @@ def d_invariant(alg: CoframeAlgebra, a: Form) -> Form:
     return Form(n, k + 1, alg.d_matrices[k] @ a.coeffs)
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     holds: bool
     residual_dd: float      # max_i |d(d e^i)|
     residual_bracket: float  # max over the cyclic bracket sums
@@ -151,8 +150,7 @@ def covariant_derivative_form(gamma: np.ndarray, a: Form) -> tuple[Form, ...]:
 _MANIFEST_FIELDS = {"name", "dimension", "structure_constants", "J", "metric", "omega", "Omega3"}
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Serializable model description; see the JSON schema in the README."""
 
     name: str
@@ -215,14 +213,9 @@ class Manifest:
             return Manifest.from_json(fh.read())
 
     def to_dict(self) -> dict:
-        n = self.dimension
-        sc = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    v = self.structure_constants[i, j, k]
-                    if v != 0.0:
-                        sc.append({"i": i + 1, "j": j + 1, "k": k + 1, "value": float(v)})
+        n, c = self.dimension, self.structure_constants
+        sc = [{"i": i + 1, "j": j, "k": k, "value": float(c[i, j - 1, k - 1])}
+              for i in range(n) for j, k in index_tuples(n, 2) if c[i, j - 1, k - 1] != 0.0]
         out = {"name": self.name, "dimension": n, "structure_constants": sc}
         if self.J is not None:
             out["J"] = [[float(x) for x in row] for row in self.J]

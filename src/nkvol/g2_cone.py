@@ -17,12 +17,11 @@ the metric B / (det B)^{1/9} after orientation normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, Metric, basis_form, contract, hodge_star, index_tuples, substitution, wedge, zero_form
+from .multilinear import Form, Metric, _wedge_tensor, basis_form, compound, hodge_star, wedge, zero_form
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import j_multiplicative
 from .conventions import TOLERANCES, within
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeForm:
+class ConeForm(NamedTuple):
     """Finite sum of t^w alpha and t^w dt ^ beta over a 6-dimensional base."""
 
     degree: int
@@ -101,11 +99,7 @@ class ConeForm:
 
 def _embed(f: Form) -> Form:
     """A base form as a 7-dimensional form over the indices 1..6."""
-    out = np.zeros(comb(7, f.degree), dtype=np.complex128)
-    pos7 = {tup: i for i, tup in enumerate(index_tuples(7, f.degree))}
-    for p, tup in enumerate(index_tuples(6, f.degree)):
-        out[pos7[tup]] = f.coeffs[p]
-    return Form(7, f.degree, out)
+    return Form(7, f.degree, compound(np.eye(7, 6), f.degree) @ f.coeffs)
 
 
 def d_cone(alg: CoframeAlgebra, cf: ConeForm) -> ConeForm:
@@ -176,8 +170,7 @@ def base_metric_oriented(s: SU3Structure) -> Metric:
 # Stability and the induced metric
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stable3FormReport:
+class Stable3FormReport(NamedTuple):
     bilinear: np.ndarray        # B with B(x,y) e^{1..7} = (ix phi)^(iy phi)^phi
     stable: bool
     orientation_sign: int       # sign applied to make B positive definite
@@ -189,15 +182,12 @@ class Stable3FormReport:
 def stability_check(phi: Form) -> Stable3FormReport:
     if phi.dimension != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on a 7-dimensional space")
-    eye = np.eye(7)
-    contractions = [contract(eye[i], phi) for i in range(7)]
-    B = np.zeros((7, 7))
-    defect = 0.0
-    for i in range(7):
-        for j in range(i, 7):
-            val = wedge(wedge(contractions[i], contractions[j]), phi).coeffs[0]
-            defect = max(defect, abs(val.imag))
-            B[i, j] = B[j, i] = val.real
+    iota = _contractions(phi)
+    # B[i, j] is the e^{1..7} coefficient of (iota_i phi) ^ (iota_j phi) ^ phi
+    K = np.einsum("oab,o->ab", _wedge_tensor(7, 2, 2), _wedge_tensor(7, 4, 3)[0] @ phi.coeffs)
+    Bc = iota @ K @ iota.T
+    Bc = 0.5 * (Bc + Bc.T)
+    B, defect = Bc.real, float(np.max(np.abs(Bc.imag)))
     eigs = np.linalg.eigvalsh(B)
     if eigs.min() > 0:
         sign = 1
@@ -220,10 +210,15 @@ def stability_check(phi: Form) -> Stable3FormReport:
     )
 
 
+def _contractions(phi: Form) -> np.ndarray:
+    """Rows iota_{e_k} phi of a 3-form: e^k ^ . transposed, in the orthonormal monomial basis."""
+    return np.einsum("oka,o->ka", _wedge_tensor(7, 1, 2), phi.coeffs)
+
+
 def _gl7_action_rank(phi: Form) -> int:
-    """Rank of a in gl(7) -> (derivation action of a on phi)."""
-    M = np.column_stack([substitution(a.T, 1, phi.degree) @ phi.coeffs
-                         for a in np.eye(49).reshape(49, 7, 7)])
+    """Rank of a in gl(7) -> (derivation action of a on phi), the span of the
+    49 forms e^j ^ iota_{e_k} phi of a 3-form."""
+    M = np.einsum("oja,ka->ojk", _wedge_tensor(7, 1, 2), _contractions(phi)).reshape(35, 49)
     M = np.vstack([M.real, M.imag])
     return int(np.linalg.matrix_rank(M, tol=TOLERANCES["rank"]))
 
@@ -248,8 +243,7 @@ def flat_g2_form() -> Form:
 # Fernandez-Gray and the metric roundtrip
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FernandezGrayReport:
+class FernandezGrayReport(NamedTuple):
     d_rho_residual: float
     dstar_rho_residual: float
     star_formula_residual: float   # termwise match of *rho against the display
@@ -303,8 +297,7 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
     )
 
 
-@dataclass(frozen=True)
-class MetricRoundtripReport:
+class MetricRoundtripReport(NamedTuple):
     stable: bool
     ratio: float                  # scalar relating g_phi to the cone metric at t = 1
     ratio_spread: float           # max componentwise deviation, relative

@@ -11,7 +11,6 @@ linear algebra in a chosen (1,0) frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ __all__ = [
     "conformal_stack",
     "hermitian_metric",
     "norm30_sq",
+    "positive_11_metric",
     "skew30_coefficient",
     "torsion_criterion",
 ]
@@ -53,6 +53,13 @@ def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
         return Metric(0.5 * (G + G.T))
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
+
+
+def positive_11_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
+    """The gate on an omega that must be a positive real (1,1)-form; returns its metric."""
+    if not (is_pure_bidegree(J, omega, 1, 1) and omega.is_real()):
+        raise ValueError("omega must be a real (1,1)-form")
+    return hermitian_metric(J, omega)
 
 
 def _omega_j(Jm, omega) -> np.ndarray:
@@ -104,8 +111,7 @@ def _skew_part(rho: np.ndarray) -> np.ndarray:
     return (rho + np.einsum("...bca->...abc", rho) + np.einsum("...cab->...abc", rho)) / 3.0
 
 
-@dataclass(frozen=True)
-class TorsionCriterionReport:
+class TorsionCriterionReport(NamedTuple):
     frame: ComplexFrame
     rho: np.ndarray                 # full trilinear components in the frame
     lambda30_component: Form        # the (3,0)-form carried by the skew part
@@ -117,11 +123,7 @@ class TorsionCriterionReport:
 def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
                       omega: Form) -> TorsionCriterionReport:
     """Decide existence of a Hermitian connection with skew torsion for omega."""
-    if not is_pure_bidegree(J, omega, 1, 1):
-        raise ValueError("torsion criterion expects a real (1,1)-form")
-    if not omega.is_real():
-        raise ValueError("torsion criterion expects a real form")
-    hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
+    positive_11_metric(J, omega)
     fr = J.frame()
     rho = _rho_components(alg, J, omega, fr)
     skew = _skew_part(rho)
@@ -159,8 +161,7 @@ def c_map_trilinear(C: np.ndarray) -> np.ndarray:
     return np.einsum("dab,...cd->...abc", EPS3, C)
 
 
-@dataclass(frozen=True)
-class ConformalSolveReport:
+class ConformalSolveReport(NamedTuple):
     frame: ComplexFrame
     singular_values: np.ndarray
     solution_dimension: int
@@ -322,8 +323,7 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> Conformal
 # Alt_12 linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Alt12Report:
+class Alt12Report(NamedTuple):
     rank_full: int          # on Lambda^1 (x) Lambda^2 (90-dim): must be 90
     rank_hermitian: int     # on Lambda^1 (x) Lambda^{1,1}_R (54-dim): must be 54
     span_with_cokernel: int  # dim(image + embedded (2,1)+(1,2) 3-forms): must be 72

@@ -22,7 +22,7 @@ the orientation induced by the almost complex structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NijenhuisTensor:
+class NijenhuisTensor(NamedTuple):
     """N*: Lambda^{0,1} -> Lambda^{2,0} in the stored (1,0) coframe.
 
     matrix[b, a] is the tcheck^b-coefficient of N*(conj theta^a), where the
@@ -130,8 +129,7 @@ def nijenhuis_via_d(alg: CoframeAlgebra, J: AlmostComplexStructure,
     return NijenhuisTensor(fr, M / NIJ_D_ROUTE_SIGN, route="d")
 
 
-@dataclass(frozen=True)
-class VolumeDensity:
+class VolumeDensity(NamedTuple):
     """The canonical volume 6-form and its density against e^{123456}."""
 
     vol_form: Form

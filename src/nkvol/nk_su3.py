@@ -15,15 +15,15 @@ on every nondegenerate input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, index_tuples, two_form_matrix, wedge
+from .multilinear import Form, _index_array, two_form_matrix, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
-from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas, is_pure_bidegree
+from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import _skew_part, hermitian_metric, norm30_sq, torsion_criterion
+from .hermitian_torsion import _skew_part, hermitian_metric, norm30_sq, positive_11_metric, torsion_criterion
 from .nijenhuis import nijenhuis_via_brackets
 
 __all__ = [
@@ -41,16 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SU3Structure:
+class SU3Structure(NamedTuple):
     J: AlmostComplexStructure
     omega: Form
     Omega: Form
     lam: float
 
 
-@dataclass(frozen=True)
-class SolveOmegaResult:
+class SolveOmegaResult(NamedTuple):
     ok: bool
     Omega: Form | None
     lam: float
@@ -61,9 +59,7 @@ class SolveOmegaResult:
 def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                 tol: float = TOLERANCES["shape"]) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
-    if not is_pure_bidegree(J, omega, 1, 1) or not omega.is_real():
-        raise ValueError("solve expects a real (1,1)-form")
-    hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
+    positive_11_metric(J, omega)
     domega = d_invariant(alg, omega)
     scale = max(1.0, domega.norm())
     off = (bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)).norm()
@@ -82,8 +78,7 @@ def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
     return SolveOmegaResult(True, Omega, float(lam), off / scale)
 
 
-@dataclass(frozen=True)
-class StructureEquationReport:
+class StructureEquationReport(NamedTuple):
     r1: float   # |d omega - 3 lambda Re Omega|
     r2: float   # |d Omega + 2i lambda omega^2|
     r3: float   # |d Im Omega + 2 lambda omega^2|
@@ -102,8 +97,7 @@ def check_structure_equations(alg: CoframeAlgebra, s: SU3Structure) -> Structure
     return StructureEquationReport(r1 / scale, r2 / scale, r3 / scale)
 
 
-@dataclass(frozen=True)
-class NablaOmegaReport:
+class NablaOmegaReport(NamedTuple):
     antisymmetry_residual: float     # non-totally-antisymmetric part of nabla omega
     identification_residual: float   # |3 Alt(nabla omega) - d omega|
     strictness_min: float            # min over frame directions of |nabla_{e_i} omega|
@@ -122,7 +116,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     anti_res = float(np.max(np.abs(T - S))) / scale
 
     # identify the antisymmetric part with a 3-form and compare with d omega
-    j, k, l = (np.array(index_tuples(6, 3)) - 1).T
+    j, k, l = _index_array(6, 3).T
     phi = Form(6, 3, S[j, k, l])
     domega = d_invariant(alg, s.omega)
     ident_res = (NABLA_OMEGA_TO_DOMEGA * phi - domega).norm() / max(1.0, domega.norm())
@@ -142,8 +136,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     )
 
 
-@dataclass(frozen=True)
-class NkSuiteReport:
+class NkSuiteReport(NamedTuple):
     torsion_ok: bool
     equations_ok: bool
     nabla_ok: bool

@@ -21,7 +21,8 @@ structures (`criticality_residuals`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +30,10 @@ import numpy as np
 from .multilinear import Form, contract, matvec, substitution, wedge_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, bidegree_project,
-                  default_frame_coords, is_pure_bidegree, projector_from_derivation)
+                  default_frame_coords, projector_from_derivation)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import (ConformalSolveReport, conformal_solve, conformal_stack,
-                                hermitian_metric, norm30_sq, skew30_coefficient)
+                                norm30_sq, positive_11_metric, skew30_coefficient)
 from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, volume_form
 from .nk_su3 import NkSuiteReport, nk_equivalence_suite
 
@@ -151,9 +152,7 @@ def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Fo
     The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b].
     omega must be a positive real (1,1)-form; it is checked once here.
     """
-    if not (is_pure_bidegree(J, omega, 1, 1) and omega.is_real()):
-        raise ValueError("psi gradient expects a real (1,1)-form omega")
-    hermitian_metric(J, omega)  # positivity gate, raises with diagnostics
+    positive_11_metric(J, omega)
     nij = nijenhuis_via_brackets(alg, J)
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
@@ -194,8 +193,7 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
 # Criticality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     verdict: str                 # "critical" | "non-critical" | "degenerate"
     residual: float              # sup-norm of the (2,1)+(1,2) part of d omega
     degenerate: bool
@@ -287,16 +285,15 @@ class IterationRecord(NamedTuple):
     residual_evals: int         # structures evaluated: the Jacobian's 36, then trials and kicks
 
 
-@dataclass
-class FindCriticalResult:
+class FindCriticalResult(NamedTuple):
     J: AlmostComplexStructure
     converged: bool
     iterations: int
-    trace: list[float] = field(default_factory=list)
+    trace: Sequence[float] = ()
     omega: Form | None = None
     suite: NkSuiteReport | None = None
     reason: str = ""
-    records: list[IterationRecord] = field(default_factory=list)
+    records: Sequence[IterationRecord] = ()
     psi_gradient_max_abs: float | None = None   # the analytic certificate, on convergence
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, JSON determinism, workflows."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,20 @@ def test_unwritable_output_is_input_error(tmp_path):
     p = run_cli("optimize", str(FIXTURE), "--emit", target)
     assert p.returncode == 2, (p.stdout, p.stderr)
     assert "cannot write" in p.stdout and "Traceback" not in p.stderr
+
+
+def test_closed_stdout_is_unwritable_output():
+    # the read end is closed before the child prints, as under `| head -1`
+    for args in (("nk", str(FIXTURE), "--json"), ("check", str(FIXTURE))):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            p = subprocess.run([sys.executable, "-m", "nkvol.cli", *args], stdout=write_end,
+                               stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert p.returncode == 2, (args, p.stderr)
+        assert "Traceback" not in p.stderr and "Exception ignored" not in p.stderr, p.stderr
 
 
 def test_internal_error_exit_three(monkeypatch, capsys):

@@ -131,6 +131,24 @@ def test_flat_g2_form_stable():
     assert np.max(np.abs(rep.metric - (6.0 ** (2.0 / 9.0)) * np.eye(7))) < 1e-12
 
 
+def test_gl7_action_rank_matches_per_map_substitution():
+    from nkvol.conventions import TOLERANCES
+    from nkvol.g2_cone import _gl7_action_rank
+    from nkvol.multilinear import basis_form, substitution
+
+    rng = np.random.default_rng(17)
+    e123 = basis_form(7, (1, 2, 3))
+    phis = [random_form(rng, 7, 3), random_form(rng, 7, 3, real=True), flat_g2_form(),
+            e123, e123 + basis_form(7, (4, 5, 6))]
+    ranks = []
+    for phi in phis:
+        M = np.column_stack([substitution(a.T, 1, 3) @ phi.coeffs
+                             for a in np.eye(49).reshape(49, 7, 7)])
+        ranks.append(int(np.linalg.matrix_rank(np.vstack([M.real, M.imag]), tol=TOLERANCES["rank"])))
+        assert _gl7_action_rank(phi) == ranks[-1]
+    assert ranks[:3] == [49, 35, 35] and min(ranks[3:]) < 35
+
+
 def test_zero_form_not_stable():
     from nkvol.multilinear import zero_form
 
