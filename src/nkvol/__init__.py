@@ -6,49 +6,32 @@ Kahler structure equations, G2 cone geometry, and a numerical search for
 critical points of the volume functional.  Everything is finite-dimensional
 linear algebra over structure constants; all values are immutable and all
 operations pure.
+
+The names below are loaded on first access (PEP 562), so importing one
+submodule, as every command-line call does, does not import the others.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .multilinear import Form, Metric, contract, hodge_star, wedge
-from .frame_manifold import CoframeAlgebra, Manifest, catalog, check_jacobi, d_invariant
-from .acs import AlmostComplexStructure, bidegree_project, d_split
-from .nijenhuis import nijenhuis_via_brackets, nijenhuis_via_d, volume_form
-from .hermitian_torsion import alt12_analysis, conformal_solve, torsion_criterion
-from .nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
-from .g2_cone import build_cone_3form, fernandez_gray_check, metric_roundtrip, stability_check
-from .variation_opt import Deformation, criticality_test, deform_J, find_critical, psi_value
+_EXPORTS = {
+    "multilinear": ("Form", "Metric", "contract", "hodge_star", "wedge"),
+    "frame_manifold": ("CoframeAlgebra", "Manifest", "catalog", "check_jacobi", "d_invariant"),
+    "acs": ("AlmostComplexStructure", "bidegree_project", "d_split"),
+    "nijenhuis": ("nijenhuis_via_brackets", "nijenhuis_via_d", "volume_form"),
+    "hermitian_torsion": ("alt12_analysis", "conformal_solve", "torsion_criterion"),
+    "nk_su3": ("SU3Structure", "nk_equivalence_suite", "solve_Omega"),
+    "g2_cone": ("build_cone_3form", "fernandez_gray_check", "metric_roundtrip", "stability_check"),
+    "variation_opt": ("Deformation", "criticality_test", "deform_J", "find_critical", "psi_value"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AlmostComplexStructure",
-    "CoframeAlgebra",
-    "Deformation",
-    "Form",
-    "Manifest",
-    "Metric",
-    "SU3Structure",
-    "alt12_analysis",
-    "bidegree_project",
-    "build_cone_3form",
-    "catalog",
-    "check_jacobi",
-    "conformal_solve",
-    "contract",
-    "criticality_test",
-    "d_invariant",
-    "d_split",
-    "deform_J",
-    "fernandez_gray_check",
-    "find_critical",
-    "hodge_star",
-    "metric_roundtrip",
-    "nijenhuis_via_brackets",
-    "nijenhuis_via_d",
-    "nk_equivalence_suite",
-    "psi_value",
-    "solve_Omega",
-    "stability_check",
-    "torsion_criterion",
-    "volume_form",
-    "wedge",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .multilinear import (EPS3, Form, compound, form_from_one_coeffs, substitution,
-                          two_form_from_matrix, two_form_matrix, wedge_coeffs, zero_form)
+from .multilinear import (EPS3, Form, _index_array, compound, form_from_one_coeffs,
+                          substitution, two_form_coeffs, two_form_matrices, zero_form)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .conventions import within
 
@@ -178,12 +178,12 @@ class ComplexFrame:
         F = self.vectors
         if a.degree == 1:
             return a.coeffs @ F
-        return F.T @ two_form_matrix(a) @ F
+        return F.T @ two_form_matrices(a.coeffs, self.dimension) @ F
 
     def two_form(self, X) -> Form:
         """The 2-form with frame-coordinate matrix X (antisymmetric 6x6)."""
         T = self.coframe
-        return two_form_from_matrix(T.T @ X @ T)
+        return Form(self.dimension, 2, two_form_coeffs(T.T @ X @ T))
 
     def theta_top(self) -> Form:
         """theta^1 ^ theta^2 ^ theta^3."""
@@ -197,24 +197,24 @@ class ComplexFrame:
 
 
 def theta_top_coeffs(theta) -> np.ndarray:
-    """Coefficients of theta^1 ^ theta^2 ^ theta^3 from the rows theta; leading axes stack."""
-    n = theta.shape[-1]
-    return wedge_coeffs(wedge_coeffs(theta[..., 0, :], theta[..., 1, :], n, 1, 1),
-                        theta[..., 2, :], n, 2, 1)
+    """Coefficients of theta^1 ^ theta^2 ^ theta^3 from the rows theta: the minors
+    det theta[:, I] as triple products x . (y x z), several times faster on stacks
+    than factoring each minor in `compound`.  Leading axes stack."""
+    x, y, z = np.moveaxis(theta[..., _index_array(theta.shape[-1], 3)], -3, 0)
+    y_cross_z = y[..., [1, 2, 0]] * z[..., [2, 0, 1]] - y[..., [2, 0, 1]] * z[..., [1, 2, 0]]
+    return np.sum(x * y_cross_z, axis=-1)
 
 
 def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:
     """Build the dual (1,0) vectors for three independent (1,0)-form rows."""
     rows = np.asarray(rows, dtype=np.complex128)
-    return ComplexFrame(J, rows, _dual_vectors(J.matrix, rows))
+    return ComplexFrame(J, rows, _dual_vectors(rows))
 
 
-def _dual_vectors(Jm, rows) -> np.ndarray:
-    """(1,0) vectors dual to the (1,0)-form rows, for J matrices Jm; leading axes stack."""
-    q10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * Jm)  # projector onto T^{1,0}, the +i eigenspace of J
-    # the leading left singular vectors of a rank-3 projector span its range
-    B = np.linalg.svd(q10, full_matrices=False)[0][..., :3]
-    return B @ np.linalg.inv(rows @ B)
+def _dual_vectors(rows) -> np.ndarray:
+    """(1,0) vectors dual to the (1,0)-form rows: the first three columns of the
+    inverse of the coframe [theta; conj theta]; leading axes stack."""
+    return np.linalg.inv(np.concatenate([rows, np.conj(rows)], axis=-2))[..., :3]
 
 
 def default_frame_coords(Jm) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +223,9 @@ def default_frame_coords(Jm) -> tuple[np.ndarray, np.ndarray]:
     The rows are an orthonormal basis of Lambda^{1,0}; leading axes of Jm stack.
     """
     p10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * np.swapaxes(Jm, -2, -1))
+    # the leading left singular vectors of a rank-3 projector span its range
     rows = np.swapaxes(np.linalg.svd(p10, full_matrices=False)[0][..., :3], -2, -1)
-    return rows, _dual_vectors(Jm, rows)
+    return rows, _dual_vectors(rows)
 
 
 def project_to_acs(K: np.ndarray) -> np.ndarray:

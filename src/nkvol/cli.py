@@ -22,15 +22,10 @@ import traceback
 
 import numpy as np
 
+# each subcommand imports the layers it runs when it runs, so that a call
+# loads only those modules
 from .frame_manifold import Manifest, catalog, catalog_names, check_jacobi
-from .acs import AlmostComplexStructure, j_squared_residual
 from .conventions import CONSTANTS, TOLERANCES, within
-from .hermitian_torsion import (_omega_j, alt12_analysis, conformal_solve, hermitian_metric,
-                                norm30_sq, torsion_criterion)
-from .nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d, volume_form
-from .nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
-from .g2_cone import fernandez_gray_check, metric_roundtrip, stability_check
-from .variation_opt import criticality_test, find_critical, psi_gradient, psi_value
 
 __all__ = ["main", "run"]
 
@@ -53,7 +48,8 @@ def _load(path: str) -> tuple[Manifest, str]:
     return manifest, digest
 
 
-def _acs_of(manifest: Manifest) -> AlmostComplexStructure:
+def _acs_of(manifest: Manifest):
+    from .acs import AlmostComplexStructure
     if manifest.J is None:
         raise InputError("manifest carries no J matrix")
     try:
@@ -64,6 +60,7 @@ def _acs_of(manifest: Manifest) -> AlmostComplexStructure:
 
 def _pick_omega(alg, J, manifest: Manifest, rep=None):
     """Manifest omega when present, else the conformal-solver candidate."""
+    from .hermitian_torsion import conformal_solve
     if manifest.omega is not None:
         return manifest.omega, "manifest"
     rep = rep if rep is not None else conformal_solve(alg, J)
@@ -79,6 +76,8 @@ def _pick_omega(alg, J, manifest: Manifest, rep=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(manifest: Manifest):
+    from .acs import j_squared_residual
+    from .hermitian_torsion import _omega_j
     alg = manifest.algebra()
     rep = check_jacobi(alg)
     checks = {
@@ -100,6 +99,8 @@ def _cmd_check(manifest: Manifest):
 
 
 def _cmd_nijenhuis(manifest: Manifest):
+    from .nijenhuis import (cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d,
+                            volume_form)
     alg = manifest.algebra()
     J = _acs_of(manifest)
     fr = J.frame()
@@ -128,6 +129,7 @@ def _cmd_nijenhuis(manifest: Manifest):
 
 
 def _cmd_torsion(manifest: Manifest):
+    from .hermitian_torsion import conformal_solve, norm30_sq, torsion_criterion
     alg = manifest.algebra()
     J = _acs_of(manifest)
     rep = conformal_solve(alg, J)
@@ -157,6 +159,7 @@ def _cmd_torsion(manifest: Manifest):
 
 
 def _cmd_nk(manifest: Manifest):
+    from .nk_su3 import nk_equivalence_suite
     alg = manifest.algebra()
     J = _acs_of(manifest)
     omega, source = _pick_omega(alg, J, manifest)
@@ -186,6 +189,8 @@ def _cmd_nk(manifest: Manifest):
 
 
 def _cmd_cone(manifest: Manifest):
+    from .nk_su3 import SU3Structure, solve_Omega
+    from .g2_cone import fernandez_gray_check, metric_roundtrip
     alg = manifest.algebra()
     J = _acs_of(manifest)
     omega, source = _pick_omega(alg, J, manifest)
@@ -226,6 +231,7 @@ def _cmd_cone(manifest: Manifest):
 
 
 def _cmd_functional(manifest: Manifest, gradient: bool):
+    from .variation_opt import criticality_test, psi_gradient, psi_value
     alg = manifest.algebra()
     J = _acs_of(manifest)
     checks = {"psi": psi_value(alg, J)}
@@ -251,6 +257,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
 
 def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
                   emit: str | None):
+    from .variation_opt import find_critical, psi_value
     alg = manifest.algebra()
     J = _acs_of(manifest)
     res = find_critical(alg, J, tol=tol, max_iter=max_iter, seed=seed)
@@ -270,6 +277,8 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
         checks["lambda"] = res.suite.lam
         checks["psi_gradient_max_abs"] = res.psi_gradient_max_abs
     if emit and res.converged:
+        from .hermitian_torsion import hermitian_metric
+        from .nk_su3 import solve_Omega
         solved = solve_Omega(alg, res.J, res.omega)
         g = hermitian_metric(res.J, res.omega)
         out = Manifest(manifest.name + "_critical", manifest.dimension,
@@ -281,6 +290,7 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
 
 
 def _cmd_alt12(manifest: Manifest):
+    from .hermitian_torsion import alt12_analysis
     J = _acs_of(manifest)
     rep = alt12_analysis(J)
     checks = rep._asdict()
@@ -381,9 +391,8 @@ def run(argv: list[str]) -> int:
     argv = list(argv)
     as_json = "--json" in argv
     argv = [a for a in argv if a != "--json"]
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # the parser is not kept: it is garbage before a subcommand compiles its layers
+        args = _build_parser().parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     args.json = as_json

@@ -11,15 +11,16 @@ linear algebra in a chosen (1,0) frame.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .multilinear import (Form, Metric, _wedge_tensor, matvec, two_form_coeffs,
-                          two_form_matrices, two_form_matrix, wedge_coeffs)
+                          two_form_matrices, wedge_coeffs)
 from .frame_manifold import CoframeAlgebra
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree, theta_top_coeffs
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
                         nijenhuis_vectors, nstar_wedge_trace)
@@ -73,28 +74,12 @@ def norm30_sq(omega: Form, p30: Form) -> float:
     Calibrated so the flat model dz1^dz2^dz3 against (i/2) sum dz^dzbar gives 1:
     |P|^2 = coef * (P ^ conj P) / (omega^3 / 6), coef = i/8.
     """
-    return _checked_norm30(*_norm30(omega.coeffs, p30.coeffs))
-
-
-def _norm30(omega, p30):
-    """|P|^2 before its gates, and the density of omega^3 / 6, from coefficient
-    vectors; leading axes stack."""
-    dens = (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(omega, omega, 6, 2, 2), omega, 6, 4, 2)[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p30, np.conj(p30), 6, 3, 3)[..., 0] / dens
-    return val, dens
-
-
-def _norm30_gates(val, dens):
-    """The gates of `norm30_sq`, per slice: omega^3 != 0, and |P|^2 real and finite."""
-    return dens != 0, within(np.abs(val.imag), "real", np.maximum(1.0, np.abs(val)))
-
-
-def _checked_norm30(val, dens) -> float:
-    nondegenerate, real = _norm30_gates(val, dens)
-    if not nondegenerate:
+    w, p = omega.coeffs, p30.coeffs
+    dens = (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]
+    if dens == 0:
         raise ValueError("degenerate omega: omega^3 = 0")
-    if not real:
+    val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p, np.conj(p), 6, 3, 3)[0] / dens
+    if not within(abs(val.imag), "real", max(1.0, abs(val))):
         raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
     return float(val.real)
 
@@ -102,7 +87,8 @@ def _checked_norm30(val, dens) -> float:
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
     """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
-    R = nijenhuis_vectors(alg, J.matrix, fr.v_coords).T @ two_form_matrix(omega) @ fr.v_coords
+    N = nijenhuis_vectors(alg, J.matrix, fr.v_coords)
+    R = N.T @ two_form_matrices(omega.coeffs, 6) @ fr.v_coords
     return np.einsum("dab,dc->abc", EPS3, R)
 
 
@@ -186,20 +172,21 @@ def _hermitian_units() -> np.ndarray:
 _HERMITIAN_UNITS = _hermitian_units()
 
 
-def _hermitian_basis(T: np.ndarray) -> np.ndarray:
-    """Columns: the real (1,1)-forms i sum h_ab theta^a ^ conj theta^b, h = h_1..h_9.
+def _hermitian_form_coeffs(theta: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Coefficients of the real (1,1)-form i sum H_ab theta^a ^ conj theta^b, H Hermitian.
 
-    T = [theta; conj theta] is the coframe as rows (`ComplexFrame.coframe`);
-    a form with frame coordinates X has the coefficient matrix T^T X T.
-    Leading axes of T stack.
+    Its frame coordinates are X = [[0, iH], [-iH^T, 0]] on Theta = [theta; conj theta],
+    so its coefficient matrix Theta^T X Theta is Y - Y^T = 2 Re Y with
+    Y = theta^T (iH) conj theta.  Leading axes of theta and H broadcast.
     """
-    X = np.zeros((9, 6, 6), dtype=np.complex128)
-    X[:, :3, 3:] = 1j * _HERMITIAN_UNITS
-    X[:, 3:, :3] = -1j * np.swapaxes(_HERMITIAN_UNITS, -2, -1)
-    T = T[..., None, :, :]
-    # contiguous rows, so the columns are strided: this fixes the summation
-    # order, and so the rounding, of the products B @ v
-    return np.swapaxes(np.ascontiguousarray(two_form_coeffs(np.swapaxes(T, -2, -1) @ X @ T)), -2, -1)
+    Y = np.swapaxes(theta, -2, -1) @ (1j * H) @ np.conj(theta)
+    return two_form_coeffs(2.0 * Y.real)
+
+
+def _hermitian_basis(T: np.ndarray) -> np.ndarray:
+    """Columns: the real (1,1)-forms i sum h_ab theta^a ^ conj theta^b, h = h_1..h_9,
+    for the coframe rows T = [theta; conj theta] (`ComplexFrame.coframe`)."""
+    return _hermitian_form_coeffs(T[:3], _HERMITIAN_UNITS).T
 
 
 def skew30_coefficient(F: np.ndarray, omega: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -224,41 +211,57 @@ def _conformal_system(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.concatenate([complement.real, complement.imag], axis=-1), -2, -1)
 
 
-def _orient_positive(Jm, omega) -> tuple[np.ndarray, np.ndarray]:
-    """Flip the sign of 2-form coefficients where that makes omega positive;
-    report definiteness.  Leading axes stack."""
-    G = _omega_j(Jm, omega)
-    eigs = np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -2, -1)))
-    positive, negative = eigs[..., 0] > 0, eigs[..., -1] < 0
-    return np.where(negative[..., None], -omega, omega), positive | negative
+@lru_cache(maxsize=None)
+def _conformal_map() -> np.ndarray:
+    """`_conformal_system` as the 18 x 486 real-linear map of the entries [Re M, Im M]."""
+    units = np.eye(9).reshape(9, 3, 3)
+    return _conformal_system(np.concatenate([units, 1j * units])).reshape(18, 486)
+
+
+def _orient_positive(H):
+    """Flip the sign of Hermitian matrices H where that makes them positive definite;
+    return them, whether they are definite, and their determinants.  Leading axes stack.
+    (The metric of i sum H_ab theta^a ^ conj theta^b pairs v_a with conj v_b to H_ab.)"""
+    eigs = np.linalg.eigvalsh(H)
+    negative = eigs[..., -1] < 0
+    sign = np.where(negative, -1.0, 1.0)
+    return sign[..., None, None] * H, (eigs[..., 0] > 0) | negative, sign * np.prod(eigs, axis=-1)
 
 
 class ConformalStack(NamedTuple):
     """The conformal solve for a stack of structures, as arrays over the leading axes.
 
-    Every gate of the solve is a mask here; `conformal_solve` is the case
-    without leading axes and raises where the gates of `norm30_sq` fail.
+    The solve runs in frame coordinates: a candidate is a Hermitian 3x3 matrix H,
+    standing for the real (1,1)-form omega = i sum H_ab theta^a ^ conj theta^b.
+    omega is positive iff H is positive definite, and the skew (3,0) part of
+    omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, so that
+    |P|^2 = |c|^2 / (8 det H).  Every gate of the solve is a mask here;
+    `conformal_solve` is the case without leading axes.
     """
 
-    basis: np.ndarray            # the Hermitian basis forms as columns [..., 15, 9]
+    theta: np.ndarray            # the (1,0) coframe rows [..., 3, 6]
     singular_values: np.ndarray  # [..., 9], descending
     vt: np.ndarray               # right singular vectors as rows [..., 9, 9]
     null: np.ndarray             # [..., 9]: singular values cut as the strict nullspace
-    candidate: np.ndarray        # coefficients of the sign-fixed candidate [..., 15]
+    hermitian: np.ndarray        # H of the sign-fixed candidate [..., 3, 3]
     positive: np.ndarray         # the candidate is definite
-    n2: np.ndarray               # |P|^2 of the candidate's skew (3,0) part, before its gates
-    dens: np.ndarray             # omega^3 / 6 density of the candidate
+    n2: np.ndarray               # |P|^2 of the candidate, before its gates
+
+    @property
+    def candidate(self) -> np.ndarray:
+        """Coefficients of the sign-fixed candidate [..., 15]."""
+        return _hermitian_form_coeffs(self.theta, self.hermitian)
 
     @property
     def normalizable(self) -> np.ndarray:
-        """Positive candidates whose |P|^2 passes the gates of `norm30_sq` and is > 0."""
-        nondegenerate, real = _norm30_gates(self.n2, self.dens)
-        return self.positive & nondegenerate & real & (self.n2.real > 0)
+        """Positive candidates whose |P|^2 is finite and > 0."""
+        return self.positive & np.isfinite(self.n2) & (self.n2 > 0)
 
     @property
     def normalized_omega(self) -> np.ndarray:
         """Coefficients of the candidate scaled to |rho|_omega = 1; zero where not normalizable."""
-        return self.candidate * np.where(self.normalizable, self.n2.real, 0.0)[..., None]
+        scale = np.where(self.normalizable, self.n2, 0.0)[..., None, None]
+        return _hermitian_form_coeffs(self.theta, scale * self.hermitian)
 
 
 def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
@@ -271,23 +274,28 @@ def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
     otherwise the least-squares singular direction.
     """
     M = nijenhuis_matrices(alg, Jm, theta, V)
-    B = _hermitian_basis(np.concatenate([theta, np.conj(theta)], axis=-2))
-    _, s, vt = np.linalg.svd(_conformal_system(M), full_matrices=False)
+    # one row per structure, so that a stack and a single structure share the
+    # summation order, and so the rounding, of this product
+    entries = np.concatenate([M.real, M.imag], axis=-2).reshape(M.shape[:-2] + (1, 18))
+    system = (entries @ _conformal_map()).reshape(M.shape[:-2] + (54, 9))
+    _, s, vt = np.linalg.svd(system, full_matrices=False)
     null = s <= TOLERANCES["nullspace"] * np.maximum(s[..., :1], 1e-300)
-    candidate, positive = _orient_positive(Jm, matvec(B, vt[..., -1, :]))
 
     canonical = np.zeros(9)
     canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
     proj = matvec(np.swapaxes(vt, -2, -1), null * matvec(vt, canonical))
     pn = np.linalg.norm(proj, axis=-1)
-    alt, alt_pos = _orient_positive(Jm, matvec(B, proj / np.maximum(pn, 1e-300)[..., None]))
-    use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & alt_pos
-    candidate = np.where(use_alt[..., None], alt, candidate)
-
-    c = skew30_coefficient(np.concatenate([V, np.conj(V)], axis=-1), candidate, M)
-    n2, dens = _norm30(candidate, theta_top_coeffs(theta) * c[..., None])
-    return ConformalStack(basis=B, singular_values=s, vt=vt, null=null,
-                          candidate=candidate, positive=positive | use_alt, n2=n2, dens=dens)
+    # the least-squares direction and the projected canonical one, side by side
+    x = np.stack([vt[..., -1, :], proj / np.maximum(pn, 1e-300)[..., None]], axis=-2)
+    H, definite, det = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)))
+    use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & definite[..., 1]
+    H = np.where(use_alt[..., None, None], H[..., 1, :, :], H[..., 0, :, :])
+    det = np.where(use_alt, det[..., 1], det[..., 0])
+    c = -1j * np.sum(H * M, axis=(-2, -1)) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n2 = np.abs(c) ** 2 / (8.0 * det)
+    return ConformalStack(theta=theta, singular_values=s, vt=vt, null=null, hermitian=H,
+                          positive=definite[..., 0] | use_alt, n2=n2)
 
 
 def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> ConformalSolveReport:
@@ -300,21 +308,19 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> Conformal
     """
     fr = J.frame()
     st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+    if st.positive and not np.isfinite(st.n2):  # the gate of `norm30_sq`; the stack masks it
+        raise ValueError(f"norm computation returned a non-real or non-finite value {st.n2}")
     s = st.singular_values
     smax = s.max() if s.size else 0.0
-    normalized = None
-    if st.positive:
-        _checked_norm30(st.n2, st.dens)  # raises where the stack masks
-        if st.normalizable:
-            normalized = Form(6, 2, st.normalized_omega)
+    null_H = np.tensordot(st.vt[st.null], _HERMITIAN_UNITS, axes=(-1, 0))
     return ConformalSolveReport(
         frame=fr,
         singular_values=s,
         solution_dimension=int(st.null.sum()),
-        basis=tuple(Form(6, 2, st.basis @ v) for v in st.vt[st.null]),
+        basis=tuple(Form(6, 2, w) for w in _hermitian_form_coeffs(fr.theta_coeffs, null_H)),
         candidate=Form(6, 2, st.candidate),
         candidate_positive=bool(st.positive),
-        normalized_omega=normalized,
+        normalized_omega=Form(6, 2, st.normalized_omega) if st.normalizable else None,
         candidate_residual=float(s[-1] / max(smax, 1e-300)) if smax > 0 else 0.0,
     )
 

@@ -54,9 +54,7 @@ __all__ = [
     "matvec",
     "substitution",
     "two_form_coeffs",
-    "two_form_from_matrix",
     "two_form_matrices",
-    "two_form_matrix",
     "wedge",
     "wedge_coeffs",
     "zero_form",
@@ -276,15 +274,9 @@ def contract(v, a: Form) -> Form:
     return Form(a.dimension, a.degree - 1, substitution(row, 0, a.degree) @ a.coeffs)
 
 
-def two_form_matrix(a: Form) -> np.ndarray:
-    """The antisymmetric matrix A[i, j] = a(e_i, e_j) of a 2-form."""
-    if a.degree != 2:
-        raise ValueError("expected a 2-form")
-    return two_form_matrices(a.coeffs, a.dimension)
-
-
 def two_form_matrices(coeffs, n: int) -> np.ndarray:
-    """`two_form_matrix` from 2-form coefficient vectors; leading axes stack."""
+    """The antisymmetric matrices A[i, j] = a(e_i, e_j) of 2-forms a from their
+    coefficient vectors; leading axes stack."""
     coeffs = np.asarray(coeffs)
     rows, cols = _index_array(n, 2).T
     A = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.complex128)
@@ -296,11 +288,6 @@ def two_form_coeffs(A) -> np.ndarray:
     """Coefficients of the 2-forms with matrices A (antisymmetric); leading axes stack."""
     rows, cols = _index_array(np.shape(A)[-1], 2).T
     return np.asarray(A)[..., rows, cols]
-
-
-def two_form_from_matrix(A) -> Form:
-    """Inverse of `two_form_matrix`: the 2-form with a(e_i, e_j) = A[i, j], A antisymmetric."""
-    return Form(len(A), 2, two_form_coeffs(A))
 
 
 @dataclass(frozen=True)

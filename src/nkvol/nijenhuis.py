@@ -81,9 +81,11 @@ def nijenhuis_vectors(alg: CoframeAlgebra, Jm: np.ndarray, V: np.ndarray) -> np.
 
     Jm is the J matrix and V the (1,0) frame vectors as columns; leading axes stack.
     """
-    brackets = np.einsum("ijk,...jc,...kd->...icd", alg.structure_constants, V, V)
+    # [v_c, v_d]^i = V[j, c] c^i_jk V[k, d]: the inner matmul over k, then the outer over j
+    inner = alg.structure_constants @ V[..., None, :, :]
+    brackets = np.swapaxes(V, -2, -1)[..., None, :, :] @ inner
     q01 = 0.5 * (np.eye(Jm.shape[-1]) + 1j * Jm)
-    return q01 @ (0.5 * np.einsum("bcd,...icd->...ib", EPS3, brackets))
+    return q01 @ (brackets.reshape(brackets.shape[:-2] + (9,)) @ (0.5 * EPS3.reshape(3, 9).T))
 
 
 def nijenhuis_matrices(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,

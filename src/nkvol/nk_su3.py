@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, _index_array, two_form_matrix, wedge
+from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
 from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, ZH_DUALITY_FACTOR, within
@@ -110,7 +110,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     g = hermitian_metric(s.J, s.omega)
     gamma = levi_civita(alg, g)
     nablas = covariant_derivative_form(gamma, s.omega)
-    T = np.array([two_form_matrix(f).real for f in nablas])
+    T = two_form_matrices(np.array([f.coeffs for f in nablas]), 6).real
     S = _skew_part(T)
     scale = max(1.0, float(np.max(np.abs(T))))
     anti_res = float(np.max(np.abs(T - S))) / scale

@@ -16,26 +16,32 @@ derivative up to the single frozen constant KAPPA_CONV.  The optimizer
 minimizes the squared criticality residual |Pi^{(2,1)+(1,2)} d omega|^2 over
 the 18 real deformation parameters with a damped Gauss-Newton loop, whose
 central-difference Jacobian is one evaluation over the stack of 36 deformed
-structures (`criticality_residuals`).
+structures (`criticality_residuals`).  The residual is computed in frame
+coordinates: on a (1,0) frame (theta, v) the (3,0) part of d omega is
+d omega(v_1, v_2, v_3) theta^123, so the off-shape part is d omega minus that
+and its conjugate, without the Lambda^3 projectors that `criticality_test`
+applies as the independent check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, contract, matvec, substitution, wedge_coeffs
+from .multilinear import Form, contract, matvec, wedge_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, bidegree_project,
-                  default_frame_coords, projector_from_derivation)
+                  default_frame_coords, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import (ConformalSolveReport, conformal_solve, conformal_stack,
-                                norm30_sq, positive_11_metric, skew30_coefficient)
+from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, positive_11_metric,
+                                skew30_coefficient)
 from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, volume_form
-from .nk_su3 import NkSuiteReport, nk_equivalence_suite
+
+if TYPE_CHECKING:
+    from .nk_su3 import NkSuiteReport
 
 __all__ = [
     "CriticalityReport",
@@ -204,27 +210,29 @@ class CriticalityReport(NamedTuple):
         return self.verdict == "critical"
 
 
-def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                                conformal: ConformalSolveReport | None = None):
+def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     """Real residual vector of the off-shape part of d omega, or None.
 
     None signals that no positive candidate Hermitian form exists at J, which
     the optimizer treats as a rejected step.
     """
-    rep = conformal if conformal is not None else conformal_solve(alg, J)
+    rep = conformal_solve(alg, J)
     w = rep.normalized_omega
     if w is None:
         return None, rep
-    return _offshape(alg, J.matrix, w.coeffs), rep
+    return _offshape(alg, rep.frame.theta_coeffs, rep.frame.v_coords, w.coeffs), rep
 
 
-def _offshape(alg: CoframeAlgebra, Jm: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """[Re; Im] of Pi^{2,1} d omega + Pi^{1,2} d omega from J matrices and 2-form
-    coefficients; leading axes stack."""
+def _offshape(alg: CoframeAlgebra, theta: np.ndarray, V: np.ndarray,
+              omega: np.ndarray) -> np.ndarray:
+    """[Re; Im] of Pi^{2,1} d omega + Pi^{1,2} d omega from (1,0) frames (theta rows,
+    V columns) and 2-form coefficients: d omega minus d omega(v_1, v_2, v_3) theta^123,
+    read through the 3x3 minors of V, and minus its conjugate.  Leading axes stack."""
     dw = matvec(alg.d_matrices[2], omega)
-    D = substitution(np.swapaxes(Jm, -2, -1), 1, 3)  # J* as a derivation of 3-forms
-    off = (matvec(projector_from_derivation(D, 6, 2, 1), dw)
-           + matvec(projector_from_derivation(D, 6, 1, 2), dw))
+    minors = theta_top_coeffs(np.swapaxes(V, -2, -1))  # v_1 ^ v_2 ^ v_3 as coefficients
+    top = theta_top_coeffs(theta)
+    off = (dw - np.sum(dw * minors, axis=-1)[..., None] * top
+           - np.sum(dw * np.conj(minors), axis=-1)[..., None] * np.conj(top))
     return np.concatenate([off.real, off.imag], axis=-1)
 
 
@@ -244,7 +252,7 @@ def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas
     theta, V = default_frame_coords(Jm)
     st = conformal_stack(alg, Jm, theta, V)
     valid = valid & st.normalizable
-    return np.where(valid[..., None], _offshape(alg, Jm, st.normalized_omega), 0.0), valid
+    return np.where(valid[..., None], _offshape(alg, theta, V, st.normalized_omega), 0.0), valid
 
 
 def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -358,7 +366,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     trace = [R]
     records = []
     mu = 1e-4
-    rng = np.random.default_rng(seed)
+    rng = None  # numpy.random is imported at the first kick, if one comes
     iterations = 0
     reason = "converged"
     norm_cap = 100.0 * max(1.0, np.linalg.norm(J0.matrix, 2))
@@ -391,6 +399,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
             rejected += 1
         if step_norm is None:
             # bounded deterministic kicks; accepted only on strict descent
+            if rng is None:
+                rng = np.random.default_rng(seed)
             for mag in (0.02, 0.05, 0.1, 0.2):
                 for _ in range(6):
                     params = mag * rng.standard_normal(18)
@@ -418,6 +428,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     gradient_max = None
     if converged:
         omega = rep.normalized_omega
+        from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
         suite = nk_equivalence_suite(alg, J, omega)
         if suite.all_true:
             gradient_max = float(np.max(np.abs(psi_gradient(alg, J, omega))))

@@ -363,3 +363,35 @@ def test_optimize_reports_iteration_records(tmp_path):
     # the human-readable report summarizes the records
     p = run_cli("optimize", str(src))
     assert "records: [6 records]" in p.stdout
+
+
+def modules_after(*args: str) -> tuple[set, str]:
+    """The nkvol modules and numpy.random a fresh process holds after one CLI call, and its output."""
+    code = ("import contextlib, io, sys\n"
+            "from nkvol.cli import run\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    run({list(args)!r})\n"
+            "print(' '.join(m for m in sys.modules if m.startswith(('nkvol', 'numpy.random'))))\n"
+            "print(out.getvalue())\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    loaded, _, output = p.stdout.partition("\n")
+    return set(loaded.split()), output
+
+
+def test_subcommands_load_only_their_layers():
+    loaded, _ = modules_after("catalog", "list")
+    assert "nkvol.frame_manifold" in loaded
+    assert not loaded & {"nkvol.variation_opt", "nkvol.g2_cone", "nkvol.nk_su3"}, loaded
+    loaded, _ = modules_after("optimize", str(FIXTURE))
+    assert "nkvol.variation_opt" in loaded and "nkvol.g2_cone" not in loaded, loaded
+
+
+def test_kick_free_optimize_leaves_numpy_random_unloaded(tmp_path):
+    src = tmp_path / "p7.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
+    loaded, output = modules_after("optimize", str(src), "--json")
+    checks = json.loads(output)["checks"]
+    assert checks["iterations"] == 6 and all(r["kick"] is None for r in checks["records"])
+    assert "numpy.random" not in loaded, loaded

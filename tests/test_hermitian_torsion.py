@@ -8,15 +8,20 @@ from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import (
+    _conformal_map,
     _conformal_system,
     _hermitian_basis,
+    _hermitian_form_coeffs,
+    _orient_positive,
     _skew_part,
     alt12_analysis,
     c_map,
     c_map_trilinear,
     conformal_solve,
+    conformal_stack,
     hermitian_metric,
     norm30_sq,
+    skew30_coefficient,
     torsion_criterion,
 )
 
@@ -226,6 +231,16 @@ def test_conformal_system_matches_c_map():
         assert np.max(np.abs(_conformal_system(nij.matrix) - L)) <= 1e-13 * max(1.0, np.max(np.abs(L)))
 
 
+def test_conformal_map_matches_system():
+    # the cached linear map of the 18 real entries of N* against the closed-form system
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        M = nijenhuis_via_brackets(random_valid_algebra(rng), random_acs(rng)).matrix
+        ref = _conformal_system(M)
+        mapped = (np.concatenate([M.real, M.imag]).ravel() @ _conformal_map()).reshape(54, 9)
+        assert np.max(np.abs(mapped - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_hermitian_metric_checks_positivity_once(monkeypatch):
     alg, J = s3s3()
     calls = []
@@ -236,3 +251,57 @@ def test_hermitian_metric_checks_positivity_once(monkeypatch):
     with pytest.raises(ValueError, match="omega not positive"):
         hermitian_metric(J, -1.0 * product_omega())
     assert len(calls) == 2
+
+
+def random_hermitian(rng):
+    """A positive definite Hermitian matrix and a unitary one."""
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return A @ A.conj().T + 0.1 * np.eye(3), np.linalg.qr(A)[0]
+
+
+def test_frame_norm_matches_wedge_route():
+    # |P|^2 = |c|^2 / (8 det H) for omega = i sum H_ab theta^a ^ conj theta^b and
+    # P = c theta^123, against the wedge-product formula of norm30_sq
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        J = random_acs(rng)
+        fr = J.frame()
+        H, _ = random_hermitian(rng)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
+        ref = norm30_sq(omega, c * fr.theta_top())
+        assert abs(abs(c) ** 2 / (8.0 * np.linalg.det(H).real) - ref) <= 1e-13 * ref
+    # the stack's |P|^2 of its candidate, on structures where that is positive
+    mp = catalog("s3s3_perturbed", seed=7)
+    for alg, J in ((mp.algebra(), AlmostComplexStructure(mp.J)), s3s3()):
+        fr = J.frame()
+        st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+        assert st.positive
+        M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
+        P = skew30_coefficient(fr.vectors, st.candidate, M) * fr.theta_top()
+        ref = norm30_sq(Form(6, 2, st.candidate), P)
+        assert abs(st.n2 - ref) <= 1e-13 * ref
+
+
+def test_positivity_from_hermitian_matrix_matches_metric():
+    # positive, negative and indefinite H: the eigenvalue decision on H against
+    # the positivity check of hermitian_metric on omega(., J.)
+    rng = np.random.default_rng(32)
+    for _ in range(4):
+        J = random_acs(rng)
+        fr = J.frame()
+        P, U = random_hermitian(rng)
+        indefinite = U @ np.diag([1.0, -0.5, 2.0]) @ U.conj().T
+        for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0)):
+            oriented, definite, det = _orient_positive(H)
+            assert bool(definite) == (sign != 0.0)
+            omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
+            for s in (1.0, -1.0):
+                if s == sign:
+                    hermitian_metric(J, s * omega)
+                else:
+                    with pytest.raises(ValueError, match="not positive"):
+                        hermitian_metric(J, s * omega)
+            if definite:
+                assert np.array_equal(oriented, sign * H)
+                assert abs(det - np.linalg.det(oriented).real) <= 1e-12 * det
