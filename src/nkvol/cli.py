@@ -12,18 +12,23 @@ wall-clock timing appears only in the human-readable format.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import time
-import traceback
+from importlib import import_module
 
 import numpy as np
 
-# each subcommand imports the layers it runs when it runs, so that a call
-# loads only those modules
+try:  # the interpreter's builtin SHA-256: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .frame_manifold import Manifest, catalog, catalog_names, check_jacobi
 from .conventions import CONSTANTS, TOLERANCES, within
 
@@ -40,7 +45,7 @@ def _load(path: str) -> tuple[Manifest, str]:
             raw = fh.read()
     except OSError as ex:
         raise InputError(f"cannot read manifest: {ex}") from ex
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         manifest = Manifest.from_json(raw.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, json.JSONDecodeError) as ex:
@@ -302,6 +307,21 @@ def _cmd_alt12(manifest: Manifest):
     return checks, verdicts
 
 
+# subcommand -> (its top layer, which imports the layers below it; its handler).
+# run() imports the layers before it reads the manifest, so they compile on a small heap
+_COMMANDS = {
+    "check": ("hermitian_torsion", lambda m, a: _cmd_check(m)),
+    "nijenhuis": ("hermitian_torsion", lambda m, a: _cmd_nijenhuis(m)),
+    "torsion": ("hermitian_torsion", lambda m, a: _cmd_torsion(m)),
+    "nk": ("nk_su3", lambda m, a: _cmd_nk(m)),
+    "cone": ("g2_cone", lambda m, a: _cmd_cone(m)),
+    "alt12": ("hermitian_torsion", lambda m, a: _cmd_alt12(m)),
+    "functional": ("variation_opt", lambda m, a: _cmd_functional(m, a.gradient)),
+    "optimize": ("variation_opt",
+                 lambda m, a: _cmd_optimize(m, a.tol, a.max_iter, a.seed, a.emit)),
+}
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
@@ -416,27 +436,11 @@ def run(argv: list[str]) -> int:
                     report["checks"] = {"manifest": manifest.to_dict()}
                 report["verdicts"] = {}
         else:
+            layer, handler = _COMMANDS[args.command]
+            import_module(f".{layer}", __package__)
             manifest, digest = _load(args.file)
             report["manifest"] = {"name": manifest.name, "sha256": digest}
-            if args.command == "check":
-                checks, verdicts = _cmd_check(manifest)
-            elif args.command == "nijenhuis":
-                checks, verdicts = _cmd_nijenhuis(manifest)
-            elif args.command == "torsion":
-                checks, verdicts = _cmd_torsion(manifest)
-            elif args.command == "nk":
-                checks, verdicts = _cmd_nk(manifest)
-            elif args.command == "cone":
-                checks, verdicts = _cmd_cone(manifest)
-            elif args.command == "alt12":
-                checks, verdicts = _cmd_alt12(manifest)
-            elif args.command == "functional":
-                checks, verdicts = _cmd_functional(manifest, args.gradient)
-            elif args.command == "optimize":
-                checks, verdicts = _cmd_optimize(manifest, args.tol, args.max_iter,
-                                                 args.seed, args.emit)
-            else:  # pragma: no cover
-                raise InputError(f"unknown command {args.command}")
+            checks, verdicts = handler(manifest, args)
             bad = [key for key, value in checks.items() if not _finite(value)]
             if bad:
                 raise InputError(f"non-finite values in checks: {', '.join(bad)}")
@@ -450,6 +454,7 @@ def run(argv: list[str]) -> int:
         report["error"], code = f"cannot write {ex.filename}: {ex.strerror}", 2
     except Exception as ex:
         report["error"], code = f"internal error: {type(ex).__name__}: {ex}", 3
+        import traceback
         traceback.print_exc()
     else:
         code = 0 if all(report["verdicts"].values()) else 1

@@ -353,8 +353,8 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
         _su2_block(c, 3)
         return Manifest("s3s3", 6, c, J=_s3s3_J(), metric=np.eye(6))
     if name == "s3s3_perturbed":
-        if seed is None:
-            raise ValueError("s3s3_perturbed requires a seed")
+        if seed is None or seed < 0:
+            raise ValueError(f"s3s3_perturbed requires a seed >= 0, got {seed}")
         base = catalog("s3s3")
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((6, 6))

@@ -278,7 +278,7 @@ def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
     # summation order, and so the rounding, of this product
     entries = np.concatenate([M.real, M.imag], axis=-2).reshape(M.shape[:-2] + (1, 18))
     system = (entries @ _conformal_map()).reshape(M.shape[:-2] + (54, 9))
-    _, s, vt = np.linalg.svd(system, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(system, mode="r"))  # no 54 x 9 left vectors
     null = s <= TOLERANCES["nullspace"] * np.maximum(s[..., :1], 1e-300)
 
     canonical = np.zeros(9)

@@ -356,6 +356,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if seed < 0:  # here, not at the first kick after the whole search has run
+        raise ValueError(f"seed must be >= 0, got {seed}")
     inner_tol = min(tol, 1e-26)
     vec, rep = criticality_residual_vector(alg, J0)
     if vec is None:

@@ -365,14 +365,16 @@ def test_optimize_reports_iteration_records(tmp_path):
     assert "records: [6 records]" in p.stdout
 
 
-def modules_after(*args: str) -> tuple[set, str]:
-    """The nkvol modules and numpy.random a fresh process holds after one CLI call, and its output."""
+def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
+    """The nkvol modules, numpy.random and _hashlib a fresh process holds after one CLI call,
+    and its output; the modules named in `blocked` cannot be imported there."""
     code = ("import contextlib, io, sys\n"
+            f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
             "from nkvol.cli import run\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    run({list(args)!r})\n"
-            "print(' '.join(m for m in sys.modules if m.startswith(('nkvol', 'numpy.random'))))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith(('nkvol', 'numpy.random', '_hashlib'))))\n"
             "print(out.getvalue())\n")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
@@ -395,3 +397,61 @@ def test_kick_free_optimize_leaves_numpy_random_unloaded(tmp_path):
     checks = json.loads(output)["checks"]
     assert checks["iterations"] == 6 and all(r["kick"] is None for r in checks["records"])
     assert "numpy.random" not in loaded, loaded
+
+
+FIXTURE_COMMANDS = (("check",), ("nijenhuis",), ("torsion",), ("nk",), ("cone",), ("alt12",),
+                    ("functional", "--gradient"), ("optimize",))
+
+
+def test_no_openssl_in_any_call():
+    # hashlib maps OpenSSL's libcrypto; the digest comes from the builtin SHA-256
+    import hashlib
+
+    want = hashlib.sha256(FIXTURE.read_bytes()).hexdigest()
+    loaded, _ = modules_after("catalog", "list")
+    assert "_hashlib" not in loaded, loaded
+    for command, *extra in FIXTURE_COMMANDS:
+        loaded, output = modules_after(command, str(FIXTURE), *extra, "--json")
+        assert "_hashlib" not in loaded, (command, loaded)
+        assert json.loads(output)["manifest"]["sha256"] == want, command
+    # without the builtin modules the hashlib fallback gives the same digest
+    loaded, output = modules_after("check", str(FIXTURE), "--json", blocked=("_sha2", "_sha256"))
+    assert "_hashlib" in loaded, loaded
+    assert json.loads(output)["manifest"]["sha256"] == want
+
+
+LAYERS_AT_LOAD = (
+    "import contextlib, io, sys\n"
+    "from nkvol import cli\n"
+    "seen = set()\n"
+    "def load(path, _load=cli._load):\n"
+    "    seen.update(sys.modules)\n"
+    "    return _load(path)\n"
+    "cli._load = load\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.run(sys.argv[1:])\n"
+    "print(code, *(m for m in sys.modules if m.startswith('nkvol') and m not in seen))\n"
+)
+
+
+def test_layers_load_before_the_manifest():
+    # every layer a subcommand runs is imported before _load reads the manifest;
+    # nk_su3 is loaded only when optimize converges
+    for command, *extra in FIXTURE_COMMANDS:
+        p = subprocess.run([sys.executable, "-c", LAYERS_AT_LOAD, command, str(FIXTURE), *extra],
+                           capture_output=True, text=True)
+        assert p.returncode == 0, (command, p.stderr)
+        code, *late = p.stdout.split()
+        assert code == "0", (command, p.stdout)
+        assert set(late) <= ({"nkvol.nk_su3"} if command == "optimize" else set()), (command, late)
+
+
+def test_negative_seed_is_input_error(tmp_path):
+    # rejected before the search runs, although this search needs no kick
+    src = tmp_path / "p7.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
+    for args in (("optimize", str(src), "--seed", "-1"),
+                 ("catalog", "emit", "s3s3_perturbed", "--seed", "-1")):
+        p = run_cli(*args)
+        assert p.returncode == 2, (args, p.stdout, p.stderr)
+        assert "seed" in p.stdout and "Traceback" not in p.stderr, (args, p.stdout)
