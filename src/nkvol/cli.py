@@ -18,8 +18,7 @@ import os
 import sys
 import time
 from importlib import import_module
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 try:  # the interpreter's builtin SHA-256: hashlib would map OpenSSL's libcrypto
     from _sha2 import sha256
@@ -29,8 +28,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .frame_manifold import Manifest, catalog, catalog_names, check_jacobi
-from .conventions import CONSTANTS, TOLERANCES, within
+from .conventions import CATALOG_NAMES, CONSTANTS, TOLERANCES, within
+if TYPE_CHECKING:  # numpy and the layers load only in the handlers that compute
+    from .frame_manifold import Manifest
 
 __all__ = ["main", "run"]
 
@@ -40,6 +40,7 @@ class InputError(Exception):
 
 
 def _load(path: str) -> tuple[Manifest, str]:
+    from .frame_manifold import Manifest
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -81,8 +82,8 @@ def _pick_omega(alg, J, manifest: Manifest, rep=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(manifest: Manifest):
-    from .acs import j_squared_residual
-    from .hermitian_torsion import _omega_j
+    from .acs import _omega_j, j_squared_residual
+    from .frame_manifold import check_jacobi
     alg = manifest.algebra()
     rep = check_jacobi(alg)
     checks = {
@@ -98,12 +99,13 @@ def _cmd_check(manifest: Manifest):
         verdicts["j_valid"] = within(j_res, "j_squared", scale)
         if verdicts["j_valid"] and manifest.omega is not None and manifest.metric is not None:
             G = _omega_j(manifest.J, manifest.omega.coeffs)
-            verdicts["metric_compatible"] = within(np.max(np.abs(manifest.metric - G)), "metric",
-                                                   max(1.0, np.max(np.abs(G))))
+            verdicts["metric_compatible"] = within(abs(manifest.metric - G).max(), "metric",
+                                                   max(1.0, abs(G).max()))
     return checks, verdicts
 
 
 def _cmd_nijenhuis(manifest: Manifest):
+    import numpy as np
     from .nijenhuis import (cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d,
                             volume_form)
     alg = manifest.algebra()
@@ -254,9 +256,9 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
         if crit_rep is None or crit_rep.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
         omega = crit_rep.omega
-        comps = psi_gradient(alg, J, omega).tolist()
-        checks["gradient_components"] = comps
-        checks["gradient_max_abs"] = float(np.max(np.abs(comps)))
+        grad = psi_gradient(alg, J, omega)
+        checks["gradient_components"] = grad.tolist()
+        checks["gradient_max_abs"] = float(abs(grad).max())
     return checks, verdicts
 
 
@@ -286,9 +288,8 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
         from .nk_su3 import solve_Omega
         solved = solve_Omega(alg, res.J, res.omega)
         g = hermitian_metric(res.J, res.omega)
-        out = Manifest(manifest.name + "_critical", manifest.dimension,
-                       manifest.structure_constants, J=res.J.matrix, metric=g.matrix,
-                       omega=res.omega, Omega3=solved.Omega)
+        out = manifest._replace(name=manifest.name + "_critical", J=res.J.matrix,
+                                metric=g.matrix, omega=res.omega, Omega3=solved.Omega)
         out.save(emit)
         checks["emitted"] = emit
     return checks, verdicts
@@ -310,7 +311,7 @@ def _cmd_alt12(manifest: Manifest):
 # subcommand -> (its top layer, which imports the layers below it; its handler).
 # run() imports the layers before it reads the manifest, so they compile on a small heap
 _COMMANDS = {
-    "check": ("hermitian_torsion", lambda m, a: _cmd_check(m)),
+    "check": ("acs", lambda m, a: _cmd_check(m)),
     "nijenhuis": ("hermitian_torsion", lambda m, a: _cmd_nijenhuis(m)),
     "torsion": ("hermitian_torsion", lambda m, a: _cmd_torsion(m)),
     "nk": ("nk_su3", lambda m, a: _cmd_nk(m)),
@@ -422,9 +423,10 @@ def run(argv: list[str]) -> int:
     try:
         if args.command == "catalog":
             if args.catalog_command == "list":
-                report["checks"] = {"catalog": list(catalog_names())}
+                report["checks"] = {"catalog": list(CATALOG_NAMES)}
                 report["verdicts"] = {}
             else:
+                from .frame_manifold import catalog
                 try:
                     manifest = catalog(args.name, seed=args.seed, magnitude=args.magnitude)
                 except ValueError as ex:

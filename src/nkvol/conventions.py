@@ -7,14 +7,13 @@ the test-suite.  Nothing below is re-derived ad hoc at call sites; an input
 that would require a different constant is a build failure, not a tunable.
 
 Every verdict is a residual compared against one entry of `TOLERANCES`,
-through `within`, which fails on NaN and infinities.
+through `within`, which fails on NaN and infinities, and which alone loads numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
+    "CATALOG_NAMES",
     "CONSTANTS",
     "TOLERANCES",
     "HERMITIAN_30_NORM_COEF",
@@ -60,6 +59,9 @@ PSI_SCALING_EXPONENT = 6
 # identically there), cross-checked on structurally distinct algebras, and
 # asserted at 1e-6 relative wherever the skew-torsion criterion holds.
 KAPPA_CONV = 64.0
+
+
+CATALOG_NAMES = ("torus6", "s3s3", "s3s3_perturbed")  # the models of frame_manifold.catalog
 
 
 # The convention constants as a JSON-ready report section.
@@ -108,6 +110,7 @@ def within(residual, name, scale=1.0):
     `name` may be a number instead, for the calls that take a tolerance argument.
     On arrays the gate is taken elementwise and the answer is a boolean array.
     """
+    import numpy as np
     tol = TOLERANCES[name] if isinstance(name, str) else name
     ok = np.isfinite(residual) & np.isfinite(scale) & (np.asarray(residual) <= tol * np.asarray(scale))
     return bool(ok) if np.ndim(ok) == 0 else ok

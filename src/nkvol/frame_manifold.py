@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .multilinear import EPS3, Form, Metric, index_tuples, substitution, two_form_coeffs
-from .conventions import within
+from .conventions import CATALOG_NAMES, within
 
 __all__ = [
     "CoframeAlgebra",
@@ -328,7 +328,7 @@ def _s3s3_J() -> np.ndarray:
 
 
 def catalog_names() -> tuple[str, ...]:
-    return ("torus6", "s3s3", "s3s3_perturbed")
+    return CATALOG_NAMES
 
 
 def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Manifest:
@@ -355,6 +355,8 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
     if name == "s3s3_perturbed":
         if seed is None or seed < 0:
             raise ValueError(f"s3s3_perturbed requires a seed >= 0, got {seed}")
+        if not isfinite(magnitude):
+            raise ValueError(f"s3s3_perturbed requires a finite magnitude, got {magnitude}")
         base = catalog("s3s3")
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((6, 6))
@@ -364,4 +366,4 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
         Jp = project_to_acs(base.J + noise)
         return Manifest(f"s3s3_perturbed_{seed}", 6, base.structure_constants,
                         J=Jp, metric=np.eye(6))
-    raise ValueError(f"unknown catalog name '{name}' (have {catalog_names()})")
+    raise ValueError(f"unknown catalog name '{name}' (have {CATALOG_NAMES})")

@@ -20,7 +20,7 @@ import numpy as np
 from .multilinear import (Form, Metric, _wedge_tensor, matvec, two_form_coeffs,
                           two_form_matrices, wedge_coeffs)
 from .frame_manifold import CoframeAlgebra
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
                         nijenhuis_vectors, nstar_wedge_trace)
@@ -61,11 +61,6 @@ def positive_11_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     if not (is_pure_bidegree(J, omega, 1, 1) and omega.is_real()):
         raise ValueError("omega must be a real (1,1)-form")
     return hermitian_metric(J, omega)
-
-
-def _omega_j(Jm, omega) -> np.ndarray:
-    """omega(X, JY) as a real matrix, from J matrices and 2-form coefficients; leading axes stack."""
-    return (two_form_matrices(omega, Jm.shape[-1]) @ Jm).real
 
 
 def norm30_sq(omega: Form, p30: Form) -> float:

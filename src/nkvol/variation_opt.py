@@ -376,7 +376,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
     fd_deltas = np.concatenate([steps, -steps])
     while R > inner_tol and iterations < max_iter:
-        fr = J.frame()
+        fr = rep.frame  # conformal_solve built it for this J
         vecs, valid = criticality_residuals(alg, J, fd_deltas, frame=fr)
         both = valid[:18] & valid[18:]  # a column with a rejected side stays zero
         jac = np.zeros((len(vec), 18))  # C-ordered: fixes the summation order of jac.T @ jac

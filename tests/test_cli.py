@@ -366,15 +366,16 @@ def test_optimize_reports_iteration_records(tmp_path):
 
 
 def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
-    """The nkvol modules, numpy.random and _hashlib a fresh process holds after one CLI call,
-    and its output; the modules named in `blocked` cannot be imported there."""
+    """The nkvol modules, numpy, numpy.random and _hashlib a fresh process holds after one CLI
+    call, and its output; the modules named in `blocked` cannot be imported there."""
     code = ("import contextlib, io, sys\n"
             f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
             "from nkvol.cli import run\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    run({list(args)!r})\n"
-            "print(' '.join(m for m in sys.modules if m.startswith(('nkvol', 'numpy.random', '_hashlib'))))\n"
+            "print(' '.join(m for m in sys.modules\n"
+            "               if m == 'numpy' or m.startswith(('nkvol', 'numpy.random', '_hashlib'))))\n"
             "print(out.getvalue())\n")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
@@ -382,12 +383,41 @@ def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
     return set(loaded.split()), output
 
 
-def test_subcommands_load_only_their_layers():
-    loaded, _ = modules_after("catalog", "list")
-    assert "nkvol.frame_manifold" in loaded
-    assert not loaded & {"nkvol.variation_opt", "nkvol.g2_cone", "nkvol.nk_su3"}, loaded
+def test_subcommands_load_only_their_layers(tmp_path):
+    # calls that compute nothing run on the standard library alone
+    for args in (("catalog", "list"), ("catalog", "list", "--json"), ("--help",),
+                 ("optimize", "--help"), ("optimize",), ("nosuch",)):
+        loaded, _ = modules_after(*args)
+        assert loaded == {"nkvol", "nkvol.cli", "nkvol.conventions"}, (args, loaded)
     loaded, _ = modules_after("optimize", str(FIXTURE))
     assert "nkvol.variation_opt" in loaded and "nkvol.g2_cone" not in loaded, loaded
+    # check runs the acs layer only: the Jacobi gate, and the J gates when J is present
+    jless = tmp_path / "jless.json"
+    jless.write_text(json.dumps({"name": "jless", "dimension": 6, "structure_constants": []}))
+    for path in (jless, FIXTURE):
+        loaded, output = modules_after("check", str(path), "--json")
+        assert json.loads(output)["verdicts"]["jacobi"] is True
+        assert "nkvol.acs" in loaded, loaded
+        assert not loaded & {"nkvol.nijenhuis", "nkvol.hermitian_torsion"}, (path, loaded)
+
+
+def test_every_listed_catalog_name_is_emitted():
+    names = json.loads(run_cli("catalog", "list", "--json").stdout)["checks"]["catalog"]
+    assert names == ["torus6", "s3s3", "s3s3_perturbed"]
+    for name in names:
+        p = run_cli("catalog", "emit", name, "--seed", "1", "--json")
+        assert p.returncode == 0, (name, p.stdout)
+        assert json.loads(p.stdout)["checks"]["manifest"]["name"].startswith(name)
+    p = run_cli("catalog", "emit", "nosuch", "--json")
+    assert p.returncode == 2 and str(tuple(names)) in json.loads(p.stdout)["error"], p.stdout
+
+
+def test_non_finite_magnitude_is_input_error():
+    # rejected before numpy's random generator sees it, with the argument named
+    for value in ("nan", "inf", "-inf"):
+        p = run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "1", f"--magnitude={value}")
+        assert p.returncode == 2, (value, p.stdout, p.stderr)
+        assert "magnitude" in p.stdout and "Traceback" not in p.stderr, (value, p.stdout)
 
 
 def test_kick_free_optimize_leaves_numpy_random_unloaded(tmp_path):
