@@ -210,12 +210,6 @@ def theta_top_coeffs(theta) -> np.ndarray:
     return np.sum(x * y_cross_z, axis=-1)
 
 
-def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:
-    """Build the dual (1,0) vectors for three independent (1,0)-form rows."""
-    rows = np.asarray(rows, dtype=np.complex128)
-    return ComplexFrame(J, rows, _dual_vectors(rows))
-
-
 def _dual_vectors(rows) -> np.ndarray:
     """(1,0) vectors dual to the (1,0)-form rows: the first three columns of the
     inverse of the coframe [theta; conj theta]; leading axes stack."""

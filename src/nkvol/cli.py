@@ -243,17 +243,19 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     J = _acs_of(manifest)
     checks = {"psi": psi_value(alg, J)}
     verdicts = {}
-    crit_rep = None
+    crit_rep, cause = None, "no positive Hermitian candidate available for the gradient"
     try:
         omega, source = _pick_omega(alg, J, manifest)
         if omega is not None:
             crit_rep = criticality_test(alg, J, omega if manifest.omega is not None else None)
             checks["criticality_residual"] = crit_rep.residual
             checks["criticality_verdict"] = crit_rep.verdict
-    except (ValueError, InputError):
-        pass
+    except (ValueError, InputError) as ex:
+        cause = f"gradient undefined: {ex}"
     if gradient:
-        if crit_rep is None or crit_rep.degenerate:
+        if crit_rep is None:
+            raise InputError(cause)
+        if crit_rep.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
         omega = crit_rep.omega
         grad = psi_gradient(alg, J, omega)

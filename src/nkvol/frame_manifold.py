@@ -53,12 +53,6 @@ class CoframeAlgebra:
     def dimension(self) -> int:
         return self.structure_constants.shape[0]
 
-    def bracket(self, u, w) -> np.ndarray:
-        """[u, w]^i = c^i_{jk} u^j w^k for constant-coefficient frame vectors."""
-        u = np.asarray(u, dtype=np.complex128)
-        w = np.asarray(w, dtype=np.complex128)
-        return np.einsum("ijk,j,k->i", self.structure_constants, u, w)
-
     @cached_property
     def coframe_differentials(self) -> tuple[Form, ...]:
         """d e^i = -1/2 c^i_{jk} e^j ^ e^k as 2-forms."""

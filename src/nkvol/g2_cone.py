@@ -37,8 +37,6 @@ __all__ = [
     "cone_metric_at_one",
     "d_cone",
     "fernandez_gray_check",
-    "flat_g2_form",
-    "flat_su3_forms",
     "hodge_cone",
     "metric_roundtrip",
     "normalize_to_unit_lambda",
@@ -221,22 +219,6 @@ def _gl7_action_rank(phi: Form) -> int:
     M = np.einsum("oja,ka->ojk", _wedge_tensor(7, 1, 2), _contractions(phi)).reshape(35, 49)
     M = np.vstack([M.real, M.imag])
     return int(np.linalg.matrix_rank(M, tol=TOLERANCES["rank"]))
-
-
-def flat_su3_forms() -> tuple[Form, Form]:
-    """The flat calibration pair omega0, Omega0 (dz_k = e^{2k-1} + i e^{2k})."""
-    omega0 = (wedge(basis_form(6, (1,)), basis_form(6, (2,)))
-              + wedge(basis_form(6, (3,)), basis_form(6, (4,)))
-              + wedge(basis_form(6, (5,)), basis_form(6, (6,))))
-    dz = [basis_form(6, (2 * k + 1,)) + 1j * basis_form(6, (2 * k + 2,)) for k in range(3)]
-    Omega0 = wedge(wedge(dz[0], dz[1]), dz[2])
-    return omega0, Omega0
-
-
-def flat_g2_form() -> Form:
-    """The reference stable 3-form omega0 ^ dt + Re Omega0 on 7 dimensions."""
-    omega0, Omega0 = flat_su3_forms()
-    return wedge(_embed(omega0), basis_form(7, (7,))) + _embed(Omega0.real())
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from .multilinear import (Form, Metric, _wedge_tensor, matvec, two_form_coeffs,
 from .frame_manifold import CoframeAlgebra
 from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
-from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
-                        nijenhuis_vectors, nstar_wedge_trace)
+from .nijenhuis import nijenhuis_matrices, nijenhuis_vectors, nstar_wedge_trace
 
 __all__ = [
     "Alt12Report",
@@ -31,7 +30,6 @@ __all__ = [
     "ConformalStack",
     "TorsionCriterionReport",
     "alt12_analysis",
-    "c_map",
     "conformal_solve",
     "conformal_stack",
     "hermitian_metric",
@@ -122,21 +120,6 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
     )
 
 
-def c_map(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
-          nij: NijenhuisTensor | None = None) -> np.ndarray:
-    """C = Id (x) N* on a (1,1)-form, as a matrix over theta^c (x) tcheck^d.
-
-    The input decomposes as a = sum A_{cb} theta^c ^ conj theta^b; the map
-    applies the bracket-route N* to the (0,1) leg: C[c, d] = (A M^T)[c, d].
-    """
-    if not is_pure_bidegree(J, a, 1, 1):
-        raise ValueError("c_map expects a (1,1)-form")
-    if nij is None:
-        nij = nijenhuis_via_brackets(alg, J)
-    A = nij.frame.components(a)[:3, 3:]
-    return A @ nij.matrix.T
-
-
 def c_map_trilinear(C: np.ndarray) -> np.ndarray:
     """Expand C-matrices into trilinear components T[a, b, c] = eps_{dab} C[c, d]."""
     return np.einsum("dab,...cd->...abc", EPS3, C)
@@ -146,7 +129,6 @@ class ConformalSolveReport(NamedTuple):
     frame: ComplexFrame
     singular_values: np.ndarray
     solution_dimension: int
-    basis: tuple[Form, ...]          # real (1,1)-forms spanning the strict nullspace
     candidate: Form                  # least-squares direction (sign-fixed)
     candidate_positive: bool
     normalized_omega: Form | None    # candidate scaled to |rho|_omega = 1, if positive
@@ -236,7 +218,6 @@ class ConformalStack(NamedTuple):
 
     theta: np.ndarray            # the (1,0) coframe rows [..., 3, 6]
     singular_values: np.ndarray  # [..., 9], descending
-    vt: np.ndarray               # right singular vectors as rows [..., 9, 9]
     null: np.ndarray             # [..., 9]: singular values cut as the strict nullspace
     hermitian: np.ndarray        # H of the sign-fixed candidate [..., 3, 3]
     positive: np.ndarray         # the candidate is definite
@@ -289,7 +270,7 @@ def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
     c = -1j * np.sum(H * M, axis=(-2, -1)) / 3.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = np.abs(c) ** 2 / (8.0 * det)
-    return ConformalStack(theta=theta, singular_values=s, vt=vt, null=null, hermitian=H,
+    return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H,
                           positive=definite[..., 0] | use_alt, n2=n2)
 
 
@@ -307,12 +288,10 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> Conformal
         raise ValueError(f"norm computation returned a non-real or non-finite value {st.n2}")
     s = st.singular_values
     smax = s.max() if s.size else 0.0
-    null_H = np.tensordot(st.vt[st.null], _HERMITIAN_UNITS, axes=(-1, 0))
     return ConformalSolveReport(
         frame=fr,
         singular_values=s,
         solution_dimension=int(st.null.sum()),
-        basis=tuple(Form(6, 2, w) for w in _hermitian_form_coeffs(fr.theta_coeffs, null_H)),
         candidate=Form(6, 2, st.candidate),
         candidate_positive=bool(st.positive),
         normalized_omega=Form(6, 2, st.normalized_omega) if st.normalizable else None,

@@ -47,10 +47,8 @@ __all__ = [
     "contract",
     "form_from_one_coeffs",
     "forms_close",
-    "gram_matrix",
     "hodge_star",
     "index_tuples",
-    "inner_product",
     "matvec",
     "substitution",
     "two_form_coeffs",
@@ -210,13 +208,6 @@ class Form:
     def is_real(self, tol: float = TOLERANCES["real"]) -> bool:
         return within(float(np.max(np.abs(self.coeffs.imag))), tol, max(1.0, self.norm()))
 
-    def coefficient(self, indices: tuple[int, ...]) -> complex:
-        """Coefficient of an arbitrary index tuple, with antisymmetry signs."""
-        if len(set(indices)) != len(indices):
-            return 0.0
-        pos = _tuple_position(self.dimension, self.degree)[tuple(sorted(indices))]
-        return _inversion_sign(indices) * self.coeffs[pos]
-
     def evaluate(self, vectors) -> complex:
         """Evaluate on degree-many frame-coordinate vectors (determinant convention)."""
         k = self.degree
@@ -327,26 +318,13 @@ class Metric:
         return Form(n, n, c)
 
 
-def gram_matrix(g: Metric, k: int) -> np.ndarray:
-    """Inner products <e^I, e^J> = det(g^{-1} restricted), on degree-k monomials."""
-    return compound(g.inverse(), k)
-
-
-def inner_product(g: Metric, a: Form, b: Form) -> complex:
-    """Bilinear (unconjugated) extension of the metric pairing on equal-degree forms."""
-    if a.degree != b.degree or a.dimension != b.dimension:
-        raise ValueError("inner product needs equal degree and dimension")
-    G = gram_matrix(g, a.degree)
-    return complex(a.coeffs @ G @ b.coeffs)
-
-
 def hodge_star(g: Metric, a: Form) -> Form:
     """Hodge dual: a ^ *b = <a, b>_g Vol_g for all a of the degree of b."""
     n, k = a.dimension, a.degree
     if g.dimension != n:
         raise ValueError("metric dimension mismatch")
     P = _wedge_tensor(n, k, n - k)[0]  # coefficient of e^{1..n} in e^I ^ e^K
-    G = gram_matrix(g, k)
+    G = compound(g.inverse(), k)  # the Gram matrix <e^I, e^J> of degree-k monomials
     vol = g.orientation * np.sqrt(np.linalg.det(g.matrix))
     # P is a signed permutation matrix, so its inverse is its transpose.
     S = P.T @ G * vol

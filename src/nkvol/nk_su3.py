@@ -21,8 +21,8 @@ import numpy as np
 
 from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
-from .acs import AlmostComplexStructure, ComplexFrame, bidegree_project, frame_from_thetas
-from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, ZH_DUALITY_FACTOR, within
+from .acs import AlmostComplexStructure, bidegree_project
+from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
 from .hermitian_torsion import _skew_part, hermitian_metric, norm30_sq, positive_11_metric, torsion_criterion
 from .nijenhuis import nijenhuis_via_brackets
 
@@ -32,10 +32,8 @@ __all__ = [
     "SU3Structure",
     "SolveOmegaResult",
     "StructureEquationReport",
-    "adapted_frame",
     "check_nabla_omega",
     "check_structure_equations",
-    "lemma_d_splitting_checks",
     "nk_equivalence_suite",
     "solve_Omega",
 ]
@@ -202,58 +200,3 @@ def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
         lam=solved.lam,
         reason=solved.reason,
     )
-
-
-def adapted_frame(J: AlmostComplexStructure, omega: Form,
-                  Omega: Form | None = None) -> ComplexFrame:
-    """An orthonormal (1,0) coframe (|theta|^2 = 2 each) with Omega = theta^123.
-
-    The normalization matches the flat model, where dz_k = e^{2k-1} + i e^{2k}
-    has squared length 2 and dz1 ^ dz2 ^ dz3 has unit norm against omega0.
-    """
-    g = hermitian_metric(J, omega)
-    ginv = g.inverse()
-    fr0 = J.frame()
-    rows = fr0.theta_coeffs
-    H = rows @ ginv @ np.conj(rows).T
-    L = np.linalg.cholesky(H)
-    rows_on = np.sqrt(2.0) * np.linalg.solve(L, rows)
-    fr = frame_from_thetas(J, rows_on)
-    if Omega is not None:
-        c = Omega.evaluate([fr.v(0), fr.v(1), fr.v(2)])
-        if within(abs(c), "vanishes"):
-            raise ValueError("Omega degenerate in the adapted frame")
-        rows_on = rows_on.copy()
-        rows_on[0] = c * rows_on[0]  # absorbs the phase so Omega = theta^123 exactly
-        fr = frame_from_thetas(J, rows_on)
-    return fr
-
-
-def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
-    """Residuals of the four-way d-splitting identities on (Omega, conj Omega).
-
-    Checks d^{0,1} Omega = 0, d^{1,0} conj(Omega) = 0, the pairing of the two
-    (2,2) components, the identity d Omega = -d^{2,-1} conj(Omega) =
-    d^{-1,2} Omega, and the diagonal action of the Nijenhuis map on the
-    adapted conjugate coframe.
-    """
-    J = s.J
-    dO = d_invariant(alg, s.Omega)
-    dOb = d_invariant(alg, s.Omega.conjugate())
-    scale = max(1.0, dO.norm())
-    res = {
-        "d01_Omega": bidegree_project(J, dO, 3, 1).norm() / scale,
-        "d10_Omega_bar": bidegree_project(J, dOb, 1, 3).norm() / scale,
-        "pairing_22": (bidegree_project(J, dOb, 2, 2)
-                       + bidegree_project(J, dO, 2, 2)).norm() / scale,
-        "dOmega_via_d21bar": (dO + bidegree_project(J, dOb, 2, 2)).norm() / scale,
-        "dOmega_via_dm12": (dO - bidegree_project(J, dO, 2, 2)).norm() / scale,
-    }
-    fr = adapted_frame(J, s.omega, s.Omega)
-    nij = nijenhuis_via_brackets(alg, J, frame=fr)
-    target = ZH_DUALITY_FACTOR * s.lam * np.eye(3)
-    res["nijenhuis_diagonal"] = float(
-        np.max(np.abs(nij.matrix - target)) / max(1.0, float(np.max(np.abs(nij.matrix))))
-    )
-    res["adapted_norm"] = abs(norm30_sq(s.omega, fr.theta_top()) - 1.0)
-    return res

@@ -55,12 +55,9 @@ __all__ = [
     "delta_basis",
     "find_critical",
     "psi_gradient",
-    "psi_gradient_analytic",
-    "psi_gradient_fd",
     "psi_value",
 ]
 
-PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
 JACOBIAN_FD_STEP = 1e-6   # central difference of the optimizer's Jacobian, per real parameter
 
 
@@ -141,17 +138,6 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
     return wedge_coeffs(iota[:, None, :], fr.coframe[None, 3:], 6, 2, 1)
 
 
-def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
-                     delta: Deformation, frame: ComplexFrame | None = None) -> Form:
-    """Convert delta to the (2,1)-form sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b.
-
-    P is the unit skew (3,0) part of omega(N(.,.),.) (`_unit_delta_forms`).
-    """
-    fr = frame if frame is not None else J.frame()
-    Q = _unit_delta_forms(omega, nijenhuis_via_brackets(alg, J, frame=fr))
-    return Form(6, 3, np.einsum("ab,abk->k", delta.matrix, Q))
-
-
 def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
     """c[a, b] = KAPPA_CONV * 2 * density(Pi^{2,2} d(E_ab-form) ^ omega), oriented.
 
@@ -168,31 +154,10 @@ def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Fo
     return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
 
 
-def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                          omega: Form, delta: Deformation) -> float:
-    """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
-    return float(np.sum(delta.matrix * _gradient_pairings(alg, J, omega)).real)
-
-
 def psi_gradient(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
-    """`psi_gradient_analytic` along the 18 directions of `delta_basis`, from one pass."""
+    """The first variation dPsi along the 18 directions of `delta_basis`, from one pass."""
     c = _gradient_pairings(alg, J, omega)
     return np.concatenate([c.real.ravel(), -c.imag.ravel()])
-
-
-def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                    delta: Deformation) -> float:
-    """Central finite differences with one Richardson extrapolation step."""
-    fr = J.frame()
-
-    def d_at(h: float) -> float:
-        plus = psi_value(alg, deform_J(J, delta, h, frame=fr))
-        minus = psi_value(alg, deform_J(J, delta, -h, frame=fr))
-        return (plus - minus) / (2.0 * h)
-
-    d1 = d_at(PSI_FD_STEP)
-    d2 = d_at(PSI_FD_STEP / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,32 @@
-"""Shared test utilities: random forms, random Lie algebras, evaluation oracles."""
+"""Shared test utilities: random forms, random Lie algebras, shared fixtures, and
+the oracles and constructions that only the tests use.
+
+The oracles stay independent of the routes they check: the Leibniz
+evaluation, the finite-difference gradient, the single-direction analytic
+gradient and the d-splitting identities compute on their own.
+"""
 
 from __future__ import annotations
 
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 
-from nkvol.multilinear import Form, index_tuples
-from nkvol.frame_manifold import CoframeAlgebra, catalog
-from nkvol.acs import AlmostComplexStructure, project_to_acs
+from nkvol.multilinear import Form, Metric, basis_form, compound, index_tuples, wedge
+from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
+from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
+                       is_pure_bidegree, project_to_acs)
+from nkvol.conventions import ZH_DUALITY_FACTOR, within
+from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_via_brackets
+from nkvol.hermitian_torsion import hermitian_metric, norm30_sq
+from nkvol.nk_su3 import SU3Structure
+from nkvol.g2_cone import _embed
+from nkvol.variation_opt import (Deformation, _gradient_pairings, _unit_delta_forms, deform_J,
+                                 psi_value)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
 
 def random_form(rng, n: int, k: int, real: bool = False) -> Form:
@@ -151,3 +168,172 @@ def random_acs(rng, n: int = 6) -> AlmostComplexStructure:
         if np.linalg.cond(S) < 25.0:
             break
     return AlmostComplexStructure(project_to_acs(S @ J0 @ np.linalg.inv(S)))
+
+
+# -- shared fixtures ------------------------------------------------------------
+
+def s3s3():
+    m = catalog("s3s3")
+    return m.algebra(), AlmostComplexStructure(m.J)
+
+
+def torus():
+    m = catalog("torus6")
+    return m.algebra(), AlmostComplexStructure(m.J)
+
+
+def nk_fixture():
+    m = Manifest.load(FIXTURE)
+    return m.algebra(), AlmostComplexStructure(m.J), m.omega, m.Omega3
+
+
+def product_omega(scales=(1.0, 1.0, 1.0)):
+    """The product Hermitian form -sum_k scales[k] e^k ^ e^{k+3} on s3s3."""
+    w = -scales[0] * wedge(basis_form(6, (1,)), basis_form(6, (4,)))
+    w = w + -scales[1] * wedge(basis_form(6, (2,)), basis_form(6, (5,)))
+    w = w + -scales[2] * wedge(basis_form(6, (3,)), basis_form(6, (6,)))
+    return w
+
+
+def flat_omega():
+    return flat_su3_forms()[0]
+
+
+# -- oracles and constructions only the tests use ------------------------------
+
+def inner_product(g: Metric, a: Form, b: Form) -> complex:
+    """Bilinear (unconjugated) extension of the metric pairing on equal-degree forms."""
+    if a.degree != b.degree or a.dimension != b.dimension:
+        raise ValueError("inner product needs equal degree and dimension")
+    G = compound(g.inverse(), a.degree)
+    return complex(a.coeffs @ G @ b.coeffs)
+
+
+def frame_from_thetas(J: AlmostComplexStructure, rows: np.ndarray) -> ComplexFrame:
+    """Build the dual (1,0) vectors for three independent (1,0)-form rows."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    return ComplexFrame(J, rows, _dual_vectors(rows))
+
+
+def c_map(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
+          nij: NijenhuisTensor | None = None) -> np.ndarray:
+    """C = Id (x) N* on a (1,1)-form, as a matrix over theta^c (x) tcheck^d.
+
+    The input decomposes as a = sum A_{cb} theta^c ^ conj theta^b; the map
+    applies the bracket-route N* to the (0,1) leg: C[c, d] = (A M^T)[c, d].
+    """
+    if not is_pure_bidegree(J, a, 1, 1):
+        raise ValueError("c_map expects a (1,1)-form")
+    if nij is None:
+        nij = nijenhuis_via_brackets(alg, J)
+    A = nij.frame.components(a)[:3, 3:]
+    return A @ nij.matrix.T
+
+
+
+def adapted_frame(J: AlmostComplexStructure, omega: Form,
+                  Omega: Form | None = None) -> ComplexFrame:
+    """An orthonormal (1,0) coframe (|theta|^2 = 2 each) with Omega = theta^123.
+
+    The normalization matches the flat model, where dz_k = e^{2k-1} + i e^{2k}
+    has squared length 2 and dz1 ^ dz2 ^ dz3 has unit norm against omega0.
+    """
+    g = hermitian_metric(J, omega)
+    ginv = g.inverse()
+    fr0 = J.frame()
+    rows = fr0.theta_coeffs
+    H = rows @ ginv @ np.conj(rows).T
+    L = np.linalg.cholesky(H)
+    rows_on = np.sqrt(2.0) * np.linalg.solve(L, rows)
+    fr = frame_from_thetas(J, rows_on)
+    if Omega is not None:
+        c = Omega.evaluate([fr.v(0), fr.v(1), fr.v(2)])
+        if within(abs(c), "vanishes"):
+            raise ValueError("Omega degenerate in the adapted frame")
+        rows_on = rows_on.copy()
+        rows_on[0] = c * rows_on[0]  # absorbs the phase so Omega = theta^123 exactly
+        fr = frame_from_thetas(J, rows_on)
+    return fr
+
+
+def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
+    """Residuals of the four-way d-splitting identities on (Omega, conj Omega).
+
+    Checks d^{0,1} Omega = 0, d^{1,0} conj(Omega) = 0, the pairing of the two
+    (2,2) components, the identity d Omega = -d^{2,-1} conj(Omega) =
+    d^{-1,2} Omega, and the diagonal action of the Nijenhuis map on the
+    adapted conjugate coframe.
+    """
+    J = s.J
+    dO = d_invariant(alg, s.Omega)
+    dOb = d_invariant(alg, s.Omega.conjugate())
+    scale = max(1.0, dO.norm())
+    res = {
+        "d01_Omega": bidegree_project(J, dO, 3, 1).norm() / scale,
+        "d10_Omega_bar": bidegree_project(J, dOb, 1, 3).norm() / scale,
+        "pairing_22": (bidegree_project(J, dOb, 2, 2)
+                       + bidegree_project(J, dO, 2, 2)).norm() / scale,
+        "dOmega_via_d21bar": (dO + bidegree_project(J, dOb, 2, 2)).norm() / scale,
+        "dOmega_via_dm12": (dO - bidegree_project(J, dO, 2, 2)).norm() / scale,
+    }
+    fr = adapted_frame(J, s.omega, s.Omega)
+    nij = nijenhuis_via_brackets(alg, J, frame=fr)
+    target = ZH_DUALITY_FACTOR * s.lam * np.eye(3)
+    res["nijenhuis_diagonal"] = float(
+        np.max(np.abs(nij.matrix - target)) / max(1.0, float(np.max(np.abs(nij.matrix))))
+    )
+    res["adapted_norm"] = abs(norm30_sq(s.omega, fr.theta_top()) - 1.0)
+    return res
+
+
+def flat_su3_forms() -> tuple[Form, Form]:
+    """The flat calibration pair omega0, Omega0 (dz_k = e^{2k-1} + i e^{2k})."""
+    omega0 = (wedge(basis_form(6, (1,)), basis_form(6, (2,)))
+              + wedge(basis_form(6, (3,)), basis_form(6, (4,)))
+              + wedge(basis_form(6, (5,)), basis_form(6, (6,))))
+    dz = [basis_form(6, (2 * k + 1,)) + 1j * basis_form(6, (2 * k + 2,)) for k in range(3)]
+    Omega0 = wedge(wedge(dz[0], dz[1]), dz[2])
+    return omega0, Omega0
+
+
+def flat_g2_form() -> Form:
+    """The reference stable 3-form omega0 ^ dt + Re Omega0 on 7 dimensions."""
+    omega0, Omega0 = flat_su3_forms()
+    return wedge(_embed(omega0), basis_form(7, (7,))) + _embed(Omega0.real())
+
+
+def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
+                     delta: Deformation, frame: ComplexFrame | None = None) -> Form:
+    """Convert delta to the (2,1)-form sum_ab delta[a, b] (iota_{v_a} P) ^ conj theta^b.
+
+    P is the unit skew (3,0) part of omega(N(.,.),.) (`_unit_delta_forms`).
+    """
+    fr = frame if frame is not None else J.frame()
+    Q = _unit_delta_forms(omega, nijenhuis_via_brackets(alg, J, frame=fr))
+    return Form(6, 3, np.einsum("ab,abk->k", delta.matrix, Q))
+
+
+def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
+                          omega: Form, delta: Deformation) -> float:
+    """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
+    return float(np.sum(delta.matrix * _gradient_pairings(alg, J, omega)).real)
+
+
+PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
+
+
+def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
+                    delta: Deformation) -> float:
+    """Central finite differences with one Richardson extrapolation step."""
+    fr = J.frame()
+
+    def d_at(h: float) -> float:
+        plus = psi_value(alg, deform_J(J, delta, h, frame=fr))
+        minus = psi_value(alg, deform_J(J, delta, -h, frame=fr))
+        return (plus - minus) / (2.0 * h)
+
+    d1 = d_at(PSI_FD_STEP)
+    d2 = d_at(PSI_FD_STEP / 2.0)
+    return (4.0 * d2 - d1) / 3.0
+
+

@@ -7,45 +7,41 @@ lines; every tolerance below is pinned, nothing is calibrated at run time.
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from nkvol.multilinear import Form, Metric, basis_form, hodge_star, inner_product, wedge
-from nkvol.frame_manifold import Manifest, catalog, check_jacobi, d_invariant
+from nkvol.multilinear import Metric, basis_form, hodge_star, wedge
+from nkvol.frame_manifold import catalog, check_jacobi
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.conventions import KAPPA_CONV
-from nkvol.hermitian_torsion import alt12_analysis, conformal_solve, torsion_criterion
+from nkvol.hermitian_torsion import alt12_analysis, conformal_solve
 from nkvol.nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d
-from nkvol.nk_su3 import SU3Structure, check_nabla_omega, nk_equivalence_suite, solve_Omega
-from nkvol.g2_cone import fernandez_gray_check, flat_g2_form, metric_roundtrip, stability_check
+from nkvol.nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
+from nkvol.g2_cone import fernandez_gray_check, metric_roundtrip, stability_check
 from nkvol.variation_opt import (
     Deformation,
     criticality_test,
     delta_basis,
     find_critical,
-    psi_gradient_analytic,
-    psi_gradient_fd,
 )
 
 from helpers import (
+    FIXTURE,
+    flat_g2_form,
+    inner_product,
+    nk_fixture,
+    psi_gradient_analytic,
+    psi_gradient_fd,
     random_acs,
     random_form,
     random_invalid_constants,
     random_valid_algebra,
 )
 
-FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
-
 
 def _verdict(num: int, name: str, ok: bool):
     print(f"ACCEPTANCE {num:02d} [{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, f"criterion {num} failed: {name}"
-
-
-def _fixture():
-    m = Manifest.load(FIXTURE)
-    return m.algebra(), AlmostComplexStructure(m.J), m.omega, m.Omega3
 
 
 def test_criterion_01_exterior_calculus_soundness():
@@ -159,7 +155,7 @@ def test_criterion_06_nk_flagship():
 
 
 def test_criterion_07_g2_cone():
-    alg, J, omega, Omega3 = _fixture()
+    alg, J, omega, Omega3 = nk_fixture()
     solved = solve_Omega(alg, J, omega)
     s = SU3Structure(J, omega, solved.Omega, solved.lam)
     fg = fernandez_gray_check(alg, s)
@@ -205,7 +201,7 @@ def test_criterion_08_variation_calculus():
             if abs(fd) > 1e-7:
                 ok &= abs(ana - fd) / abs(fd) < 1e-6
 
-    algf, Jf, omegaf, _ = _fixture()
+    algf, Jf, omegaf, _ = nk_fixture()
     comps = [psi_gradient_analytic(algf, Jf, omegaf, d) for d in delta_basis()]
     ok &= max(abs(x) for x in comps) < 1e-8
 
@@ -225,7 +221,7 @@ def test_criterion_08_variation_calculus():
 def test_criterion_09_theorem_roundtrip():
     ok = True
     # critical => suite true and suite true => critical, on the fixture
-    algf, Jf, omegaf, _ = _fixture()
+    algf, Jf, omegaf, _ = nk_fixture()
     rep = criticality_test(algf, Jf, omegaf)
     suite = nk_equivalence_suite(algf, Jf, omegaf)
     ok &= rep.critical and suite.all_true

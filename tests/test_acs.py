@@ -17,7 +17,7 @@ from nkvol.acs import (
     project_to_acs,
 )
 
-from helpers import random_acs, random_form, random_valid_algebra
+from helpers import random_acs, random_form
 
 
 def torus_J():

@@ -209,6 +209,18 @@ def test_functional_gradient_rejects_bad_omega(tmp_path):
         assert diagnostic in p.stdout, (name, p.stdout)
 
 
+def test_functional_gradient_names_the_missing_candidate(tmp_path):
+    # N is nondegenerate here, but no positive Hermitian candidate exists
+    q, torus = tmp_path / "q.json", tmp_path / "torus.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "6", "--magnitude", "3", "--out", str(q))
+    run_cli("catalog", "emit", "torus6", "--out", str(torus))
+    assert json.loads(run_cli("nijenhuis", str(q), "--json").stdout)["checks"]["nondegenerate"]
+    for path, cause in ((q, "no positive Hermitian candidate"), (torus, "degenerate")):
+        p = run_cli("functional", str(path), "--gradient", "--json")
+        assert p.returncode == 2, (path, p.stdout, p.stderr)
+        assert cause in json.loads(p.stdout)["error"], (path, p.stdout)
+
+
 def test_optimize_end_to_end(tmp_path):
     src = tmp_path / "p7.json"
     run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))

@@ -1,32 +1,25 @@
 """Graded cone calculus, stability of 3-forms, Fernandez-Gray, metric roundtrip."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from nkvol.multilinear import Form, Metric, basis_form, forms_close, hodge_star, wedge
 from nkvol.frame_manifold import Manifest, catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
-from nkvol.nk_su3 import SU3Structure, adapted_frame, solve_Omega
+from nkvol.nk_su3 import SU3Structure, solve_Omega
 from nkvol.hermitian_torsion import norm30_sq
 from nkvol.g2_cone import (
     ConeForm,
     build_cone_3form,
-    cone_metric_at_one,
     d_cone,
     fernandez_gray_check,
-    flat_g2_form,
-    flat_su3_forms,
     hodge_cone,
     metric_roundtrip,
     normalize_to_unit_lambda,
     stability_check,
 )
 
-from helpers import random_form
-
-FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
+from helpers import FIXTURE, flat_g2_form, flat_su3_forms, random_form
 
 RATIO_FIXTURE = 162.0 ** (2.0 / 9.0)   # convention constant of the roundtrip
 

@@ -15,7 +15,6 @@ from nkvol.hermitian_torsion import (
     _orient_positive,
     _skew_part,
     alt12_analysis,
-    c_map,
     c_map_trilinear,
     conformal_solve,
     conformal_stack,
@@ -25,31 +24,8 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import random_acs, random_valid_algebra
-
-
-def s3s3():
-    m = catalog("s3s3")
-    return m.algebra(), AlmostComplexStructure(m.J)
-
-
-def torus():
-    m = catalog("torus6")
-    return m.algebra(), AlmostComplexStructure(m.J)
-
-
-def product_omega(scales=(1.0, 1.0, 1.0)):
-    w = -scales[0] * wedge(basis_form(6, (1,)), basis_form(6, (4,)))
-    w = w + -scales[1] * wedge(basis_form(6, (2,)), basis_form(6, (5,)))
-    w = w + -scales[2] * wedge(basis_form(6, (3,)), basis_form(6, (6,)))
-    return w
-
-
-def flat_omega():
-    w = wedge(basis_form(6, (1,)), basis_form(6, (2,)))
-    w = w + wedge(basis_form(6, (3,)), basis_form(6, (4,)))
-    w = w + wedge(basis_form(6, (5,)), basis_form(6, (6,)))
-    return w
+from helpers import (c_map, flat_omega, product_omega, random_acs, random_valid_algebra, s3s3,
+                     torus)
 
 
 def test_norm30_flat_calibration():

@@ -12,13 +12,12 @@ from nkvol.multilinear import (
     contract,
     forms_close,
     hodge_star,
-    inner_product,
     substitution,
     wedge,
     zero_form,
 )
 
-from helpers import oracle_evaluate, oracle_wedge_evaluate, random_form, random_vectors
+from helpers import inner_product, oracle_evaluate, oracle_wedge_evaluate, random_form, random_vectors
 
 
 def test_basis_products():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from nkvol.multilinear import basis_form, form_from_one_coeffs, forms_close, wedge
-from nkvol.frame_manifold import CoframeAlgebra, catalog
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.multilinear import form_from_one_coeffs, forms_close
+from nkvol.frame_manifold import CoframeAlgebra
+from nkvol.acs import bidegree_project
 from nkvol.nijenhuis import (
     NijenhuisTensor,
     cartan_compatibility,
@@ -13,27 +13,9 @@ from nkvol.nijenhuis import (
     nijenhuis_via_d,
     volume_form,
 )
-from nkvol.acs import frame_from_thetas
 
-from helpers import random_acs, random_form, random_valid_algebra
-
-
-def s3s3():
-    m = catalog("s3s3")
-    return m.algebra(), AlmostComplexStructure(m.J)
-
-
-def torus():
-    m = catalog("torus6")
-    return m.algebra(), AlmostComplexStructure(m.J)
-
-
-def product_omega():
-    """The equal-scale product Hermitian form -sum_k e^k ^ e^{k+3} on s3s3."""
-    w = -1.0 * wedge(basis_form(6, (1,)), basis_form(6, (4,)))
-    w = w + -1.0 * wedge(basis_form(6, (2,)), basis_form(6, (5,)))
-    w = w + -1.0 * wedge(basis_form(6, (3,)), basis_form(6, (6,)))
-    return w
+from helpers import (frame_from_thetas, product_omega, random_acs, random_form,
+                     random_valid_algebra, s3s3, torus)
 
 
 def test_torus_vanishes_both_routes():

@@ -1,37 +1,20 @@
 """Shape equations, nabla-omega antisymmetry, the equivalence suite, lemmas."""
 
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from nkvol.multilinear import basis_form, forms_close, wedge
-from nkvol.frame_manifold import Manifest, catalog, d_invariant
+from nkvol.frame_manifold import catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.hermitian_torsion import conformal_solve, norm30_sq
 from nkvol.nk_su3 import (
     SU3Structure,
-    adapted_frame,
     check_nabla_omega,
     check_structure_equations,
-    lemma_d_splitting_checks,
     nk_equivalence_suite,
     solve_Omega,
 )
 
-FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
-
-
-def nk_fixture():
-    m = Manifest.load(FIXTURE)
-    return m.algebra(), AlmostComplexStructure(m.J), m.omega, m.Omega3
-
-
-def product_omega(scales=(1.0, 1.0, 1.0)):
-    w = -scales[0] * wedge(basis_form(6, (1,)), basis_form(6, (4,)))
-    w = w + -scales[1] * wedge(basis_form(6, (2,)), basis_form(6, (5,)))
-    w = w + -scales[2] * wedge(basis_form(6, (3,)), basis_form(6, (6,)))
-    return w
+from helpers import adapted_frame, lemma_d_splitting_checks, nk_fixture, product_omega
 
 
 def torus_structure():

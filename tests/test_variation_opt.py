@@ -1,7 +1,6 @@
 """Deformations, the first variation against finite differences, optimization."""
 
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,23 +15,14 @@ from nkvol.variation_opt import (
     criticality_residuals,
     criticality_test,
     deform_J,
-    delta_as_21_form,
     delta_basis,
     find_critical,
     psi_gradient,
-    psi_gradient_analytic,
-    psi_gradient_fd,
     psi_value,
 )
 
-from helpers import random_acs, random_form, random_valid_algebra
-
-FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
-
-
-def s3s3():
-    m = catalog("s3s3")
-    return m.algebra(), AlmostComplexStructure(m.J)
+from helpers import (FIXTURE, delta_as_21_form, frame_from_thetas, psi_gradient_analytic,
+                     psi_gradient_fd, random_acs, random_form, random_valid_algebra, s3s3)
 
 
 def nk_fixture():
@@ -83,8 +73,6 @@ def test_deform_rejects_degenerate_graph():
 
 
 def test_deform_reverse_returns_to_first_order():
-    from nkvol.acs import frame_from_thetas
-
     _, J = s3s3()
     rng = np.random.default_rng(1)
     d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
