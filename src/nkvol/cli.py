@@ -7,11 +7,18 @@ internal error, with the traceback on stderr.  With `--json` the output is a
 single report object printed with sorted keys and shortest-round-trip floats, so
 identical inputs produce byte-identical output and every number is finite;
 wall-clock timing appears only in the human-readable format.
+
+`main()`, the `nkvol` entry point, runs a call with the cyclic garbage collector
+off, since a call makes no reference cycles, and ends the process with
+`os._exit` once the report is flushed, skipping the interpreter's teardown; so
+`atexit` handlers do not run.  `run(argv)` is the in-process interface: it
+returns the exit code and leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -418,6 +425,7 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
+    gc.collect(0)  # free the parser's cycles now: main() runs with the collector off
     args.json = as_json
     started = time.monotonic()
 
@@ -474,7 +482,12 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    gc.disable()
+    code = run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
     "JacobiReport",
     "Manifest",
     "catalog",
-    "catalog_names",
     "check_jacobi",
     "covariant_derivative_form",
     "d_invariant",
@@ -319,10 +318,6 @@ def _s3s3_J() -> np.ndarray:
         J[i, i + 3] = 1.0
         J[i + 3, i] = -1.0
     return J
-
-
-def catalog_names() -> tuple[str, ...]:
-    return CATALOG_NAMES
 
 
 def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Manifest:

@@ -24,9 +24,12 @@ def test_catalog_list():
 
 
 def test_catalog_emit_and_check(tmp_path):
+    from nkvol.frame_manifold import Manifest
+
     out = tmp_path / "s3s3.json"
     p = run_cli("catalog", "emit", "s3s3", "--out", str(out))
     assert p.returncode == 0
+    assert Manifest.from_json(out.read_text()).name == "s3s3"
     q = run_cli("check", str(out), "--json")
     assert q.returncode == 0
     rep = json.loads(q.stdout)
@@ -222,6 +225,8 @@ def test_functional_gradient_names_the_missing_candidate(tmp_path):
 
 
 def test_optimize_end_to_end(tmp_path):
+    from nkvol.frame_manifold import Manifest
+
     src = tmp_path / "p7.json"
     run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "7", "--out", str(src))
     solved = tmp_path / "solved.json"
@@ -233,7 +238,8 @@ def test_optimize_end_to_end(tmp_path):
     trace = rep["checks"]["trace"]
     assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
     assert rep["checks"]["final_objective"] < 1e-12
-    # the emitted manifest is itself a passing fixture
+    # the emitted manifest is whole, and is itself a passing fixture
+    assert Manifest.from_json(solved.read_text()).Omega3 is not None
     q = run_cli("nk", str(solved), "--json")
     assert q.returncode == 0
     # determinism: identical input and flags give byte-identical reports, and
@@ -497,3 +503,100 @@ def test_negative_seed_is_input_error(tmp_path):
         p = run_cli(*args)
         assert p.returncode == 2, (args, p.stdout, p.stderr)
         assert "seed" in p.stdout and "Traceback" not in p.stderr, (args, p.stdout)
+
+
+def su2r3_manifest(path: Path) -> Path:
+    """su(2) + R^3: the S^3 x S^3 constants without those touching e^4, e^5, e^6."""
+    data = json.loads(run_cli("catalog", "emit", "s3s3", "--json").stdout)["checks"]["manifest"]
+    data["name"] = "su2_r3"
+    data["structure_constants"] = [c for c in data["structure_constants"]
+                                   if max(c["i"], c["j"], c["k"]) <= 3]
+    path.write_text(json.dumps(data))
+    return path
+
+
+FAILING_MAIN = (
+    "import sys\n"
+    "from nkvol import cli\n"
+    "def boom(manifest):\n"
+    "    raise RuntimeError('deliberate failure')\n"
+    "cli._cmd_check = boom\n"
+    "sys.argv[1:] = ['check', sys.argv[1], '--json']\n"
+    "cli.main()\n"
+)
+
+
+def test_main_exits_three_after_the_whole_report():
+    # main() ends the process with os._exit once the report is flushed
+    p = subprocess.run([sys.executable, "-c", FAILING_MAIN, str(FIXTURE)],
+                       capture_output=True, text=True)
+    assert p.returncode == 3, (p.stdout, p.stderr)
+    rep = json.loads(p.stdout)
+    assert rep["error"] == "internal error: RuntimeError: deliberate failure"
+    assert rep["manifest"]["name"] == "s3s3_critical" and rep["tolerances"]
+    assert "Traceback" in p.stderr and "deliberate failure" in p.stderr
+
+
+def test_largest_report_arrives_whole_through_a_pipe(tmp_path):
+    path = su2r3_manifest(tmp_path / "su2r3.json")
+    p = run_cli("optimize", str(path), "--max-iter", "18", "--json")
+    assert p.returncode == 1, p.stderr
+    rep = json.loads(p.stdout)
+    assert json.dumps(rep, indent=2, sort_keys=True) + "\n" == p.stdout
+    assert rep["checks"]["iterations"] == 18 and len(rep["checks"]["records"]) == 18
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # the interpreter sets sys.stderr to None when descriptor 2 is closed at start
+    p = subprocess.run([sys.executable, "-m", "nkvol.cli", "catalog", "list", "--json"],
+                       stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2))
+    assert p.returncode == 0
+    assert "s3s3" in json.loads(p.stdout)["checks"]["catalog"]
+
+
+def test_calls_make_no_reference_cycles(tmp_path):
+    # main() runs a call with the cyclic collector off, so a call may leave no garbage
+    # that only the collector frees, beyond the closures of json's indenting encoder:
+    # what `catalog list --json` leaves per report and `catalog emit --out` per file
+    import contextlib
+    import gc
+    import io
+
+    from nkvol import cli
+
+    torus = tmp_path / "torus.json"
+    run_cli("catalog", "emit", "torus6", "--out", str(torus))
+    calls = [[command, str(FIXTURE), *extra, "--json"] for command, *extra in FIXTURE_COMMANDS]
+    calls += [
+        ["functional", str(FIXTURE), "--json"],
+        ["optimize", str(FIXTURE), "--emit", str(tmp_path / "solved.json"), "--json"],
+        ["optimize", str(su2r3_manifest(tmp_path / "su2r3.json")), "--max-iter", "18", "--json"],
+        ["functional", str(torus), "--gradient", "--json"],
+        ["catalog", "emit", "s3s3_perturbed", "--seed", "7", "--json"],
+    ]
+    report = ["catalog", "list", "--json"]
+    written = ["catalog", "emit", "s3s3", "--out", str(tmp_path / "s3s3.json")]
+    codes = []
+
+    def garbage(argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.run(argv))
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in [*calls, report, written]:  # warm: imports and first-use caches
+            garbage(argv)
+        per_report, per_file = garbage(report), garbage(written)
+        for argv in calls:
+            bound = per_report + (per_file if "--emit" in argv else 0)
+            assert garbage(argv) <= bound, argv
+            assert not gc.isenabled(), argv
+    finally:
+        if enabled:
+            gc.enable()
+    assert set(codes) == {0, 1, 2}, codes
+    assert gc.isenabled() is enabled
+    garbage(report)
+    assert gc.isenabled() is enabled

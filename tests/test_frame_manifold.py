@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nkvol.multilinear import Form, Metric, basis_form, forms_close, wedge, zero_form
+from nkvol.conventions import CATALOG_NAMES
 from nkvol.frame_manifold import (
     CoframeAlgebra,
     Manifest,
     catalog,
-    catalog_names,
     check_jacobi,
     covariant_derivative_form,
     d_invariant,
@@ -254,7 +254,7 @@ def test_manifest_rejects_bad_indices_and_shapes():
 # -- catalog -----------------------------------------------------------------
 
 def test_catalog_names():
-    assert set(catalog_names()) == {"torus6", "s3s3", "s3s3_perturbed"}
+    assert set(CATALOG_NAMES) == {"torus6", "s3s3", "s3s3_perturbed"}
     with pytest.raises(ValueError):
         catalog("nope")
 
