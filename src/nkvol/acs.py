@@ -8,7 +8,7 @@ Conventions (fixed once, used everywhere):
   pullback J* acts as A^T.
 * Lambda^{1,0} is the +i eigenspace of J* (projector P^{1,0} = (Id - i J*)/2).
   The sign choice propagates into the sign of the structure constant of the
-  solved SU(3) data; it is never re-derived elsewhere.
+  solved SU(3) data; only `type_projectors` and `j_from_basis` write it out.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ __all__ = [
     "d_split",
     "default_frame_coords",
     "j_multiplicative",
+    "j_from_basis",
     "j_squared_residual",
     "project_to_acs",
     "projector_from_derivation",
     "theta_top_coeffs",
+    "type_projectors",
 ]
 
 
@@ -69,10 +71,10 @@ class AlmostComplexStructure:
         return self.matrix.T
 
     def p10(self) -> np.ndarray:
-        return 0.5 * (np.eye(self.dimension) - 1j * self.jstar)
+        return type_projectors(self.matrix)[0]
 
     def p01(self) -> np.ndarray:
-        return 0.5 * (np.eye(self.dimension) + 1j * self.jstar)
+        return type_projectors(self.matrix)[1]
 
     def derivation_matrix(self, k: int) -> np.ndarray:
         """Extension of J* to degree-k forms as a derivation (charge operator)."""
@@ -85,6 +87,19 @@ class AlmostComplexStructure:
     def frame(self) -> "ComplexFrame":
         """Deterministic (1,0) coframe/frame pair (`default_frame_coords`)."""
         return ComplexFrame(self, *default_frame_coords(self.matrix))
+
+
+def type_projectors(Jm) -> tuple[np.ndarray, np.ndarray]:
+    """P^{1,0} = (Id - i J*)/2 and P^{0,1} = (Id + i J*)/2, J* = Jm^T; leading axes stack."""
+    eye, i_jstar = np.eye(Jm.shape[-1]), 1j * np.swapaxes(Jm, -2, -1)
+    return 0.5 * (eye - i_jstar), 0.5 * (eye + i_jstar)
+
+
+def j_from_basis(B) -> np.ndarray:
+    """The real J = B diag(i, .., i, -i, .., -i) B^{-1}, +i on the first half of the columns
+    of B (a basis of T^{1,0}) and -i on the second (its conjugate); leading axes stack."""
+    h = B.shape[-1] // 2
+    return (B @ np.diag([1j] * h + [-1j] * h) @ np.linalg.inv(B)).real
 
 
 def j_squared_residual(m: np.ndarray):
@@ -221,7 +236,7 @@ def default_frame_coords(Jm) -> tuple[np.ndarray, np.ndarray]:
 
     The rows are an orthonormal basis of Lambda^{1,0}; leading axes of Jm stack.
     """
-    p10 = 0.5 * (np.eye(Jm.shape[-1]) - 1j * np.swapaxes(Jm, -2, -1))
+    p10 = type_projectors(Jm)[0]
     # the leading left singular vectors of a rank-3 projector span its range
     rows = np.swapaxes(np.linalg.svd(p10, full_matrices=False)[0][..., :3], -2, -1)
     return rows, _dual_vectors(rows)
@@ -236,15 +251,10 @@ def project_to_acs(K: np.ndarray) -> np.ndarray:
     K = np.asarray(K, dtype=np.float64)
     n = K.shape[0]
     w, V = np.linalg.eig(K)
-    pos = np.where(w.imag > 0)[0]
-    if len(pos) != n // 2:
+    Vp = V[:, w.imag > 0]
+    if Vp.shape[1] != n // 2:
         raise ValueError("matrix too far from an almost complex structure")
-    Vp = V[:, pos]
-    Vm = np.conj(Vp)
-    basis = np.hstack([Vp, Vm])
-    D = np.diag([1j] * (n // 2) + [-1j] * (n // 2))
-    # drop the tiny imaginary leakage; the constructor enforces the invariant
-    return AlmostComplexStructure((basis @ D @ np.linalg.inv(basis)).real).matrix
+    return AlmostComplexStructure(j_from_basis(np.hstack([Vp, np.conj(Vp)]))).matrix
 
 
 def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form:

@@ -317,17 +317,22 @@ def _cmd_alt12(manifest: Manifest):
     return checks, verdicts
 
 
-# subcommand -> (its top layer, which imports the layers below it; its handler).
+# subcommand -> (its help text; its top layer, which imports the layers below it; its handler).
 # run() imports the layers before it reads the manifest, so they compile on a small heap
 _COMMANDS = {
-    "check": ("acs", lambda m, a: _cmd_check(m)),
-    "nijenhuis": ("hermitian_torsion", lambda m, a: _cmd_nijenhuis(m)),
-    "torsion": ("hermitian_torsion", lambda m, a: _cmd_torsion(m)),
-    "nk": ("nk_su3", lambda m, a: _cmd_nk(m)),
-    "cone": ("g2_cone", lambda m, a: _cmd_cone(m)),
-    "alt12": ("hermitian_torsion", lambda m, a: _cmd_alt12(m)),
-    "functional": ("variation_opt", lambda m, a: _cmd_functional(m, a.gradient)),
-    "optimize": ("variation_opt",
+    "check": ("Jacobi gate and J validity", "acs", lambda m, a: _cmd_check(m)),
+    "nijenhuis": ("two-route tensor, determinant, volume density", "hermitian_torsion",
+                  lambda m, a: _cmd_nijenhuis(m)),
+    "torsion": ("skew-torsion criterion and conformal solve", "hermitian_torsion",
+                lambda m, a: _cmd_torsion(m)),
+    "nk": ("three-way equivalence suite", "nk_su3", lambda m, a: _cmd_nk(m)),
+    "cone": ("cone 3-form: stability, harmonicity, metric roundtrip", "g2_cone",
+             lambda m, a: _cmd_cone(m)),
+    "alt12": ("antisymmetrization-operator ranks", "hermitian_torsion",
+              lambda m, a: _cmd_alt12(m)),
+    "functional": ("volume density and optional gradient", "variation_opt",
+                   lambda m, a: _cmd_functional(m, a.gradient)),
+    "optimize": ("search for a critical structure", "variation_opt",
                  lambda m, a: _cmd_optimize(m, a.tol, a.max_iter, a.seed, a.emit)),
 }
 
@@ -393,23 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--magnitude", type=float, default=0.05)
     emit.add_argument("--out", default=None)
 
-    for name, helptext in [
-        ("check", "Jacobi gate and J validity"),
-        ("nijenhuis", "two-route tensor, determinant, volume density"),
-        ("torsion", "skew-torsion criterion and conformal solve"),
-        ("nk", "three-way equivalence suite"),
-        ("cone", "cone 3-form: stability, harmonicity, metric roundtrip"),
-        ("alt12", "antisymmetrization-operator ranks"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("file")
-
-    fun = sub.add_parser("functional", help="volume density and optional gradient")
-    fun.add_argument("file")
-    fun.add_argument("--gradient", action="store_true")
-
-    opt = sub.add_parser("optimize", help="search for a critical structure")
-    opt.add_argument("file")
+    for name, (helptext, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=helptext).add_argument("file")
+    sub.choices["functional"].add_argument("--gradient", action="store_true")
+    opt = sub.choices["optimize"]
     opt.add_argument("--tol", type=float, default=TOLERANCES["objective"])
     opt.add_argument("--max-iter", type=int, default=100)
     opt.add_argument("--seed", type=int, default=0)
@@ -426,29 +418,13 @@ def run(argv: list[str]) -> int:
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     gc.collect(0)  # free the parser's cycles now: main() runs with the collector off
-    args.json = as_json
     started = time.monotonic()
 
     report: dict = {"command": args.command, "constants": CONSTANTS, "tolerances": TOLERANCES}
     try:
-        if args.command == "catalog":
-            if args.catalog_command == "list":
-                report["checks"] = {"catalog": list(CATALOG_NAMES)}
-                report["verdicts"] = {}
-            else:
-                from .frame_manifold import catalog
-                try:
-                    manifest = catalog(args.name, seed=args.seed, magnitude=args.magnitude)
-                except ValueError as ex:
-                    raise InputError(str(ex)) from ex
-                if args.out:
-                    manifest.save(args.out)
-                    report["checks"] = {"written": args.out, "name": manifest.name}
-                else:
-                    report["checks"] = {"manifest": manifest.to_dict()}
-                report["verdicts"] = {}
-        else:
-            layer, handler = _COMMANDS[args.command]
+        verdicts = {}  # a catalog call has none
+        if args.command in _COMMANDS:
+            _, layer, handler = _COMMANDS[args.command]
             import_module(f".{layer}", __package__)
             manifest, digest = _load(args.file)
             report["manifest"] = {"name": manifest.name, "sha256": digest}
@@ -456,8 +432,19 @@ def run(argv: list[str]) -> int:
             bad = [key for key, value in checks.items() if not _finite(value)]
             if bad:
                 raise InputError(f"non-finite values in checks: {', '.join(bad)}")
-            report["checks"] = checks
-            report["verdicts"] = verdicts
+        elif args.catalog_command == "list":
+            checks = {"catalog": list(CATALOG_NAMES)}
+        else:
+            from .frame_manifold import catalog
+            try:
+                manifest = catalog(args.name, seed=args.seed, magnitude=args.magnitude)
+            except ValueError as ex:
+                raise InputError(str(ex)) from ex
+            if args.out:
+                manifest.save(args.out)
+                checks = {"written": args.out, "name": manifest.name}
+            else:
+                checks = {"manifest": manifest.to_dict()}
     except InputError as ex:
         report["error"], code = str(ex), 2
     except ValueError as ex:
@@ -469,9 +456,12 @@ def run(argv: list[str]) -> int:
         import traceback
         traceback.print_exc()
     else:
-        code = 0 if all(report["verdicts"].values()) else 1
+        report["checks"], report["verdicts"] = checks, verdicts
+        code = 0 if all(verdicts.values()) else 1
+    if sys.stdout is None:  # descriptor 1 was closed at start: unwritable output
+        return 2
     try:
-        _emit_report(report, args.json, time.monotonic() - started)
+        _emit_report(report, as_json, time.monotonic() - started)
         sys.stdout.flush()
     except BrokenPipeError:
         # a closed stdout is unwritable output; on devnull the interpreter's

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import EPS3, Form, Metric, index_tuples, substitution, two_form_coeffs
+from .multilinear import (EPS3, Form, Metric, _tuple_position, index_tuples, substitution,
+                          two_form_coeffs)
 from .conventions import CATALOG_NAMES, within
 
 __all__ = [
@@ -261,18 +262,17 @@ def _read_form(raw, n: int, degree: int, field_name: str):
     if raw is None:
         return None
     coeffs = np.zeros(comb(n, degree), dtype=np.complex128)
-    pos = {t: p for p, t in enumerate(index_tuples(n, degree))}
+    pos = _tuple_position(n, degree)
     for entry in _entries(raw, field_name):
         if set(entry) != {"indices", "re", "im"}:
             raise ValueError(f"bad {field_name} entry keys: {sorted(set(entry))}")
         idx = entry["indices"]
         if not isinstance(idx, list) or not all(_is_int(i) and 1 <= i <= n for i in idx):
             raise ValueError(f"{field_name} indices must be a list of integers in 1..{n}: {entry}")
-        idx = tuple(idx)
-        if len(idx) != degree or idx != tuple(sorted(idx)) or len(set(idx)) != degree:
+        if tuple(idx) not in pos:  # pos holds the strictly increasing tuples of this degree
             raise ValueError(f"{field_name} indices must be strictly increasing: {entry}")
         re, im = (_number(entry[part], field_name, entry) for part in ("re", "im"))
-        coeffs[pos[idx]] = re + 1j * im
+        coeffs[pos[tuple(idx)]] = re + 1j * im
     return Form(n, degree, _require_finite(coeffs, field_name))
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .multilinear import Form, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree
+from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree,
+                  type_projectors)
 from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
 
 __all__ = [
@@ -84,7 +85,7 @@ def nijenhuis_vectors(alg: CoframeAlgebra, Jm: np.ndarray, V: np.ndarray) -> np.
     # [v_c, v_d]^i = V[j, c] c^i_jk V[k, d]: the inner matmul over k, then the outer over j
     inner = alg.structure_constants @ V[..., None, :, :]
     brackets = np.swapaxes(V, -2, -1)[..., None, :, :] @ inner
-    q01 = 0.5 * (np.eye(Jm.shape[-1]) + 1j * Jm)
+    q01 = np.swapaxes(type_projectors(Jm)[1], -2, -1)  # transposed: P^{0,1} on vectors
     return q01 @ (brackets.reshape(brackets.shape[:-2] + (9,)) @ (0.5 * EPS3.reshape(3, 9).T))
 
 

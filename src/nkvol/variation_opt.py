@@ -34,7 +34,7 @@ import numpy as np
 from .multilinear import Form, contract, matvec, wedge_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, bidegree_project,
-                  default_frame_coords, theta_top_coeffs)
+                  default_frame_coords, j_from_basis, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, positive_11_metric,
                                 skew30_coefficient)
@@ -112,8 +112,7 @@ def _graph_chart(V: np.ndarray, T: np.ndarray):
     det = np.linalg.det(B)
     complementary = np.abs(det) > TOLERANCES["complementary"]  # written so that NaN fails it
     B = np.where(complementary[..., None, None], B, np.eye(6))
-    D = np.diag([1j] * 3 + [-1j] * 3)
-    return (B @ D @ np.linalg.inv(B)).real, det, complementary
+    return j_from_basis(B), det, complementary
 
 
 def psi_value(alg: CoframeAlgebra, J: AlmostComplexStructure) -> float:

@@ -187,6 +187,16 @@ def nk_fixture():
     return m.algebra(), AlmostComplexStructure(m.J), m.omega, m.Omega3
 
 
+# The nearly-Kaehler structure of S^3 x S^3 in closed form, on the s3s3 constants:
+# J e^i = (-e^i + 2 e^{i+3}) / sqrt 3 and J e^{i+3} = (-2 e^i + e^{i+3}) / sqrt 3.
+J_NK = np.kron(np.array([[-1.0, 2.0], [-2.0, 1.0]]) / np.sqrt(3.0), np.eye(3))
+
+
+def nk_closed_form() -> Manifest:
+    """The s3s3 catalog manifest with J_NK in place of its J and no metric."""
+    return catalog("s3s3")._replace(name="s3s3_nk", J=J_NK, metric=None)
+
+
 def product_omega(scales=(1.0, 1.0, 1.0)):
     """The product Hermitian form -sum_k scales[k] e^k ^ e^{k+3} on s3s3."""
     w = -scales[0] * wedge(basis_form(6, (1,)), basis_form(6, (4,)))

@@ -554,6 +554,25 @@ def test_closed_stderr_keeps_the_exit_code():
     assert "s3s3" in json.loads(p.stdout)["checks"]["catalog"]
 
 
+def test_nk_passes_on_the_closed_form_structure(tmp_path):
+    from helpers import nk_closed_form
+
+    path = tmp_path / "s3s3_nk.json"
+    nk_closed_form().save(path)
+    p = run_cli("nk", str(path), "--json")
+    assert p.returncode == 0, (p.stdout, p.stderr)
+    assert json.loads(p.stdout)["verdicts"]["suite_consistent"] is True
+
+
+def test_stdout_closed_at_start_is_unwritable_output():
+    # the interpreter sets sys.stdout to None when descriptor 1 is closed at start
+    for args in (("nk", str(FIXTURE), "--json"), ("check", str(FIXTURE))):
+        p = subprocess.run([sys.executable, "-m", "nkvol.cli", *args], stderr=subprocess.PIPE,
+                           text=True, preexec_fn=lambda: os.close(1))
+        assert p.returncode == 2, (args, p.stderr)
+        assert "Traceback" not in p.stderr and "Exception ignored" not in p.stderr, p.stderr
+
+
 def test_calls_make_no_reference_cycles(tmp_path):
     # main() runs a call with the cyclic collector off, so a call may leave no garbage
     # that only the collector frees, beyond the closures of json's indenting encoder:

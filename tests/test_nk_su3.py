@@ -3,7 +3,7 @@
 import numpy as np
 
 from nkvol.multilinear import basis_form, forms_close, wedge
-from nkvol.frame_manifold import catalog, d_invariant
+from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.hermitian_torsion import conformal_solve, norm30_sq
 from nkvol.nk_su3 import (
@@ -14,7 +14,10 @@ from nkvol.nk_su3 import (
     solve_Omega,
 )
 
-from helpers import adapted_frame, lemma_d_splitting_checks, nk_fixture, product_omega
+from nkvol.variation_opt import psi_gradient, psi_value
+
+from helpers import (FIXTURE, adapted_frame, lemma_d_splitting_checks, nk_closed_form, nk_fixture,
+                     product_omega)
 
 
 def torus_structure():
@@ -233,3 +236,25 @@ def test_adapted_frame_properties():
     assert fr.check_residual() < 1e-10
     assert forms_close(fr.theta_top(), Omega, tol=1e-10)
     assert abs(norm30_sq(omega, fr.theta_top()) - 1.0) < 1e-10
+
+
+# -- the closed-form solution ------------------------------------------------------
+
+
+def test_closed_form_structure_is_nearly_kaehler():
+    # an oracle that does not come from the optimizer
+    m = nk_closed_form()
+    alg, J = m.algebra(), AlmostComplexStructure(m.J)
+    omega = conformal_solve(alg, J).normalized_omega
+    suite = nk_equivalence_suite(alg, J, omega)
+    assert suite.all_true and suite.consistent()
+    assert abs(suite.lam - 2.0) <= 1e-12
+    assert abs(psi_value(alg, J) * 3.0 ** 4.5 - 1.0) <= 1e-12
+    assert np.max(np.abs(psi_gradient(alg, J, omega))) <= 1e-12
+    # the transpose, another almost complex structure, has psi = 3^(-3/2) and is not
+    Jt = AlmostComplexStructure(m.J.T)
+    assert abs(psi_value(alg, Jt) * 3.0 ** 1.5 - 1.0) <= 1e-12
+    suite_t = nk_equivalence_suite(alg, Jt, conformal_solve(alg, Jt).normalized_omega)
+    assert not suite_t.all_true and suite_t.consistent()
+    # the committed fixture, which the optimizer found, is this structure
+    assert np.max(np.abs(Manifest.load(FIXTURE).J - m.J)) <= 5e-10

@@ -1,0 +1,64 @@
+"""Property-based identities: the volume density under frame changes and rescaling,
+and the stacked residual kernel against the single-structure path.
+
+Examples are drawn by hypothesis under the derandomized profile of conftest.py;
+the structures come from the seeded generators in helpers.py.
+"""
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from nkvol.frame_manifold import CoframeAlgebra, catalog
+from nkvol.acs import AlmostComplexStructure
+from nkvol.variation_opt import psi_value
+
+from helpers import _basis_change, random_acs, random_valid_algebra
+from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
+
+SEEDS = st.integers(0, 2**32 - 1)
+PSI_REL_TOL = 1e-11  # relative; the worst of 400 seeded draws was 1.3e-13
+
+
+def nondegenerate_structure(seed: int):
+    """A random algebra with a nondegenerate Nijenhuis tensor for most J, and a random J."""
+    rng = np.random.default_rng(seed)
+    return random_valid_algebra(rng, kinds=("su2su2", "su2r3")), random_acs(rng)
+
+
+@given(SEEDS, arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)))
+def test_psi_is_a_density_under_frame_changes(seed, X):
+    # e'_j = S e_j moves the constants to c' and J to S^-1 J S; psi e^1..6 is invariant
+    alg, J = nondegenerate_structure(seed)
+    S = np.eye(6) + 0.3 * X
+    assume(np.linalg.cond(S) < 25.0)
+    c = _basis_change(alg.structure_constants, S)
+    c = 0.5 * (c - np.swapaxes(c, 1, 2))  # antisymmetric again after rounding
+    Jp = AlmostComplexStructure(np.linalg.solve(S, J.matrix @ S))
+    expected = abs(np.linalg.det(S)) * psi_value(alg, J)
+    assume(expected > 0.0)
+    assert abs(psi_value(CoframeAlgebra(c), Jp) - expected) <= PSI_REL_TOL * expected
+
+
+@given(SEEDS, st.floats(0.25, 4.0), st.booleans())
+def test_psi_is_homogeneous_of_degree_six(seed, s, negate):
+    alg, J = nondegenerate_structure(seed)
+    s = -s if negate else s
+    expected = s**6 * psi_value(alg, J)
+    assume(expected > 0.0)
+    scaled = CoframeAlgebra(s * alg.structure_constants)
+    assert abs(psi_value(scaled, J) - expected) <= PSI_REL_TOL * expected
+
+
+@given(st.sampled_from(("fixture", "perturbed", "su2r3")),
+       arrays(np.float64, (2, 4, 3, 3), elements=st.floats(-0.1, 0.1)))
+def test_stacked_residuals_match_scalar_path_on_random_deltas(case, parts):
+    if case == "fixture":
+        alg, J = nk_fixture()[:2]
+    elif case == "perturbed":
+        mp = catalog("s3s3_perturbed", seed=7)
+        alg, J = mp.algebra(), AlmostComplexStructure(mp.J)
+    else:
+        alg, J = su2r3()
+    assert_stack_matches_scalar(alg, J, parts[0] + 1j * parts[1])

@@ -265,6 +265,38 @@ def test_find_critical_no_solution_is_honest_failure():
     assert all(res.trace[i + 1] <= res.trace[i] for i in range(len(res.trace) - 1))
 
 
+def test_find_critical_exhausts_the_trust_region_on_su2r3():
+    # with the default max_iter the search stalls: 40 rejected damped trials and
+    # 24 kicks none of which lowers the objective end it
+    alg, J = su2r3()
+    res = find_critical(alg, J, seed=0)
+    assert not res.converged and res.reason == "trust region exhausted above tolerance"
+    assert res.iterations == 62 and len(res.records) == 63 and len(res.trace) == 63
+    assert all(res.trace[i + 1] <= res.trace[i] for i in range(len(res.trace) - 1))
+    last = res.records[-1]
+    assert last.step_norm is None and last.rejected_trials == 40 and last.kick is None
+    # every kick at seed 0 leaves the chart or the working region unevaluated;
+    # at seed 3 three kicks are evaluated and do not lower the objective
+    assert last.residual_evals == 36
+    again = find_critical(alg, J, seed=3)
+    assert again.reason == res.reason and again.records[-1].residual_evals == 39
+    assert again.records[:-1] == res.records[:-1]
+    assert find_critical(alg, J, seed=3).records == again.records
+
+
+def test_find_critical_suite_veto_rejects_a_vanished_residual(monkeypatch):
+    import nkvol.nk_su3 as nk
+
+    suite = nk.nk_equivalence_suite
+    monkeypatch.setattr(nk, "nk_equivalence_suite",
+                        lambda *args: suite(*args)._replace(torsion_ok=False))
+    mp = catalog("s3s3_perturbed", seed=7)
+    res = find_critical(mp.algebra(), AlmostComplexStructure(mp.J))
+    assert not res.converged and res.trace[-1] < 1e-12
+    assert res.reason.startswith("residual vanished outside the compatibility domain: ")
+    assert res.psi_gradient_max_abs is None and not res.suite.all_true
+
+
 def test_find_critical_on_rescaled_algebra():
     # an algebra isomorphic to the catalog one (second factor rescaled)
     # converges to an equivalent solution in the normalized gauge
