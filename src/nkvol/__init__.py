@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "multilinear": ("Form", "Metric", "contract", "hodge_star", "wedge"),
     "frame_manifold": ("CoframeAlgebra", "Manifest", "catalog", "check_jacobi", "d_invariant"),
-    "acs": ("AlmostComplexStructure", "bidegree_project", "d_split"),
+    "acs": ("AlmostComplexStructure", "bidegree_project"),
     "nijenhuis": ("nijenhuis_via_brackets", "nijenhuis_via_d", "volume_form"),
     "hermitian_torsion": ("alt12_analysis", "conformal_solve", "torsion_criterion"),
     "nk_su3": ("SU3Structure", "nk_equivalence_suite", "solve_Omega"),

@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .multilinear import (EPS3, Form, _index_array, compound, form_from_one_coeffs,
-                          substitution, two_form_coeffs, two_form_matrices, zero_form)
-from .frame_manifold import CoframeAlgebra, d_invariant
+                          substitution, two_form_matrices, zero_form)
 from .conventions import within
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "acs_gates",
     "bidegree_project",
     "bidegrees",
-    "d_split",
     "default_frame_coords",
     "j_multiplicative",
     "j_from_basis",
@@ -155,8 +153,8 @@ class ComplexFrame:
 
     Frame coordinates are taken on the six vectors F = [v, conj v] with the
     dual coframe Theta = [theta; conj theta]: `components` reads a 1- or
-    2-form there (a(F_i), a(F_i, F_j)) and `two_form` writes the 2-form with
-    a given 6x6 coordinate matrix X, Theta^T X Theta.  The basis of
+    2-form there (a(F_i), a(F_i, F_j)), and the 2-form with a given 6x6
+    coordinate matrix X is Theta^T X Theta.  The basis of
     Lambda^{2,0} dual to theta is
 
         tcheck^b = 1/2 eps_bcd theta^c ^ theta^d,
@@ -173,9 +171,6 @@ class ComplexFrame:
     @property
     def dimension(self) -> int:
         return self.theta_coeffs.shape[1]
-
-    def theta(self, a: int) -> Form:
-        return form_from_one_coeffs(self.dimension, self.theta_coeffs[a])
 
     def theta_bar(self, a: int) -> Form:
         return form_from_one_coeffs(self.dimension, np.conj(self.theta_coeffs[a]))
@@ -200,20 +195,9 @@ class ComplexFrame:
             return a.coeffs @ F
         return F.T @ two_form_matrices(a.coeffs, self.dimension) @ F
 
-    def two_form(self, X) -> Form:
-        """The 2-form with frame-coordinate matrix X (antisymmetric 6x6)."""
-        T = self.coframe
-        return Form(self.dimension, 2, two_form_coeffs(T.T @ X @ T))
-
     def theta_top(self) -> Form:
         """theta^1 ^ theta^2 ^ theta^3."""
         return Form(self.dimension, 3, theta_top_coeffs(self.theta_coeffs))
-
-    def check_residual(self) -> float:
-        """Max deviation of duality/type relations; diagnostics for tests."""
-        theta = self.theta_coeffs
-        return float(max(np.max(np.abs(theta @ self.v_coords - np.eye(3))),
-                         np.max(np.abs(theta @ self.J.matrix - 1j * theta))))
 
 
 def theta_top_coeffs(theta) -> np.ndarray:
@@ -269,36 +253,6 @@ def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form
 
 def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int) -> bool:
     return within((bidegree_project(J, a, p, q) - a).norm(), "pure_bidegree", max(1.0, a.norm()))
-
-
-def d_split(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
-            p: int | None = None, q: int | None = None) -> tuple[Form, Form, Form, Form]:
-    """The four bidegree components of d on a pure (p, q) form.
-
-    Returns (d^{2,-1} a, d^{1,0} a, d^{0,1} a, d^{-1,2} a), located at
-    (p+2, q-1), (p+1, q), (p, q+1), (p-1, q+2).  Components whose target
-    leaves the admissible range are identically zero.  When (p, q) is not
-    supplied it is detected from the input; mixed-bidegree input is rejected
-    either way, callers project first.
-    """
-    if p is None or q is None:
-        for pp, qq in bidegrees(a.dimension, a.degree):
-            if is_pure_bidegree(J, a, pp, qq):
-                p, q = pp, qq
-                break
-        else:
-            raise ValueError("input has mixed bidegree; project before splitting")
-    if not is_pure_bidegree(J, a, p, q):
-        raise ValueError(f"input is not of pure bidegree ({p}, {q})")
-    da = d_invariant(alg, a)
-    targets = [(p + 2, q - 1), (p + 1, q), (p, q + 1), (p - 1, q + 2)]
-    out = []
-    for tp, tq in targets:
-        if (tp, tq) in bidegrees(a.dimension, a.degree + 1):
-            out.append(bidegree_project(J, da, tp, tq))
-        else:
-            out.append(zero_form(a.dimension, a.degree + 1))
-    return tuple(out)
 
 
 def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:

@@ -320,7 +320,7 @@ def _cmd_alt12(manifest: Manifest):
 # subcommand -> (its help text; its top layer, which imports the layers below it; its handler).
 # run() imports the layers before it reads the manifest, so they compile on a small heap
 _COMMANDS = {
-    "check": ("Jacobi gate and J validity", "acs", lambda m, a: _cmd_check(m)),
+    "check": ("Jacobi gate and J validity", "frame_manifold", lambda m, a: _cmd_check(m)),
     "nijenhuis": ("two-route tensor, determinant, volume density", "hermitian_torsion",
                   lambda m, a: _cmd_nijenhuis(m)),
     "torsion": ("skew-torsion criterion and conformal solve", "hermitian_torsion",

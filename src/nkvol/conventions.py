@@ -86,7 +86,7 @@ TOLERANCES = {
     "real": 1e-9,                   # imaginary part of a form or number, scale max(1, its size)
     "pure_bidegree": 1e-10,         # |Pi^{p,q} a - a|, scale max(1, |a|)
     "vanishes": 1e-12,              # a form or coefficient treated as zero
-    "close": 1e-12,                 # forms_close default, scale max(1, both norms)
+    "close": 1e-12,                 # forms_close default (tests), scale max(1, both norms)
     "routes_agree": 1e-12,          # bracket route - d route of N*, scale max(1, max|N*|)
     "cartan": 1e-10,                # Cartan identity d^{2,-1} = wedge after Id (x) N*, relative
     "skew_torsion": 1e-10,          # non-skew part of rho = omega(N(.,.),.), scale max|rho|

@@ -19,6 +19,7 @@ import numpy as np
 
 from .multilinear import (EPS3, Form, Metric, _tuple_position, index_tuples, substitution,
                           two_form_coeffs)
+from .acs import project_to_acs
 from .conventions import CATALOG_NAMES, within
 
 __all__ = [
@@ -81,10 +82,6 @@ class JacobiReport(NamedTuple):
     holds: bool
     residual_dd: float      # max_i |d(d e^i)|
     residual_bracket: float  # max over the cyclic bracket sums
-
-    @property
-    def residual(self) -> float:
-        return max(self.residual_dd, self.residual_bracket)
 
 
 def check_jacobi(alg: CoframeAlgebra) -> JacobiReport:
@@ -302,15 +299,6 @@ def _su2_block(c: np.ndarray, offset: int):
     c[block, block, block] = -EPS3
 
 
-def _standard_torus_J(n: int = 6) -> np.ndarray:
-    # coframe action J e^{2k-1} = e^{2k}, J e^{2k} = -e^{2k-1}
-    J = np.zeros((n, n))
-    for k in range(0, n, 2):
-        J[k, k + 1] = 1.0
-        J[k + 1, k] = -1.0
-    return J
-
-
 def _s3s3_J() -> np.ndarray:
     # coframe action J e^i = e^{i'}, J e^{i'} = -e^i across the two factors
     J = np.zeros((6, 6))
@@ -334,8 +322,10 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
                      structure (J^2 = -Id) by eigenspace projection.
     """
     if name == "torus6":
-        c = np.zeros((6, 6, 6))
-        return Manifest("torus6", 6, c, J=_standard_torus_J(), metric=np.eye(6))
+        # coframe action J e^{2k-1} = e^{2k}, J e^{2k} = -e^{2k-1}
+        J = np.zeros((6, 6))
+        J[[0, 2, 4], [1, 3, 5]], J[[1, 3, 5], [0, 2, 4]] = 1.0, -1.0
+        return Manifest("torus6", 6, np.zeros((6, 6, 6)), J=J, metric=np.eye(6))
     if name == "s3s3":
         c = np.zeros((6, 6, 6))
         _su2_block(c, 0)
@@ -350,8 +340,6 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((6, 6))
         noise *= magnitude / np.linalg.norm(noise, 2)
-        from .acs import project_to_acs  # local import: acs depends on multilinear only
-
         Jp = project_to_acs(base.J + noise)
         return Manifest(f"s3s3_perturbed_{seed}", 6, base.structure_constants,
                         J=Jp, metric=np.eye(6))

@@ -1,13 +1,13 @@
-"""The Riemannian cone as a graded 7-dimensional model and its G2 geometry.
+"""The Riemannian cone as a 7-dimensional model of homogeneous forms and its G2 geometry.
 
-Cone forms are finite sums of t^w alpha and t^w dt ^ beta with alpha, beta
-invariant forms on the 6-dimensional base and integer weights w.  The cone
-differential and the Hodge star of the cone metric t^2 g + dt^2 act termwise:
+A cone form of weight w is t^w alpha + t^{w-1} dt ^ beta, with alpha and beta
+invariant forms on the 6-dimensional base of degrees k and k - 1: it scales
+by c^w under the dilation t -> c t.  Every form `fernandez_gray_check` builds is
+of this kind (rho has weight 3, *rho weight 4), and the cone differential and the
+Hodge star of the cone metric t^2 g + dt^2 keep the pair homogeneous:
 
-    d(t^w alpha)        = t^w d alpha + w t^{w-1} dt ^ alpha
-    d(t^w dt ^ beta)    = -t^w dt ^ d beta
-    *(t^w alpha_k)      = t^{w+6-2k} (*6 alpha) ^ dt
-    *(t^w dt ^ beta_k)  = t^{w+6-2k} (*6 beta)
+    d (w, alpha, beta) = (w, d alpha, w alpha - d beta)
+    * (w, alpha, beta) = (w + 7 - 2k, *6 beta, (-1)^{6-k} *6 alpha)
 
 Stability of a 3-form phi on a 7-dimensional space is decided through the
 bilinear form B(x, y) e^{1..7} = (iota_x phi) ^ (iota_y phi) ^ phi: definite B
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, Metric, _wedge_tensor, basis_form, compound, hodge_star, wedge, zero_form
+from .multilinear import Form, Metric, _wedge_tensor, basis_form, compound, hodge_star, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import j_multiplicative
 from .conventions import TOLERANCES, within
@@ -45,54 +45,31 @@ __all__ = [
 
 
 class ConeForm(NamedTuple):
-    """Finite sum of t^w alpha and t^w dt ^ beta over a 6-dimensional base."""
+    """t^weight alpha + t^(weight-1) dt ^ beta over a 6-dimensional base."""
 
-    degree: int
-    terms: tuple  # tuple of (weight, has_dt, Form), unique (weight, has_dt) keys
+    weight: int
+    alpha: Form   # degree k
+    beta: Form    # degree k - 1
 
-    @staticmethod
-    def from_terms(degree: int, entries) -> "ConeForm":
-        acc: dict = {}
-        for w, has_dt, f in entries:
-            base_deg = degree - (1 if has_dt else 0)
-            if f.degree != base_deg:
-                raise ValueError(
-                    f"term (w={w}, dt={has_dt}) has base degree {f.degree}, expected {base_deg}"
-                )
-            key = (int(w), bool(has_dt))
-            acc[key] = acc[key] + f if key in acc else f
-        cleaned = tuple(
-            (w, dt, f) for (w, dt), f in sorted(acc.items()) if f.norm() > 0.0
-        )
-        return ConeForm(degree, cleaned)
-
-    def __add__(self, other: "ConeForm") -> "ConeForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return ConeForm.from_terms(self.degree, list(self.terms) + list(other.terms))
-
-    def __mul__(self, scalar) -> "ConeForm":
-        return ConeForm.from_terms(
-            self.degree, [(w, dt, complex(scalar) * f) for w, dt, f in self.terms]
-        )
-
-    __rmul__ = __mul__
+    @property
+    def degree(self) -> int:
+        if self.beta.degree != self.alpha.degree - 1:
+            raise ValueError(f"beta has base degree {self.beta.degree}, "
+                             f"expected {self.alpha.degree - 1}")
+        return self.alpha.degree
 
     def __sub__(self, other: "ConeForm") -> "ConeForm":
-        return self + (-1.0) * other
+        if self.weight != other.weight:
+            raise ValueError("weight mismatch")
+        return ConeForm(self.weight, self.alpha - other.alpha, self.beta - other.beta)
 
     def norm(self) -> float:
-        return max((f.norm() for _, _, f in self.terms), default=0.0)
+        return max(self.alpha.norm(), self.beta.norm())
 
     def at_t(self, t: float) -> Form:
         """Evaluate on the 7-dimensional tangent space at parameter t (e^7 = dt)."""
-        out = zero_form(7, self.degree)
-        for w, has_dt, f in self.terms:
-            g7 = _embed(f)
-            if has_dt:
-                g7 = wedge(basis_form(7, (7,)), g7)
-            out = out + (t ** w) * g7
-        return out
+        dt_beta = wedge(basis_form(7, (7,)), _embed(self.beta))
+        return (t ** (self.weight - 1)) * dt_beta + (t ** self.weight) * _embed(self.alpha)
 
 
 def _embed(f: Form) -> Form:
@@ -101,30 +78,14 @@ def _embed(f: Form) -> Form:
 
 
 def d_cone(alg: CoframeAlgebra, cf: ConeForm) -> ConeForm:
-    entries = []
-    for w, has_dt, f in cf.terms:
-        if has_dt:
-            if f.degree < 6:
-                entries.append((w, True, -1.0 * d_invariant(alg, f)))
-        else:
-            if f.degree < 6:
-                entries.append((w, False, d_invariant(alg, f)))
-            if w != 0:
-                entries.append((w - 1, True, float(w) * f))
-    return ConeForm.from_terms(cf.degree + 1, entries)
+    w = cf.weight
+    return ConeForm(w, d_invariant(alg, cf.alpha), w * cf.alpha - d_invariant(alg, cf.beta))
 
 
 def hodge_cone(g6: Metric, cf: ConeForm) -> ConeForm:
-    entries = []
-    for w, has_dt, f in cf.terms:
-        k = f.degree
-        star = hodge_star(g6, f)
-        if has_dt:
-            entries.append((w + 6 - 2 * k, False, star))
-        else:
-            # (*6 alpha) ^ dt = (-1)^{6-k} dt ^ (*6 alpha)
-            entries.append((w + 6 - 2 * k, True, float((-1) ** (6 - k)) * star))
-    return ConeForm.from_terms(7 - cf.degree, entries)
+    k = cf.degree
+    return ConeForm(cf.weight + 7 - 2 * k, hodge_star(g6, cf.beta),
+                    float((-1) ** (6 - k)) * hodge_star(g6, cf.alpha))
 
 
 def normalize_to_unit_lambda(s: SU3Structure) -> tuple[SU3Structure, float]:
@@ -141,19 +102,13 @@ def normalize_to_unit_lambda(s: SU3Structure) -> tuple[SU3Structure, float]:
     return snew, lam
 
 
-def build_cone_3form(s: SU3Structure, alg: CoframeAlgebra | None = None) -> ConeForm:
-    """rho = 3 t^2 omega ^ dt + t^3 d omega in the graded cone model.
+def build_cone_3form(s: SU3Structure, alg: CoframeAlgebra) -> ConeForm:
+    """rho = 3 t^2 omega ^ dt + t^3 d omega, of weight 3, with d omega computed on alg.
 
-    When an algebra is supplied, d omega is computed on it; the caller is
-    responsible for passing data already normalized to unit lambda when the
-    displayed duality identities are to hold on the nose.
+    The caller is responsible for passing data already normalized to unit
+    lambda when the displayed duality identities are to hold on the nose.
     """
-    if s.omega.norm() == 0.0:
-        return ConeForm.from_terms(3, [])
-    if alg is None:
-        raise ValueError("an algebra is required to differentiate omega")
-    domega = d_invariant(alg, s.omega)
-    return ConeForm.from_terms(3, [(2, True, 3.0 * s.omega), (3, False, domega)])
+    return ConeForm(3, d_invariant(alg, s.omega), 3.0 * s.omega)
 
 
 def base_metric_oriented(s: SU3Structure) -> Metric:
@@ -240,9 +195,6 @@ class FernandezGrayReport(NamedTuple):
     def coclosed(self) -> bool:
         return within(self.dstar_rho_residual, "cone")
 
-    def passes(self) -> bool:
-        return self.closed and self.coclosed
-
 
 def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayReport:
     """Closedness and co-closedness of the cone 3-form for unit-lambda data.
@@ -262,10 +214,10 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
     # display: *rho = (3/2) t^4 omega^2 - 3 t^3 dt ^ I(d omega), I(d omega) = Im Omega
     w2 = wedge(snorm.omega, snorm.omega)
     i_domega = snorm.Omega.imag()
-    expect = ConeForm.from_terms(4, [(4, False, 1.5 * w2), (3, True, -3.0 * i_domega)])
+    expect = ConeForm(4, 1.5 * w2, -3.0 * i_domega)
     star_res = (star_rho - expect).norm() / max(1.0, star_rho.norm())
 
-    slot_action = j_multiplicative(snorm.J, d_invariant(alg, snorm.omega))
+    slot_action = j_multiplicative(snorm.J, rho.alpha)  # rho.alpha = d omega
     rot_res = ((1.0 / 3.0) * slot_action - i_domega).norm() / max(1.0, i_domega.norm())
 
     dstar = d_cone(alg, star_rho)

@@ -46,7 +46,6 @@ __all__ = [
     "compound",
     "contract",
     "form_from_one_coeffs",
-    "forms_close",
     "hodge_star",
     "index_tuples",
     "matvec",
@@ -189,9 +188,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Form":
-        return Form(self.dimension, self.degree, -self.coeffs)
-
     def conjugate(self) -> "Form":
         return Form(self.dimension, self.degree, np.conj(self.coeffs))
 
@@ -310,13 +306,6 @@ class Metric:
     def inverse(self) -> np.ndarray:
         return np.linalg.inv(self.matrix)
 
-    def volume_form(self) -> Form:
-        n = self.dimension
-        scale = self.orientation * np.sqrt(np.linalg.det(self.matrix))
-        c = np.zeros(1, dtype=np.complex128)
-        c[0] = scale
-        return Form(n, n, c)
-
 
 def hodge_star(g: Metric, a: Form) -> Form:
     """Hodge dual: a ^ *b = <a, b>_g Vol_g for all a of the degree of b."""
@@ -330,7 +319,3 @@ def hodge_star(g: Metric, a: Form) -> Form:
     S = P.T @ G * vol
     return Form(n, n - k, S @ a.coeffs)
 
-
-def forms_close(a: Form, b: Form, tol: float = TOLERANCES["close"]) -> bool:
-    """Comparison at absolute tolerance after scaling to unit max-norm."""
-    return within((a - b).norm(), tol, max(1.0, a.norm(), b.norm()))

@@ -62,20 +62,6 @@ class NijenhuisTensor(NamedTuple):
         op = np.linalg.norm(m, 2)
         return bool(abs(np.linalg.det(m)) > TOLERANCES["nondegenerate"] * max(op, 1e-300) ** 3)
 
-    def apply(self, zeta: Form) -> Form:
-        """N* on an arbitrary (0,1)-form (expanded over conj theta)."""
-        img = self.matrix @ self.frame.components(zeta)[3:]
-        X = np.zeros((6, 6), dtype=np.complex128)
-        X[:3, :3] = np.einsum("b,bcd->cd", img, EPS3)
-        return self.frame.two_form(X)
-
-    def in_frame(self, frame: ComplexFrame) -> np.ndarray:
-        """The matrix transported to another (1,0) coframe of the same J."""
-        # theta'^a = sum_c S[a, c] theta^c
-        S = frame.theta_coeffs @ self.frame.v_coords
-        det = np.linalg.det(S)
-        return (S @ self.matrix @ np.conj(S).T) / det
-
 
 def nijenhuis_vectors(alg: CoframeAlgebra, Jm: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Columns N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d], so N(v_c, v_d) = eps_bcd N^b.

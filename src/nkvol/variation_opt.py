@@ -169,10 +169,6 @@ class CriticalityReport(NamedTuple):
     degenerate: bool
     omega: Form | None
 
-    @property
-    def critical(self) -> bool:
-        return self.verdict == "critical"
-
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     """Real residual vector of the off-shape part of d omega, or None.

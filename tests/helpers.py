@@ -14,17 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from nkvol.multilinear import Form, Metric, basis_form, compound, index_tuples, wedge
-from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
+from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
+                               index_tuples, two_form_coeffs, wedge, zero_form)
+from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
-                       is_pure_bidegree, project_to_acs)
-from nkvol.conventions import ZH_DUALITY_FACTOR, within
+                       bidegrees, is_pure_bidegree, project_to_acs)
+from nkvol.conventions import TOLERANCES, ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_via_brackets
 from nkvol.hermitian_torsion import hermitian_metric, norm30_sq
 from nkvol.nk_su3 import SU3Structure
-from nkvol.g2_cone import _embed
-from nkvol.variation_opt import (Deformation, _gradient_pairings, _unit_delta_forms, deform_J,
-                                 psi_value)
+from nkvol.g2_cone import FernandezGrayReport, _embed
+from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings,
+                                 _unit_delta_forms, deform_J, psi_value)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
@@ -347,3 +348,91 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
     return (4.0 * d2 - d1) / 3.0
 
 
+# -- comparisons, views and the d-splitting that only the tests call -----------
+
+def forms_close(a: Form, b: Form, tol: float = TOLERANCES["close"]) -> bool:
+    """Comparison at absolute tolerance after scaling to unit max-norm."""
+    return within((a - b).norm(), tol, max(1.0, a.norm(), b.norm()))
+
+
+def metric_volume_form(g: Metric) -> Form:
+    n = g.dimension
+    scale = g.orientation * np.sqrt(np.linalg.det(g.matrix))
+    c = np.zeros(1, dtype=np.complex128)
+    c[0] = scale
+    return Form(n, n, c)
+
+
+def frame_theta(fr: ComplexFrame, a: int) -> Form:
+    return form_from_one_coeffs(fr.dimension, fr.theta_coeffs[a])
+
+
+def frame_two_form(fr: ComplexFrame, X) -> Form:
+    """The 2-form with frame-coordinate matrix X (antisymmetric 6x6)."""
+    T = fr.coframe
+    return Form(fr.dimension, 2, two_form_coeffs(T.T @ X @ T))
+
+
+def frame_check_residual(fr: ComplexFrame) -> float:
+    """Max deviation of duality/type relations; diagnostics for tests."""
+    theta = fr.theta_coeffs
+    return float(max(np.max(np.abs(theta @ fr.v_coords - np.eye(3))),
+                     np.max(np.abs(theta @ fr.J.matrix - 1j * theta))))
+
+
+def nijenhuis_apply(nij: NijenhuisTensor, zeta: Form) -> Form:
+    """N* on an arbitrary (0,1)-form (expanded over conj theta)."""
+    img = nij.matrix @ nij.frame.components(zeta)[3:]
+    X = np.zeros((6, 6), dtype=np.complex128)
+    X[:3, :3] = np.einsum("b,bcd->cd", img, EPS3)
+    return frame_two_form(nij.frame, X)
+
+
+def nijenhuis_in_frame(nij: NijenhuisTensor, frame: ComplexFrame) -> np.ndarray:
+    """The matrix transported to another (1,0) coframe of the same J."""
+    # theta'^a = sum_c S[a, c] theta^c
+    S = frame.theta_coeffs @ nij.frame.v_coords
+    det = np.linalg.det(S)
+    return (S @ nij.matrix @ np.conj(S).T) / det
+
+
+def jacobi_residual(rep: JacobiReport) -> float:
+    return max(rep.residual_dd, rep.residual_bracket)
+
+
+def fg_passes(fg: FernandezGrayReport) -> bool:
+    return fg.closed and fg.coclosed
+
+
+def is_critical(rep: CriticalityReport) -> bool:
+    return rep.verdict == "critical"
+
+
+def d_split(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
+            p: int | None = None, q: int | None = None) -> tuple[Form, Form, Form, Form]:
+    """The four bidegree components of d on a pure (p, q) form.
+
+    Returns (d^{2,-1} a, d^{1,0} a, d^{0,1} a, d^{-1,2} a), located at
+    (p+2, q-1), (p+1, q), (p, q+1), (p-1, q+2).  Components whose target
+    leaves the admissible range are identically zero.  When (p, q) is not
+    supplied it is detected from the input; mixed-bidegree input is rejected
+    either way, callers project first.
+    """
+    if p is None or q is None:
+        for pp, qq in bidegrees(a.dimension, a.degree):
+            if is_pure_bidegree(J, a, pp, qq):
+                p, q = pp, qq
+                break
+        else:
+            raise ValueError("input has mixed bidegree; project before splitting")
+    if not is_pure_bidegree(J, a, p, q):
+        raise ValueError(f"input is not of pure bidegree ({p}, {q})")
+    da = d_invariant(alg, a)
+    targets = [(p + 2, q - 1), (p + 1, q), (p, q + 1), (p - 1, q + 2)]
+    out = []
+    for tp, tq in targets:
+        if (tp, tq) in bidegrees(a.dimension, a.degree + 1):
+            out.append(bidegree_project(J, da, tp, tq))
+        else:
+            out.append(zero_form(a.dimension, a.degree + 1))
+    return tuple(out)

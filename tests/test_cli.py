@@ -515,6 +515,22 @@ def su2r3_manifest(path: Path) -> Path:
     return path
 
 
+def test_overflowing_constants_are_input_errors(tmp_path):
+    # s3s3 with every constant scaled by 1e200: each computing subcommand meets an
+    # infinite or NaN value and names it with exit 2; alt12 reads J alone
+    data = json.loads(run_cli("catalog", "emit", "s3s3", "--json").stdout)["checks"]["manifest"]
+    for c in data["structure_constants"]:
+        c["value"] *= 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    for args in (("check",), ("nijenhuis",), ("torsion",), ("nk",), ("cone",),
+                 ("functional", "--gradient"), ("optimize",)):
+        p = run_cli(args[0], str(path), *args[1:], "--json")
+        assert p.returncode == 2, (args, p.stdout, p.stderr)
+        assert "non-finite" in json.loads(p.stdout)["error"], (args, p.stdout)
+    assert run_cli("alt12", str(path)).returncode == 0
+
+
 FAILING_MAIN = (
     "import sys\n"
     "from nkvol import cli\n"

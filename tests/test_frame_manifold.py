@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nkvol.multilinear import Form, Metric, basis_form, forms_close, wedge, zero_form
+from nkvol.multilinear import Form, Metric, basis_form, wedge, zero_form
 from nkvol.conventions import CATALOG_NAMES
 from nkvol.frame_manifold import (
     CoframeAlgebra,
@@ -17,7 +17,8 @@ from nkvol.frame_manifold import (
     levi_civita,
 )
 
-from helpers import random_form, random_invalid_constants, random_valid_algebra
+from helpers import (forms_close, jacobi_residual, metric_volume_form, random_form,
+                     random_invalid_constants, random_valid_algebra)
 
 
 def su2_plus_su2():
@@ -63,7 +64,7 @@ def test_d_antiderivation_identity():
 
 def test_jacobi_reports():
     assert check_jacobi(su2_plus_su2()).holds
-    assert check_jacobi(su2_plus_su2()).residual == 0.0
+    assert jacobi_residual(check_jacobi(su2_plus_su2())) == 0.0
     assert check_jacobi(CoframeAlgebra(np.zeros((6, 6, 6)))).holds
 
     # Perturbing the diagonal constant c^1_{23} alone keeps the Jacobi identity
@@ -80,7 +81,7 @@ def test_jacobi_reports():
     c[0, 4, 0] -= 0.1
     rep = check_jacobi(CoframeAlgebra(c))
     assert not rep.holds
-    assert rep.residual > 1e-3
+    assert jacobi_residual(rep) > 1e-3
 
 
 def test_jacobi_two_routes_agree():
@@ -140,7 +141,7 @@ def test_covariant_derivative_metric_volume_parallel():
     A = rng.standard_normal((6, 6))
     g = Metric(A @ A.T + 6 * np.eye(6))
     gamma = levi_civita(alg, g)
-    vol = g.volume_form()
+    vol = metric_volume_form(g)
     for da in covariant_derivative_form(gamma, vol):
         assert da.norm() < 1e-12
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nkvol.multilinear import Form, basis_form, forms_close, wedge
+from nkvol.multilinear import Form, basis_form, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
@@ -24,8 +24,8 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import (c_map, flat_omega, product_omega, random_acs, random_valid_algebra, s3s3,
-                     torus)
+from helpers import (c_map, flat_omega, forms_close, frame_theta, product_omega, random_acs,
+                     random_valid_algebra, s3s3, torus)
 
 
 def test_norm30_flat_calibration():
@@ -195,9 +195,9 @@ def test_conformal_system_matches_c_map():
         B = _hermitian_basis(fr.coframe)
         # h_1 = E_11 and h_8 = i (E_23 - E_32): i theta^1 ^ conj theta^1 and
         # theta^3 ^ conj theta^2 - theta^2 ^ conj theta^3
-        assert forms_close(Form(6, 2, B[:, 0]), 1j * wedge(fr.theta(0), fr.theta_bar(0)))
-        assert forms_close(Form(6, 2, B[:, 8]), wedge(fr.theta(2), fr.theta_bar(1))
-                           - wedge(fr.theta(1), fr.theta_bar(2)))
+        assert forms_close(Form(6, 2, B[:, 0]), 1j * wedge(frame_theta(fr, 0), fr.theta_bar(0)))
+        assert forms_close(Form(6, 2, B[:, 8]), wedge(frame_theta(fr, 2), fr.theta_bar(1))
+                           - wedge(frame_theta(fr, 1), fr.theta_bar(2)))
         cols = []
         for coeffs in B.T:
             T = c_map_trilinear(c_map(alg, J, Form(6, 2, coeffs), nij=nij))

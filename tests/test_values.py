@@ -1,8 +1,10 @@
 """Values are immutable: no report can be reassigned, and J carries no hidden state."""
 
+import ast
 import inspect
 import pkgutil
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from nkvol.nijenhuis import NijenhuisTensor, VolumeDensity
 from nkvol.nk_su3 import (NablaOmegaReport, NkSuiteReport, SolveOmegaResult,
                           StructureEquationReport, SU3Structure)
 from nkvol.variation_opt import CriticalityReport, FindCriticalResult, IterationRecord
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REPORTS = (
     JacobiReport, Manifest,
@@ -54,3 +58,28 @@ def test_export_lists_resolve():
     for info in pkgutil.iter_modules(nkvol.__path__):
         layer = import_module(f"nkvol.{info.name}")
         assert all(hasattr(layer, name) for name in layer.__all__), info.name
+
+
+def _names_read(node) -> set:
+    """The names and attribute names a syntax tree reads: comments, docstrings and
+    the strings of `__all__` do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_name_runs_in_the_package_or_the_benchmark():
+    # a name that only the tests call belongs in tests/helpers.py, not in a layer's __all__
+    layers = {p.stem: ast.parse(p.read_text(encoding="utf-8")).body
+              for p in sorted((ROOT / "src" / "nkvol").glob("*.py"))}
+    reads = {stem: [(getattr(node, "name", None), _names_read(node)) for node in body]
+             for stem, body in layers.items()}
+    for p in (ROOT / "perfbench").glob("*.py"):
+        reads[p.name] = [(None, _names_read(ast.parse(p.read_text(encoding="utf-8"))))]
+    unused = []
+    for stem in layers.keys() - {"__init__"}:
+        for name in import_module(f"nkvol.{stem}").__all__:
+            # in its own layer, a read inside the name's own definition does not count
+            if not any(name in names for key, statements in reads.items()
+                       for defined, names in statements if key != stem or defined != name):
+                unused.append(f"{stem}.{name}")
+    assert not unused, sorted(unused)
