@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multilinear import (EPS3, Form, _index_array, compound, form_from_one_coeffs,
+from .multilinear import (EPS3, Form, _index_array, form_from_one_coeffs,
                           substitution, two_form_matrices, zero_form)
 from .conventions import within
 
@@ -30,7 +30,6 @@ __all__ = [
     "bidegree_project",
     "bidegrees",
     "default_frame_coords",
-    "j_multiplicative",
     "j_from_basis",
     "j_squared_residual",
     "project_to_acs",
@@ -253,8 +252,3 @@ def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form
 
 def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int) -> bool:
     return within((bidegree_project(J, a, p, q) - a).norm(), "pure_bidegree", max(1.0, a.norm()))
-
-
-def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:
-    """Precompose every slot with J: on a (p, q) form this is i^{p-q} times it."""
-    return Form(a.dimension, a.degree, compound(J.jstar, a.degree) @ a.coeffs)

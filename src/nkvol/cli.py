@@ -249,26 +249,23 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     alg = manifest.algebra()
     J = _acs_of(manifest)
     checks = {"psi": psi_value(alg, J)}
-    verdicts = {}
-    crit_rep, cause = None, "no positive Hermitian candidate available for the gradient"
     try:
-        omega, source = _pick_omega(alg, J, manifest)
-        if omega is not None:
-            crit_rep = criticality_test(alg, J, omega if manifest.omega is not None else None)
-            checks["criticality_residual"] = crit_rep.residual
-            checks["criticality_verdict"] = crit_rep.verdict
-    except (ValueError, InputError) as ex:
-        cause = f"gradient undefined: {ex}"
+        crit = criticality_test(alg, J, manifest.omega)
+    except ValueError as ex:
+        if manifest.omega is not None:
+            raise  # the manifest omega fails the gate: an input error
+        if gradient:
+            raise InputError(f"gradient undefined: {ex}") from ex
+        return checks, {}  # no candidate omega: psi alone
+    checks["criticality_residual"] = crit.residual
+    checks["criticality_verdict"] = crit.verdict
     if gradient:
-        if crit_rep is None:
-            raise InputError(cause)
-        if crit_rep.degenerate:
+        if crit.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
-        omega = crit_rep.omega
-        grad = psi_gradient(alg, J, omega)
+        grad = psi_gradient(alg, J, crit.omega)
         checks["gradient_components"] = grad.tolist()
         checks["gradient_max_abs"] = float(abs(grad).max())
-    return checks, verdicts
+    return checks, {}
 
 
 def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,

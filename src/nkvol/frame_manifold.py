@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, isfinite
+from math import comb, inf
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +174,7 @@ class Manifest(NamedTuple):
         if not _is_int(n) or not (1 <= n <= 7):
             raise ValueError("dimension must be an integer in 1..7")
         c = np.zeros((n, n, n), dtype=np.float64)
+        seen = set()
         for entry in _entries(data["structure_constants"], "structure_constants"):
             keys = set(entry)
             if keys != {"i", "j", "k", "value"}:
@@ -185,6 +186,9 @@ class Manifest(NamedTuple):
                     raise ValueError(f"structure-constant index out of range: {entry}")
             if not j < k:
                 raise ValueError(f"structure constants must be stored with j < k: {entry}")
+            if (i, j, k) in seen:
+                raise ValueError(f"duplicate structure-constant entry ({i}, {j}, {k}): {entry}")
+            seen.add((i, j, k))
             c[i - 1, j - 1, k - 1] = v
             c[i - 1, k - 1, j - 1] = -v
         _require_finite(c, "structure_constants")
@@ -260,6 +264,7 @@ def _read_form(raw, n: int, degree: int, field_name: str):
         return None
     coeffs = np.zeros(comb(n, degree), dtype=np.complex128)
     pos = _tuple_position(n, degree)
+    seen = set()
     for entry in _entries(raw, field_name):
         if set(entry) != {"indices", "re", "im"}:
             raise ValueError(f"bad {field_name} entry keys: {sorted(set(entry))}")
@@ -268,6 +273,9 @@ def _read_form(raw, n: int, degree: int, field_name: str):
             raise ValueError(f"{field_name} indices must be a list of integers in 1..{n}: {entry}")
         if tuple(idx) not in pos:  # pos holds the strictly increasing tuples of this degree
             raise ValueError(f"{field_name} indices must be strictly increasing: {entry}")
+        if tuple(idx) in seen:
+            raise ValueError(f"duplicate {field_name} entry {idx}: {entry}")
+        seen.add(tuple(idx))
         re, im = (_number(entry[part], field_name, entry) for part in ("re", "im"))
         coeffs[pos[tuple(idx)]] = re + 1j * im
     return Form(n, degree, _require_finite(coeffs, field_name))
@@ -334,8 +342,8 @@ def catalog(name: str, seed: int | None = None, magnitude: float = 0.05) -> Mani
     if name == "s3s3_perturbed":
         if seed is None or seed < 0:
             raise ValueError(f"s3s3_perturbed requires a seed >= 0, got {seed}")
-        if not isfinite(magnitude):
-            raise ValueError(f"s3s3_perturbed requires a finite magnitude, got {magnitude}")
+        if not 0.0 <= magnitude < inf:  # written so that NaN fails it
+            raise ValueError(f"s3s3_perturbed requires a finite magnitude >= 0, got {magnitude}")
         base = catalog("s3s3")
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((6, 6))

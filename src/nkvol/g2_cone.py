@@ -23,7 +23,6 @@ import numpy as np
 
 from .multilinear import Form, Metric, _wedge_tensor, basis_form, compound, hodge_star, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import j_multiplicative
 from .conventions import TOLERANCES, within
 from .hermitian_torsion import hermitian_metric
 from .nk_su3 import SU3Structure
@@ -184,7 +183,6 @@ class FernandezGrayReport(NamedTuple):
     d_rho_residual: float
     dstar_rho_residual: float
     star_formula_residual: float   # termwise match of *rho against the display
-    rotation_relation_residual: float  # lam I(d omega) = Im Omega, slotwise action
     lambda_rescale: float
 
     @property
@@ -202,8 +200,7 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
     The explicit dual display is checked termwise with its own defining
     relation for the rotated derivative, I(d omega) := Im Omega / lambda.
     (The plain slot action of J on d omega differs from that object by the
-    factor 3 lambda^2; the residual of the relation at unit lambda is
-    reported separately.)
+    factor 3 lambda^2.)
     """
     snorm, lam = normalize_to_unit_lambda(s)
     rho = build_cone_3form(snorm, alg)
@@ -217,16 +214,12 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
     expect = ConeForm(4, 1.5 * w2, -3.0 * i_domega)
     star_res = (star_rho - expect).norm() / max(1.0, star_rho.norm())
 
-    slot_action = j_multiplicative(snorm.J, rho.alpha)  # rho.alpha = d omega
-    rot_res = ((1.0 / 3.0) * slot_action - i_domega).norm() / max(1.0, i_domega.norm())
-
     dstar = d_cone(alg, star_rho)
     scale = max(1.0, rho.norm())
     return FernandezGrayReport(
         d_rho_residual=drho.norm() / scale,
         dstar_rho_residual=dstar.norm() / max(1.0, star_rho.norm()),
         star_formula_residual=star_res,
-        rotation_relation_residual=rot_res,
         lambda_rescale=lam,
     )
 

@@ -17,12 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import (Form, Metric, _wedge_tensor, matvec, two_form_coeffs,
-                          two_form_matrices, wedge_coeffs)
-from .frame_manifold import CoframeAlgebra
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_pure_bidegree
+from .multilinear import Form, Metric, _wedge_tensor, matvec, two_form_coeffs, wedge_coeffs
+from .frame_manifold import CoframeAlgebra, d_invariant
+from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, bidegree_project,
+                  is_pure_bidegree)
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
-from .nijenhuis import nijenhuis_matrices, nijenhuis_vectors, nstar_wedge_trace
+from .nijenhuis import nijenhuis_matrices, rho_skew_coefficient
 
 __all__ = [
     "Alt12Report",
@@ -34,8 +34,8 @@ __all__ = [
     "conformal_stack",
     "hermitian_metric",
     "norm30_sq",
+    "offshape_residual",
     "positive_11_metric",
-    "skew30_coefficient",
     "torsion_criterion",
 ]
 
@@ -61,6 +61,19 @@ def positive_11_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     return hermitian_metric(J, omega)
 
 
+def offshape_residual(alg: CoframeAlgebra, J: AlmostComplexStructure,
+                      omega: Form) -> tuple[float, Form]:
+    """|Pi^{2,1} d omega + Pi^{1,2} d omega| / max(1, |d omega|), and d omega.
+
+    omega must pass `positive_11_metric`; the extremality criterion and the
+    shape of the structure equations both read this residual.
+    """
+    positive_11_metric(J, omega)
+    domega = d_invariant(alg, omega)
+    off = bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)
+    return off.norm() / max(1.0, domega.norm()), domega
+
+
 def norm30_sq(omega: Form, p30: Form) -> float:
     """|P|^2 of a (3,0)-form against a positive (1,1)-form omega.
 
@@ -77,12 +90,14 @@ def norm30_sq(omega: Form, p30: Form) -> float:
     return float(val.real)
 
 
-def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
-                    fr: ComplexFrame) -> np.ndarray:
-    """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
-    N = nijenhuis_vectors(alg, J.matrix, fr.v_coords)
-    R = N.T @ two_form_matrices(omega.coeffs, 6) @ fr.v_coords
-    return np.einsum("dab,dc->abc", EPS3, R)
+def c_map_trilinear(C: np.ndarray) -> np.ndarray:
+    """Expand C-matrices into trilinear components T[a, b, c] = eps_{dab} C[c, d].
+
+    The C-map of a (1,1)-form with frame block A (`rho_skew_coefficient`) is
+    C = A M^T for the N* matrix M, and rho = omega(N(.,.),.) is -T(A M^T).
+    Leading axes stack.
+    """
+    return np.einsum("dab,...cd->...abc", EPS3, C)
 
 
 def _skew_part(rho: np.ndarray) -> np.ndarray:
@@ -104,10 +119,11 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
     """Decide existence of a Hermitian connection with skew torsion for omega."""
     positive_11_metric(J, omega)
     fr = J.frame()
-    rho = _rho_components(alg, J, omega, fr)
-    skew = _skew_part(rho)
-    complement = rho - skew
-    p30 = skew[0, 1, 2] * fr.theta_top()
+    M = nijenhuis_matrices(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+    A = fr.components(omega)[:3, 3:]
+    rho = -c_map_trilinear(A @ M.T)
+    complement = rho - _skew_part(rho)
+    p30 = rho_skew_coefficient(A, M) * fr.theta_top()
     rho_norm = float(np.max(np.abs(rho)))
     residual = float(np.max(np.abs(complement)))
     return TorsionCriterionReport(
@@ -118,11 +134,6 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
         rho_norm=rho_norm,
         admits_connection=within(residual, "skew_torsion", max(rho_norm, 1e-300)),
     )
-
-
-def c_map_trilinear(C: np.ndarray) -> np.ndarray:
-    """Expand C-matrices into trilinear components T[a, b, c] = eps_{dab} C[c, d]."""
-    return np.einsum("dab,...cd->...abc", EPS3, C)
 
 
 class ConformalSolveReport(NamedTuple):
@@ -166,16 +177,6 @@ def _hermitian_basis(T: np.ndarray) -> np.ndarray:
     return _hermitian_form_coeffs(T[:3], _HERMITIAN_UNITS).T
 
 
-def skew30_coefficient(F: np.ndarray, omega: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """c with skew part c theta^123 of rho = omega(N(.,.),.), for the (1,1)-form
-    coefficients omega, frame vectors F = [v, conj v] and N* matrix M; leading
-    axes stack.
-
-    For omega = sum A_ab theta^a ^ conj theta^b the skew part is -tr(A M^T)/3 theta^123.
-    """
-    return -nstar_wedge_trace(F, omega, M) / 3.0
-
-
 def _conformal_system(M: np.ndarray) -> np.ndarray:
     """The real 54 x 9 system of the conformal solve for the N* matrix M.
 
@@ -211,9 +212,10 @@ class ConformalStack(NamedTuple):
     The solve runs in frame coordinates: a candidate is a Hermitian 3x3 matrix H,
     standing for the real (1,1)-form omega = i sum H_ab theta^a ^ conj theta^b.
     omega is positive iff H is positive definite, and the skew (3,0) part of
-    omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, so that
-    |P|^2 = |c|^2 / (8 det H).  Every gate of the solve is a mask here;
-    `conformal_solve` is the case without leading axes.
+    omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
+    `rho_skew_coefficient` of the frame block iH, so that |P|^2 = |c|^2 / (8 det H).
+    Every gate of the solve is a mask here; `conformal_solve` is the case
+    without leading axes.
     """
 
     theta: np.ndarray            # the (1,0) coframe rows [..., 3, 6]
@@ -267,7 +269,7 @@ def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
     use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & definite[..., 1]
     H = np.where(use_alt[..., None, None], H[..., 1, :, :], H[..., 0, :, :])
     det = np.where(use_alt, det[..., 1], det[..., 0])
-    c = -1j * np.sum(H * M, axis=(-2, -1)) / 3.0
+    c = rho_skew_coefficient(1j * H, M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = np.abs(c) ** 2 / (8.0 * det)
     return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, two_form_matrices, wedge
+from .multilinear import Form, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree,
                   type_projectors)
@@ -39,7 +39,7 @@ __all__ = [
     "nijenhuis_matrices",
     "nijenhuis_via_brackets",
     "nijenhuis_via_d",
-    "nstar_wedge_trace",
+    "rho_skew_coefficient",
     "volume_form",
 ]
 
@@ -83,16 +83,17 @@ def nijenhuis_matrices(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
     return np.swapaxes(np.conj(theta) @ nijenhuis_vectors(alg, Jm, V), -2, -1)
 
 
-def nstar_wedge_trace(F: np.ndarray, omega: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """tr(A M^T): sum A[a, b] theta^a ^ N*(conj theta^b) = tr(A M^T) theta^123.
+def rho_skew_coefficient(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """c with skew part c theta^123 of rho = omega(N(.,.),.) on T^{1,0}: c = -tr(A M^T)/3.
 
-    omega holds the coefficients of the (1,1)-form sum A[a, b] theta^a ^ conj theta^b,
-    F the frame vectors [v, conj v] as columns (`ComplexFrame.vectors`) and M
-    the N* matrix; since theta^a ^ tcheck^c = delta_ac theta^123, only the
-    trace survives.  Leading axes stack.
+    A is the (v, conj v) block omega(v_a, conj v_b) of omega in frame
+    coordinates (`ComplexFrame.components`), the matrix of its (1,1) part
+    sum A[a, b] theta^a ^ conj theta^b, and M the N* matrix.  Then
+    rho[a, b, c] = -eps_dab (A M^T)[c, d], whose skew part at (1, 2, 3) is
+    -tr(A M^T)/3; equivalently sum A[a, b] theta^a ^ N*(conj theta^b) =
+    -3c theta^123, since theta^a ^ tcheck^d = delta_ad theta^123.  Leading axes stack.
     """
-    A = (np.swapaxes(F, -2, -1) @ two_form_matrices(omega, F.shape[-1]) @ F)[..., :3, 3:]
-    return np.trace(A @ np.swapaxes(M, -2, -1), axis1=-2, axis2=-1)
+    return -np.sum(A * M, axis=(-2, -1)) / 3.0
 
 
 def nijenhuis_via_brackets(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -146,7 +147,8 @@ def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
     The left side is the (3,0) component of d omega; the right side applies
     the bracket-route N* to the (0,1) leg of omega and wedges the legs back
-    together.  The contract is that the residual passes the `cartan` entry of
+    together, which gives -3c theta^123 for c the `rho_skew_coefficient`.
+    The contract is that the residual passes the `cartan` entry of
     `conventions.TOLERANCES` for every valid input.
     """
     if not is_pure_bidegree(J, omega, 1, 1):
@@ -154,6 +156,7 @@ def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
     lhs = bidegree_project(J, d_invariant(alg, omega), 3, 0)
     nij = nijenhuis_via_brackets(alg, J)
     fr = nij.frame
-    rhs = nstar_wedge_trace(fr.vectors, omega.coeffs, nij.matrix) * fr.theta_top()
+    c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
+    rhs = (-3.0 * c) * fr.theta_top()
     scale = max(1.0, lhs.norm(), rhs.norm())
     return float((lhs - rhs).norm() / scale)

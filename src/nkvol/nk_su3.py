@@ -23,7 +23,8 @@ from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
 from .acs import AlmostComplexStructure, bidegree_project
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
-from .hermitian_torsion import _skew_part, hermitian_metric, norm30_sq, positive_11_metric, torsion_criterion
+from .hermitian_torsion import (_skew_part, hermitian_metric, norm30_sq, offshape_residual,
+                                torsion_criterion)
 from .nijenhuis import nijenhuis_via_brackets
 
 __all__ = [
@@ -57,23 +58,19 @@ class SolveOmegaResult(NamedTuple):
 def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                 tol: float = TOLERANCES["shape"]) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
-    positive_11_metric(J, omega)
-    domega = d_invariant(alg, omega)
-    scale = max(1.0, domega.norm())
-    off = (bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)).norm()
+    off, domega = offshape_residual(alg, J, omega)
     p30 = bidegree_project(J, domega, 3, 0)
     if within(domega.norm(), "vanishes"):
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
-    if within(p30.norm(), "vanishes", scale):
-        return SolveOmegaResult(False, None, 0.0, off / scale,
-                                reason="d omega has no (3,0) component")
-    if not within(off, tol, scale):
-        return SolveOmegaResult(False, None, 0.0, off / scale,
+    if within(p30.norm(), "vanishes", max(1.0, domega.norm())):
+        return SolveOmegaResult(False, None, 0.0, off, reason="d omega has no (3,0) component")
+    if not within(off, tol):
+        return SolveOmegaResult(False, None, 0.0, off,
                                 reason="d omega has (2,1)+(1,2) components: not of the required shape")
     u = np.sqrt(norm30_sq(omega, p30))
     Omega = (1.0 / u) * p30
     lam = 2.0 * u / 3.0
-    return SolveOmegaResult(True, Omega, float(lam), off / scale)
+    return SolveOmegaResult(True, Omega, float(lam), off)
 
 
 class StructureEquationReport(NamedTuple):

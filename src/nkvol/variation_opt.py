@@ -32,13 +32,13 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .multilinear import Form, contract, matvec, wedge_coeffs
-from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, bidegree_project,
-                  default_frame_coords, j_from_basis, theta_top_coeffs)
+from .frame_manifold import CoframeAlgebra
+from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame_coords,
+                  j_from_basis, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, positive_11_metric,
-                                skew30_coefficient)
-from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, volume_form
+from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, offshape_residual,
+                                positive_11_metric)
+from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, rho_skew_coefficient, volume_form
 
 if TYPE_CHECKING:
     from .nk_su3 import NkSuiteReport
@@ -129,7 +129,7 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
     Nijenhuis endomorphism itself is identified with the identity.
     """
     fr = nij.frame
-    P = skew30_coefficient(fr.vectors, omega.coeffs, nij.matrix) * fr.theta_top()
+    P = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix) * fr.theta_top()
     if within(P.norm(), "vanishes"):
         raise ValueError("trilinear identification degenerate: skew part of rho vanishes")
     P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
@@ -219,21 +219,20 @@ def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
                      omega: Form | None = None) -> CriticalityReport:
     """Extremality criterion: d omega confined to bidegrees (3,0) + (0,3).
 
-    With a degenerate Nijenhuis tensor the functional vanishes identically on
-    invariant deformations; that case is reported as degenerate and excluded
-    from the equivalence contract.
+    A given omega must pass `positive_11_metric`; without one the conformal
+    solve supplies it.  With a degenerate Nijenhuis tensor the functional
+    vanishes identically on invariant deformations; that case is reported as
+    degenerate and excluded from the equivalence contract.
     """
     nij = nijenhuis_via_brackets(alg, J)
+    if omega is None:
+        omega = conformal_solve(alg, J).normalized_omega
+    if omega is not None:  # gated on a degenerate tensor too
+        residual = offshape_residual(alg, J, omega)[0]
     if not nij.nondegenerate:
         return CriticalityReport("degenerate", 0.0, True, omega)
     if omega is None:
-        rep = conformal_solve(alg, J)
-        omega = rep.normalized_omega
-        if omega is None:
-            raise ValueError("no positive candidate omega at this structure")
-    dw = d_invariant(alg, omega)
-    off = bidegree_project(J, dw, 2, 1) + bidegree_project(J, dw, 1, 2)
-    residual = off.norm() / max(1.0, dw.norm())
+        raise ValueError("no positive Hermitian candidate omega at this structure")
     verdict = "critical" if within(residual, "shape") else "non-critical"
     return CriticalityReport(verdict, float(residual), False, omega)
 

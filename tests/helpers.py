@@ -3,7 +3,8 @@ the oracles and constructions that only the tests use.
 
 The oracles stay independent of the routes they check: the Leibniz
 evaluation, the finite-difference gradient, the single-direction analytic
-gradient and the d-splitting identities compute on their own.
+gradient, the N-vector route to rho = omega(N(.,.),.) and the d-splitting
+identities compute on their own.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
-                               index_tuples, two_form_coeffs, wedge, zero_form)
+                               index_tuples, two_form_coeffs, two_form_matrices, wedge,
+                               zero_form)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
                        bidegrees, is_pure_bidegree, project_to_acs)
 from nkvol.conventions import TOLERANCES, ZH_DUALITY_FACTOR, within
-from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_via_brackets
+from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets
 from nkvol.hermitian_torsion import hermitian_metric, norm30_sq
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
@@ -346,6 +348,19 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
     d1 = d_at(PSI_FD_STEP)
     d2 = d_at(PSI_FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
+
+
+def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
+                    fr: ComplexFrame) -> np.ndarray:
+    """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
+    N = nijenhuis_vectors(alg, J.matrix, fr.v_coords)
+    R = N.T @ two_form_matrices(omega.coeffs, 6) @ fr.v_coords
+    return np.einsum("dab,dc->abc", EPS3, R)
+
+
+def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:
+    """Precompose every slot with J: on a (p, q) form this is i^{p-q} times it."""
+    return Form(a.dimension, a.degree, compound(J.jstar, a.degree) @ a.coeffs)
 
 
 # -- comparisons, views and the d-splitting that only the tests call -----------

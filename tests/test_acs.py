@@ -12,12 +12,11 @@ from nkvol.acs import (
     AlmostComplexStructure,
     bidegree_project,
     bidegrees,
-    j_multiplicative,
     project_to_acs,
 )
 
 from helpers import (d_split, forms_close, frame_check_residual, frame_theta, frame_two_form,
-                     random_acs, random_form)
+                     j_multiplicative, random_acs, random_form)
 
 
 def torus_J():

@@ -72,6 +72,18 @@ def test_check_rejects_bad_manifest(tmp_path):
         assert field in p.stdout
 
 
+def test_duplicate_manifest_entries_are_input_errors(tmp_path):
+    # a repeated entry would silently overwrite the first one
+    data = json.loads(FIXTURE.read_text())
+    for field in ("structure_constants", "omega", "Omega3"):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({**data, field: data[field] + data[field][:1]}))
+        p = run_cli("check", str(path), "--json")
+        assert p.returncode == 2, (field, p.stdout, p.stderr)
+        error = json.loads(p.stdout)["error"]
+        assert "duplicate" in error and field in error, (field, error)
+
+
 def test_check_rejects_unknown_field(tmp_path):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({
@@ -197,8 +209,28 @@ def test_functional_gradient():
     assert rep["checks"]["criticality_verdict"] == "critical"
 
 
+def test_functional_gates_the_manifest_omega(tmp_path):
+    # without --gradient too, a manifest omega that is not a positive real (1,1)-form
+    # is an input error, not a criticality verdict
+    data = json.loads(FIXTURE.read_text())
+    complex_omega = [{**e, "im": 5.0 if i == 0 else e["im"]} for i, e in enumerate(data["omega"])]
+    for name, omega, diagnostic in (("zero", [], "omega not positive"),
+                                    ("complex", complex_omega, "real (1,1)-form")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "omega": omega}))
+        p = run_cli("functional", str(path), "--json")
+        assert p.returncode == 2, (name, p.stdout, p.stderr)
+        assert diagnostic in json.loads(p.stdout)["error"], (name, p.stdout)
+    # with no manifest omega and no positive candidate, the report gives psi alone
+    q = tmp_path / "q.json"
+    run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "6", "--magnitude", "3", "--out", str(q))
+    p = run_cli("functional", str(q), "--json")
+    assert p.returncode == 0, (p.stdout, p.stderr)
+    assert set(json.loads(p.stdout)["checks"]) == {"psi"}, p.stdout
+
+
 def test_functional_gradient_rejects_bad_omega(tmp_path):
-    # a manifest omega reaches the gradient unchecked by criticality_test
+    # a manifest omega is gated before the gradient is computed
     data = json.loads(FIXTURE.read_text())
     negated = [{**e, "re": -e["re"], "im": -e["im"]} for e in data["omega"]]
     mixed = [{**e, "re": e["re"] + (0.01 if e["indices"] == [1, 2] else 0.0)}
@@ -431,8 +463,9 @@ def test_every_listed_catalog_name_is_emitted():
 
 
 def test_non_finite_magnitude_is_input_error():
-    # rejected before numpy's random generator sees it, with the argument named
-    for value in ("nan", "inf", "-inf"):
+    # rejected before numpy's random generator sees it, with the argument named;
+    # a negative magnitude would flip the sign of the kick
+    for value in ("nan", "inf", "-inf", "-1"):
         p = run_cli("catalog", "emit", "s3s3_perturbed", "--seed", "1", f"--magnitude={value}")
         assert p.returncode == 2, (value, p.stdout, p.stderr)
         assert "magnitude" in p.stdout and "Traceback" not in p.stderr, (value, p.stdout)

@@ -21,8 +21,8 @@ from nkvol.g2_cone import (
     stability_check,
 )
 
-from helpers import (FIXTURE, fg_passes, flat_g2_form, flat_su3_forms, forms_close, random_form,
-                     random_valid_algebra)
+from helpers import (FIXTURE, fg_passes, flat_g2_form, flat_su3_forms, forms_close,
+                     j_multiplicative, random_form, random_valid_algebra)
 
 RATIO_FIXTURE = 162.0 ** (2.0 / 9.0)   # convention constant of the roundtrip
 SEEDS = st.integers(0, 2**32 - 1)
@@ -192,8 +192,13 @@ def test_fernandez_gray_fixture():
     assert fg.d_rho_residual == 0.0
     assert fg.dstar_rho_residual < 1e-9
     assert fg.star_formula_residual < 1e-10
-    assert fg.rotation_relation_residual < 1e-10
     assert fg_passes(fg)
+    # the rotation relation at unit lambda: the slot action of J on d omega is 3 Im Omega
+    snorm, _ = normalize_to_unit_lambda(s)
+    i_domega = snorm.Omega.imag()
+    slot_action = j_multiplicative(snorm.J, d_invariant(alg, snorm.omega))
+    rot_res = ((1.0 / 3.0) * slot_action - i_domega).norm() / max(1.0, i_domega.norm())
+    assert rot_res < 1e-10
     assert abs(fg.lambda_rescale - 2.0) < 1e-12
 
 

@@ -6,7 +6,7 @@ import pytest
 from nkvol.multilinear import Form, basis_form, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
-from nkvol.nijenhuis import nijenhuis_via_brackets
+from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
 from nkvol.hermitian_torsion import (
     _conformal_map,
     _conformal_system,
@@ -20,7 +20,6 @@ from nkvol.hermitian_torsion import (
     conformal_stack,
     hermitian_metric,
     norm30_sq,
-    skew30_coefficient,
     torsion_criterion,
 )
 
@@ -254,8 +253,9 @@ def test_frame_norm_matches_wedge_route():
         st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
         assert st.positive
         M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
-        P = skew30_coefficient(fr.vectors, st.candidate, M) * fr.theta_top()
-        ref = norm30_sq(Form(6, 2, st.candidate), P)
+        omega = Form(6, 2, st.candidate)
+        P = rho_skew_coefficient(fr.components(omega)[:3, 3:], M) * fr.theta_top()
+        ref = norm30_sq(omega, P)
         assert abs(st.n2 - ref) <= 1e-13 * ref
 
 

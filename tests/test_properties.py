@@ -1,5 +1,6 @@
 """Property-based identities: the volume density under frame changes and rescaling,
-and the stacked residual kernel against the single-structure path.
+the stacked residual kernel against the single-structure path, and the C-map
+route to rho = omega(N(.,.),.) against the N-vector oracle.
 
 Examples are drawn by hypothesis under the derandomized profile of conftest.py;
 the structures come from the seeded generators in helpers.py.
@@ -10,15 +11,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nkvol.multilinear import Form
 from nkvol.frame_manifold import CoframeAlgebra, catalog
 from nkvol.acs import AlmostComplexStructure
+from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
+from nkvol.hermitian_torsion import _hermitian_form_coeffs, _skew_part, torsion_criterion
 from nkvol.variation_opt import psi_value
 
-from helpers import _basis_change, random_acs, random_valid_algebra
+from helpers import _basis_change, _rho_components, random_acs, random_valid_algebra
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 
 SEEDS = st.integers(0, 2**32 - 1)
 PSI_REL_TOL = 1e-11  # relative; the worst of 400 seeded draws was 1.3e-13
+CMAP_REL_TOL = 1e-12  # relative to max |rho|; the worst of 1000 seeded draws was 6.7e-15
 
 
 def nondegenerate_structure(seed: int):
@@ -62,3 +67,20 @@ def test_stacked_residuals_match_scalar_path_on_random_deltas(case, parts):
     else:
         alg, J = su2r3()
     assert_stack_matches_scalar(alg, J, parts[0] + 1j * parts[1])
+
+
+@given(SEEDS)
+def test_c_map_rho_matches_the_n_vector_oracle(seed):
+    # torsion_criterion reads rho as -C(A M^T); the oracle evaluates omega(N^d, v_c)
+    # on the N vectors.  The shared skew coefficient is the skew part at (1, 2, 3)
+    rng = np.random.default_rng(seed)
+    alg, J = random_valid_algebra(rng), random_acs(rng)
+    fr = J.frame()
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, X @ X.conj().T + 0.1 * np.eye(3)))
+    ref = _rho_components(alg, J, omega, fr)
+    tol = CMAP_REL_TOL * np.max(np.abs(ref))
+    assert np.max(np.abs(torsion_criterion(alg, J, omega).rho - ref)) <= tol
+    M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
+    c = rho_skew_coefficient(fr.components(omega)[:3, 3:], M)
+    assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
