@@ -146,9 +146,9 @@ def bidegrees(n: int, k: int) -> list[tuple[int, int]]:
 class ComplexFrame:
     """A basis theta^1..theta^3 of (1,0)-forms with dual (1,0) frame vectors.
 
-    theta[a](v[b]) = delta_ab, conjugates give the (0,1) side.  Any complex
-    frame works for the invariant computations; adapted (orthonormal) frames
-    are built in the SU(3) module.
+    theta[a](v[b]) = delta_ab, conjugates give the (0,1) side.  psi and N* are
+    covariant under any GL(3,C) change of frame; the conformal candidate of
+    `hermitian_torsion` is invariant only under unitary ones.
 
     Frame coordinates are taken on the six vectors F = [v, conj v] with the
     dual coframe Theta = [theta; conj theta]: `components` reads a 1- or

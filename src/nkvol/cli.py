@@ -113,6 +113,7 @@ def _cmd_check(manifest: Manifest):
 
 def _cmd_nijenhuis(manifest: Manifest):
     import numpy as np
+    from .hermitian_torsion import positive_11_metric
     from .nijenhuis import (cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d,
                             volume_form)
     alg = manifest.algebra()
@@ -130,20 +131,18 @@ def _cmd_nijenhuis(manifest: Manifest):
         "nondegenerate": nb.nondegenerate,
     }
     omega, source = _pick_omega(alg, J, manifest)
-    if omega is not None:
-        try:
-            checks["cartan_residual"] = cartan_compatibility(alg, J, omega)
-            checks["cartan_omega_source"] = source
-        except ValueError:
-            pass
     verdicts = {"routes_agree": within(agree, "routes_agree", scale)}
-    if "cartan_residual" in checks:
+    if omega is not None:
+        positive_11_metric(J, omega)  # the gate of every command that reads omega
+        checks["cartan_residual"] = cartan_compatibility(alg, J, omega)
+        checks["cartan_omega_source"] = source
         verdicts["cartan_identity"] = within(checks["cartan_residual"], "cartan")
     return checks, verdicts
 
 
 def _cmd_torsion(manifest: Manifest):
     from .hermitian_torsion import conformal_solve, norm30_sq, torsion_criterion
+    from .nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
     alg = manifest.algebra()
     J = _acs_of(manifest)
     rep = conformal_solve(alg, J)
@@ -164,11 +163,10 @@ def _cmd_torsion(manifest: Manifest):
     })
     verdicts = {"admits_connection": crit.admits_connection}
     if rep.normalized_omega is not None:
-        if omega is not rep.normalized_omega:
-            crit = torsion_criterion(alg, J, rep.normalized_omega)
-        checks["normalized_gauge_residual"] = abs(
-            norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0
-        )
+        w, fr = rep.normalized_omega, rep.frame
+        M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
+        p30 = rho_skew_coefficient(fr.components(w)[:3, 3:], M) * fr.theta_top()
+        checks["normalized_gauge_residual"] = abs(norm30_sq(w, p30) - 1.0)
     return checks, verdicts
 
 

@@ -123,7 +123,6 @@ def base_metric_oriented(s: SU3Structure) -> Metric:
 # ---------------------------------------------------------------------------
 
 class Stable3FormReport(NamedTuple):
-    bilinear: np.ndarray        # B with B(x,y) e^{1..7} = (ix phi)^(iy phi)^phi
     stable: bool
     orientation_sign: int       # sign applied to make B positive definite
     metric: np.ndarray | None   # g_phi = B'/(det B')^{1/9}, None if not stable
@@ -153,7 +152,6 @@ def stability_check(phi: Form) -> Stable3FormReport:
         metric = Bp / (np.linalg.det(Bp) ** (1.0 / 9.0))
     nullity = 49 - _gl7_action_rank(phi)
     return Stable3FormReport(
-        bilinear=B,
         stable=bool(sign != 0),
         orientation_sign=sign,
         metric=metric,

@@ -147,12 +147,13 @@ class ConformalSolveReport(NamedTuple):
 
 
 def _hermitian_units() -> np.ndarray:
-    """A basis h_1..h_9 of the Hermitian 3x3 matrices: E_aa, then per a < b the
-    pair E_ab + E_ba, i (E_ab - E_ba)."""
+    """A basis h_1..h_9 of the Hermitian 3x3 matrices, orthonormal under tr(A B^*): E_aa,
+    then per a < b the pair (E_ab + E_ba)/sqrt 2, i (E_ab - E_ba)/sqrt 2.  Its coordinates
+    measure H by |H|_F, which a unitary change of the (1,0) frame keeps."""
     E = np.eye(3)
     out = [np.outer(E[a], E[a]) for a in range(3)]
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        S = np.outer(E[a], E[b])
+        S = np.outer(E[a], E[b]) / np.sqrt(2.0)
         out += [S + S.T, 1j * (S - S.T)]
     return np.array(out, dtype=np.complex128)
 
@@ -214,6 +215,7 @@ class ConformalStack(NamedTuple):
     omega is positive iff H is positive definite, and the skew (3,0) part of
     omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
     `rho_skew_coefficient` of the frame block iH, so that |P|^2 = |c|^2 / (8 det H).
+    The least-squares candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
     Every gate of the solve is a mask here; `conformal_solve` is the case
     without leading axes.
     """

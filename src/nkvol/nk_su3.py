@@ -55,8 +55,7 @@ class SolveOmegaResult(NamedTuple):
     reason: str = ""
 
 
-def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
-                tol: float = TOLERANCES["shape"]) -> SolveOmegaResult:
+def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
     off, domega = offshape_residual(alg, J, omega)
     p30 = bidegree_project(J, domega, 3, 0)
@@ -64,7 +63,7 @@ def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
     if within(p30.norm(), "vanishes", max(1.0, domega.norm())):
         return SolveOmegaResult(False, None, 0.0, off, reason="d omega has no (3,0) component")
-    if not within(off, tol):
+    if not within(off, "shape"):
         return SolveOmegaResult(False, None, 0.0, off,
                                 reason="d omega has (2,1)+(1,2) components: not of the required shape")
     u = np.sqrt(norm30_sq(omega, p30))
@@ -96,7 +95,6 @@ class NablaOmegaReport(NamedTuple):
     antisymmetry_residual: float     # non-totally-antisymmetric part of nabla omega
     identification_residual: float   # |3 Alt(nabla omega) - d omega|
     strictness_min: float            # min over frame directions of |nabla_{e_i} omega|
-    strictness_sigma: float          # smallest singular value of X -> nabla_X omega
     strict: bool
 
 
@@ -126,7 +124,6 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
         antisymmetry_residual=anti_res,
         identification_residual=float(ident_res),
         strictness_min=float(per_dir.min()),
-        strictness_sigma=smin,
         strict=strict,
     )
 

@@ -229,6 +229,21 @@ def test_functional_gates_the_manifest_omega(tmp_path):
     assert set(json.loads(p.stdout)["checks"]) == {"psi"}, p.stdout
 
 
+def test_commands_gate_the_manifest_omega(tmp_path):
+    # every other command that reads omega rejects a zero or complex manifest omega
+    # as functional does above
+    data = json.loads(FIXTURE.read_text())
+    complex_omega = [{**e, "im": 5.0 if i == 0 else e["im"]} for i, e in enumerate(data["omega"])]
+    for name, omega, diagnostic in (("zero", [], "omega not positive"),
+                                    ("complex", complex_omega, "real (1,1)-form")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "omega": omega}))
+        for command in ("nijenhuis", "torsion", "nk", "cone"):
+            p = run_cli(command, str(path), "--json")
+            assert p.returncode == 2, (name, command, p.stdout, p.stderr)
+            assert diagnostic in json.loads(p.stdout)["error"], (name, command, p.stdout)
+
+
 def test_functional_gradient_rejects_bad_omega(tmp_path):
     # a manifest omega is gated before the gradient is computed
     data = json.loads(FIXTURE.read_text())

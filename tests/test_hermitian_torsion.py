@@ -192,10 +192,10 @@ def test_conformal_system_matches_c_map():
         nij = nijenhuis_via_brackets(alg, J)
         fr = nij.frame
         B = _hermitian_basis(fr.coframe)
-        # h_1 = E_11 and h_8 = i (E_23 - E_32): i theta^1 ^ conj theta^1 and
-        # theta^3 ^ conj theta^2 - theta^2 ^ conj theta^3
+        # h_1 = E_11 and h_8 = i (E_23 - E_32)/sqrt 2: i theta^1 ^ conj theta^1 and
+        # (theta^3 ^ conj theta^2 - theta^2 ^ conj theta^3)/sqrt 2
         assert forms_close(Form(6, 2, B[:, 0]), 1j * wedge(frame_theta(fr, 0), fr.theta_bar(0)))
-        assert forms_close(Form(6, 2, B[:, 8]), wedge(frame_theta(fr, 2), fr.theta_bar(1))
+        assert forms_close(Form(6, 2, np.sqrt(2.0) * B[:, 8]), wedge(frame_theta(fr, 2), fr.theta_bar(1))
                            - wedge(frame_theta(fr, 1), fr.theta_bar(2)))
         cols = []
         for coeffs in B.T:

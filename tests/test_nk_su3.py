@@ -93,7 +93,7 @@ def test_structure_equations_perturbed_fail():
     mp = catalog("s3s3_perturbed", seed=11)
     alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
     rep = conformal_solve(alg, Jp)
-    solved = solve_Omega(alg, Jp, rep.normalized_omega, tol=1e-9)
+    solved = solve_Omega(alg, Jp, rep.normalized_omega)
     # the shape residual is the failure diagnostic for perturbed structures
     assert not solved.ok
     assert solved.offshape_residual > 1e-3

@@ -1,6 +1,7 @@
 """Property-based identities: the volume density under frame changes and rescaling,
-the stacked residual kernel against the single-structure path, and the C-map
-route to rho = omega(N(.,.),.) against the N-vector oracle.
+the stacked residual kernel against the single-structure path, the C-map
+route to rho = omega(N(.,.),.) against the N-vector oracle, and the conformal
+candidate under unitary changes of the (1,0) frame.
 
 Examples are drawn by hypothesis under the derandomized profile of conftest.py;
 the structures come from the seeded generators in helpers.py.
@@ -13,10 +14,11 @@ from hypothesis.extra.numpy import arrays
 
 from nkvol.multilinear import Form
 from nkvol.frame_manifold import CoframeAlgebra, catalog
-from nkvol.acs import AlmostComplexStructure
+from nkvol.acs import AlmostComplexStructure, default_frame_coords
 from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
-from nkvol.hermitian_torsion import _hermitian_form_coeffs, _skew_part, torsion_criterion
-from nkvol.variation_opt import psi_value
+from nkvol.hermitian_torsion import (_hermitian_form_coeffs, _skew_part, conformal_stack,
+                                     torsion_criterion)
+from nkvol.variation_opt import _offshape, psi_value
 
 from helpers import _basis_change, _rho_components, random_acs, random_valid_algebra
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
@@ -24,6 +26,7 @@ from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 SEEDS = st.integers(0, 2**32 - 1)
 PSI_REL_TOL = 1e-11  # relative; the worst of 400 seeded draws was 1.3e-13
 CMAP_REL_TOL = 1e-12  # relative to max |rho|; the worst of 1000 seeded draws was 6.7e-15
+FRAME_REL_TOL = 1e-12  # relative; the worst of 200 seeded draws was 5.8e-15
 
 
 def nondegenerate_structure(seed: int):
@@ -84,3 +87,23 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], M)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
+
+
+@given(SEEDS, st.floats(0.05, 1.0))
+def test_conformal_candidate_depends_on_j_alone(seed, magnitude):
+    # the frame (U theta, V U^-1) is as orthonormal as the default one for unitary U;
+    # the normalized candidate and the optimizer's residual vector must not notice
+    mp = catalog("s3s3_perturbed", seed=seed, magnitude=magnitude)
+    alg, Jm = mp.algebra(), mp.J
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    frames = [default_frame_coords(Jm)]
+    frames.append((U @ frames[0][0], frames[0][1] @ U.conj().T))
+    omegas, offs = [], []
+    for theta, V in frames:
+        stack = conformal_stack(alg, Jm, theta, V)
+        assert stack.normalizable
+        omegas.append(stack.normalized_omega)
+        offs.append(_offshape(alg, theta, V, stack.normalized_omega))
+    for a, b in (omegas, offs):
+        assert np.max(np.abs(a - b)) <= FRAME_REL_TOL * np.max(np.abs(a))

@@ -271,7 +271,7 @@ def test_find_critical_exhausts_the_trust_region_on_su2r3():
     alg, J = su2r3()
     res = find_critical(alg, J, seed=0)
     assert not res.converged and res.reason == "trust region exhausted above tolerance"
-    assert res.iterations == 62 and len(res.records) == 63 and len(res.trace) == 63
+    assert res.iterations == 55 and len(res.records) == 56 and len(res.trace) == 56
     assert all(res.trace[i + 1] <= res.trace[i] for i in range(len(res.trace) - 1))
     last = res.records[-1]
     assert last.step_norm is None and last.rejected_trials == 40 and last.kick is None
