@@ -134,7 +134,7 @@ def _cmd_nijenhuis(manifest: Manifest):
     verdicts = {"routes_agree": within(agree, "routes_agree", scale)}
     if omega is not None:
         positive_11_metric(J, omega)  # the gate of every command that reads omega
-        checks["cartan_residual"] = cartan_compatibility(alg, J, omega)
+        checks["cartan_residual"] = cartan_compatibility(alg, nb, omega)
         checks["cartan_omega_source"] = source
         verdicts["cartan_identity"] = within(checks["cartan_residual"], "cartan")
     return checks, verdicts
@@ -201,6 +201,8 @@ def _cmd_nk(manifest: Manifest):
 
 
 def _cmd_cone(manifest: Manifest):
+    from .acs import is_pure_bidegree
+    from .hermitian_torsion import norm30_sq
     from .nk_su3 import SU3Structure, solve_Omega
     from .g2_cone import fernandez_gray_check, metric_roundtrip
     alg = manifest.algebra()
@@ -208,7 +210,13 @@ def _cmd_cone(manifest: Manifest):
     omega, source = _pick_omega(alg, J, manifest)
     if omega is None:
         raise InputError("no positive Hermitian candidate available for the cone")
-    solved = solve_Omega(alg, J, omega)
+    solved = solve_Omega(alg, J, omega)  # gates omega
+    if manifest.Omega3 is not None:  # a manifest Omega3 must be a unit (3,0)-form
+        if not is_pure_bidegree(J, manifest.Omega3, 3, 0):
+            raise InputError("manifest Omega3 fails the pure_bidegree gate: not a (3,0)-form for J")
+        defect = abs(norm30_sq(omega, manifest.Omega3) - 1.0)
+        if not within(defect, "unit_norm"):
+            raise InputError(f"manifest Omega3 fails the unit_norm gate: ||Omega3|^2 - 1| = {defect:g}")
     if not solved.ok:
         return (
             {"omega_source": source, "offshape_residual": solved.offshape_residual,

@@ -86,12 +86,12 @@ TOLERANCES = {
     "real": 1e-9,                   # imaginary part of a form or number, scale max(1, its size)
     "pure_bidegree": 1e-10,         # |Pi^{p,q} a - a|, scale max(1, |a|)
     "vanishes": 1e-12,              # a form or coefficient treated as zero
-    "close": 1e-12,                 # forms_close default (tests), scale max(1, both norms)
     "routes_agree": 1e-12,          # bracket route - d route of N*, scale max(1, max|N*|)
     "cartan": 1e-10,                # Cartan identity d^{2,-1} = wedge after Id (x) N*, relative
     "skew_torsion": 1e-10,          # non-skew part of rho = omega(N(.,.),.), scale max|rho|
     "nondegenerate": 1e-9,          # >: |det N*| against |N*|_2^3
     "nullspace": 1e-9,              # zero singular values of the conformal system, scale the top one
+    "unit_norm": 1e-9,              # ||Omega3|^2 - 1| of a manifest Omega3 against omega
     "shape": 1e-8,                  # (2,1)+(1,2) part of d omega, scale max(1, |d omega|)
     "verdict": 1e-8,                # structure equations, non-antisymmetric part of nabla omega
     "strict": 1e-8,                 # >: lambda and the strictness of nabla omega

@@ -243,6 +243,11 @@ class ConformalStack(NamedTuple):
         scale = np.where(self.normalizable, self.n2, 0.0)[..., None, None]
         return _hermitian_form_coeffs(self.theta, scale * self.hermitian)
 
+    def check_norm(self) -> None:
+        """Raise on a positive candidate with non-finite |P|^2: the `norm30_sq` gate the stack masks."""
+        if self.positive and not np.isfinite(self.n2):
+            raise ValueError(f"norm computation returned a non-real or non-finite value {self.n2}")
+
 
 def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
                     V: np.ndarray) -> ConformalStack:
@@ -288,8 +293,7 @@ def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> Conformal
     """
     fr = J.frame()
     st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
-    if st.positive and not np.isfinite(st.n2):  # the gate of `norm30_sq`; the stack masks it
-        raise ValueError(f"norm computation returned a non-real or non-finite value {st.n2}")
+    st.check_norm()
     s = st.singular_values
     smax = s.max() if s.size else 0.0
     return ConformalSolveReport(

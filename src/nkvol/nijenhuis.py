@@ -141,21 +141,19 @@ def volume_form(nij: NijenhuisTensor) -> VolumeDensity:
     return VolumeDensity(vol_form=vol, psi=float(psi), orientation=orient)
 
 
-def cartan_compatibility(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                         omega: Form) -> float:
-    """Residual of d^{2,-1} = wedge after Id (x) N* on a (1,1)-form.
+def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> float:
+    """Residual of d^{2,-1} = wedge after Id (x) N* on a (1,1)-form, for the tensor nij of J.
 
     The left side is the (3,0) component of d omega; the right side applies
-    the bracket-route N* to the (0,1) leg of omega and wedges the legs back
-    together, which gives -3c theta^123 for c the `rho_skew_coefficient`.
-    The contract is that the residual passes the `cartan` entry of
-    `conventions.TOLERANCES` for every valid input.
+    N* to the (0,1) leg of omega and wedges the legs back together, which
+    gives -3c theta^123 for c the `rho_skew_coefficient`.  The contract is that
+    the residual passes the `cartan` entry of `conventions.TOLERANCES` for
+    every valid input.
     """
-    if not is_pure_bidegree(J, omega, 1, 1):
-        raise ValueError("cartan_compatibility expects a (1,1)-form")
-    lhs = bidegree_project(J, d_invariant(alg, omega), 3, 0)
-    nij = nijenhuis_via_brackets(alg, J)
     fr = nij.frame
+    if not is_pure_bidegree(fr.J, omega, 1, 1):
+        raise ValueError("cartan_compatibility expects a (1,1)-form")
+    lhs = bidegree_project(fr.J, d_invariant(alg, omega), 3, 0)
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
     rhs = (-3.0 * c) * fr.theta_top()
     scale = max(1.0, lhs.norm(), rhs.norm())

@@ -14,13 +14,15 @@ analytic first variation is the (2,2) pairing
 in the |rho|_omega = 1 gauge, equal to the central finite-difference
 derivative up to the single frozen constant KAPPA_CONV.  The optimizer
 minimizes the squared criticality residual |Pi^{(2,1)+(1,2)} d omega|^2 over
-the 18 real deformation parameters with a damped Gauss-Newton loop, whose
-central-difference Jacobian is one evaluation over the stack of 36 deformed
-structures (`criticality_residuals`).  The residual is computed in frame
-coordinates: on a (1,0) frame (theta, v) the (3,0) part of d omega is
-d omega(v_1, v_2, v_3) theta^123, so the off-shape part is d omega minus that
-and its conjugate, without the Lambda^3 projectors that `criticality_test`
-applies as the independent check.
+the 18 real deformation parameters with a damped Gauss-Newton loop, all of
+whose residuals come from one kernel: its central-difference Jacobian runs it
+on 36 deformed structures (`criticality_residuals`), and its start point,
+trials and kicks on one (`criticality_residual_vector`), which also gives the
+next Jacobian's frame.  The residual is computed in frame coordinates: on a
+(1,0) frame (theta, v) the (3,0) part of d omega is d omega(v_1, v_2, v_3)
+theta^123, so the off-shape part is d omega minus that and its conjugate,
+without the Lambda^3 projectors that `criticality_test` applies as the
+independent check.
 """
 
 from __future__ import annotations
@@ -171,16 +173,14 @@ class CriticalityReport(NamedTuple):
 
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
-    """Real residual vector of the off-shape part of d omega, or None.
-
-    None signals that no positive candidate Hermitian form exists at J, which
-    the optimizer treats as a rejected step.
-    """
-    rep = conformal_solve(alg, J)
-    w = rep.normalized_omega
-    if w is None:
-        return None, rep
-    return _offshape(alg, rep.frame.theta_coeffs, rep.frame.v_coords, w.coeffs), rep
+    """`_residual_kernel` at J: the real residual vector (None without a positive normalizable
+    candidate, which the optimizer treats as a rejected step), J's frame, whether the
+    candidate is positive, and the normalized omega (None with the vector).  A positive
+    candidate with a non-finite |P|^2 raises, as in `conformal_solve`."""
+    vec, valid, theta, V, st = _residual_kernel(alg, J.matrix, True, J.matrix)
+    st.check_norm()
+    omega = Form(6, 2, st.normalized_omega) if valid else None
+    return (vec if valid else None), ComplexFrame(J, theta, V), bool(st.positive), omega
 
 
 def _offshape(alg: CoframeAlgebra, theta: np.ndarray, V: np.ndarray,
@@ -196,23 +196,30 @@ def _offshape(alg: CoframeAlgebra, theta: np.ndarray, V: np.ndarray,
     return np.concatenate([off.real, off.imag], axis=-1)
 
 
+def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray, valid, stand_in: np.ndarray):
+    """Residual vectors at J matrices Jm, zero outside their mask: `valid` narrowed to the
+    gates of `AlmostComplexStructure` and a positive normalizable candidate.  With the mask
+    come the frames (theta, V) and the `ConformalStack`; leading axes stack."""
+    valid = valid & acs_gates(Jm)[1]
+    Jm = np.where(valid[..., None, None], Jm, stand_in)  # a valid stand-in keeps every slice finite
+    theta, V = default_frame_coords(Jm)
+    st = conformal_stack(alg, Jm, theta, V)
+    valid = valid & st.normalizable
+    return np.where(valid[..., None], _offshape(alg, theta, V, st.normalized_omega), 0.0), valid, theta, V, st
+
+
 def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas: np.ndarray,
                           frame: ComplexFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual vectors at the graph-chart deformations of J by a stack of delta matrices.
 
-    Slice k is `criticality_residual_vector` at `deform_J(J, Deformation(deltas[k]), 1.0, frame)`.
-    Returns the vectors and a mask that is False where that scalar path raises
-    or returns None (graph not complementary, J^2 != -Id, no positive or no
-    normalizable candidate); the vectors are zero there.
+    Slice k is the vector of `criticality_residual_vector` at
+    `deform_J(J, Deformation(deltas[k]), 1.0, frame)`, from the same `_residual_kernel`.
+    Returns the vectors and a mask that is also False where the graph is not
+    complementary; the vectors are zero there.
     """
     fr = frame if frame is not None else J.frame()
     Jm, _, valid = _graph_chart(fr.v_coords, deltas)
-    valid = valid & acs_gates(Jm)[1]
-    Jm = np.where(valid[..., None, None], Jm, J.matrix)  # a valid stand-in keeps every slice finite
-    theta, V = default_frame_coords(Jm)
-    st = conformal_stack(alg, Jm, theta, V)
-    valid = valid & st.normalizable
-    return np.where(valid[..., None], _offshape(alg, theta, V, st.normalized_omega), 0.0), valid
+    return _residual_kernel(alg, Jm, valid, J.matrix)[:2]
 
 
 def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -272,8 +279,8 @@ def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
            params: np.ndarray, norm_cap: float, R: float):
     """Try the step of 18 real parameters from J against the objective R.
 
-    Returns ((J', vector, report, objective) or None, whether the residual was
-    evaluated).  None rejects the step: it leaves the chart or the working
+    Returns ((J', vector, frame, omega, objective) or None, whether the residual
+    was evaluated).  None rejects the step: it leaves the chart or the working
     region (tested before the residual is paid for), finds no normalizable
     candidate, or does not strictly lower R.
     """
@@ -284,12 +291,12 @@ def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
     if np.linalg.norm(Jtry.matrix, 2) > norm_cap:
         return None, False  # left the working region
     try:
-        vec, rep = criticality_residual_vector(alg, Jtry)
+        vec, fr, _, omega = criticality_residual_vector(alg, Jtry)
     except ValueError:
         return None, True
     if vec is None or not _objective(vec) < R:
         return None, True
-    return (Jtry, vec, rep, _objective(vec)), True
+    return (Jtry, vec, fr, omega, _objective(vec)), True
 
 
 def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
@@ -318,7 +325,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     if seed < 0:  # here, not at the first kick after the whole search has run
         raise ValueError(f"seed must be >= 0, got {seed}")
     inner_tol = min(tol, 1e-26)
-    vec, rep = criticality_residual_vector(alg, J0)
+    vec, fr, _, omega = criticality_residual_vector(alg, J0)
     if vec is None:
         return FindCriticalResult(J0, False, 0, [], None,
                                   reason="no positive candidate omega at start")
@@ -335,7 +342,6 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
     fd_deltas = np.concatenate([steps, -steps])
     while R > inner_tol and iterations < max_iter:
-        fr = rep.frame  # conformal_solve built it for this J
         vecs, valid = criticality_residuals(alg, J, fd_deltas, frame=fr)
         both = valid[:18] & valid[18:]  # a column with a rejected side stays zero
         jac = np.zeros((len(vec), 18))  # C-ordered: fixes the summation order of jac.T @ jac
@@ -352,7 +358,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
             got, evaluated = _trial(alg, J, fr, step, norm_cap, R)
             evals += evaluated
             if got is not None:
-                J, vec, rep, R = got
+                J, vec, fr, omega, R = got
                 mu = max(mu / 3.0, 1e-14)
                 step_norm = float(np.linalg.norm(step))
                 break
@@ -368,7 +374,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
                     got, evaluated = _trial(alg, J, fr, params, norm_cap, R)
                     evals += evaluated
                     if got is not None:
-                        J, vec, rep, R = got
+                        J, vec, fr, omega, R = got
                         step_norm, kick = float(np.linalg.norm(params)), mag
                         break
                 if kick is not None:
@@ -384,11 +390,11 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         reason = "max iterations reached after convergence"
     if not converged and reason == "converged":
         reason = "max iterations reached"
-    omega = None
     suite = None
     gradient_max = None
-    if converged:
-        omega = rep.normalized_omega
+    if not converged:
+        omega = None
+    else:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
         suite = nk_equivalence_suite(alg, J, omega)
         if suite.all_true:

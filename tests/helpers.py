@@ -3,8 +3,9 @@ the oracles and constructions that only the tests use.
 
 The oracles stay independent of the routes they check: the Leibniz
 evaluation, the finite-difference gradient, the single-direction analytic
-gradient, the N-vector route to rho = omega(N(.,.),.) and the d-splitting
-identities compute on their own.
+gradient, the N-vector route to rho = omega(N(.,.),.), the d-splitting
+identities and the scalar residual composition through `conformal_solve` compute
+on their own.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_fr
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
                        bidegrees, is_pure_bidegree, project_to_acs)
-from nkvol.conventions import TOLERANCES, ZH_DUALITY_FACTOR, within
+from nkvol.conventions import ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets
-from nkvol.hermitian_torsion import hermitian_metric, norm30_sq
+from nkvol.hermitian_torsion import conformal_solve, hermitian_metric, norm30_sq
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
-from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings,
+from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings, _offshape,
                                  _unit_delta_forms, deform_J, psi_value)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
@@ -350,6 +351,16 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
     return (4.0 * d2 - d1) / 3.0
 
 
+def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
+    """The reference for `criticality_residual_vector`: `conformal_solve`, then `_offshape`
+    of its normalized omega in its frame.  Returns (the vector or None, the report)."""
+    rep = conformal_solve(alg, J)
+    w = rep.normalized_omega
+    if w is None:
+        return None, rep
+    return _offshape(alg, rep.frame.theta_coeffs, rep.frame.v_coords, w.coeffs), rep
+
+
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
     """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
@@ -365,8 +376,8 @@ def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:
 
 # -- comparisons, views and the d-splitting that only the tests call -----------
 
-def forms_close(a: Form, b: Form, tol: float = TOLERANCES["close"]) -> bool:
-    """Comparison at absolute tolerance after scaling to unit max-norm."""
+def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
+    """Comparison at absolute tolerance after scaling to max(1, both norms)."""
     return within((a - b).norm(), tol, max(1.0, a.norm(), b.norm()))
 
 

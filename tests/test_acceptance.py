@@ -101,7 +101,7 @@ def test_criterion_03_cartan_identity():
         w = bidegree_project(J, random_form(rng, 6, 2), 1, 1)
         if w.norm() < 1e-6:
             continue
-        ok &= cartan_compatibility(alg, J, w) < 1e-10
+        ok &= cartan_compatibility(alg, nijenhuis_via_brackets(alg, J), w) < 1e-10
         done += 1
     _verdict(3, "d^{2,-1} on (1,1) equals wedge(Id x N*), residual < 1e-10 x50", ok)
 

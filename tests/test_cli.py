@@ -201,6 +201,24 @@ def test_cone_fixture(tmp_path):
         assert "omega not positive" in p.stdout, (command, p.stdout)
 
 
+def test_cone_gates_the_manifest_omega3(tmp_path):
+    # a manifest Omega3 must be a (3,0)-form for J of unit norm against omega; the
+    # fixture's passes (test_cone_fixture), and a zero, a conjugated (a (0,3)-form)
+    # and a doubled Omega3 each exit 2 naming the failed gate
+    data = json.loads(FIXTURE.read_text())
+    conjugated = [{**e, "im": -e["im"]} for e in data["Omega3"]]
+    for name, Omega3, gate in (
+            ("zero", [{**e, "re": 0.0, "im": 0.0} for e in data["Omega3"]], "unit_norm"),
+            ("conjugated", conjugated, "pure_bidegree"),
+            ("doubled", [{**e, "re": 2 * e["re"], "im": 2 * e["im"]} for e in data["Omega3"]],
+             "unit_norm")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "Omega3": Omega3}))
+        p = run_cli("cone", str(path), "--json")
+        assert p.returncode == 2, (name, p.stdout, p.stderr)
+        assert f"Omega3 fails the {gate} gate" in json.loads(p.stdout)["error"], (name, p.stdout)
+
+
 def test_functional_gradient():
     p = run_cli("functional", str(FIXTURE), "--gradient", "--json")
     assert p.returncode == 0

@@ -83,3 +83,21 @@ def test_every_exported_name_runs_in_the_package_or_the_benchmark():
                        for defined, names in statements if key != stem or defined != name):
                 unused.append(f"{stem}.{name}")
     assert not unused, sorted(unused)
+
+
+def test_every_tolerance_is_read_in_the_package():
+    # every report prints the table, so an entry that only the tests read belongs
+    # in the tests; a read is a string literal outside docstrings, outside conventions.py
+    from nkvol.conventions import TOLERANCES
+
+    read = set()
+    for p in sorted((ROOT / "src" / "nkvol").glob("*.py")):
+        if p.name == "conventions.py":
+            continue
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        read |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and id(node) not in docstrings}
+    unread = sorted(TOLERANCES.keys() - read)
+    assert not unread, unread

@@ -22,7 +22,8 @@ from nkvol.variation_opt import (
 )
 
 from helpers import (FIXTURE, delta_as_21_form, frame_from_thetas, is_critical, psi_gradient_analytic,
-                     psi_gradient_fd, random_acs, random_form, random_valid_algebra, s3s3)
+                     psi_gradient_fd, random_acs, random_form, random_valid_algebra, s3s3,
+                     scalar_residual_vector)
 
 
 def nk_fixture():
@@ -320,23 +321,29 @@ def fd_deltas():
     return np.concatenate([steps, -steps])
 
 
-def scalar_residuals(alg, J, deltas):
-    """criticality_residual_vector at deform_J(J, delta, 1.0); None where that raises."""
-    fr = J.frame()
-    out = []
-    for d in deltas:
-        try:
-            vec, _ = criticality_residual_vector(alg, deform_J(J, Deformation(d), 1.0, frame=fr))
-        except ValueError:
-            vec = None
-        out.append(vec)
-    return out
-
-
 def assert_stack_matches_scalar(alg, J, deltas):
+    """The stacked kernel and `criticality_residual_vector` at each deformed structure
+    against the scalar reference `scalar_residual_vector` (None where it raises)."""
     vecs, valid = criticality_residuals(alg, J, deltas)
     assert vecs.shape == (len(deltas), 40)
-    for k, ref in enumerate(scalar_residuals(alg, J, deltas)):
+    fr = J.frame()
+    for k, d in enumerate(deltas):
+        try:
+            Jd = deform_J(J, Deformation(d), 1.0, frame=fr)
+            ref, rep = scalar_residual_vector(alg, Jd)
+        except ValueError:
+            ref = None
+        else:
+            # on one structure the kernel runs the reference's arithmetic: equal bit for bit
+            vec, frame, positive, omega = criticality_residual_vector(alg, Jd)
+            assert positive == rep.candidate_positive, k
+            assert np.array_equal(frame.theta_coeffs, rep.frame.theta_coeffs), k
+            assert np.array_equal(frame.v_coords, rep.frame.v_coords), k
+            if ref is None:
+                assert vec is None and omega is None and rep.normalized_omega is None, k
+            else:
+                assert np.array_equal(vec, ref), k
+                assert np.array_equal(omega.coeffs, rep.normalized_omega.coeffs), k
         assert valid[k] == (ref is not None), k
         if ref is None:
             assert not np.any(vecs[k]), k
@@ -353,6 +360,8 @@ def test_stacked_residuals_match_scalar_path():
         kicks = 0.05 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
         valid = assert_stack_matches_scalar(alg, J, np.concatenate([fd_deltas(), kicks]))
         assert valid.all()
+        for one in (fd_deltas()[:1], kicks[:1]):  # one-slice stacks
+            assert assert_stack_matches_scalar(alg, J, one).tolist() == [True]
 
 
 def test_stacked_residuals_mask_rejected_slices():
@@ -364,10 +373,13 @@ def test_stacked_residuals_mask_rejected_slices():
     # positive candidate at the other structure
     with pytest.raises(ValueError, match="not complementary"):
         deform_J(J, Deformation(np.eye(3)), 1.0)
-    vec, rep = criticality_residual_vector(alg, deform_J(J, Deformation(NON_POSITIVE_DELTA), 1.0))
-    assert vec is None and not rep.candidate_positive
+    vec, _, positive, omega = criticality_residual_vector(
+        alg, deform_J(J, Deformation(NON_POSITIVE_DELTA), 1.0))
+    assert vec is None and omega is None and not positive
     valid = assert_stack_matches_scalar(alg, J, deltas)
     assert valid.tolist() == [True, False, False, True]
+    # the same slices as one-slice stacks
+    assert [assert_stack_matches_scalar(alg, J, d[None])[0] for d in deltas] == valid.tolist()
 
 
 def test_offshape_matches_projector_route():
@@ -549,6 +561,30 @@ def test_telemetry_counts_every_structure(monkeypatch):
     assert all(r.residual_evals == 37 and r.kick is None for r in res.records)
     assert [r.objective for r in res.records] == res.trace[1:]
     assert res.records == su2r3_search_18().records  # deterministic
+
+
+def test_search_runs_without_conformal_solve(monkeypatch):
+    # the start point, every trial and every kick run the kernel of the Jacobian,
+    # so the search reaches the pinned trace and the fixture's instant start with
+    # the scalar conformal solve replaced by a function that raises
+    import nkvol.hermitian_torsion as ht
+    import nkvol.variation_opt as vo
+
+    pinned = su2r3_search_18()  # recorded before the replacement
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search called conformal_solve")
+
+    monkeypatch.setattr(ht, "conformal_solve", forbidden)
+    monkeypatch.setattr(vo, "conformal_solve", forbidden)
+    alg, J = su2r3()
+    res = find_critical(alg, J, max_iter=18)
+    assert res.trace == pinned.trace and res.records == pinned.records
+    for got, want in zip(res.trace, SU2R3_TRACE_18):
+        assert abs(got - want) <= 1e-9 * want
+    algf, Jf, _ = nk_fixture()
+    res = find_critical(algf, Jf)
+    assert res.converged and res.iterations == 0 and res.suite.all_true
 
 
 def test_psi_gradient_one_pass_matches_each_direction():
