@@ -61,22 +61,26 @@ def _load(path: str) -> tuple[Manifest, str]:
     return manifest, digest
 
 
-def _acs_of(manifest: Manifest):
+def _structure(manifest: Manifest, tensor: bool = True):
+    """The algebra and the N* tensor of the manifest's J, or J itself when not tensor."""
     from .acs import AlmostComplexStructure
+    from .nijenhuis import nijenhuis_via_brackets
     if manifest.J is None:
         raise InputError("manifest carries no J matrix")
     try:
-        return AlmostComplexStructure(manifest.J)
+        J = AlmostComplexStructure(manifest.J)
     except ValueError as ex:
         raise InputError(f"invalid J: {ex}") from ex
+    alg = manifest.algebra()
+    return alg, (nijenhuis_via_brackets(alg, J) if tensor else J)
 
 
-def _pick_omega(alg, J, manifest: Manifest, rep=None):
-    """Manifest omega when present, else the conformal-solver candidate."""
+def _pick_omega(nij, manifest: Manifest, rep=None):
+    """Manifest omega when present, else the candidate of the conformal report rep or of nij."""
     from .hermitian_torsion import conformal_solve
     if manifest.omega is not None:
         return manifest.omega, "manifest"
-    rep = rep if rep is not None else conformal_solve(alg, J)
+    rep = rep if rep is not None else conformal_solve(nij)
     if rep.normalized_omega is not None:
         return rep.normalized_omega, "conformal_solve normalized"
     if rep.candidate_positive:
@@ -114,13 +118,9 @@ def _cmd_check(manifest: Manifest):
 def _cmd_nijenhuis(manifest: Manifest):
     import numpy as np
     from .hermitian_torsion import positive_11_metric
-    from .nijenhuis import (cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d,
-                            volume_form)
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
-    fr = J.frame()
-    nb = nijenhuis_via_brackets(alg, J, frame=fr)
-    nd = nijenhuis_via_d(alg, J, frame=fr)
+    from .nijenhuis import cartan_compatibility, nijenhuis_via_d, volume_form
+    alg, nb = _structure(manifest)
+    nd = nijenhuis_via_d(alg, nb.frame.J, frame=nb.frame)
     agree = float(np.max(np.abs(nb.matrix - nd.matrix)))
     scale = max(1.0, float(np.max(np.abs(nb.matrix))))
     vd = volume_form(nb)
@@ -130,10 +130,10 @@ def _cmd_nijenhuis(manifest: Manifest):
         "psi": vd.psi,
         "nondegenerate": nb.nondegenerate,
     }
-    omega, source = _pick_omega(alg, J, manifest)
+    omega, source = _pick_omega(nb, manifest)
     verdicts = {"routes_agree": within(agree, "routes_agree", scale)}
     if omega is not None:
-        positive_11_metric(J, omega)  # the gate of every command that reads omega
+        positive_11_metric(nb.frame.J, omega)  # the gate of every command that reads omega
         checks["cartan_residual"] = cartan_compatibility(alg, nb, omega)
         checks["cartan_omega_source"] = source
         verdicts["cartan_identity"] = within(checks["cartan_residual"], "cartan")
@@ -142,20 +142,19 @@ def _cmd_nijenhuis(manifest: Manifest):
 
 def _cmd_torsion(manifest: Manifest):
     from .hermitian_torsion import conformal_solve, norm30_sq, torsion_criterion
-    from .nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
-    rep = conformal_solve(alg, J)
+    from .nijenhuis import rho_skew_coefficient
+    nij = _structure(manifest)[1]
+    rep = conformal_solve(nij)
     checks = {
         "solution_dimension": rep.solution_dimension,
         "candidate_positive": rep.candidate_positive,
         "candidate_residual": rep.candidate_residual,
         "singular_values": [float(x) for x in rep.singular_values],
     }
-    omega, source = _pick_omega(alg, J, manifest, rep)
+    omega, source = _pick_omega(nij, manifest, rep)
     if omega is None:
         raise InputError("no positive Hermitian candidate available for the criterion")
-    crit = torsion_criterion(alg, J, omega)
+    crit = torsion_criterion(nij, omega)
     checks.update({
         "omega_source": source,
         "skewness_residual": crit.skewness_residual,
@@ -163,21 +162,19 @@ def _cmd_torsion(manifest: Manifest):
     })
     verdicts = {"admits_connection": crit.admits_connection}
     if rep.normalized_omega is not None:
-        w, fr = rep.normalized_omega, rep.frame
-        M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
-        p30 = rho_skew_coefficient(fr.components(w)[:3, 3:], M) * fr.theta_top()
+        w, fr = rep.normalized_omega, nij.frame
+        p30 = rho_skew_coefficient(fr.components(w)[:3, 3:], nij.matrix) * fr.theta_top()
         checks["normalized_gauge_residual"] = abs(norm30_sq(w, p30) - 1.0)
     return checks, verdicts
 
 
 def _cmd_nk(manifest: Manifest):
     from .nk_su3 import nk_equivalence_suite
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
-    omega, source = _pick_omega(alg, J, manifest)
+    alg, nij = _structure(manifest)
+    omega, source = _pick_omega(nij, manifest)
     if omega is None:
         raise InputError("no positive Hermitian candidate available for the suite")
-    suite = nk_equivalence_suite(alg, J, omega)
+    suite = nk_equivalence_suite(alg, nij, omega)
     checks = {
         "omega_source": source,
         "skewness_residual": suite.skewness_residual,
@@ -205,9 +202,9 @@ def _cmd_cone(manifest: Manifest):
     from .hermitian_torsion import norm30_sq
     from .nk_su3 import SU3Structure, solve_Omega
     from .g2_cone import fernandez_gray_check, metric_roundtrip
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
-    omega, source = _pick_omega(alg, J, manifest)
+    alg, nij = _structure(manifest)
+    J = nij.frame.J
+    omega, source = _pick_omega(nij, manifest)
     if omega is None:
         raise InputError("no positive Hermitian candidate available for the cone")
     solved = solve_Omega(alg, J, omega)  # gates omega
@@ -251,12 +248,12 @@ def _cmd_cone(manifest: Manifest):
 
 
 def _cmd_functional(manifest: Manifest, gradient: bool):
-    from .variation_opt import criticality_test, psi_gradient, psi_value
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
-    checks = {"psi": psi_value(alg, J)}
+    from .nijenhuis import volume_form
+    from .variation_opt import criticality_test, psi_gradient
+    alg, nij = _structure(manifest)
+    checks = {"psi": volume_form(nij).psi}
     try:
-        crit = criticality_test(alg, J, manifest.omega)
+        crit = criticality_test(alg, nij, manifest.omega)
     except ValueError as ex:
         if manifest.omega is not None:
             raise  # the manifest omega fails the gate: an input error
@@ -268,7 +265,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     if gradient:
         if crit.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
-        grad = psi_gradient(alg, J, crit.omega)
+        grad = psi_gradient(alg, nij, crit.omega)
         checks["gradient_components"] = grad.tolist()
         checks["gradient_max_abs"] = float(abs(grad).max())
     return checks, {}
@@ -277,8 +274,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
 def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
                   emit: str | None):
     from .variation_opt import find_critical, psi_value
-    alg = manifest.algebra()
-    J = _acs_of(manifest)
+    alg, J = _structure(manifest, tensor=False)
     res = find_critical(alg, J, tol=tol, max_iter=max_iter, seed=seed)
     checks = {
         "iterations": res.iterations,
@@ -309,8 +305,7 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
 
 def _cmd_alt12(manifest: Manifest):
     from .hermitian_torsion import alt12_analysis
-    J = _acs_of(manifest)
-    rep = alt12_analysis(J)
+    rep = alt12_analysis(_structure(manifest, tensor=False)[1])
     checks = rep._asdict()
     verdicts = {
         "alt12_isomorphism": rep.rank_full == 90,

@@ -19,10 +19,9 @@ import numpy as np
 
 from .multilinear import Form, Metric, _wedge_tensor, matvec, two_form_coeffs, wedge_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, bidegree_project,
-                  is_pure_bidegree)
+from .acs import EPS3, AlmostComplexStructure, _omega_j, bidegree_project, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
-from .nijenhuis import nijenhuis_matrices, rho_skew_coefficient
+from .nijenhuis import NijenhuisTensor, rho_skew_coefficient
 
 __all__ = [
     "Alt12Report",
@@ -106,7 +105,6 @@ def _skew_part(rho: np.ndarray) -> np.ndarray:
 
 
 class TorsionCriterionReport(NamedTuple):
-    frame: ComplexFrame
     rho: np.ndarray                 # full trilinear components in the frame
     lambda30_component: Form        # the (3,0)-form carried by the skew part
     skewness_residual: float        # norm of the non-skew complement
@@ -114,12 +112,10 @@ class TorsionCriterionReport(NamedTuple):
     admits_connection: bool
 
 
-def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                      omega: Form) -> TorsionCriterionReport:
-    """Decide existence of a Hermitian connection with skew torsion for omega."""
-    positive_11_metric(J, omega)
-    fr = J.frame()
-    M = nijenhuis_matrices(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+def torsion_criterion(nij: NijenhuisTensor, omega: Form) -> TorsionCriterionReport:
+    """Decide existence of a Hermitian connection with skew torsion for omega, in nij's frame."""
+    fr, M = nij.frame, nij.matrix
+    positive_11_metric(fr.J, omega)
     A = fr.components(omega)[:3, 3:]
     rho = -c_map_trilinear(A @ M.T)
     complement = rho - _skew_part(rho)
@@ -127,7 +123,6 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
     rho_norm = float(np.max(np.abs(rho)))
     residual = float(np.max(np.abs(complement)))
     return TorsionCriterionReport(
-        frame=fr,
         rho=rho,
         lambda30_component=p30,
         skewness_residual=residual,
@@ -137,7 +132,6 @@ def torsion_criterion(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 
 class ConformalSolveReport(NamedTuple):
-    frame: ComplexFrame
     singular_values: np.ndarray
     solution_dimension: int
     candidate: Form                  # least-squares direction (sign-fixed)
@@ -217,7 +211,7 @@ class ConformalStack(NamedTuple):
     `rho_skew_coefficient` of the frame block iH, so that |P|^2 = |c|^2 / (8 det H).
     The least-squares candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
     Every gate of the solve is a mask here; `conformal_solve` is the case
-    without leading axes.
+    without leading axes, and the caller builds the N* matrices it is solved from.
     """
 
     theta: np.ndarray            # the (1,0) coframe rows [..., 3, 6]
@@ -249,16 +243,15 @@ class ConformalStack(NamedTuple):
             raise ValueError(f"norm computation returned a non-real or non-finite value {self.n2}")
 
 
-def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
-                    V: np.ndarray) -> ConformalStack:
-    """The conformal solve for J matrices Jm with (1,0) frames (theta rows, V columns).
+def conformal_stack(M: np.ndarray, theta: np.ndarray) -> ConformalStack:
+    """The conformal solve for bracket-route N* matrices M that the caller built in the
+    (1,0) coframes with rows theta (`nijenhuis_matrices`).
 
     Leading axes stack.  The candidate is the canonical positive direction
     projected onto the strict nullspace when that has dimension > 1 and stays
     positive (covers large solution spaces such as the integrable case),
     otherwise the least-squares singular direction.
     """
-    M = nijenhuis_matrices(alg, Jm, theta, V)
     # one row per structure, so that a stack and a single structure share the
     # summation order, and so the rounding, of this product
     entries = np.concatenate([M.real, M.imag], axis=-2).reshape(M.shape[:-2] + (1, 18))
@@ -283,21 +276,20 @@ def conformal_stack(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
                           positive=definite[..., 0] | use_alt, n2=n2)
 
 
-def conformal_solve(alg: CoframeAlgebra, J: AlmostComplexStructure) -> ConformalSolveReport:
+def conformal_solve(nij: NijenhuisTensor) -> ConformalSolveReport:
     """Solve {a real (1,1): C(a) is totally antisymmetric} and report positivity.
 
-    The strict nullspace is cut at the `nullspace` tolerance relative to the
-    largest singular value; independently, the least-squares direction (the smallest
-    singular vector) is always reported, which keeps the solver usable along
-    optimization paths where the structure is only approximately compatible.
+    nij is the N* tensor of J that the caller built.  The strict nullspace is cut at
+    the `nullspace` tolerance relative to the largest singular value; independently,
+    the least-squares direction (the smallest singular vector) is always reported,
+    which keeps the solver usable along optimization paths where the structure is
+    only approximately compatible.
     """
-    fr = J.frame()
-    st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+    st = conformal_stack(nij.matrix, nij.frame.theta_coeffs)
     st.check_norm()
     s = st.singular_values
-    smax = s.max() if s.size else 0.0
+    smax = s.max()
     return ConformalSolveReport(
-        frame=fr,
         singular_values=s,
         solution_dimension=int(st.null.sum()),
         candidate=Form(6, 2, st.candidate),

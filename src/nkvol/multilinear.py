@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .conventions import TOLERANCES, within
+from .conventions import within
 
 __all__ = [
     "EPS3",
@@ -201,8 +201,8 @@ class Form:
         """Max-abs coefficient norm; the comparison norm used everywhere."""
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
-    def is_real(self, tol: float = TOLERANCES["real"]) -> bool:
-        return within(float(np.max(np.abs(self.coeffs.imag))), tol, max(1.0, self.norm()))
+    def is_real(self) -> bool:
+        return within(float(np.max(np.abs(self.coeffs.imag))), "real", max(1.0, self.norm()))
 
     def evaluate(self, vectors) -> complex:
         """Evaluate on degree-many frame-coordinate vectors (determinant convention)."""

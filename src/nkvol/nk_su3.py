@@ -25,7 +25,7 @@ from .acs import AlmostComplexStructure, bidegree_project
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
 from .hermitian_torsion import (_skew_part, hermitian_metric, norm30_sq, offshape_residual,
                                 torsion_criterion)
-from .nijenhuis import nijenhuis_via_brackets
+from .nijenhuis import NijenhuisTensor
 
 __all__ = [
     "NablaOmegaReport",
@@ -117,7 +117,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     per_dir = np.array([f.norm() for f in nablas])
     mat = np.array([f.coeffs for f in nablas])
     sigmas = np.linalg.svd(np.vstack([mat.real.T, mat.imag.T]), compute_uv=False)
-    smin = float(sigmas[5]) if len(sigmas) >= 6 else 0.0
+    smin = float(sigmas[5])
     strict = bool(per_dir.min() > TOLERANCES["strict"] * max(1.0, per_dir.max())
                   and smin > TOLERANCES["strict"])
     return NablaOmegaReport(
@@ -163,20 +163,21 @@ class NkSuiteReport(NamedTuple):
         return not self.equations_ok and not self.nabla_ok
 
 
-def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
+def nk_equivalence_suite(alg: CoframeAlgebra, nij: NijenhuisTensor,
                          omega: Form) -> NkSuiteReport:
-    """Evaluate the three equivalent characterizations on (J, omega).
+    """Evaluate the three equivalent characterizations on (J, omega), nij the N* tensor of J.
 
     The contract, which the test-suite enforces on every nondegenerate input:
     the three verdicts agree.  Degenerate inputs (vanishing Nijenhuis tensor,
     d omega = 0) are reported separately since the equivalence concerns the
     strict lambda > 0 regime.
     """
-    crit = torsion_criterion(alg, J, omega)
+    J = nij.frame.J
+    crit = torsion_criterion(nij, omega)
     solved = solve_Omega(alg, J, omega)
     # the nabla omega test reads only J and omega: without a solution the
     # frame's unit (3,0)-form stands in for Omega
-    s = SU3Structure(J, omega, solved.Omega if solved.ok else J.frame().theta_top(), solved.lam)
+    s = SU3Structure(J, omega, solved.Omega if solved.ok else nij.frame.theta_top(), solved.lam)
     eq_rep = check_structure_equations(alg, s) if solved.ok else None
     nab_rep = check_nabla_omega(alg, s)
     return NkSuiteReport(
@@ -184,8 +185,7 @@ def nk_equivalence_suite(alg: CoframeAlgebra, J: AlmostComplexStructure,
         equations_ok=eq_rep is not None and eq_rep.passes() and solved.lam > TOLERANCES["strict"],
         nabla_ok=(within(nab_rep.antisymmetry_residual, "verdict") and nab_rep.strict
                   and within(nab_rep.identification_residual, "nabla_identification")),
-        degenerate=("d omega = 0" in solved.reason
-                    or not nijenhuis_via_brackets(alg, J).nondegenerate),
+        degenerate="d omega = 0" in solved.reason or not nij.nondegenerate,
         hypothesis_ok=solved.ok,
         skewness_residual=crit.skewness_residual,
         offshape_residual=solved.offshape_residual,

@@ -40,7 +40,8 @@ from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, offshape_residual,
                                 positive_11_metric)
-from .nijenhuis import NijenhuisTensor, nijenhuis_via_brackets, rho_skew_coefficient, volume_form
+from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
+                        rho_skew_coefficient, volume_form)
 
 if TYPE_CHECKING:
     from .nk_su3 import NkSuiteReport
@@ -139,14 +140,15 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
     return wedge_coeffs(iota[:, None, :], fr.coframe[None, 3:], 6, 2, 1)
 
 
-def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
+def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> np.ndarray:
     """c[a, b] = KAPPA_CONV * 2 * density(Pi^{2,2} d(E_ab-form) ^ omega), oriented.
 
-    The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b].
-    omega must be a positive real (1,1)-form; it is checked once here.
+    The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b],
+    with E_ab in the frame of nij, the N* tensor of J.  omega must be a positive real
+    (1,1)-form; it is checked once here.
     """
+    J = nij.frame.J
     positive_11_metric(J, omega)
-    nij = nijenhuis_via_brackets(alg, J)
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
     Q = _unit_delta_forms(omega, nij)
@@ -155,9 +157,9 @@ def _gradient_pairings(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Fo
     return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
 
 
-def psi_gradient(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> np.ndarray:
+def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> np.ndarray:
     """The first variation dPsi along the 18 directions of `delta_basis`, from one pass."""
-    c = _gradient_pairings(alg, J, omega)
+    c = _gradient_pairings(alg, nij, omega)
     return np.concatenate([c.real.ravel(), -c.imag.ravel()])
 
 
@@ -177,7 +179,7 @@ def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     candidate, which the optimizer treats as a rejected step), J's frame, whether the
     candidate is positive, and the normalized omega (None with the vector).  A positive
     candidate with a non-finite |P|^2 raises, as in `conformal_solve`."""
-    vec, valid, theta, V, st = _residual_kernel(alg, J.matrix, True, J.matrix)
+    vec, valid, theta, V, st = _residual_kernel(alg, J.matrix, True)
     st.check_norm()
     omega = Form(6, 2, st.normalized_omega) if valid else None
     return (vec if valid else None), ComplexFrame(J, theta, V), bool(st.positive), omega
@@ -196,14 +198,12 @@ def _offshape(alg: CoframeAlgebra, theta: np.ndarray, V: np.ndarray,
     return np.concatenate([off.real, off.imag], axis=-1)
 
 
-def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray, valid, stand_in: np.ndarray):
-    """Residual vectors at J matrices Jm, zero outside their mask: `valid` narrowed to the
-    gates of `AlmostComplexStructure` and a positive normalizable candidate.  With the mask
-    come the frames (theta, V) and the `ConformalStack`; leading axes stack."""
-    valid = valid & acs_gates(Jm)[1]
-    Jm = np.where(valid[..., None, None], Jm, stand_in)  # a valid stand-in keeps every slice finite
+def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray, valid):
+    """Residual vectors at J matrices Jm that pass the gates of `AlmostComplexStructure`, zero
+    outside their mask: `valid` narrowed to a positive normalizable candidate.  With the
+    mask come the frames (theta, V) and the `ConformalStack`; leading axes stack."""
     theta, V = default_frame_coords(Jm)
-    st = conformal_stack(alg, Jm, theta, V)
+    st = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
     valid = valid & st.normalizable
     return np.where(valid[..., None], _offshape(alg, theta, V, st.normalized_omega), 0.0), valid, theta, V, st
 
@@ -215,27 +215,29 @@ def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas
     Slice k is the vector of `criticality_residual_vector` at
     `deform_J(J, Deformation(deltas[k]), 1.0, frame)`, from the same `_residual_kernel`.
     Returns the vectors and a mask that is also False where the graph is not
-    complementary; the vectors are zero there.
+    complementary or the chart's matrix fails the gates of `AlmostComplexStructure`;
+    the vectors are zero there.
     """
     fr = frame if frame is not None else J.frame()
     Jm, _, valid = _graph_chart(fr.v_coords, deltas)
-    return _residual_kernel(alg, Jm, valid, J.matrix)[:2]
+    valid = valid & acs_gates(Jm)[1]
+    Jm = np.where(valid[..., None, None], Jm, J.matrix)  # a valid stand-in keeps every slice finite
+    return _residual_kernel(alg, Jm, valid)[:2]
 
 
-def criticality_test(alg: CoframeAlgebra, J: AlmostComplexStructure,
+def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
                      omega: Form | None = None) -> CriticalityReport:
-    """Extremality criterion: d omega confined to bidegrees (3,0) + (0,3).
+    """Extremality criterion at nij's J: d omega confined to bidegrees (3,0) + (0,3).
 
     A given omega must pass `positive_11_metric`; without one the conformal
     solve supplies it.  With a degenerate Nijenhuis tensor the functional
     vanishes identically on invariant deformations; that case is reported as
     degenerate and excluded from the equivalence contract.
     """
-    nij = nijenhuis_via_brackets(alg, J)
     if omega is None:
-        omega = conformal_solve(alg, J).normalized_omega
+        omega = conformal_solve(nij).normalized_omega
     if omega is not None:  # gated on a degenerate tensor too
-        residual = offshape_residual(alg, J, omega)[0]
+        residual = offshape_residual(alg, nij.frame.J, omega)[0]
     if not nij.nondegenerate:
         return CriticalityReport("degenerate", 0.0, True, omega)
     if omega is None:
@@ -396,9 +398,10 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         omega = None
     else:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
-        suite = nk_equivalence_suite(alg, J, omega)
+        nij = nijenhuis_via_brackets(alg, J, frame=fr)
+        suite = nk_equivalence_suite(alg, nij, omega)
         if suite.all_true:
-            gradient_max = float(np.max(np.abs(psi_gradient(alg, J, omega))))
+            gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, omega))))
         else:
             converged = False
             reason = ("residual vanished outside the compatibility domain: "

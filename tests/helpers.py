@@ -5,7 +5,8 @@ The oracles stay independent of the routes they check: the Leibniz
 evaluation, the finite-difference gradient, the single-direction analytic
 gradient, the N-vector route to rho = omega(N(.,.),.), the d-splitting
 identities and the scalar residual composition through `conformal_solve` compute
-on their own.
+on their own.  The package's layers that read N* take the `NijenhuisTensor` their
+caller built; the helpers here that take (alg, J) build that tensor themselves.
 """
 
 from __future__ import annotations
@@ -330,7 +331,8 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
 def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
                           omega: Form, delta: Deformation) -> float:
     """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
-    return float(np.sum(delta.matrix * _gradient_pairings(alg, J, omega)).real)
+    pairings = _gradient_pairings(alg, nijenhuis_via_brackets(alg, J), omega)
+    return float(np.sum(delta.matrix * pairings).real)
 
 
 PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
@@ -352,13 +354,15 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 
 def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
-    """The reference for `criticality_residual_vector`: `conformal_solve`, then `_offshape`
-    of its normalized omega in its frame.  Returns (the vector or None, the report)."""
-    rep = conformal_solve(alg, J)
+    """The reference for `criticality_residual_vector`: the N* tensor of J, `conformal_solve`
+    on it, then `_offshape` of the normalized omega in the tensor's frame.  Returns (the
+    vector or None, the report, the tensor)."""
+    nij = nijenhuis_via_brackets(alg, J)
+    rep = conformal_solve(nij)
     w = rep.normalized_omega
     if w is None:
-        return None, rep
-    return _offshape(alg, rep.frame.theta_coeffs, rep.frame.v_coords, w.coeffs), rep
+        return None, rep, nij
+    return _offshape(alg, nij.frame.theta_coeffs, nij.frame.v_coords, w.coeffs), rep, nij
 
 
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,

@@ -117,7 +117,7 @@ def test_criterion_04_alt12_ranks():
 def test_criterion_05_conformal_uniqueness():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    rep = conformal_solve(alg, J)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     ok = rep.solution_dimension == 1 and rep.candidate_positive
     # plant-and-recover against the known product direction
     w0 = -1.0 * (wedge(basis_form(6, (1,)), basis_form(6, (4,)))
@@ -147,7 +147,7 @@ def test_criterion_06_nk_flagship():
     solved = solve_Omega(alg, res.J, res.omega)
     w2 = 2.25 * res.omega
     s2 = solve_Omega(alg, res.J, w2)
-    ok &= s2.ok and nk_equivalence_suite(alg, res.J, w2).all_true
+    ok &= s2.ok and nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, res.J), w2).all_true
     ratios = np.array([
         (w2.coeffs[i] / res.omega.coeffs[i]).real
         for i in range(15) if abs(res.omega.coeffs[i]) > 1e-9
@@ -195,7 +195,7 @@ def test_criterion_08_variation_calculus():
     rng = np.random.default_rng(808)
     ok = KAPPA_CONV == 64.0
     for alg, J in cases:
-        omega = conformal_solve(alg, J).normalized_omega
+        omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
         for _ in range(50):
             d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
             ana = psi_gradient_analytic(alg, J, omega, d)
@@ -213,8 +213,8 @@ def test_criterion_08_variation_calculus():
         mp = catalog("s3s3_perturbed", seed=seed)
         structures.append((mp.algebra(), AlmostComplexStructure(mp.J)))
     for alg, J in structures:
-        omega = conformal_solve(alg, J).normalized_omega
-        rep = criticality_test(alg, J, omega)
+        omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+        rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
         gmax = max(abs(psi_gradient_analytic(alg, J, omega, d)) for d in delta_basis())
         ok &= (rep.residual <= 1e-8) == (gmax <= 1e-7)
     _verdict(8, "analytic gradient = FD at one constant (<1e-6); critical components <1e-8", ok)
@@ -224,26 +224,27 @@ def test_criterion_09_theorem_roundtrip():
     ok = True
     # critical => suite true and suite true => critical, on the fixture
     algf, Jf, omegaf, _ = nk_fixture()
-    rep = criticality_test(algf, Jf, omegaf)
-    suite = nk_equivalence_suite(algf, Jf, omegaf)
+    rep = criticality_test(algf, nijenhuis_via_brackets(algf, Jf), omegaf)
+    suite = nk_equivalence_suite(algf, nijenhuis_via_brackets(algf, Jf), omegaf)
     ok &= is_critical(rep) and suite.all_true
     # catalog s3s3: not critical, suite not all true
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    omega = conformal_solve(alg, J).normalized_omega
-    ok &= not is_critical(criticality_test(alg, J, omega))
-    ok &= not nk_equivalence_suite(alg, J, omega).all_true
+    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+    ok &= not is_critical(criticality_test(alg, nijenhuis_via_brackets(alg, J), omega))
+    ok &= not nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega).all_true
     # torus: degenerate, excluded from the theorem's scope
     t = catalog("torus6")
-    ok &= criticality_test(t.algebra(), AlmostComplexStructure(t.J)).verdict == "degenerate"
+    tnij = nijenhuis_via_brackets(t.algebra(), AlmostComplexStructure(t.J))
+    ok &= criticality_test(t.algebra(), tnij).verdict == "degenerate"
     # ten seeded perturbations: non-critical with residual > 1e-4, suites false
     for seed in range(10):
         mp = catalog("s3s3_perturbed", seed=seed)
         palg, pJ = mp.algebra(), AlmostComplexStructure(mp.J)
-        w = conformal_solve(palg, pJ).normalized_omega
-        crep = criticality_test(palg, pJ, w)
+        w = conformal_solve(nijenhuis_via_brackets(palg, pJ)).normalized_omega
+        crep = criticality_test(palg, nijenhuis_via_brackets(palg, pJ), w)
         ok &= (not is_critical(crep)) and crep.residual > 1e-4
-        psuite = nk_equivalence_suite(palg, pJ, w)
+        psuite = nk_equivalence_suite(palg, nijenhuis_via_brackets(palg, pJ), w)
         ok &= (not psuite.all_true) and psuite.consistent()
     _verdict(9, "critical <=> special-structure suite across catalog + 10 perturbations", ok)
 

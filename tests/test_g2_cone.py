@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nkvol.multilinear import Form, Metric, basis_form, hodge_star, wedge, zero_form
 from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.nk_su3 import SU3Structure, solve_Omega
 from nkvol.hermitian_torsion import norm30_sq
 from nkvol.g2_cone import (
@@ -210,7 +211,7 @@ def test_fernandez_gray_negative_control():
     from nkvol.hermitian_torsion import conformal_solve
     from nkvol.frame_manifold import d_invariant
 
-    omega = conformal_solve(alg, Jp).normalized_omega
+    omega = conformal_solve(nijenhuis_via_brackets(alg, Jp)).normalized_omega
     p30 = bidegree_project(Jp, d_invariant(alg, omega), 3, 0)
     u = np.sqrt(norm30_sq(omega, p30))
     s_bad = SU3Structure(Jp, omega, (1.0 / u) * p30, 2.0 * u / 3.0)

@@ -47,7 +47,7 @@ def test_torsion_criterion_torus_trivial():
     alg, J = torus()
     # with the stored coframe action J e^1 = e^2, the positive Hermitian form
     # carries the opposite sign: omega0 = -(e^12 + e^34 + e^56)
-    rep = torsion_criterion(alg, J, -1.0 * flat_omega())
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), -1.0 * flat_omega())
     assert rep.admits_connection
     assert rep.rho_norm == 0.0
     assert rep.skewness_residual == 0.0
@@ -55,7 +55,7 @@ def test_torsion_criterion_torus_trivial():
 
 def test_torsion_criterion_s3s3_equal_scale():
     alg, J = s3s3()
-    rep = torsion_criterion(alg, J, product_omega())
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), product_omega())
     # recorded fixture: the equal-scale product structure admits the connection
     assert rep.admits_connection
     assert rep.skewness_residual <= 1e-12
@@ -66,7 +66,7 @@ def test_torsion_criterion_s3s3_equal_scale():
 def test_torsion_criterion_s3s3_anisotropic():
     # the J-compatible anisotropic analogue of a (1,1,5)-pattern metric
     alg, J = s3s3()
-    rep = torsion_criterion(alg, J, product_omega(scales=(1.0, 1.0, 5.0)))
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), product_omega(scales=(1.0, 1.0, 5.0)))
     assert not rep.admits_connection
     assert rep.skewness_residual > 0.01 * rep.rho_norm
 
@@ -74,9 +74,9 @@ def test_torsion_criterion_s3s3_anisotropic():
 def test_torsion_criterion_rejects_nonpositive():
     alg, J = s3s3()
     with pytest.raises(ValueError):
-        torsion_criterion(alg, J, -1.0 * product_omega())
+        torsion_criterion(nijenhuis_via_brackets(alg, J), -1.0 * product_omega())
     with pytest.raises(ValueError):
-        torsion_criterion(alg, J, flat_omega())  # not (1,1) for this J
+        torsion_criterion(nijenhuis_via_brackets(alg, J), flat_omega())  # not (1,1) for this J
 
 
 def test_c_map_zero_when_integrable():
@@ -92,7 +92,7 @@ def test_c_map_matches_rho():
     w = product_omega(scales=(1.3, 0.8, 1.1))
     nij = nijenhuis_via_brackets(alg, J)
     C = c_map(alg, J, w, nij=nij)
-    rep = torsion_criterion(alg, J, w)
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), w)
     T = c_map_trilinear(C)
     assert np.max(np.abs(rep.rho + T)) < 1e-12
 
@@ -117,7 +117,7 @@ def test_c_map_injective_on_s3s3():
 
 def test_conformal_solve_s3s3_unique_positive():
     alg, J = s3s3()
-    rep = conformal_solve(alg, J)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     assert rep.solution_dimension == 1
     assert rep.candidate_positive
     assert rep.normalized_omega is not None
@@ -133,16 +133,16 @@ def test_conformal_solve_s3s3_unique_positive():
 
 def test_conformal_solve_normalization_gauge():
     alg, J = s3s3()
-    rep = conformal_solve(alg, J)
-    crit = torsion_criterion(alg, J, rep.normalized_omega)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
+    crit = torsion_criterion(nijenhuis_via_brackets(alg, J), rep.normalized_omega)
     assert abs(norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
 
 
 def test_conformal_solve_plant_and_recover():
     alg, J = s3s3()
     planted = 2.7 * product_omega()
-    assert torsion_criterion(alg, J, planted).admits_connection
-    rep = conformal_solve(alg, J)
+    assert torsion_criterion(nijenhuis_via_brackets(alg, J), planted).admits_connection
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     ratios = []
     for i in range(15):
         if abs(planted.coeffs[i]) > 1e-9:
@@ -153,14 +153,14 @@ def test_conformal_solve_plant_and_recover():
 
 def test_conformal_solve_torus_full_space():
     alg, J = torus()
-    rep = conformal_solve(alg, J)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     assert rep.solution_dimension == 9
 
 
 def test_conformal_solve_perturbed_least_squares():
     m = catalog("s3s3_perturbed", seed=7)
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    rep = conformal_solve(alg, J)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     assert rep.solution_dimension == 0          # strict solution gone
     assert rep.candidate_residual > 1e-6        # visibly off
     assert rep.candidate_positive               # but still a usable metric seed
@@ -250,7 +250,7 @@ def test_frame_norm_matches_wedge_route():
     mp = catalog("s3s3_perturbed", seed=7)
     for alg, J in ((mp.algebra(), AlmostComplexStructure(mp.J)), s3s3()):
         fr = J.frame()
-        st = conformal_stack(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
+        st = conformal_stack(nijenhuis_via_brackets(alg, J, frame=fr).matrix, fr.theta_coeffs)
         assert st.positive
         M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
         omega = Form(6, 2, st.candidate)

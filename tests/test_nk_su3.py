@@ -5,6 +5,7 @@ import numpy as np
 from nkvol.multilinear import basis_form, wedge
 from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import conformal_solve, norm30_sq
 from nkvol.nk_su3 import (
     SU3Structure,
@@ -92,7 +93,7 @@ def test_structure_equations_flat_lambda_zero():
 def test_structure_equations_perturbed_fail():
     mp = catalog("s3s3_perturbed", seed=11)
     alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
-    rep = conformal_solve(alg, Jp)
+    rep = conformal_solve(nijenhuis_via_brackets(alg, Jp))
     solved = solve_Omega(alg, Jp, rep.normalized_omega)
     # the shape residual is the failure diagnostic for perturbed structures
     assert not solved.ok
@@ -145,7 +146,7 @@ def test_nabla_identification_residual_is_structural():
 
 def test_suite_fixture_all_true():
     alg, J, omega, _ = nk_fixture()
-    suite = nk_equivalence_suite(alg, J, omega)
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega)
     assert suite.verdicts == (True, True, True)
     assert suite.all_true and suite.consistent()
     assert not suite.degenerate
@@ -154,7 +155,7 @@ def test_suite_fixture_all_true():
 
 def test_suite_torus_degenerate_distinct():
     alg, J, omega0, _ = torus_structure()
-    suite = nk_equivalence_suite(alg, J, omega0)
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega0)
     assert suite.torsion_ok          # rho = 0 is skew
     assert suite.degenerate          # but the tensor is singular: no strict NK
     assert not suite.equations_ok
@@ -167,7 +168,7 @@ def test_suite_product_partial_but_consistent():
     # shape hypothesis: partial verdicts must be residual-consistent
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    suite = nk_equivalence_suite(alg, J, product_omega())
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), product_omega())
     assert suite.torsion_ok
     assert not suite.hypothesis_ok
     assert suite.offshape_residual > 1e-3
@@ -179,8 +180,8 @@ def test_suite_perturbed_consistent():
     for seed in (3, 7, 21):
         mp = catalog("s3s3_perturbed", seed=seed)
         alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
-        rep = conformal_solve(alg, Jp)
-        suite = nk_equivalence_suite(alg, Jp, rep.normalized_omega)
+        rep = conformal_solve(nijenhuis_via_brackets(alg, Jp))
+        suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, Jp), rep.normalized_omega)
         assert not suite.all_true
         assert suite.consistent()
 
@@ -195,7 +196,7 @@ def test_suite_uniqueness_scaled_plant():
     assert solved.ok
     s2 = SU3Structure(J, omega2, solved.Omega, solved.lam)
     assert check_structure_equations(alg, s2).passes()
-    suite2 = nk_equivalence_suite(alg, J, omega2)
+    suite2 = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega2)
     assert suite2.all_true
     ratios = [
         (omega2.coeffs[i] / omega.coeffs[i]).real
@@ -245,16 +246,17 @@ def test_closed_form_structure_is_nearly_kaehler():
     # an oracle that does not come from the optimizer
     m = nk_closed_form()
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    omega = conformal_solve(alg, J).normalized_omega
-    suite = nk_equivalence_suite(alg, J, omega)
+    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega)
     assert suite.all_true and suite.consistent()
     assert abs(suite.lam - 2.0) <= 1e-12
     assert abs(psi_value(alg, J) * 3.0 ** 4.5 - 1.0) <= 1e-12
-    assert np.max(np.abs(psi_gradient(alg, J, omega))) <= 1e-12
+    assert np.max(np.abs(psi_gradient(alg, nijenhuis_via_brackets(alg, J), omega))) <= 1e-12
     # the transpose, another almost complex structure, has psi = 3^(-3/2) and is not
     Jt = AlmostComplexStructure(m.J.T)
     assert abs(psi_value(alg, Jt) * 3.0 ** 1.5 - 1.0) <= 1e-12
-    suite_t = nk_equivalence_suite(alg, Jt, conformal_solve(alg, Jt).normalized_omega)
+    suite_t = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, Jt),
+                                   conformal_solve(nijenhuis_via_brackets(alg, Jt)).normalized_omega)
     assert not suite_t.all_true and suite_t.consistent()
     # the committed fixture, which the optimizer found, is this structure
     assert np.max(np.abs(Manifest.load(FIXTURE).J - m.J)) <= 5e-10

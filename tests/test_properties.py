@@ -1,7 +1,8 @@
-"""Property-based identities: the volume density under frame changes and rescaling,
-the stacked residual kernel against the single-structure path, the C-map
-route to rho = omega(N(.,.),.) against the N-vector oracle, and the conformal
-candidate under unitary changes of the (1,0) frame.
+"""Property-based identities: d^2 = 0 exactly when the Jacobi identity holds, the
+Leibniz rule for d, the two Nijenhuis routes, the volume density under frame
+changes and rescaling, the stacked residual kernel against the single-structure
+path, the C-map route to rho = omega(N(.,.),.) against the N-vector oracle, and
+the conformal candidate under unitary changes of the (1,0) frame.
 
 Examples are drawn by hypothesis under the derandomized profile of conftest.py;
 the structures come from the seeded generators in helpers.py.
@@ -12,21 +13,57 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nkvol.multilinear import Form
-from nkvol.frame_manifold import CoframeAlgebra, catalog
+from nkvol.multilinear import Form, wedge
+from nkvol.frame_manifold import CoframeAlgebra, catalog, check_jacobi, d_invariant
 from nkvol.acs import AlmostComplexStructure, default_frame_coords
-from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
+from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhuis_via_d,
+                             rho_skew_coefficient)
 from nkvol.hermitian_torsion import (_hermitian_form_coeffs, _skew_part, conformal_stack,
                                      torsion_criterion)
 from nkvol.variation_opt import _offshape, psi_value
 
-from helpers import _basis_change, _rho_components, random_acs, random_valid_algebra
+from helpers import (_basis_change, _rho_components, forms_close, random_acs, random_form,
+                     random_invalid_constants, random_valid_algebra)
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 
 SEEDS = st.integers(0, 2**32 - 1)
+JACOBI_TOL = 1e-9  # on the bracket's cyclic sum; valid draws reach 9.8e-13, invalid ones exceed 0.11
+DD_REL_TOL = 1e-10  # |d d a| / |a|; the worst of 400 seeded valid draws was 2.0e-12
+LEIBNIZ_TOL = 1e-11  # as `forms_close`; the worst of 400 seeded draws was 4.3e-14
+ROUTES_REL_TOL = 1e-12  # relative to max(1, |N*|); the worst of 400 seeded draws was 3.1e-15
 PSI_REL_TOL = 1e-11  # relative; the worst of 400 seeded draws was 1.3e-13
 CMAP_REL_TOL = 1e-12  # relative to max |rho|; the worst of 1000 seeded draws was 6.7e-15
 FRAME_REL_TOL = 1e-12  # relative; the worst of 200 seeded draws was 5.8e-15
+
+
+@given(SEEDS, st.booleans(), st.integers(1, 4))
+def test_d_squared_vanishes_iff_jacobi_holds(seed, valid, k):
+    # the identity is read from the bracket's cyclic sum, independently of d; a
+    # violated identity already shows on a random 1-form
+    rng = np.random.default_rng(seed)
+    alg = random_valid_algebra(rng) if valid else random_invalid_constants(rng)
+    holds = check_jacobi(alg).residual_bracket <= JACOBI_TOL
+    a = random_form(rng, 6, k if holds else 1)
+    assert (d_invariant(alg, d_invariant(alg, a)).norm() <= DD_REL_TOL * a.norm()) == holds
+
+
+@given(SEEDS, st.integers(1, 3), st.integers(1, 2))
+def test_d_obeys_the_leibniz_rule(seed, ka, kb):
+    rng = np.random.default_rng(seed)
+    alg = random_valid_algebra(rng)
+    a, b = random_form(rng, 6, ka), random_form(rng, 6, kb)
+    lhs = d_invariant(alg, wedge(a, b))
+    rhs = wedge(d_invariant(alg, a), b) + (-1) ** ka * wedge(a, d_invariant(alg, b))
+    assert forms_close(lhs, rhs, tol=LEIBNIZ_TOL)
+
+
+@given(SEEDS)
+def test_nijenhuis_routes_agree_in_the_bracket_frame(seed):
+    rng = np.random.default_rng(seed)
+    alg, J = random_valid_algebra(rng), random_acs(rng)
+    a = nijenhuis_via_brackets(alg, J)
+    b = nijenhuis_via_d(alg, J, frame=a.frame)
+    assert np.max(np.abs(a.matrix - b.matrix)) <= ROUTES_REL_TOL * max(1.0, np.max(np.abs(a.matrix)))
 
 
 def nondegenerate_structure(seed: int):
@@ -83,7 +120,7 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, X @ X.conj().T + 0.1 * np.eye(3)))
     ref = _rho_components(alg, J, omega, fr)
     tol = CMAP_REL_TOL * np.max(np.abs(ref))
-    assert np.max(np.abs(torsion_criterion(alg, J, omega).rho - ref)) <= tol
+    assert np.max(np.abs(torsion_criterion(nijenhuis_via_brackets(alg, J), omega).rho - ref)) <= tol
     M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], M)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
@@ -101,7 +138,7 @@ def test_conformal_candidate_depends_on_j_alone(seed, magnitude):
     frames.append((U @ frames[0][0], frames[0][1] @ U.conj().T))
     omegas, offs = [], []
     for theta, V in frames:
-        stack = conformal_stack(alg, Jm, theta, V)
+        stack = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
         assert stack.normalizable
         omegas.append(stack.normalized_omega)
         offs.append(_offshape(alg, theta, V, stack.normalized_omega))

@@ -7,6 +7,7 @@ import pytest
 
 from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import conformal_solve
 from nkvol.variation_opt import (
     JACOBIAN_FD_STEP,
@@ -135,7 +136,7 @@ def test_gradient_matches_fd_on_three_structures():
     cases = [s3s3(), su2r3(), su2su2_asymmetric()]
     rng = np.random.default_rng(42)
     for alg, J in cases:
-        omega = conformal_solve(alg, J).normalized_omega
+        omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
         worst = 0.0
         for _ in range(50):
             d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -158,7 +159,7 @@ def test_gradient_wrong_bidegree_contributes_zero():
     from nkvol.multilinear import wedge
 
     alg, J = s3s3()
-    omega = conformal_solve(alg, J).normalized_omega
+    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
     rng = np.random.default_rng(3)
     for _ in range(10):
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -185,22 +186,22 @@ def test_gradient_rejects_degenerate():
 
 def test_criticality_fixture():
     alg, J, omega = nk_fixture()
-    rep = criticality_test(alg, J, omega)
+    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
     assert is_critical(rep)
     assert rep.residual < 1e-12
 
 
 def test_criticality_catalog_noncritical():
     alg, J = s3s3()
-    omega = conformal_solve(alg, J).normalized_omega
-    rep = criticality_test(alg, J, omega)
+    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
     assert rep.verdict == "non-critical"
     assert rep.residual > 1e-3
 
 
 def test_criticality_torus_degenerate():
     m = catalog("torus6")
-    rep = criticality_test(m.algebra(), AlmostComplexStructure(m.J))
+    rep = criticality_test(m.algebra(), nijenhuis_via_brackets(m.algebra(), AlmostComplexStructure(m.J)))
     assert rep.verdict == "degenerate"
     assert rep.degenerate
 
@@ -216,8 +217,8 @@ def test_criticality_equals_gradient_vanishing():
         mp = catalog("s3s3_perturbed", seed=seed)
         structures.append((mp.algebra(), AlmostComplexStructure(mp.J)))
     for alg_, J_ in structures:
-        omega = conformal_solve(alg_, J_).normalized_omega
-        rep = criticality_test(alg_, J_, omega)
+        omega = conformal_solve(nijenhuis_via_brackets(alg_, J_)).normalized_omega
+        rep = criticality_test(alg_, nijenhuis_via_brackets(alg_, J_), omega)
         gmax = max(abs(psi_gradient_analytic(alg_, J_, omega, d)) for d in delta_basis())
         assert (rep.residual <= 1e-8) == (gmax <= 1e-7), (rep.residual, gmax)
 
@@ -330,15 +331,15 @@ def assert_stack_matches_scalar(alg, J, deltas):
     for k, d in enumerate(deltas):
         try:
             Jd = deform_J(J, Deformation(d), 1.0, frame=fr)
-            ref, rep = scalar_residual_vector(alg, Jd)
+            ref, rep, nij = scalar_residual_vector(alg, Jd)
         except ValueError:
             ref = None
         else:
             # on one structure the kernel runs the reference's arithmetic: equal bit for bit
             vec, frame, positive, omega = criticality_residual_vector(alg, Jd)
             assert positive == rep.candidate_positive, k
-            assert np.array_equal(frame.theta_coeffs, rep.frame.theta_coeffs), k
-            assert np.array_equal(frame.v_coords, rep.frame.v_coords), k
+            assert np.array_equal(frame.theta_coeffs, nij.frame.theta_coeffs), k
+            assert np.array_equal(frame.v_coords, nij.frame.v_coords), k
             if ref is None:
                 assert vec is None and omega is None and rep.normalized_omega is None, k
             else:
@@ -437,6 +438,7 @@ def test_stacked_conformal_solve_canonical_branch():
     # and the candidate comes from the canonical projection; its |P|^2 is 0
     from nkvol.acs import default_frame_coords
     from nkvol.hermitian_torsion import _hermitian_basis, conformal_stack
+    from nkvol.nijenhuis import nijenhuis_matrices
 
     m = catalog("torus6")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
@@ -446,9 +448,10 @@ def test_stacked_conformal_solve_canonical_branch():
     assert not valid.any()
     Js = [deform_J(J, Deformation(d), 1.0) for d in deltas]
     Jm = np.array([Jd.matrix for Jd in Js])
-    st = conformal_stack(alg, Jm, *default_frame_coords(Jm))
+    theta, V = default_frame_coords(Jm)
+    st = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
     for k, Jd in enumerate(Js):
-        rep = conformal_solve(alg, Jd)
+        rep = conformal_solve(nijenhuis_via_brackets(alg, Jd))
         assert rep.solution_dimension == int(st.null[k].sum()) == 9
         assert bool(st.positive[k]) == rep.candidate_positive
         assert np.max(np.abs(st.candidate[k] - rep.candidate.coeffs)) <= 1e-13
@@ -597,13 +600,13 @@ def test_psi_gradient_one_pass_matches_each_direction():
     rng = np.random.default_rng(5)
     for alg, J, omega in (nk_fixture(), (mp.algebra(), AlmostComplexStructure(mp.J), None)):
         if omega is None:
-            omega = conformal_solve(alg, J).normalized_omega
-        grad = psi_gradient(alg, J, omega)
+            omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+        grad = psi_gradient(alg, nijenhuis_via_brackets(alg, J), omega)
         each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
         assert np.max(np.abs(grad - each)) <= 1e-15
         # the (2,1)-form against its construction from the full torsion criterion
         fr = J.frame()
-        P = torsion_criterion(alg, J, omega).lambda30_component
+        P = torsion_criterion(nijenhuis_via_brackets(alg, J), omega).lambda30_component
         P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         legs = d.matrix @ fr.coframe[3:]
