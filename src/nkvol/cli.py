@@ -61,18 +61,21 @@ def _load(path: str) -> tuple[Manifest, str]:
     return manifest, digest
 
 
-def _structure(manifest: Manifest, tensor: bool = True):
-    """The algebra and the N* tensor of the manifest's J, or J itself when not tensor."""
+def _acs_of(manifest: Manifest):
     from .acs import AlmostComplexStructure
-    from .nijenhuis import nijenhuis_via_brackets
     if manifest.J is None:
         raise InputError("manifest carries no J matrix")
     try:
-        J = AlmostComplexStructure(manifest.J)
+        return AlmostComplexStructure(manifest.J)
     except ValueError as ex:
         raise InputError(f"invalid J: {ex}") from ex
+
+
+def _structure(manifest: Manifest):
+    """The algebra and the N* tensor of the manifest's J."""
+    from .nijenhuis import nijenhuis_via_brackets
     alg = manifest.algebra()
-    return alg, (nijenhuis_via_brackets(alg, J) if tensor else J)
+    return alg, nijenhuis_via_brackets(alg, _acs_of(manifest))
 
 
 def _pick_omega(nij, manifest: Manifest, rep=None):
@@ -274,7 +277,8 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
 def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
                   emit: str | None):
     from .variation_opt import find_critical, psi_value
-    alg, J = _structure(manifest, tensor=False)
+    alg = manifest.algebra()
+    J = _acs_of(manifest)
     res = find_critical(alg, J, tol=tol, max_iter=max_iter, seed=seed)
     checks = {
         "iterations": res.iterations,
@@ -305,7 +309,7 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
 
 def _cmd_alt12(manifest: Manifest):
     from .hermitian_torsion import alt12_analysis
-    rep = alt12_analysis(_structure(manifest, tensor=False)[1])
+    rep = alt12_analysis(_acs_of(manifest))
     checks = rep._asdict()
     verdicts = {
         "alt12_isomorphism": rep.rank_full == 90,

@@ -213,8 +213,9 @@ def test_criterion_08_variation_calculus():
         mp = catalog("s3s3_perturbed", seed=seed)
         structures.append((mp.algebra(), AlmostComplexStructure(mp.J)))
     for alg, J in structures:
-        omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
-        rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
+        nij = nijenhuis_via_brackets(alg, J)
+        omega = conformal_solve(nij).normalized_omega
+        rep = criticality_test(alg, nij, omega)
         gmax = max(abs(psi_gradient_analytic(alg, J, omega, d)) for d in delta_basis())
         ok &= (rep.residual <= 1e-8) == (gmax <= 1e-7)
     _verdict(8, "analytic gradient = FD at one constant (<1e-6); critical components <1e-8", ok)
@@ -224,15 +225,17 @@ def test_criterion_09_theorem_roundtrip():
     ok = True
     # critical => suite true and suite true => critical, on the fixture
     algf, Jf, omegaf, _ = nk_fixture()
-    rep = criticality_test(algf, nijenhuis_via_brackets(algf, Jf), omegaf)
-    suite = nk_equivalence_suite(algf, nijenhuis_via_brackets(algf, Jf), omegaf)
+    nijf = nijenhuis_via_brackets(algf, Jf)
+    rep = criticality_test(algf, nijf, omegaf)
+    suite = nk_equivalence_suite(algf, nijf, omegaf)
     ok &= is_critical(rep) and suite.all_true
     # catalog s3s3: not critical, suite not all true
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
-    ok &= not is_critical(criticality_test(alg, nijenhuis_via_brackets(alg, J), omega))
-    ok &= not nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega).all_true
+    nij = nijenhuis_via_brackets(alg, J)
+    omega = conformal_solve(nij).normalized_omega
+    ok &= not is_critical(criticality_test(alg, nij, omega))
+    ok &= not nk_equivalence_suite(alg, nij, omega).all_true
     # torus: degenerate, excluded from the theorem's scope
     t = catalog("torus6")
     tnij = nijenhuis_via_brackets(t.algebra(), AlmostComplexStructure(t.J))
@@ -241,10 +244,11 @@ def test_criterion_09_theorem_roundtrip():
     for seed in range(10):
         mp = catalog("s3s3_perturbed", seed=seed)
         palg, pJ = mp.algebra(), AlmostComplexStructure(mp.J)
-        w = conformal_solve(nijenhuis_via_brackets(palg, pJ)).normalized_omega
-        crep = criticality_test(palg, nijenhuis_via_brackets(palg, pJ), w)
+        pnij = nijenhuis_via_brackets(palg, pJ)
+        w = conformal_solve(pnij).normalized_omega
+        crep = criticality_test(palg, pnij, w)
         ok &= (not is_critical(crep)) and crep.residual > 1e-4
-        psuite = nk_equivalence_suite(palg, nijenhuis_via_brackets(palg, pJ), w)
+        psuite = nk_equivalence_suite(palg, pnij, w)
         ok &= (not psuite.all_true) and psuite.consistent()
     _verdict(9, "critical <=> special-structure suite across catalog + 10 perturbations", ok)
 

@@ -73,10 +73,11 @@ def test_torsion_criterion_s3s3_anisotropic():
 
 def test_torsion_criterion_rejects_nonpositive():
     alg, J = s3s3()
+    nij = nijenhuis_via_brackets(alg, J)
     with pytest.raises(ValueError):
-        torsion_criterion(nijenhuis_via_brackets(alg, J), -1.0 * product_omega())
+        torsion_criterion(nij, -1.0 * product_omega())
     with pytest.raises(ValueError):
-        torsion_criterion(nijenhuis_via_brackets(alg, J), flat_omega())  # not (1,1) for this J
+        torsion_criterion(nij, flat_omega())  # not (1,1) for this J
 
 
 def test_c_map_zero_when_integrable():
@@ -92,7 +93,7 @@ def test_c_map_matches_rho():
     w = product_omega(scales=(1.3, 0.8, 1.1))
     nij = nijenhuis_via_brackets(alg, J)
     C = c_map(alg, J, w, nij=nij)
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), w)
+    rep = torsion_criterion(nij, w)
     T = c_map_trilinear(C)
     assert np.max(np.abs(rep.rho + T)) < 1e-12
 
@@ -133,16 +134,18 @@ def test_conformal_solve_s3s3_unique_positive():
 
 def test_conformal_solve_normalization_gauge():
     alg, J = s3s3()
-    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
-    crit = torsion_criterion(nijenhuis_via_brackets(alg, J), rep.normalized_omega)
+    nij = nijenhuis_via_brackets(alg, J)
+    rep = conformal_solve(nij)
+    crit = torsion_criterion(nij, rep.normalized_omega)
     assert abs(norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
 
 
 def test_conformal_solve_plant_and_recover():
     alg, J = s3s3()
     planted = 2.7 * product_omega()
-    assert torsion_criterion(nijenhuis_via_brackets(alg, J), planted).admits_connection
-    rep = conformal_solve(nijenhuis_via_brackets(alg, J))
+    nij = nijenhuis_via_brackets(alg, J)
+    assert torsion_criterion(nij, planted).admits_connection
+    rep = conformal_solve(nij)
     ratios = []
     for i in range(15):
         if abs(planted.coeffs[i]) > 1e-9:
@@ -250,9 +253,9 @@ def test_frame_norm_matches_wedge_route():
     mp = catalog("s3s3_perturbed", seed=7)
     for alg, J in ((mp.algebra(), AlmostComplexStructure(mp.J)), s3s3()):
         fr = J.frame()
-        st = conformal_stack(nijenhuis_via_brackets(alg, J, frame=fr).matrix, fr.theta_coeffs)
-        assert st.positive
         M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
+        st = conformal_stack(M, fr.theta_coeffs)
+        assert st.positive
         omega = Form(6, 2, st.candidate)
         P = rho_skew_coefficient(fr.components(omega)[:3, 3:], M) * fr.theta_top()
         ref = norm30_sq(omega, P)

@@ -180,8 +180,9 @@ def test_suite_perturbed_consistent():
     for seed in (3, 7, 21):
         mp = catalog("s3s3_perturbed", seed=seed)
         alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
-        rep = conformal_solve(nijenhuis_via_brackets(alg, Jp))
-        suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, Jp), rep.normalized_omega)
+        nij = nijenhuis_via_brackets(alg, Jp)
+        rep = conformal_solve(nij)
+        suite = nk_equivalence_suite(alg, nij, rep.normalized_omega)
         assert not suite.all_true
         assert suite.consistent()
 
@@ -246,17 +247,18 @@ def test_closed_form_structure_is_nearly_kaehler():
     # an oracle that does not come from the optimizer
     m = nk_closed_form()
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
-    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), omega)
+    nij = nijenhuis_via_brackets(alg, J)
+    omega = conformal_solve(nij).normalized_omega
+    suite = nk_equivalence_suite(alg, nij, omega)
     assert suite.all_true and suite.consistent()
     assert abs(suite.lam - 2.0) <= 1e-12
     assert abs(psi_value(alg, J) * 3.0 ** 4.5 - 1.0) <= 1e-12
-    assert np.max(np.abs(psi_gradient(alg, nijenhuis_via_brackets(alg, J), omega))) <= 1e-12
+    assert np.max(np.abs(psi_gradient(alg, nij, omega))) <= 1e-12
     # the transpose, another almost complex structure, has psi = 3^(-3/2) and is not
     Jt = AlmostComplexStructure(m.J.T)
     assert abs(psi_value(alg, Jt) * 3.0 ** 1.5 - 1.0) <= 1e-12
-    suite_t = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, Jt),
-                                   conformal_solve(nijenhuis_via_brackets(alg, Jt)).normalized_omega)
+    nij_t = nijenhuis_via_brackets(alg, Jt)
+    suite_t = nk_equivalence_suite(alg, nij_t, conformal_solve(nij_t).normalized_omega)
     assert not suite_t.all_true and suite_t.consistent()
     # the committed fixture, which the optimizer found, is this structure
     assert np.max(np.abs(Manifest.load(FIXTURE).J - m.J)) <= 5e-10

@@ -120,9 +120,9 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, X @ X.conj().T + 0.1 * np.eye(3)))
     ref = _rho_components(alg, J, omega, fr)
     tol = CMAP_REL_TOL * np.max(np.abs(ref))
-    assert np.max(np.abs(torsion_criterion(nijenhuis_via_brackets(alg, J), omega).rho - ref)) <= tol
-    M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
-    c = rho_skew_coefficient(fr.components(omega)[:3, 3:], M)
+    nij = nijenhuis_via_brackets(alg, J, frame=fr)
+    assert np.max(np.abs(torsion_criterion(nij, omega).rho - ref)) <= tol
+    c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
 
 

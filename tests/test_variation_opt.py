@@ -193,8 +193,9 @@ def test_criticality_fixture():
 
 def test_criticality_catalog_noncritical():
     alg, J = s3s3()
-    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
-    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
+    nij = nijenhuis_via_brackets(alg, J)
+    omega = conformal_solve(nij).normalized_omega
+    rep = criticality_test(alg, nij, omega)
     assert rep.verdict == "non-critical"
     assert rep.residual > 1e-3
 
@@ -217,8 +218,9 @@ def test_criticality_equals_gradient_vanishing():
         mp = catalog("s3s3_perturbed", seed=seed)
         structures.append((mp.algebra(), AlmostComplexStructure(mp.J)))
     for alg_, J_ in structures:
-        omega = conformal_solve(nijenhuis_via_brackets(alg_, J_)).normalized_omega
-        rep = criticality_test(alg_, nijenhuis_via_brackets(alg_, J_), omega)
+        nij = nijenhuis_via_brackets(alg_, J_)
+        omega = conformal_solve(nij).normalized_omega
+        rep = criticality_test(alg_, nij, omega)
         gmax = max(abs(psi_gradient_analytic(alg_, J_, omega, d)) for d in delta_basis())
         assert (rep.residual <= 1e-8) == (gmax <= 1e-7), (rep.residual, gmax)
 
@@ -599,14 +601,15 @@ def test_psi_gradient_one_pass_matches_each_direction():
     mp = catalog("s3s3_perturbed", seed=7)
     rng = np.random.default_rng(5)
     for alg, J, omega in (nk_fixture(), (mp.algebra(), AlmostComplexStructure(mp.J), None)):
+        nij = nijenhuis_via_brackets(alg, J)
         if omega is None:
-            omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
-        grad = psi_gradient(alg, nijenhuis_via_brackets(alg, J), omega)
+            omega = conformal_solve(nij).normalized_omega
+        grad = psi_gradient(alg, nij, omega)
         each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
         assert np.max(np.abs(grad - each)) <= 1e-15
         # the (2,1)-form against its construction from the full torsion criterion
         fr = J.frame()
-        P = torsion_criterion(nijenhuis_via_brackets(alg, J), omega).lambda30_component
+        P = torsion_criterion(nij, omega).lambda30_component
         P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         legs = d.matrix @ fr.coframe[3:]
