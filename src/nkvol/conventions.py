@@ -90,6 +90,7 @@ TOLERANCES = {
     "cartan": 1e-10,                # Cartan identity d^{2,-1} = wedge after Id (x) N*, relative
     "skew_torsion": 1e-10,          # non-skew part of rho = omega(N(.,.),.), scale max|rho|
     "nondegenerate": 1e-9,          # >: |det N*| against |N*|_2^3
+    "definite": 1e-12,              # >: min eigenvalue of a definite form against the max
     "nullspace": 1e-9,              # zero singular values of the conformal system, scale the top one
     "unit_norm": 1e-9,              # ||Omega3|^2 - 1| of a manifest Omega3 against omega
     "shape": 1e-8,                  # (2,1)+(1,2) part of d omega, scale max(1, |d omega|)

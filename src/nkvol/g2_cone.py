@@ -10,9 +10,10 @@ Hodge star of the cone metric t^2 g + dt^2 keep the pair homogeneous:
     * (w, alpha, beta) = (w + 7 - 2k, *6 beta, (-1)^{6-k} *6 alpha)
 
 Stability of a 3-form phi on a 7-dimensional space is decided through the
-bilinear form B(x, y) e^{1..7} = (iota_x phi) ^ (iota_y phi) ^ phi: definite B
-means the stabilizer is the 14-dimensional compact group and the form induces
-the metric B / (det B)^{1/9} after orientation normalization.
+bilinear form B(x, y) e^{1..7} = (iota_x phi) ^ (iota_y phi) ^ phi: definite B,
+by `multilinear.definite_sign`, the gate every metric passes, means the stabilizer
+is the 14-dimensional compact group and the form induces the metric
+B / (det B)^{1/9} after orientation normalization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, Metric, _wedge_tensor, basis_form, compound, hodge_star, wedge
+from .multilinear import (Form, Metric, _wedge_tensor, basis_form, compound, definite_sign,
+                          hodge_star, wedge)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .conventions import TOLERANCES, within
 from .hermitian_torsion import hermitian_metric
@@ -123,8 +125,10 @@ def base_metric_oriented(s: SU3Structure) -> Metric:
 # ---------------------------------------------------------------------------
 
 class Stable3FormReport(NamedTuple):
-    stable: bool
-    orientation_sign: int       # sign applied to make B positive definite
+    """B of a 3-form on a 7-dimensional space, signed by `definite_sign`, the gate of `Metric`."""
+
+    stable: bool                # B is definite
+    orientation_sign: int       # the `definite_sign` of B; 0 when B is not definite
     metric: np.ndarray | None   # g_phi = B'/(det B')^{1/9}, None if not stable
     stabilizer_dimension: int   # nullity of the gl(7) action on phi
     symmetry_defect: float
@@ -139,25 +143,9 @@ def stability_check(phi: Form) -> Stable3FormReport:
     Bc = iota @ K @ iota.T
     Bc = 0.5 * (Bc + Bc.T)
     B, defect = Bc.real, float(np.max(np.abs(Bc.imag)))
-    eigs = np.linalg.eigvalsh(B)
-    if eigs.min() > 0:
-        sign = 1
-    elif eigs.max() < 0:
-        sign = -1
-    else:
-        sign = 0
-    metric = None
-    if sign != 0:
-        Bp = sign * B
-        metric = Bp / (np.linalg.det(Bp) ** (1.0 / 9.0))
-    nullity = 49 - _gl7_action_rank(phi)
-    return Stable3FormReport(
-        stable=bool(sign != 0),
-        orientation_sign=sign,
-        metric=metric,
-        stabilizer_dimension=nullity,
-        symmetry_defect=defect,
-    )
+    sign = int(definite_sign(np.linalg.eigvalsh(B)))
+    metric = sign * B / (np.linalg.det(sign * B) ** (1.0 / 9.0)) if sign else None
+    return Stable3FormReport(sign != 0, sign, metric, 49 - _gl7_action_rank(phi), defect)
 
 
 def _contractions(phi: Form) -> np.ndarray:

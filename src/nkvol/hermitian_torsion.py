@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, Metric, _wedge_tensor, matvec, two_form_coeffs, wedge_coeffs
+from .multilinear import (Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs,
+                          wedge_coeffs)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import EPS3, AlmostComplexStructure, _omega_j, bidegree_project, is_pure_bidegree
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
@@ -40,15 +41,9 @@ __all__ = [
 
 
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
-    """g(X, Y) = omega(X, JY); raises with a diagnostic when not positive."""
-    G = _omega_j(J.matrix, omega.coeffs)
-    sym_defect = np.max(np.abs(G - G.T))
-    if not within(sym_defect, "symmetric", max(1.0, np.max(np.abs(G)))):
-        raise ValueError(
-            f"omega is not J-compatible: induced bilinear form asymmetric by {sym_defect:g}"
-        )
-    try:  # the Metric constructor is the one positivity check
-        return Metric(0.5 * (G + G.T))
+    """g(X, Y) = omega(X, JY), through the one gate of `Metric`; raises naming it."""
+    try:
+        return Metric(_omega_j(J.matrix, omega.coeffs))
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
 
@@ -192,13 +187,13 @@ def _conformal_map() -> np.ndarray:
 
 
 def _orient_positive(H):
-    """Flip the sign of Hermitian matrices H where that makes them positive definite;
-    return them, whether they are definite, and their determinants.  Leading axes stack.
-    (The metric of i sum H_ab theta^a ^ conj theta^b pairs v_a with conj v_b to H_ab.)"""
+    """Flip the Hermitian matrices H that `definite_sign` calls negative; return them, whether
+    that gate calls them definite, and their determinants.  Leading axes stack.  (The
+    metric of i sum H_ab theta^a ^ conj theta^b pairs v_a with conj v_b to H_ab.)"""
     eigs = np.linalg.eigvalsh(H)
-    negative = eigs[..., -1] < 0
-    sign = np.where(negative, -1.0, 1.0)
-    return sign[..., None, None] * H, (eigs[..., 0] > 0) | negative, sign * np.prod(eigs, axis=-1)
+    sign = definite_sign(eigs)
+    flip = np.where(sign < 0, -1.0, 1.0)
+    return flip[..., None, None] * H, sign != 0, flip * np.prod(eigs, axis=-1)
 
 
 class ConformalStack(NamedTuple):
@@ -206,7 +201,9 @@ class ConformalStack(NamedTuple):
 
     The solve runs in frame coordinates: a candidate is a Hermitian 3x3 matrix H,
     standing for the real (1,1)-form omega = i sum H_ab theta^a ^ conj theta^b.
-    omega is positive iff H is positive definite, and the skew (3,0) part of
+    omega is positive iff H is: `positive` applies `definite_sign`, the gate of `Metric`,
+    to H.  (A candidate is either well inside that gate on H and on the metric of omega,
+    or rank-deficient to rounding on both.)  The skew (3,0) part of
     omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
     `rho_skew_coefficient` of the frame block iH, so that |P|^2 = |c|^2 / (8 det H).
     The least-squares candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
@@ -218,7 +215,7 @@ class ConformalStack(NamedTuple):
     singular_values: np.ndarray  # [..., 9], descending
     null: np.ndarray             # [..., 9]: singular values cut as the strict nullspace
     hermitian: np.ndarray        # H of the sign-fixed candidate [..., 3, 3]
-    positive: np.ndarray         # the candidate is definite
+    positive: np.ndarray         # the candidate passes the definite gate
     n2: np.ndarray               # |P|^2 of the candidate, before its gates
 
     @property

@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .conventions import within
+from .conventions import TOLERANCES, within
 
 __all__ = [
     "EPS3",
@@ -45,6 +45,7 @@ __all__ = [
     "basis_form",
     "compound",
     "contract",
+    "definite_sign",
     "form_from_one_coeffs",
     "hodge_star",
     "index_tuples",
@@ -277,9 +278,19 @@ def two_form_coeffs(A) -> np.ndarray:
     return np.asarray(A)[..., rows, cols]
 
 
+def definite_sign(eigs) -> np.ndarray:
+    """The one definiteness gate: +1 or -1 where ascending eigenvalues (leading axes stack)
+    are definite of that sign, else 0.  Positive is lambda_min > `definite` * lambda_max,
+    which NaN fails; negative is the same for -eigs."""
+    lo, hi, tol = eigs[..., 0], eigs[..., -1], TOLERANCES["definite"]
+    return np.where(lo > tol * hi, 1, np.where(hi < tol * lo, -1, 0))
+
+
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric positive-definite metric in coframe indices, with orientation."""
+    """Symmetric positive-definite metric in coframe indices, with orientation: the one gate
+    from a bilinear form, symmetric to the `symmetric` tolerance, to its symmetric part,
+    positive by `definite_sign`."""
 
     matrix: np.ndarray
     orientation: int = 1
@@ -288,14 +299,16 @@ class Metric:
         g = np.asarray(self.matrix, dtype=np.float64)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("metric must be a square matrix")
-        if not within(np.max(np.abs(g - g.T)), "symmetric", max(1.0, np.max(np.abs(g)))):
-            raise ValueError("metric must be symmetric")
+        defect = np.max(np.abs(g - g.T))
+        if not within(defect, "symmetric", max(1.0, np.max(np.abs(g)))):
+            raise ValueError(f"metric must be symmetric: asymmetric by {defect:g}")
+        g = 0.5 * (g + g.T)
         eigs = np.linalg.eigvalsh(g)
-        if eigs.min() <= 0:
-            raise ValueError(f"metric not positive definite (min eigenvalue {eigs.min():g})")
+        if definite_sign(eigs) != 1:
+            raise ValueError(f"metric not positive definite: eigenvalues {eigs[0]:g} to "
+                             f"{eigs[-1]:g} fail the definite gate")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        g = g.copy()
         g.flags.writeable = False
         object.__setattr__(self, "matrix", g)
 

@@ -20,6 +20,7 @@ from nkvol.hermitian_torsion import (
     conformal_stack,
     hermitian_metric,
     norm30_sq,
+    positive_11_metric,
     torsion_criterion,
 )
 
@@ -263,15 +264,17 @@ def test_frame_norm_matches_wedge_route():
 
 
 def test_positivity_from_hermitian_matrix_matches_metric():
-    # positive, negative and indefinite H: the eigenvalue decision on H against
-    # the positivity check of hermitian_metric on omega(., J.)
+    # positive, negative, indefinite and rank-deficient H: the eigenvalue decision on H
+    # against the positivity check of hermitian_metric on omega(., J.); both are the
+    # definite gate, so a rank-deficient H is neither sign whatever its rounding
     rng = np.random.default_rng(32)
     for _ in range(4):
         J = random_acs(rng)
         fr = J.frame()
         P, U = random_hermitian(rng)
         indefinite = U @ np.diag([1.0, -0.5, 2.0]) @ U.conj().T
-        for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0)):
+        degenerate = U @ np.diag([1.0, 1e-15, 1e-15]) @ U.conj().T
+        for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0), (degenerate, 0.0)):
             oriented, definite, det = _orient_positive(H)
             assert bool(definite) == (sign != 0.0)
             omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
@@ -284,3 +287,19 @@ def test_positivity_from_hermitian_matrix_matches_metric():
             if definite:
                 assert np.array_equal(oriented, sign * H)
                 assert abs(det - np.linalg.det(oriented).real) <= 1e-12 * det
+
+
+def test_candidate_positivity_agrees_with_the_metric_gate():
+    # the stack reads the definite gate on H, positive_11_metric reads it on the metric
+    # of omega: on random structures the two agree, rank-deficient candidates included
+    # (these 300 draws hold 12 whose sign of rounding differs between H and the metric)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        alg, J = random_valid_algebra(rng), random_acs(rng)
+        rep = conformal_solve(nijenhuis_via_brackets(alg, J))
+        try:
+            positive_11_metric(J, rep.candidate)
+        except ValueError:
+            assert not rep.candidate_positive
+        else:
+            assert rep.candidate_positive

@@ -101,3 +101,31 @@ def test_every_tolerance_is_read_in_the_package():
                  and id(node) not in docstrings}
     unread = sorted(TOLERANCES.keys() - read)
     assert not unread, unread
+
+
+def _called(node) -> str | None:
+    """The name a call node calls, as `f` or `x.f`; None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def test_every_eigvalsh_call_feeds_the_definite_gate():
+    # definiteness is decided in one place, `definite_sign`: every eigvalsh in the package
+    # is its argument, directly or through the name it is assigned to in the same function
+    fed = 0
+    for p in sorted((ROOT / "src" / "nkvol").glob("*.py")):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            nodes = list(ast.walk(fn))
+            names = {id(a.value): a.targets[0].id for a in nodes if isinstance(a, ast.Assign)
+                     and len(a.targets) == 1 and isinstance(a.targets[0], ast.Name)}
+            gated = {ast.dump(arg) for n in nodes if _called(n) == "definite_sign"
+                     for arg in n.args}
+            for call in (n for n in nodes if _called(n) == "eigvalsh"):
+                feeds = {ast.dump(call)}
+                if id(call) in names:
+                    feeds.add(ast.dump(ast.Name(names[id(call)], ast.Load())))
+                assert feeds & gated, f"{p.name}:{call.lineno}: eigenvalues outside definite_sign"
+                fed += 1
+    assert fed >= 3  # Metric, the conformal candidate and the cone 3-form

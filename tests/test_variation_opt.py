@@ -259,6 +259,16 @@ def test_find_critical_large_kick_honest():
         assert res.reason != "converged"
 
 
+def test_find_critical_ends_with_a_verdict_from_random_starts():
+    # a search never ends on a rank-deficient omega: the stack's positivity is the gate
+    # the suite applies, so a converged search reaches the suite with a metric
+    rng = np.random.default_rng(2026)
+    for _ in range(60):
+        alg, J = random_valid_algebra(rng), random_acs(rng)
+        res = find_critical(alg, J, max_iter=40)
+        assert res.converged == (res.suite is not None and res.suite.all_true), res.reason
+
+
 def test_find_critical_no_solution_is_honest_failure():
     # the product of a 3-sphere factor with a flat factor carries no critical
     # invariant structure; the optimizer must not fake one by escaping the
