@@ -20,7 +20,7 @@ _EXPORTS = {
     "frame_manifold": ("CoframeAlgebra", "Manifest", "catalog", "check_jacobi", "d_invariant"),
     "acs": ("AlmostComplexStructure", "bidegree_project"),
     "nijenhuis": ("nijenhuis_via_brackets", "nijenhuis_via_d", "volume_form"),
-    "hermitian_torsion": ("alt12_analysis", "conformal_solve", "torsion_criterion"),
+    "hermitian_torsion": ("HermitianForm", "alt12_analysis", "conformal_solve", "torsion_criterion"),
     "nk_su3": ("SU3Structure", "nk_equivalence_suite", "solve_Omega"),
     "g2_cone": ("build_cone_3form", "fernandez_gray_check", "metric_roundtrip", "stability_check"),
     "variation_opt": ("Deformation", "criticality_test", "deform_J", "find_critical", "psi_value"),

@@ -79,15 +79,15 @@ def _structure(manifest: Manifest):
 
 
 def _pick_omega(nij, manifest: Manifest, rep=None):
-    """Manifest omega when present, else the candidate of the conformal report rep or of nij."""
-    from .hermitian_torsion import conformal_solve
+    """The gated `HermitianForm` of the manifest omega, else of the candidate of rep or of nij."""
+    from .hermitian_torsion import HermitianForm, conformal_solve
     if manifest.omega is not None:
-        return manifest.omega, "manifest"
+        return HermitianForm(nij.frame.J, manifest.omega), "manifest"
     rep = rep if rep is not None else conformal_solve(nij)
     if rep.normalized_omega is not None:
-        return rep.normalized_omega, "conformal_solve normalized"
+        return HermitianForm(nij.frame.J, rep.normalized_omega), "conformal_solve normalized"
     if rep.candidate_positive:
-        return rep.candidate, "conformal_solve candidate"
+        return HermitianForm(nij.frame.J, rep.candidate), "conformal_solve candidate"
     return None, "none available"
 
 
@@ -120,7 +120,6 @@ def _cmd_check(manifest: Manifest):
 
 def _cmd_nijenhuis(manifest: Manifest):
     import numpy as np
-    from .hermitian_torsion import positive_11_metric
     from .nijenhuis import cartan_compatibility, nijenhuis_via_d, volume_form
     alg, nb = _structure(manifest)
     nd = nijenhuis_via_d(alg, nb.frame.J, frame=nb.frame)
@@ -133,11 +132,10 @@ def _cmd_nijenhuis(manifest: Manifest):
         "psi": vd.psi,
         "nondegenerate": nb.nondegenerate,
     }
-    omega, source = _pick_omega(nb, manifest)
+    form, source = _pick_omega(nb, manifest)
     verdicts = {"routes_agree": within(agree, "routes_agree", scale)}
-    if omega is not None:
-        positive_11_metric(nb.frame.J, omega)  # the gate of every command that reads omega
-        checks["cartan_residual"] = cartan_compatibility(alg, nb, omega)
+    if form is not None:
+        checks["cartan_residual"] = cartan_compatibility(alg, nb, form)
         checks["cartan_omega_source"] = source
         verdicts["cartan_identity"] = within(checks["cartan_residual"], "cartan")
     return checks, verdicts
@@ -154,10 +152,10 @@ def _cmd_torsion(manifest: Manifest):
         "candidate_residual": rep.candidate_residual,
         "singular_values": [float(x) for x in rep.singular_values],
     }
-    omega, source = _pick_omega(nij, manifest, rep)
-    if omega is None:
+    form, source = _pick_omega(nij, manifest, rep)
+    if form is None:
         raise InputError("no positive Hermitian candidate available for the criterion")
-    crit = torsion_criterion(nij, omega)
+    crit = torsion_criterion(nij, form)
     checks.update({
         "omega_source": source,
         "skewness_residual": crit.skewness_residual,
@@ -174,10 +172,10 @@ def _cmd_torsion(manifest: Manifest):
 def _cmd_nk(manifest: Manifest):
     from .nk_su3 import nk_equivalence_suite
     alg, nij = _structure(manifest)
-    omega, source = _pick_omega(nij, manifest)
-    if omega is None:
+    form, source = _pick_omega(nij, manifest)
+    if form is None:
         raise InputError("no positive Hermitian candidate available for the suite")
-    suite = nk_equivalence_suite(alg, nij, omega)
+    suite = nk_equivalence_suite(alg, nij, form)
     checks = {
         "omega_source": source,
         "skewness_residual": suite.skewness_residual,
@@ -204,17 +202,16 @@ def _cmd_cone(manifest: Manifest):
     from .acs import is_pure_bidegree
     from .hermitian_torsion import norm30_sq
     from .nk_su3 import SU3Structure, solve_Omega
-    from .g2_cone import fernandez_gray_check, metric_roundtrip
+    from .g2_cone import fernandez_gray_check, metric_roundtrip, normalize_to_unit_lambda
     alg, nij = _structure(manifest)
-    J = nij.frame.J
-    omega, source = _pick_omega(nij, manifest)
-    if omega is None:
+    form, source = _pick_omega(nij, manifest)
+    if form is None:
         raise InputError("no positive Hermitian candidate available for the cone")
-    solved = solve_Omega(alg, J, omega)  # gates omega
+    solved = solve_Omega(alg, form)
     if manifest.Omega3 is not None:  # a manifest Omega3 must be a unit (3,0)-form
-        if not is_pure_bidegree(J, manifest.Omega3, 3, 0):
+        if not is_pure_bidegree(form.J, manifest.Omega3, 3, 0):
             raise InputError("manifest Omega3 fails the pure_bidegree gate: not a (3,0)-form for J")
-        defect = abs(norm30_sq(omega, manifest.Omega3) - 1.0)
+        defect = abs(norm30_sq(form.omega, manifest.Omega3) - 1.0)
         if not within(defect, "unit_norm"):
             raise InputError(f"manifest Omega3 fails the unit_norm gate: ||Omega3|^2 - 1| = {defect:g}")
     if not solved.ok:
@@ -224,13 +221,13 @@ def _cmd_cone(manifest: Manifest):
             {"shape_equations": False},
         )
     Omega = manifest.Omega3 if manifest.Omega3 is not None else solved.Omega
-    s = SU3Structure(J, omega, Omega, solved.lam)
-    fg = fernandez_gray_check(alg, s)
-    mr = metric_roundtrip(alg, s)
+    unit = normalize_to_unit_lambda(SU3Structure(form, Omega, solved.lam))
+    fg = fernandez_gray_check(alg, unit)
+    mr = metric_roundtrip(alg, unit)
     checks = {
         "omega_source": source,
         "lambda": solved.lam,
-        "lambda_rescale": fg.lambda_rescale,
+        "lambda_rescale": solved.lam,
         "d_rho_residual": fg.d_rho_residual,
         "dstar_rho_residual": fg.dstar_rho_residual,
         "star_formula_residual": fg.star_formula_residual,
@@ -251,15 +248,15 @@ def _cmd_cone(manifest: Manifest):
 
 
 def _cmd_functional(manifest: Manifest, gradient: bool):
+    from .hermitian_torsion import HermitianForm
     from .nijenhuis import volume_form
     from .variation_opt import criticality_test, psi_gradient
     alg, nij = _structure(manifest)
     checks = {"psi": volume_form(nij).psi}
+    form = None if manifest.omega is None else HermitianForm(nij.frame.J, manifest.omega)
     try:
-        crit = criticality_test(alg, nij, manifest.omega)
+        crit = criticality_test(alg, nij, form)
     except ValueError as ex:
-        if manifest.omega is not None:
-            raise  # the manifest omega fails the gate: an input error
         if gradient:
             raise InputError(f"gradient undefined: {ex}") from ex
         return checks, {}  # no candidate omega: psi alone
@@ -268,7 +265,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     if gradient:
         if crit.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
-        grad = psi_gradient(alg, nij, crit.omega)
+        grad = psi_gradient(alg, nij, crit.form)
         checks["gradient_components"] = grad.tolist()
         checks["gradient_max_abs"] = float(abs(grad).max())
     return checks, {}
@@ -296,12 +293,10 @@ def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
         checks["lambda"] = res.suite.lam
         checks["psi_gradient_max_abs"] = res.psi_gradient_max_abs
     if emit and res.converged:
-        from .hermitian_torsion import hermitian_metric
         from .nk_su3 import solve_Omega
-        solved = solve_Omega(alg, res.J, res.omega)
-        g = hermitian_metric(res.J, res.omega)
         out = manifest._replace(name=manifest.name + "_critical", J=res.J.matrix,
-                                metric=g.matrix, omega=res.omega, Omega3=solved.Omega)
+                                metric=res.form.metric.matrix, omega=res.form.omega,
+                                Omega3=solve_Omega(alg, res.form).Omega)
         out.save(emit)
         checks["emitted"] = emit
     return checks, verdicts

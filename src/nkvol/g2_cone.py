@@ -9,6 +9,9 @@ Hodge star of the cone metric t^2 g + dt^2 keep the pair homogeneous:
     d (w, alpha, beta) = (w, d alpha, w alpha - d beta)
     * (w, alpha, beta) = (w + 7 - 2k, *6 beta, (-1)^{6-k} *6 alpha)
 
+The cone checks take unit-lambda data, rescaled once by `normalize_to_unit_lambda`,
+and read the oriented base metric from its `HermitianForm`.
+
 Stability of a 3-form phi on a 7-dimensional space is decided through the
 bilinear form B(x, y) e^{1..7} = (iota_x phi) ^ (iota_y phi) ^ phi: definite B,
 by `multilinear.definite_sign`, the gate every metric passes, means the stabilizer
@@ -26,7 +29,7 @@ from .multilinear import (Form, Metric, _wedge_tensor, basis_form, compound, def
                           hodge_star, wedge)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .conventions import TOLERANCES, within
-from .hermitian_torsion import hermitian_metric
+from .hermitian_torsion import HermitianForm
 from .nk_su3 import SU3Structure
 
 __all__ = [
@@ -35,7 +38,6 @@ __all__ = [
     "MetricRoundtripReport",
     "Stable3FormReport",
     "build_cone_3form",
-    "cone_metric_at_one",
     "d_cone",
     "fernandez_gray_check",
     "hodge_cone",
@@ -89,35 +91,30 @@ def hodge_cone(g6: Metric, cf: ConeForm) -> ConeForm:
                     float((-1) ** (6 - k)) * hodge_star(g6, cf.alpha))
 
 
-def normalize_to_unit_lambda(s: SU3Structure) -> tuple[SU3Structure, float]:
+def normalize_to_unit_lambda(s: SU3Structure) -> SU3Structure:
     """Rescale the base data so the structure constant becomes 1.
 
     omega -> lam^2 omega, Omega -> lam^3 Omega leaves |Omega| = 1 and turns
-    d omega = 3 lam Re Omega into d omega = 3 Re Omega; the factor is returned
-    for the report.
+    d omega = 3 lam Re Omega into d omega = 3 Re Omega.
     """
     lam = s.lam
     if lam <= 0:
         raise ValueError("normalization needs a strictly positive constant")
-    snew = SU3Structure(s.J, (lam ** 2) * s.omega, (lam ** 3) * s.Omega, 1.0)
-    return snew, lam
+    return SU3Structure(HermitianForm(s.form.J, (lam ** 2) * s.form.omega), (lam ** 3) * s.Omega, 1.0)
 
 
-def build_cone_3form(s: SU3Structure, alg: CoframeAlgebra) -> ConeForm:
+def _check_unit_lambda(s: SU3Structure) -> None:
+    if s.lam != 1.0:
+        raise ValueError(f"the cone checks take unit-lambda data, got lambda = {s.lam:g}")
+
+
+def build_cone_3form(omega: Form, alg: CoframeAlgebra) -> ConeForm:
     """rho = 3 t^2 omega ^ dt + t^3 d omega, of weight 3, with d omega computed on alg.
 
-    The caller is responsible for passing data already normalized to unit
-    lambda when the displayed duality identities are to hold on the nose.
+    The caller is responsible for passing the omega of data already normalized
+    to unit lambda when the displayed duality identities are to hold on the nose.
     """
-    return ConeForm(3, d_invariant(alg, s.omega), 3.0 * s.omega)
-
-
-def base_metric_oriented(s: SU3Structure) -> Metric:
-    """The Hermitian metric of (J, omega) carrying the J-orientation sign."""
-    g = hermitian_metric(s.J, s.omega)
-    vol = (1.0 / 6.0) * wedge(wedge(s.omega, s.omega), s.omega)
-    orient = 1 if vol.coeffs[0].real > 0 else -1
-    return Metric(g.matrix, orientation=orient)
+    return ConeForm(3, d_invariant(alg, omega), 3.0 * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,6 @@ class FernandezGrayReport(NamedTuple):
     d_rho_residual: float
     dstar_rho_residual: float
     star_formula_residual: float   # termwise match of *rho against the display
-    lambda_rescale: float
 
     @property
     def closed(self) -> bool:
@@ -181,22 +177,21 @@ class FernandezGrayReport(NamedTuple):
 
 
 def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayReport:
-    """Closedness and co-closedness of the cone 3-form for unit-lambda data.
+    """Closedness and co-closedness of the cone 3-form for unit-lambda data s.
 
     The explicit dual display is checked termwise with its own defining
     relation for the rotated derivative, I(d omega) := Im Omega / lambda.
     (The plain slot action of J on d omega differs from that object by the
     factor 3 lambda^2.)
     """
-    snorm, lam = normalize_to_unit_lambda(s)
-    rho = build_cone_3form(snorm, alg)
-    g6 = base_metric_oriented(snorm)
+    _check_unit_lambda(s)
+    rho = build_cone_3form(s.form.omega, alg)
     drho = d_cone(alg, rho)
-    star_rho = hodge_cone(g6, rho)
+    star_rho = hodge_cone(s.form.metric, rho)
 
     # display: *rho = (3/2) t^4 omega^2 - 3 t^3 dt ^ I(d omega), I(d omega) = Im Omega
-    w2 = wedge(snorm.omega, snorm.omega)
-    i_domega = snorm.Omega.imag()
+    w2 = wedge(s.form.omega, s.form.omega)
+    i_domega = s.Omega.imag()
     expect = ConeForm(4, 1.5 * w2, -3.0 * i_domega)
     star_res = (star_rho - expect).norm() / max(1.0, star_rho.norm())
 
@@ -206,7 +201,6 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
         d_rho_residual=drho.norm() / scale,
         dstar_rho_residual=dstar.norm() / max(1.0, star_rho.norm()),
         star_formula_residual=star_res,
-        lambda_rescale=lam,
     )
 
 
@@ -217,27 +211,19 @@ class MetricRoundtripReport(NamedTuple):
     stabilizer_dimension: int
 
 
-def cone_metric_at_one(s: SU3Structure) -> np.ndarray:
-    g6 = hermitian_metric(s.J, s.omega)
-    out = np.zeros((7, 7))
-    out[:6, :6] = g6.matrix
-    out[6, 6] = 1.0
-    return out
-
-
 def metric_roundtrip(alg: CoframeAlgebra, s: SU3Structure) -> MetricRoundtripReport:
-    """Extract the metric from the cone 3-form at t = 1 and compare shapes.
+    """Extract the metric from the cone 3-form at t = 1 of unit-lambda data s and compare shapes.
 
     The contract for solution data: the extracted metric is a constant
     positive multiple of t^2 g + dt^2 across all components; the constant is
     a fixture of the normalization conventions, identical for the planted
     flat model and for solved structures.
     """
-    snorm, _ = normalize_to_unit_lambda(s)
-    rho = build_cone_3form(snorm, alg)
-    phi = rho.at_t(1.0)
-    rep = stability_check(phi)
-    gc = cone_metric_at_one(snorm)
+    _check_unit_lambda(s)
+    rep = stability_check(build_cone_3form(s.form.omega, alg).at_t(1.0))
+    gc = np.zeros((7, 7))  # the cone metric t^2 g + dt^2 at t = 1
+    gc[:6, :6] = s.form.metric.matrix
+    gc[6, 6] = 1.0
     if not rep.stable:
         return MetricRoundtripReport(False, 0.0, np.inf, rep.stabilizer_dimension)
     r = float(np.sum(rep.metric * gc) / np.sum(gc * gc))

@@ -1,16 +1,17 @@
-"""Skew-torsion criterion, the C-map, conformal recovery of omega, and Alt_12.
+"""The positive Hermitian form, skew-torsion criterion, conformal recovery of omega, Alt_12.
 
 An almost Hermitian structure admits a Hermitian connection with totally
 antisymmetric torsion exactly when the trilinear form
 
     rho(x, y, z) = omega(N(x, y), z),      x, y, z in T^{1,0},
 
-is skew-symmetric.  Everything in this module is exact finite-dimensional
-linear algebra in a chosen (1,0) frame.
+is skew-symmetric; omega, a positive real (1,1)-form, is gated once as a `HermitianForm`.
+Everything here is exact finite-dimensional linear algebra in a chosen (1,0) frame.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -28,6 +29,7 @@ __all__ = [
     "Alt12Report",
     "ConformalSolveReport",
     "ConformalStack",
+    "HermitianForm",
     "TorsionCriterionReport",
     "alt12_analysis",
     "conformal_solve",
@@ -35,36 +37,53 @@ __all__ = [
     "hermitian_metric",
     "norm30_sq",
     "offshape_residual",
-    "positive_11_metric",
     "torsion_criterion",
 ]
 
 
+def _top_density(w: np.ndarray):
+    """The e^{123456} coefficient of omega^3 / 6, for the coefficients w of omega."""
+    return (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]
+
+
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
-    """g(X, Y) = omega(X, JY), through the one gate of `Metric`; raises naming it."""
+    """g(X, Y) = omega(X, JY), oriented by omega^3, through the one gate of `Metric`; raises naming it."""
     try:
-        return Metric(_omega_j(J.matrix, omega.coeffs))
+        return Metric(_omega_j(J.matrix, omega.coeffs),
+                      orientation=1 if _top_density(omega.coeffs).real > 0 else -1)
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
 
 
-def positive_11_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
-    """The gate on an omega that must be a positive real (1,1)-form; returns its metric."""
-    if not (is_pure_bidegree(J, omega, 1, 1) and omega.is_real()):
-        raise ValueError("omega must be a real (1,1)-form")
-    return hermitian_metric(J, omega)
+@dataclass(frozen=True)
+class HermitianForm:
+    """A positive real (1,1)-form omega for J and its metric, J-oriented: the constructor is
+    the one gate on omega, a (1,1)-and-real test, then `Metric`'s positivity gate."""
+
+    J: AlmostComplexStructure
+    omega: Form
+    metric: Metric = field(init=False)
+
+    def __post_init__(self):
+        if not (is_pure_bidegree(self.J, self.omega, 1, 1) and self.omega.is_real()):
+            raise ValueError("omega must be a real (1,1)-form")
+        object.__setattr__(self, "metric", hermitian_metric(self.J, self.omega))
+
+    def omega_for(self, J: AlmostComplexStructure) -> Form:
+        """omega, once J is the structure it was gated for."""
+        if J is not self.J and not np.array_equal(J.matrix, self.J.matrix):
+            raise ValueError("omega was gated for another J")
+        return self.omega
 
 
-def offshape_residual(alg: CoframeAlgebra, J: AlmostComplexStructure,
-                      omega: Form) -> tuple[float, Form]:
+def offshape_residual(alg: CoframeAlgebra, h: HermitianForm) -> tuple[float, Form]:
     """|Pi^{2,1} d omega + Pi^{1,2} d omega| / max(1, |d omega|), and d omega.
 
-    omega must pass `positive_11_metric`; the extremality criterion and the
-    shape of the structure equations both read this residual.
+    The extremality criterion and the shape of the structure equations both
+    read this residual.
     """
-    positive_11_metric(J, omega)
-    domega = d_invariant(alg, omega)
-    off = bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)
+    domega = d_invariant(alg, h.omega)
+    off = bidegree_project(h.J, domega, 2, 1) + bidegree_project(h.J, domega, 1, 2)
     return off.norm() / max(1.0, domega.norm()), domega
 
 
@@ -74,11 +93,10 @@ def norm30_sq(omega: Form, p30: Form) -> float:
     Calibrated so the flat model dz1^dz2^dz3 against (i/2) sum dz^dzbar gives 1:
     |P|^2 = coef * (P ^ conj P) / (omega^3 / 6), coef = i/8.
     """
-    w, p = omega.coeffs, p30.coeffs
-    dens = (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]
+    dens = _top_density(omega.coeffs)
     if dens == 0:
         raise ValueError("degenerate omega: omega^3 = 0")
-    val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p, np.conj(p), 6, 3, 3)[0] / dens
+    val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p30.coeffs, np.conj(p30.coeffs), 6, 3, 3)[0] / dens
     if not within(abs(val.imag), "real", max(1.0, abs(val))):
         raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
     return float(val.real)
@@ -107,11 +125,10 @@ class TorsionCriterionReport(NamedTuple):
     admits_connection: bool
 
 
-def torsion_criterion(nij: NijenhuisTensor, omega: Form) -> TorsionCriterionReport:
-    """Decide existence of a Hermitian connection with skew torsion for omega, in nij's frame."""
+def torsion_criterion(nij: NijenhuisTensor, h: HermitianForm) -> TorsionCriterionReport:
+    """Decide existence of a Hermitian connection with skew torsion for h, in nij's frame."""
     fr, M = nij.frame, nij.matrix
-    positive_11_metric(fr.J, omega)
-    A = fr.components(omega)[:3, 3:]
+    A = fr.components(h.omega_for(fr.J))[:3, 3:]
     rho = -c_map_trilinear(A @ M.T)
     complement = rho - _skew_part(rho)
     p30 = rho_skew_coefficient(A, M) * fr.theta_top()

@@ -22,7 +22,7 @@ the orientation induced by the almost complex structure.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .frame_manifold import CoframeAlgebra, d_invariant
 from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree,
                   type_projectors)
 from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
+
+if TYPE_CHECKING:
+    from .hermitian_torsion import HermitianForm
 
 __all__ = [
     "NijenhuisTensor",
@@ -141,17 +144,20 @@ def volume_form(nij: NijenhuisTensor) -> VolumeDensity:
     return VolumeDensity(vol_form=vol, psi=float(psi), orientation=orient)
 
 
-def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> float:
+def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor,
+                         omega: Form | HermitianForm) -> float:
     """Residual of d^{2,-1} = wedge after Id (x) N* on a (1,1)-form, for the tensor nij of J.
 
     The left side is the (3,0) component of d omega; the right side applies
     N* to the (0,1) leg of omega and wedges the legs back together, which
     gives -3c theta^123 for c the `rho_skew_coefficient`.  The contract is that
-    the residual passes the `cartan` entry of `conventions.TOLERANCES` for
-    every valid input.
+    the residual passes the `cartan` entry of `conventions.TOLERANCES` on every
+    (1,1)-form, complex ones too: a `Form` is checked here, a gated `HermitianForm` is not.
     """
     fr = nij.frame
-    if not is_pure_bidegree(fr.J, omega, 1, 1):
+    if not isinstance(omega, Form):
+        omega = omega.omega_for(fr.J)
+    elif not is_pure_bidegree(fr.J, omega, 1, 1):
         raise ValueError("cartan_compatibility expects a (1,1)-form")
     lhs = bidegree_project(fr.J, d_invariant(alg, omega), 3, 0)
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)

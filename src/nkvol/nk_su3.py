@@ -1,8 +1,8 @@
 """SU(3) structures and the nearly Kahler structure equations.
 
 An SU(3) structure here is (omega, Omega, lambda): a positive real (1,1)-form,
-a (3,0)-form normalized to unit length against omega, and the real constant
-tying them through the nearly Kahler equations
+as its `HermitianForm`, a (3,0)-form normalized to unit length against omega, and
+the real constant tying them through the nearly Kahler equations
 
     d omega = 3 lambda Re Omega,        d Omega = -2i lambda omega^2.
 
@@ -21,9 +21,9 @@ import numpy as np
 
 from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
-from .acs import AlmostComplexStructure, bidegree_project
+from .acs import bidegree_project
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
-from .hermitian_torsion import (_skew_part, hermitian_metric, norm30_sq, offshape_residual,
+from .hermitian_torsion import (HermitianForm, _skew_part, norm30_sq, offshape_residual,
                                 torsion_criterion)
 from .nijenhuis import NijenhuisTensor
 
@@ -41,8 +41,9 @@ __all__ = [
 
 
 class SU3Structure(NamedTuple):
-    J: AlmostComplexStructure
-    omega: Form
+    """(omega, Omega, lambda) on J, with (J, omega) the `HermitianForm` its command gated."""
+
+    form: HermitianForm
     Omega: Form
     lam: float
 
@@ -55,10 +56,10 @@ class SolveOmegaResult(NamedTuple):
     reason: str = ""
 
 
-def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> SolveOmegaResult:
+def solve_Omega(alg: CoframeAlgebra, h: HermitianForm) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
-    off, domega = offshape_residual(alg, J, omega)
-    p30 = bidegree_project(J, domega, 3, 0)
+    off, domega = offshape_residual(alg, h)
+    p30 = bidegree_project(h.J, domega, 3, 0)
     if within(domega.norm(), "vanishes"):
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
     if within(p30.norm(), "vanishes", max(1.0, domega.norm())):
@@ -66,7 +67,7 @@ def solve_Omega(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form) -> 
     if not within(off, "shape"):
         return SolveOmegaResult(False, None, 0.0, off,
                                 reason="d omega has (2,1)+(1,2) components: not of the required shape")
-    u = np.sqrt(norm30_sq(omega, p30))
+    u = np.sqrt(norm30_sq(h.omega, p30))
     Omega = (1.0 / u) * p30
     lam = 2.0 * u / 3.0
     return SolveOmegaResult(True, Omega, float(lam), off)
@@ -82,8 +83,8 @@ class StructureEquationReport(NamedTuple):
 
 
 def check_structure_equations(alg: CoframeAlgebra, s: SU3Structure) -> StructureEquationReport:
-    domega = d_invariant(alg, s.omega)
-    w2 = wedge(s.omega, s.omega)
+    domega = d_invariant(alg, s.form.omega)
+    w2 = wedge(s.form.omega, s.form.omega)
     r1 = (domega - (3.0 * s.lam) * s.Omega.real()).norm()
     r2 = (d_invariant(alg, s.Omega) + (2j * s.lam) * w2).norm()
     r3 = (d_invariant(alg, s.Omega.imag()) + (2.0 * s.lam) * w2).norm()
@@ -100,9 +101,8 @@ class NablaOmegaReport(NamedTuple):
 
 def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     """Levi-Civita test: nabla omega totally antisymmetric, equal to d omega."""
-    g = hermitian_metric(s.J, s.omega)
-    gamma = levi_civita(alg, g)
-    nablas = covariant_derivative_form(gamma, s.omega)
+    gamma = levi_civita(alg, s.form.metric)
+    nablas = covariant_derivative_form(gamma, s.form.omega)
     T = two_form_matrices(np.array([f.coeffs for f in nablas]), 6).real
     S = _skew_part(T)
     scale = max(1.0, float(np.max(np.abs(T))))
@@ -111,7 +111,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     # identify the antisymmetric part with a 3-form and compare with d omega
     j, k, l = _index_array(6, 3).T
     phi = Form(6, 3, S[j, k, l])
-    domega = d_invariant(alg, s.omega)
+    domega = d_invariant(alg, s.form.omega)
     ident_res = (NABLA_OMEGA_TO_DOMEGA * phi - domega).norm() / max(1.0, domega.norm())
 
     per_dir = np.array([f.norm() for f in nablas])
@@ -164,20 +164,19 @@ class NkSuiteReport(NamedTuple):
 
 
 def nk_equivalence_suite(alg: CoframeAlgebra, nij: NijenhuisTensor,
-                         omega: Form) -> NkSuiteReport:
-    """Evaluate the three equivalent characterizations on (J, omega), nij the N* tensor of J.
+                         h: HermitianForm) -> NkSuiteReport:
+    """Evaluate the three equivalent characterizations on h = (J, omega), nij the N* tensor of J.
 
     The contract, which the test-suite enforces on every nondegenerate input:
     the three verdicts agree.  Degenerate inputs (vanishing Nijenhuis tensor,
     d omega = 0) are reported separately since the equivalence concerns the
     strict lambda > 0 regime.
     """
-    J = nij.frame.J
-    crit = torsion_criterion(nij, omega)
-    solved = solve_Omega(alg, J, omega)
+    crit = torsion_criterion(nij, h)
+    solved = solve_Omega(alg, h)
     # the nabla omega test reads only J and omega: without a solution the
     # frame's unit (3,0)-form stands in for Omega
-    s = SU3Structure(J, omega, solved.Omega if solved.ok else nij.frame.theta_top(), solved.lam)
+    s = SU3Structure(h, solved.Omega if solved.ok else nij.frame.theta_top(), solved.lam)
     eq_rep = check_structure_equations(alg, s) if solved.ok else None
     nab_rep = check_nabla_omega(alg, s)
     return NkSuiteReport(

@@ -38,8 +38,8 @@ from .frame_manifold import CoframeAlgebra
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame_coords,
                   j_from_basis, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import (conformal_solve, conformal_stack, norm30_sq, offshape_residual,
-                                positive_11_metric)
+from .hermitian_torsion import (HermitianForm, conformal_solve, conformal_stack, norm30_sq,
+                                offshape_residual)
 from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
                         rho_skew_coefficient, volume_form)
 
@@ -140,15 +140,14 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
     return wedge_coeffs(iota[:, None, :], fr.coframe[None, 3:], 6, 2, 1)
 
 
-def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> np.ndarray:
+def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> np.ndarray:
     """c[a, b] = KAPPA_CONV * 2 * density(Pi^{2,2} d(E_ab-form) ^ omega), oriented.
 
     The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b],
-    with E_ab in the frame of nij, the N* tensor of J.  omega must be a positive real
-    (1,1)-form; it is checked once here.
+    with E_ab in the frame of nij, the N* tensor of J, and omega that of h.
     """
     J = nij.frame.J
-    positive_11_metric(J, omega)
+    omega = h.omega_for(J)
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
     Q = _unit_delta_forms(omega, nij)
@@ -157,9 +156,9 @@ def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -
     return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
 
 
-def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, omega: Form) -> np.ndarray:
+def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> np.ndarray:
     """The first variation dPsi along the 18 directions of `delta_basis`, from one pass."""
-    c = _gradient_pairings(alg, nij, omega)
+    c = _gradient_pairings(alg, nij, h)
     return np.concatenate([c.real.ravel(), -c.imag.ravel()])
 
 
@@ -171,7 +170,7 @@ class CriticalityReport(NamedTuple):
     verdict: str                 # "critical" | "non-critical" | "degenerate"
     residual: float              # sup-norm of the (2,1)+(1,2) part of d omega
     degenerate: bool
-    omega: Form | None
+    form: HermitianForm | None
 
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
@@ -226,24 +225,24 @@ def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas
 
 
 def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
-                     omega: Form | None = None) -> CriticalityReport:
+                     h: HermitianForm | None = None) -> CriticalityReport:
     """Extremality criterion at nij's J: d omega confined to bidegrees (3,0) + (0,3).
 
-    A given omega must pass `positive_11_metric`; without one the conformal
-    solve supplies it.  With a degenerate Nijenhuis tensor the functional
-    vanishes identically on invariant deformations; that case is reported as
-    degenerate and excluded from the equivalence contract.
+    Without a gated omega h the conformal solve supplies one, gated here, on a degenerate
+    tensor too.  With a degenerate Nijenhuis tensor the functional vanishes identically
+    on invariant deformations; that case is reported as degenerate and excluded from
+    the equivalence contract.
     """
-    if omega is None:
+    if h is None:
         omega = conformal_solve(nij).normalized_omega
-    if omega is not None:  # gated on a degenerate tensor too
-        residual = offshape_residual(alg, nij.frame.J, omega)[0]
+        h = None if omega is None else HermitianForm(nij.frame.J, omega)
     if not nij.nondegenerate:
-        return CriticalityReport("degenerate", 0.0, True, omega)
-    if omega is None:
+        return CriticalityReport("degenerate", 0.0, True, h)
+    if h is None:
         raise ValueError("no positive Hermitian candidate omega at this structure")
+    residual = offshape_residual(alg, h)[0]
     verdict = "critical" if within(residual, "shape") else "non-critical"
-    return CriticalityReport(verdict, float(residual), False, omega)
+    return CriticalityReport(verdict, float(residual), False, h)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ class FindCriticalResult(NamedTuple):
     converged: bool
     iterations: int
     trace: Sequence[float] = ()
-    omega: Form | None = None
+    form: HermitianForm | None = None   # the gated omega, on convergence
     suite: NkSuiteReport | None = None
     reason: str = ""
     records: Sequence[IterationRecord] = ()
@@ -392,19 +391,17 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
         reason = "max iterations reached after convergence"
     if not converged and reason == "converged":
         reason = "max iterations reached"
-    suite = None
-    gradient_max = None
-    if not converged:
-        omega = None
-    else:
+    form = suite = gradient_max = None
+    if converged:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
         nij = nijenhuis_via_brackets(alg, J, frame=fr)
-        suite = nk_equivalence_suite(alg, nij, omega)
+        form = HermitianForm(J, omega)
+        suite = nk_equivalence_suite(alg, nij, form)
         if suite.all_true:
-            gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, omega))))
+            gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
         else:
             converged = False
             reason = ("residual vanished outside the compatibility domain: "
                       "the equivalence suite rejects the candidate")
-    return FindCriticalResult(J, converged, iterations, trace, omega, suite, reason,
+    return FindCriticalResult(J, converged, iterations, trace, form, suite, reason,
                               records, gradient_max)

@@ -25,7 +25,7 @@ from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bide
                        bidegrees, is_pure_bidegree, project_to_acs)
 from nkvol.conventions import ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets
-from nkvol.hermitian_torsion import conformal_solve, hermitian_metric, norm30_sq
+from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric, norm30_sq
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
 from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings, _offshape,
@@ -279,7 +279,7 @@ def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
     d^{-1,2} Omega, and the diagonal action of the Nijenhuis map on the
     adapted conjugate coframe.
     """
-    J = s.J
+    J = s.form.J
     dO = d_invariant(alg, s.Omega)
     dOb = d_invariant(alg, s.Omega.conjugate())
     scale = max(1.0, dO.norm())
@@ -291,13 +291,13 @@ def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
         "dOmega_via_d21bar": (dO + bidegree_project(J, dOb, 2, 2)).norm() / scale,
         "dOmega_via_dm12": (dO - bidegree_project(J, dO, 2, 2)).norm() / scale,
     }
-    fr = adapted_frame(J, s.omega, s.Omega)
+    fr = adapted_frame(J, s.form.omega, s.Omega)
     nij = nijenhuis_via_brackets(alg, J, frame=fr)
     target = ZH_DUALITY_FACTOR * s.lam * np.eye(3)
     res["nijenhuis_diagonal"] = float(
         np.max(np.abs(nij.matrix - target)) / max(1.0, float(np.max(np.abs(nij.matrix))))
     )
-    res["adapted_norm"] = abs(norm30_sq(s.omega, fr.theta_top()) - 1.0)
+    res["adapted_norm"] = abs(norm30_sq(s.form.omega, fr.theta_top()) - 1.0)
     return res
 
 
@@ -331,7 +331,7 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
 def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
                           omega: Form, delta: Deformation) -> float:
     """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
-    pairings = _gradient_pairings(alg, nijenhuis_via_brackets(alg, J), omega)
+    pairings = _gradient_pairings(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
     return float(np.sum(delta.matrix * pairings).real)
 
 

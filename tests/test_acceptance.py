@@ -14,10 +14,11 @@ from nkvol.multilinear import Metric, basis_form, hodge_star, wedge
 from nkvol.frame_manifold import catalog, check_jacobi
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.conventions import KAPPA_CONV
-from nkvol.hermitian_torsion import alt12_analysis, conformal_solve
+from nkvol.hermitian_torsion import HermitianForm, alt12_analysis, conformal_solve
 from nkvol.nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d
 from nkvol.nk_su3 import SU3Structure, nk_equivalence_suite, solve_Omega
-from nkvol.g2_cone import fernandez_gray_check, metric_roundtrip, stability_check
+from nkvol.g2_cone import (build_cone_3form, fernandez_gray_check, metric_roundtrip,
+                           normalize_to_unit_lambda, stability_check)
 from nkvol.variation_opt import (
     Deformation,
     criticality_test,
@@ -144,13 +145,13 @@ def test_criterion_06_nk_flagship():
     ok &= suite.nabla_report.strictness_min > 0
     # uniqueness corollary: a rescaled solution stays a solution with a
     # constant component ratio
-    solved = solve_Omega(alg, res.J, res.omega)
-    w2 = 2.25 * res.omega
-    s2 = solve_Omega(alg, res.J, w2)
-    ok &= s2.ok and nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, res.J), w2).all_true
+    omega = res.form.omega
+    h2 = HermitianForm(res.J, 2.25 * omega)
+    s2 = solve_Omega(alg, h2)
+    ok &= s2.ok and nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, res.J), h2).all_true
     ratios = np.array([
-        (w2.coeffs[i] / res.omega.coeffs[i]).real
-        for i in range(15) if abs(res.omega.coeffs[i]) > 1e-9
+        (h2.omega.coeffs[i] / omega.coeffs[i]).real
+        for i in range(15) if abs(omega.coeffs[i]) > 1e-9
     ])
     ok &= np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
     _verdict(6, "optimizer reaches R < 1e-12; all three conditions < 1e-9; strict", ok)
@@ -158,19 +159,17 @@ def test_criterion_06_nk_flagship():
 
 def test_criterion_07_g2_cone():
     alg, J, omega, Omega3 = nk_fixture()
-    solved = solve_Omega(alg, J, omega)
-    s = SU3Structure(J, omega, solved.Omega, solved.lam)
-    fg = fernandez_gray_check(alg, s)
+    h = HermitianForm(J, omega)
+    solved = solve_Omega(alg, h)
+    snorm = normalize_to_unit_lambda(SU3Structure(h, solved.Omega, solved.lam))
+    fg = fernandez_gray_check(alg, snorm)
     ok = fg.d_rho_residual == 0.0
     ok &= fg.star_formula_residual < 1e-10
     ok &= fg.dstar_rho_residual < 1e-9
-    mr = metric_roundtrip(alg, s)
+    mr = metric_roundtrip(alg, snorm)
     ok &= mr.stable and mr.ratio_spread < 1e-9
     # B is genuinely positive definite at t = 1, not merely definite
-    from nkvol.g2_cone import build_cone_3form, normalize_to_unit_lambda
-
-    snorm, _ = normalize_to_unit_lambda(s)
-    ok &= stability_check(build_cone_3form(snorm, alg).at_t(1.0)).orientation_sign == 1
+    ok &= stability_check(build_cone_3form(snorm.form.omega, alg).at_t(1.0)).orientation_sign == 1
     rep = stability_check(flat_g2_form())
     ok &= rep.stable and rep.stabilizer_dimension == 14
     _verdict(7, "cone form closed and coclosed; dual display termwise; metric ratio; nullity 14", ok)
@@ -215,7 +214,7 @@ def test_criterion_08_variation_calculus():
     for alg, J in structures:
         nij = nijenhuis_via_brackets(alg, J)
         omega = conformal_solve(nij).normalized_omega
-        rep = criticality_test(alg, nij, omega)
+        rep = criticality_test(alg, nij, HermitianForm(J, omega))
         gmax = max(abs(psi_gradient_analytic(alg, J, omega, d)) for d in delta_basis())
         ok &= (rep.residual <= 1e-8) == (gmax <= 1e-7)
     _verdict(8, "analytic gradient = FD at one constant (<1e-6); critical components <1e-8", ok)
@@ -226,16 +225,17 @@ def test_criterion_09_theorem_roundtrip():
     # critical => suite true and suite true => critical, on the fixture
     algf, Jf, omegaf, _ = nk_fixture()
     nijf = nijenhuis_via_brackets(algf, Jf)
-    rep = criticality_test(algf, nijf, omegaf)
-    suite = nk_equivalence_suite(algf, nijf, omegaf)
+    hf = HermitianForm(Jf, omegaf)
+    rep = criticality_test(algf, nijf, hf)
+    suite = nk_equivalence_suite(algf, nijf, hf)
     ok &= is_critical(rep) and suite.all_true
     # catalog s3s3: not critical, suite not all true
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     nij = nijenhuis_via_brackets(alg, J)
-    omega = conformal_solve(nij).normalized_omega
-    ok &= not is_critical(criticality_test(alg, nij, omega))
-    ok &= not nk_equivalence_suite(alg, nij, omega).all_true
+    h = HermitianForm(J, conformal_solve(nij).normalized_omega)
+    ok &= not is_critical(criticality_test(alg, nij, h))
+    ok &= not nk_equivalence_suite(alg, nij, h).all_true
     # torus: degenerate, excluded from the theorem's scope
     t = catalog("torus6")
     tnij = nijenhuis_via_brackets(t.algebra(), AlmostComplexStructure(t.J))
@@ -245,7 +245,7 @@ def test_criterion_09_theorem_roundtrip():
         mp = catalog("s3s3_perturbed", seed=seed)
         palg, pJ = mp.algebra(), AlmostComplexStructure(mp.J)
         pnij = nijenhuis_via_brackets(palg, pJ)
-        w = conformal_solve(pnij).normalized_omega
+        w = HermitianForm(pJ, conformal_solve(pnij).normalized_omega)
         crep = criticality_test(palg, pnij, w)
         ok &= (not is_critical(crep)) and crep.residual > 1e-4
         psuite = nk_equivalence_suite(palg, pnij, w)

@@ -708,6 +708,8 @@ def test_valid_manifests_exit_2_only_out_of_scope(tmp_path, capsys):
     # exits 3, and exits 2 only with a message that names the scope.  A rank-deficient
     # conformal candidate fails the definite gate, so it counts as no candidate and never
     # reaches the metric or levi_civita
+    from collections import Counter
+
     import numpy as np
 
     from helpers import random_acs, random_valid_algebra
@@ -720,12 +722,19 @@ def test_valid_manifests_exit_2_only_out_of_scope(tmp_path, capsys):
         alg, J = random_valid_algebra(rng), random_acs(rng)
         path = tmp_path / f"m{k}.json"
         Manifest(f"m{k}", 6, alg.structure_constants, J=J.matrix).save(path)
-        for command in (["nijenhuis"], ["nk"], ["optimize", "--max-iter", "30"]):
+        for command in (["nijenhuis"], ["torsion"], ["nk"], ["cone"], ["functional", "--gradient"],
+                        ["optimize", "--max-iter", "30"]):
             code = cli.run([command[0], str(path), *command[1:], "--json"])
             report = json.loads(capsys.readouterr().out)
             assert code in (0, 1, 2), (k, command, report.get("error"))
             if code == 2:
-                errors.setdefault(command[0], []).append(report["error"])
-    assert errors.keys() <= {"nk"}, errors
+                errors.setdefault(command[0], Counter())[report["error"]] += 1
     # so no message reads "omega not positive" or "Singular matrix"
-    assert set(errors["nk"]) == {"no positive Hermitian candidate available for the suite"}
+    no_candidate = "no positive Hermitian candidate available for the "
+    assert errors == {
+        "torsion": {no_candidate + "criterion": 81},
+        "nk": {no_candidate + "suite": 81},
+        "cone": {no_candidate + "cone": 81},
+        "functional": {"gradient undefined: Nijenhuis tensor degenerate": 84,
+                       "gradient undefined: no positive Hermitian candidate omega at this structure": 43},
+    }, errors

@@ -10,7 +10,7 @@ from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.nk_su3 import SU3Structure, solve_Omega
-from nkvol.hermitian_torsion import norm30_sq
+from nkvol.hermitian_torsion import HermitianForm, norm30_sq
 from nkvol.g2_cone import (
     ConeForm,
     build_cone_3form,
@@ -34,8 +34,9 @@ STAR_TOL = 1e-12   # relative to max(1, |x|); the worst of 400 seeded draws was 
 def nk_structure():
     m = Manifest.load(FIXTURE)
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    solved = solve_Omega(alg, J, m.omega)
-    return alg, SU3Structure(J, m.omega, solved.Omega, solved.lam)
+    h = HermitianForm(J, m.omega)
+    solved = solve_Omega(alg, h)
+    return alg, SU3Structure(h, solved.Omega, solved.lam)
 
 
 def test_cone_form_term_validation():
@@ -87,29 +88,27 @@ def test_d_cone_leibniz_weight_rule():
 
 def test_build_cone_structure():
     alg, s = nk_structure()
-    snorm, lam = normalize_to_unit_lambda(s)
-    assert abs(lam - 2.0) < 1e-12
-    rho = build_cone_3form(snorm, alg)
+    snorm = normalize_to_unit_lambda(s)
+    assert abs(s.lam - 2.0) < 1e-12 and snorm.lam == 1.0
+    rho = build_cone_3form(snorm.form.omega, alg)
     # rho = 3 t^2 omega ^ dt + t^3 d omega: weight 3, with both parts present
     assert rho.weight == 3 and rho.degree == 3
     assert rho.alpha.norm() > 0.0 and rho.beta.norm() > 0.0
 
 
 def test_build_cone_zero_omega():
-    s = SU3Structure(AlmostComplexStructure(catalog("s3s3").J), zero_form(6, 2),
-                     zero_form(6, 3), 1.0)
-    assert build_cone_3form(s, catalog("s3s3").algebra()).norm() == 0.0
+    assert build_cone_3form(zero_form(6, 2), catalog("s3s3").algebra()).norm() == 0.0
 
 
 def test_cone_at_t1_substitution():
     # at t = 1 the form is 3 omega ^ dt + 3 Re Omega for the unit-lambda data
     alg, s = nk_structure()
-    snorm, _ = normalize_to_unit_lambda(s)
-    rho = build_cone_3form(snorm, alg)
+    snorm = normalize_to_unit_lambda(s)
+    rho = build_cone_3form(snorm.form.omega, alg)
     phi = rho.at_t(1.0)
     from nkvol.g2_cone import _embed
 
-    expect = wedge(_embed(snorm.omega), basis_form(7, (7,))) * 3.0 \
+    expect = wedge(_embed(snorm.form.omega), basis_form(7, (7,))) * 3.0 \
         + 3.0 * _embed(snorm.Omega.real())
     assert forms_close(phi, expect, tol=1e-10)
 
@@ -117,11 +116,9 @@ def test_cone_at_t1_substitution():
 def test_hodge_cone_against_direct_seven_dim_star():
     # the graded star agrees with the literal Hodge dual of t^2 g + dt^2
     alg, s = nk_structure()
-    snorm, _ = normalize_to_unit_lambda(s)
-    from nkvol.g2_cone import base_metric_oriented
-
-    g6 = base_metric_oriented(snorm)
-    rho = build_cone_3form(snorm, alg)
+    snorm = normalize_to_unit_lambda(s)
+    g6 = snorm.form.metric
+    rho = build_cone_3form(snorm.form.omega, alg)
     star = hodge_cone(g6, rho)
     for t in (1.0, 1.7):
         g7 = np.zeros((7, 7))
@@ -189,18 +186,20 @@ def test_stability_rejects_bad_input():
 
 def test_fernandez_gray_fixture():
     alg, s = nk_structure()
-    fg = fernandez_gray_check(alg, s)
+    with pytest.raises(ValueError, match="unit-lambda"):
+        fernandez_gray_check(alg, s)
+    snorm = normalize_to_unit_lambda(s)
+    fg = fernandez_gray_check(alg, snorm)
     assert fg.d_rho_residual == 0.0
     assert fg.dstar_rho_residual < 1e-9
     assert fg.star_formula_residual < 1e-10
     assert fg_passes(fg)
     # the rotation relation at unit lambda: the slot action of J on d omega is 3 Im Omega
-    snorm, _ = normalize_to_unit_lambda(s)
     i_domega = snorm.Omega.imag()
-    slot_action = j_multiplicative(snorm.J, d_invariant(alg, snorm.omega))
+    slot_action = j_multiplicative(snorm.form.J, d_invariant(alg, snorm.form.omega))
     rot_res = ((1.0 / 3.0) * slot_action - i_domega).norm() / max(1.0, i_domega.norm())
     assert rot_res < 1e-10
-    assert abs(fg.lambda_rescale - 2.0) < 1e-12
+    assert abs(s.lam - 2.0) < 1e-12  # the rescale factor
 
 
 def test_fernandez_gray_negative_control():
@@ -214,8 +213,8 @@ def test_fernandez_gray_negative_control():
     omega = conformal_solve(nijenhuis_via_brackets(alg, Jp)).normalized_omega
     p30 = bidegree_project(Jp, d_invariant(alg, omega), 3, 0)
     u = np.sqrt(norm30_sq(omega, p30))
-    s_bad = SU3Structure(Jp, omega, (1.0 / u) * p30, 2.0 * u / 3.0)
-    fg = fernandez_gray_check(alg, s_bad)
+    s_bad = SU3Structure(HermitianForm(Jp, omega), (1.0 / u) * p30, 2.0 * u / 3.0)
+    fg = fernandez_gray_check(alg, normalize_to_unit_lambda(s_bad))
     assert fg.d_rho_residual == 0.0
     assert fg.dstar_rho_residual > 1e-4
 
@@ -225,7 +224,9 @@ def test_fernandez_gray_negative_control():
 
 def test_metric_roundtrip_fixture():
     alg, s = nk_structure()
-    mr = metric_roundtrip(alg, s)
+    with pytest.raises(ValueError, match="unit-lambda"):
+        metric_roundtrip(alg, s)
+    mr = metric_roundtrip(alg, normalize_to_unit_lambda(s))
     assert mr.stable
     assert mr.stabilizer_dimension == 14
     assert abs(mr.ratio - RATIO_FIXTURE) < 1e-12
@@ -253,8 +254,8 @@ def test_metric_roundtrip_broken_anisotropy():
 
     p30 = bidegree_project(J, d_invariant(alg, w), 3, 0)
     u = np.sqrt(norm30_sq(w, p30))
-    s_bad = SU3Structure(J, w, (1.0 / u) * p30, 2.0 * u / 3.0)
-    mr = metric_roundtrip(alg, s_bad)
+    s_bad = SU3Structure(HermitianForm(J, w), (1.0 / u) * p30, 2.0 * u / 3.0)
+    mr = metric_roundtrip(alg, normalize_to_unit_lambda(s_bad))
     if mr.stable:
         assert mr.ratio_spread > 1e-3
     else:

@@ -13,6 +13,7 @@ from nkvol.hermitian_torsion import (
     _hermitian_basis,
     _hermitian_form_coeffs,
     _orient_positive,
+    HermitianForm,
     _skew_part,
     alt12_analysis,
     c_map_trilinear,
@@ -20,7 +21,6 @@ from nkvol.hermitian_torsion import (
     conformal_stack,
     hermitian_metric,
     norm30_sq,
-    positive_11_metric,
     torsion_criterion,
 )
 
@@ -48,7 +48,7 @@ def test_torsion_criterion_torus_trivial():
     alg, J = torus()
     # with the stored coframe action J e^1 = e^2, the positive Hermitian form
     # carries the opposite sign: omega0 = -(e^12 + e^34 + e^56)
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), -1.0 * flat_omega())
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(J, -1.0 * flat_omega()))
     assert rep.admits_connection
     assert rep.rho_norm == 0.0
     assert rep.skewness_residual == 0.0
@@ -56,7 +56,7 @@ def test_torsion_criterion_torus_trivial():
 
 def test_torsion_criterion_s3s3_equal_scale():
     alg, J = s3s3()
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), product_omega())
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(J, product_omega()))
     # recorded fixture: the equal-scale product structure admits the connection
     assert rep.admits_connection
     assert rep.skewness_residual <= 1e-12
@@ -67,18 +67,23 @@ def test_torsion_criterion_s3s3_equal_scale():
 def test_torsion_criterion_s3s3_anisotropic():
     # the J-compatible anisotropic analogue of a (1,1,5)-pattern metric
     alg, J = s3s3()
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), product_omega(scales=(1.0, 1.0, 5.0)))
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J),
+                            HermitianForm(J, product_omega(scales=(1.0, 1.0, 5.0))))
     assert not rep.admits_connection
     assert rep.skewness_residual > 0.01 * rep.rho_norm
 
 
 def test_torsion_criterion_rejects_nonpositive():
+    # the criterion takes a HermitianForm: its constructor is the gate, and the
+    # criterion rejects a form gated for another J
     alg, J = s3s3()
-    nij = nijenhuis_via_brackets(alg, J)
-    with pytest.raises(ValueError):
-        torsion_criterion(nij, -1.0 * product_omega())
-    with pytest.raises(ValueError):
-        torsion_criterion(nij, flat_omega())  # not (1,1) for this J
+    with pytest.raises(ValueError, match="omega not positive"):
+        HermitianForm(J, -1.0 * product_omega())
+    with pytest.raises(ValueError, match="real \\(1,1\\)-form"):
+        HermitianForm(J, flat_omega())  # not (1,1) for this J
+    _, Jt = torus()
+    with pytest.raises(ValueError, match="another J"):
+        torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(Jt, -1.0 * flat_omega()))
 
 
 def test_c_map_zero_when_integrable():
@@ -94,7 +99,7 @@ def test_c_map_matches_rho():
     w = product_omega(scales=(1.3, 0.8, 1.1))
     nij = nijenhuis_via_brackets(alg, J)
     C = c_map(alg, J, w, nij=nij)
-    rep = torsion_criterion(nij, w)
+    rep = torsion_criterion(nij, HermitianForm(J, w))
     T = c_map_trilinear(C)
     assert np.max(np.abs(rep.rho + T)) < 1e-12
 
@@ -137,7 +142,7 @@ def test_conformal_solve_normalization_gauge():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
-    crit = torsion_criterion(nij, rep.normalized_omega)
+    crit = torsion_criterion(nij, HermitianForm(J, rep.normalized_omega))
     assert abs(norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
 
 
@@ -145,7 +150,7 @@ def test_conformal_solve_plant_and_recover():
     alg, J = s3s3()
     planted = 2.7 * product_omega()
     nij = nijenhuis_via_brackets(alg, J)
-    assert torsion_criterion(nij, planted).admits_connection
+    assert torsion_criterion(nij, HermitianForm(J, planted)).admits_connection
     rep = conformal_solve(nij)
     ratios = []
     for i in range(15):
@@ -290,7 +295,7 @@ def test_positivity_from_hermitian_matrix_matches_metric():
 
 
 def test_candidate_positivity_agrees_with_the_metric_gate():
-    # the stack reads the definite gate on H, positive_11_metric reads it on the metric
+    # the stack reads the definite gate on H, HermitianForm reads it on the metric
     # of omega: on random structures the two agree, rank-deficient candidates included
     # (these 300 draws hold 12 whose sign of rounding differs between H and the metric)
     rng = np.random.default_rng(0)
@@ -298,7 +303,7 @@ def test_candidate_positivity_agrees_with_the_metric_gate():
         alg, J = random_valid_algebra(rng), random_acs(rng)
         rep = conformal_solve(nijenhuis_via_brackets(alg, J))
         try:
-            positive_11_metric(J, rep.candidate)
+            HermitianForm(J, rep.candidate)
         except ValueError:
             assert not rep.candidate_positive
         else:

@@ -6,6 +6,7 @@ import pytest
 from nkvol.multilinear import form_from_one_coeffs
 from nkvol.frame_manifold import CoframeAlgebra
 from nkvol.acs import bidegree_project
+from nkvol.hermitian_torsion import HermitianForm
 from nkvol.nijenhuis import (
     NijenhuisTensor,
     cartan_compatibility,
@@ -146,7 +147,11 @@ def test_cartan_identity_torus():
 
 def test_cartan_identity_s3s3_product_omega():
     alg, J = s3s3()
-    assert cartan_compatibility(alg, nijenhuis_via_brackets(alg, J), product_omega()) < 1e-10
+    nij = nijenhuis_via_brackets(alg, J)
+    residual = cartan_compatibility(alg, nij, product_omega())
+    assert residual < 1e-10
+    # a command's gated omega gives the same residual
+    assert cartan_compatibility(alg, nij, HermitianForm(J, product_omega())) == residual
 
 
 def test_cartan_identity_random_sweep():

@@ -18,8 +18,8 @@ from nkvol.frame_manifold import CoframeAlgebra, catalog, check_jacobi, d_invari
 from nkvol.acs import AlmostComplexStructure, default_frame_coords
 from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhuis_via_d,
                              rho_skew_coefficient)
-from nkvol.hermitian_torsion import (_hermitian_form_coeffs, _skew_part, conformal_stack,
-                                     torsion_criterion)
+from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _skew_part,
+                                     conformal_stack, torsion_criterion)
 from nkvol.variation_opt import _offshape, psi_value
 
 from helpers import (_basis_change, _rho_components, forms_close, random_acs, random_form,
@@ -121,7 +121,7 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     ref = _rho_components(alg, J, omega, fr)
     tol = CMAP_REL_TOL * np.max(np.abs(ref))
     nij = nijenhuis_via_brackets(alg, J, frame=fr)
-    assert np.max(np.abs(torsion_criterion(nij, omega).rho - ref)) <= tol
+    assert np.max(np.abs(torsion_criterion(nij, HermitianForm(J, omega)).rho - ref)) <= tol
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
 

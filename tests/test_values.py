@@ -13,11 +13,13 @@ from nkvol.frame_manifold import JacobiReport, Manifest, catalog
 from nkvol.acs import AlmostComplexStructure
 from nkvol.g2_cone import ConeForm, FernandezGrayReport, MetricRoundtripReport, Stable3FormReport
 from nkvol.hermitian_torsion import (Alt12Report, ConformalSolveReport, ConformalStack,
-                                     TorsionCriterionReport)
+                                     HermitianForm, TorsionCriterionReport)
 from nkvol.nijenhuis import NijenhuisTensor, VolumeDensity
 from nkvol.nk_su3 import (NablaOmegaReport, NkSuiteReport, SolveOmegaResult,
                           StructureEquationReport, SU3Structure)
 from nkvol.variation_opt import CriticalityReport, FindCriticalResult, IterationRecord
+
+from helpers import product_omega
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +41,15 @@ def test_report_attributes_cannot_be_assigned():
             with pytest.raises(AttributeError):
                 setattr(rep, name, "changed")
             assert getattr(rep, name, None) is None, (cls.__name__, name)
+
+
+def test_hermitian_form_cannot_be_assigned():
+    # the gated value: a reassigned omega would skip its gate
+    J = AlmostComplexStructure(catalog("s3s3").J)
+    h = HermitianForm(J, product_omega())
+    for name in ("J", "omega", "metric", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
 
 
 def test_structure_holds_only_its_matrix():

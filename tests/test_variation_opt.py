@@ -8,7 +8,7 @@ import pytest
 from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
-from nkvol.hermitian_torsion import conformal_solve
+from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.variation_opt import (
     JACOBIAN_FD_STEP,
     Deformation,
@@ -186,7 +186,7 @@ def test_gradient_rejects_degenerate():
 
 def test_criticality_fixture():
     alg, J, omega = nk_fixture()
-    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), omega)
+    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
     assert is_critical(rep)
     assert rep.residual < 1e-12
 
@@ -194,8 +194,7 @@ def test_criticality_fixture():
 def test_criticality_catalog_noncritical():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
-    omega = conformal_solve(nij).normalized_omega
-    rep = criticality_test(alg, nij, omega)
+    rep = criticality_test(alg, nij, HermitianForm(J, conformal_solve(nij).normalized_omega))
     assert rep.verdict == "non-critical"
     assert rep.residual > 1e-3
 
@@ -220,7 +219,7 @@ def test_criticality_equals_gradient_vanishing():
     for alg_, J_ in structures:
         nij = nijenhuis_via_brackets(alg_, J_)
         omega = conformal_solve(nij).normalized_omega
-        rep = criticality_test(alg_, nij, omega)
+        rep = criticality_test(alg_, nij, HermitianForm(J_, omega))
         gmax = max(abs(psi_gradient_analytic(alg_, J_, omega, d)) for d in delta_basis())
         assert (rep.residual <= 1e-8) == (gmax <= 1e-7), (rep.residual, gmax)
 
@@ -614,12 +613,12 @@ def test_psi_gradient_one_pass_matches_each_direction():
         nij = nijenhuis_via_brackets(alg, J)
         if omega is None:
             omega = conformal_solve(nij).normalized_omega
-        grad = psi_gradient(alg, nij, omega)
+        grad = psi_gradient(alg, nij, HermitianForm(J, omega))
         each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
         assert np.max(np.abs(grad - each)) <= 1e-15
         # the (2,1)-form against its construction from the full torsion criterion
         fr = J.frame()
-        P = torsion_criterion(nij, omega).lambda30_component
+        P = torsion_criterion(nij, HermitianForm(J, omega)).lambda30_component
         P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         legs = d.matrix @ fr.coframe[3:]
