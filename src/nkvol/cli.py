@@ -79,7 +79,9 @@ def _structure(manifest: Manifest):
 
 
 def _pick_omega(nij, manifest: Manifest, rep=None):
-    """The gated `HermitianForm` of the manifest omega, else of the candidate of rep or of nij."""
+    """The one pick of omega for every command that reads it, as a gated `HermitianForm`:
+    the manifest omega, else the normalized omega of rep (or of nij's conformal solve),
+    else its positive candidate."""
     from .hermitian_torsion import HermitianForm, conformal_solve
     if manifest.omega is not None:
         return HermitianForm(nij.frame.J, manifest.omega), "manifest"
@@ -227,7 +229,6 @@ def _cmd_cone(manifest: Manifest):
     checks = {
         "omega_source": source,
         "lambda": solved.lam,
-        "lambda_rescale": solved.lam,
         "d_rho_residual": fg.d_rho_residual,
         "dstar_rho_residual": fg.dstar_rho_residual,
         "star_formula_residual": fg.star_formula_residual,
@@ -248,12 +249,11 @@ def _cmd_cone(manifest: Manifest):
 
 
 def _cmd_functional(manifest: Manifest, gradient: bool):
-    from .hermitian_torsion import HermitianForm
     from .nijenhuis import volume_form
     from .variation_opt import criticality_test, psi_gradient
     alg, nij = _structure(manifest)
     checks = {"psi": volume_form(nij).psi}
-    form = None if manifest.omega is None else HermitianForm(nij.frame.J, manifest.omega)
+    form = _pick_omega(nij, manifest)[0]  # a malformed manifest omega raises here, not below
     try:
         crit = criticality_test(alg, nij, form)
     except ValueError as ex:
@@ -271,12 +271,11 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     return checks, {}
 
 
-def _cmd_optimize(manifest: Manifest, tol: float, max_iter: int, seed: int,
-                  emit: str | None):
+def _cmd_optimize(manifest: Manifest, max_iter: int, seed: int, emit: str | None):
     from .variation_opt import find_critical, psi_value
     alg = manifest.algebra()
     J = _acs_of(manifest)
-    res = find_critical(alg, J, tol=tol, max_iter=max_iter, seed=seed)
+    res = find_critical(alg, J, max_iter=max_iter, seed=seed)
     checks = {
         "iterations": res.iterations,
         "trace": res.trace,
@@ -330,7 +329,7 @@ _COMMANDS = {
     "functional": ("volume density and optional gradient", "variation_opt",
                    lambda m, a: _cmd_functional(m, a.gradient)),
     "optimize": ("search for a critical structure", "variation_opt",
-                 lambda m, a: _cmd_optimize(m, a.tol, a.max_iter, a.seed, a.emit)),
+                 lambda m, a: _cmd_optimize(m, a.max_iter, a.seed, a.emit)),
 }
 
 
@@ -399,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, help=helptext).add_argument("file")
     sub.choices["functional"].add_argument("--gradient", action="store_true")
     opt = sub.choices["optimize"]
-    opt.add_argument("--tol", type=float, default=TOLERANCES["objective"])
     opt.add_argument("--max-iter", type=int, default=100)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--emit", default=None, help="write the solved manifest here")

@@ -336,16 +336,11 @@ def _alt12_matrix(n: int = 6) -> np.ndarray:
 
 
 def _tensor_projector_21_12(J: AlmostComplexStructure) -> np.ndarray:
-    """Projector of Lambda^2 (x) Lambda^1 onto total bidegree (2,1)+(1,2)."""
+    """Projector of Lambda^2 (x) Lambda^1 onto total bidegree (2,1)+(1,2): the identity less
+    the only two products outside it, (2,0) (x) (1,0) and (0,2) (x) (0,1)."""
     n = J.dimension
-    parts2 = {(p, q): J.bidegree_projector(p, q) for (p, q) in ((2, 0), (1, 1), (0, 2))}
-    parts1 = {(1, 0): J.p10(), (0, 1): J.p01()}
-    total = np.zeros((comb(n, 2) * n,) * 2, dtype=np.complex128)
-    for (a, b), P2 in parts2.items():
-        for (c, d), P1 in parts1.items():
-            if (a + c, b + d) in ((2, 1), (1, 2)):
-                total += np.kron(P2, P1)
-    return total
+    return (np.eye(comb(n, 2) * n) - np.kron(J.bidegree_projector(2, 0), J.p10())
+            - np.kron(J.bidegree_projector(0, 2), J.p01()))
 
 
 def alt12_analysis(J: AlmostComplexStructure) -> Alt12Report:

@@ -38,8 +38,7 @@ from .frame_manifold import CoframeAlgebra
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame_coords,
                   j_from_basis, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import (HermitianForm, conformal_solve, conformal_stack, norm30_sq,
-                                offshape_residual)
+from .hermitian_torsion import HermitianForm, conformal_stack, norm30_sq, offshape_residual
 from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
                         rho_skew_coefficient, volume_form)
 
@@ -62,6 +61,7 @@ __all__ = [
 ]
 
 JACOBIAN_FD_STEP = 1e-6   # central difference of the optimizer's Jacobian, per real parameter
+INNER_TARGET = 1e-26      # the search iterates until the objective is below this, or stalls
 
 
 @dataclass(frozen=True)
@@ -228,14 +228,11 @@ def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
                      h: HermitianForm | None = None) -> CriticalityReport:
     """Extremality criterion at nij's J: d omega confined to bidegrees (3,0) + (0,3).
 
-    Without a gated omega h the conformal solve supplies one, gated here, on a degenerate
-    tensor too.  With a degenerate Nijenhuis tensor the functional vanishes identically
-    on invariant deformations; that case is reported as degenerate and excluded from
-    the equivalence contract.
+    h is the omega the caller picked and gated; None when it has none.  With a
+    degenerate Nijenhuis tensor the functional vanishes identically on invariant
+    deformations; that case is reported as degenerate and excluded from the
+    equivalence contract.
     """
-    if h is None:
-        omega = conformal_solve(nij).normalized_omega
-        h = None if omega is None else HermitianForm(nij.frame.J, omega)
     if not nij.nondegenerate:
         return CriticalityReport("degenerate", 0.0, True, h)
     if h is None:
@@ -300,8 +297,7 @@ def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
     return (Jtry, vec, fr, omega, _objective(vec)), True
 
 
-def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
-                  tol: float = TOLERANCES["objective"], max_iter: int = 100,
+def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int = 100,
                   seed: int = 0) -> FindCriticalResult:
     """Damped Gauss-Newton minimization of the squared criticality residual.
 
@@ -319,13 +315,10 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     as a failure, never as a solution.  A solution also carries the largest
     analytic psi-gradient component, an independent certificate of criticality.
     """
-    if not 0.0 < tol < np.inf:  # written so that NaN fails it
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if seed < 0:  # here, not at the first kick after the whole search has run
         raise ValueError(f"seed must be >= 0, got {seed}")
-    inner_tol = min(tol, 1e-26)
     vec, fr, _, omega = criticality_residual_vector(alg, J0)
     if vec is None:
         return FindCriticalResult(J0, False, 0, [], None,
@@ -342,7 +335,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
     # central differences: +h and -h along each of the 18 real directions
     steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
     fd_deltas = np.concatenate([steps, -steps])
-    while R > inner_tol and iterations < max_iter:
+    while R > INNER_TARGET and iterations < max_iter:
         vecs, valid = criticality_residuals(alg, J, fd_deltas, frame=fr)
         both = valid[:18] & valid[18:]  # a column with a rejected side stays zero
         jac = np.zeros((len(vec), 18))  # C-ordered: fixes the summation order of jac.T @ jac
@@ -386,8 +379,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure,
             break
         trace.append(R)
         iterations += 1
-    converged = within(R, tol)
-    if converged and reason == "converged" and R > inner_tol and iterations >= max_iter:
+    converged = within(R, "objective")
+    if converged and reason == "converged" and R > INNER_TARGET and iterations >= max_iter:
         reason = "max iterations reached after convergence"
     if not converged and reason == "converged":
         reason = "max iterations reached"

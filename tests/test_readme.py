@@ -1,7 +1,10 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and it names only real options."""
 
+import argparse
 import re
 from pathlib import Path
+
+from nkvol.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +13,24 @@ def test_readme_python_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and of its subparsers, at any depth."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+    return options
+
+
+def test_readme_flags_are_parser_options():
+    text = README.read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    commands = [line for line in text.splitlines() if line.startswith("nkvol ")]
+    named = {flag for chunk in spans + commands for flag in re.findall(r"--[a-z][a-z0-9-]*", chunk)}
+    options = _options(_build_parser())
+    assert named and named <= options, sorted(named - options)

@@ -1,5 +1,6 @@
 """One structure per command: each `verify` command builds J's (1,0) frame and the
-N* matrix at most once, and gates each omega it reads once.
+N* matrix at most once, runs the conformal solve at most once, and gates each omega
+it reads once.
 
 The layers that read N* take the `NijenhuisTensor` their caller built, and the
 layers that read omega take the `HermitianForm` their caller gated.  The
@@ -18,7 +19,7 @@ import pytest
 
 import nkvol.g2_cone  # noqa: F401  (every layer the commands import, before wrapping)
 import nkvol.variation_opt  # noqa: F401
-from nkvol import acs, multilinear, nijenhuis
+from nkvol import acs, hermitian_torsion, multilinear, nijenhuis
 from nkvol.cli import run
 from nkvol.frame_manifold import catalog
 
@@ -34,8 +35,10 @@ EXITS = {
     "s3s3_perturbed": {"torsion": 1, "nk": 1, "cone": 1},
 }
 # omega gates per manifest over the seven commands: one per command that reads omega,
-# and a second in `cone` on the fixture, for its unit-lambda rescaling (20 in all)
-GATES = {"fixture": 6, "s3s3": 5, "torus6": 4, "s3s3_perturbed": 5}
+# and a second in `cone` on the fixture, for its unit-lambda rescaling (21 in all).
+# torus6 has no normalized omega, but a positive candidate, which every command that
+# reads omega picks: `functional` gates it too, then stops at the degenerate tensor
+GATES = {"fixture": 6, "s3s3": 5, "torus6": 5, "s3s3_perturbed": 5}
 
 
 def count_calls(monkeypatch, fn, counts: Counter, when=lambda *args: True) -> None:
@@ -54,7 +57,8 @@ def count_calls(monkeypatch, fn, counts: Counter, when=lambda *args: True) -> No
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
     counts = Counter()
-    for fn in (acs.default_frame_coords, nijenhuis.nijenhuis_matrices):
+    for fn in (acs.default_frame_coords, nijenhuis.nijenhuis_matrices,
+               hermitian_torsion.conformal_solve):
         count_calls(monkeypatch, fn, counts)
     count_calls(monkeypatch, acs.is_pure_bidegree, counts, lambda J, a, p, q: (p, q) == (1, 1))
     post_init = multilinear.Metric.__post_init__
@@ -85,6 +89,7 @@ def test_each_verify_command_builds_one_frame_and_one_tensor(tmp_path, counts, n
         assert code == EXITS[name].get(cmd[0], 0), cmd
         assert counts["default_frame_coords"] <= 1, (cmd, dict(counts))
         assert counts["nijenhuis_matrices"] <= 1, (cmd, dict(counts))
+        assert counts["conformal_solve"] <= 1, (cmd, dict(counts))
         limit = 2 if (name, cmd[0]) == ("fixture", "cone") else 1
         assert counts["is_pure_bidegree"] == counts["Metric"] <= limit, (cmd, dict(counts))
         gates.update(counts)

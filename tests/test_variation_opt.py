@@ -206,6 +206,14 @@ def test_criticality_torus_degenerate():
     assert rep.degenerate
 
 
+def test_criticality_takes_the_callers_omega():
+    # a nondegenerate structure with a normalizable candidate still needs its omega
+    # from the caller: criticality_test picks none of its own
+    alg, J = s3s3()
+    with pytest.raises(ValueError, match="no positive Hermitian candidate omega at this structure"):
+        criticality_test(alg, nijenhuis_via_brackets(alg, J))
+
+
 def test_criticality_equals_gradient_vanishing():
     # the biconditional, over the catalog and seeded perturbations
     structures = []
@@ -590,7 +598,7 @@ def test_search_runs_without_conformal_solve(monkeypatch):
         raise AssertionError("the search called conformal_solve")
 
     monkeypatch.setattr(ht, "conformal_solve", forbidden)
-    monkeypatch.setattr(vo, "conformal_solve", forbidden)
+    assert not hasattr(vo, "conformal_solve")
     alg, J = su2r3()
     res = find_critical(alg, J, max_iter=18)
     assert res.trace == pinned.trace and res.records == pinned.records
