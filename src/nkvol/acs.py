@@ -34,6 +34,7 @@ __all__ = [
     "j_squared_residual",
     "project_to_acs",
     "projector_from_derivation",
+    "split_30",
     "theta_top_coeffs",
     "type_projectors",
 ]
@@ -206,6 +207,16 @@ def theta_top_coeffs(theta) -> np.ndarray:
     x, y, z = np.moveaxis(theta[..., _index_array(theta.shape[-1], 3)], -3, 0)
     y_cross_z = y[..., [1, 2, 0]] * z[..., [2, 0, 1]] - y[..., [2, 0, 1]] * z[..., [1, 2, 0]]
     return np.sum(x * y_cross_z, axis=-1)
+
+
+def split_30(phi, theta, V) -> tuple[np.ndarray, np.ndarray]:
+    """The (3,0) coefficient c = phi(v_1, v_2, v_3) of 3-form coefficients phi, and the (2,1)+(1,2)
+    part phi - c theta^123 - phi(conj v_1, conj v_2, conj v_3) conj theta^123, from (1,0) frames
+    (theta rows, V columns) through the 3x3 minors of V.  Leading axes stack."""
+    minors = theta_top_coeffs(np.swapaxes(V, -2, -1))  # v_1 ^ v_2 ^ v_3 as coefficients
+    top = theta_top_coeffs(theta)
+    c, c03 = np.sum(phi * minors, axis=-1), np.sum(phi * np.conj(minors), axis=-1)
+    return c, phi - c[..., None] * top - c03[..., None] * np.conj(top)
 
 
 def _dual_vectors(rows) -> np.ndarray:

@@ -209,7 +209,7 @@ def _cmd_cone(manifest: Manifest):
     form, source = _pick_omega(nij, manifest)
     if form is None:
         raise InputError("no positive Hermitian candidate available for the cone")
-    solved = solve_Omega(alg, form)
+    solved = solve_Omega(alg, nij, form)
     if manifest.Omega3 is not None:  # a manifest Omega3 must be a unit (3,0)-form
         if not is_pure_bidegree(form.J, manifest.Omega3, 3, 0):
             raise InputError("manifest Omega3 fails the pure_bidegree gate: not a (3,0)-form for J")
@@ -265,7 +265,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     if gradient:
         if crit.degenerate:
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
-        grad = psi_gradient(alg, nij, crit.form)
+        grad = psi_gradient(alg, nij, form)
         checks["gradient_components"] = grad.tolist()
         checks["gradient_max_abs"] = float(abs(grad).max())
     return checks, {}
@@ -292,10 +292,9 @@ def _cmd_optimize(manifest: Manifest, max_iter: int, seed: int, emit: str | None
         checks["lambda"] = res.suite.lam
         checks["psi_gradient_max_abs"] = res.psi_gradient_max_abs
     if emit and res.converged:
-        from .nk_su3 import solve_Omega
         out = manifest._replace(name=manifest.name + "_critical", J=res.J.matrix,
                                 metric=res.form.metric.matrix, omega=res.form.omega,
-                                Omega3=solve_Omega(alg, res.form).Omega)
+                                Omega3=res.suite.Omega)
         out.save(emit)
         checks["emitted"] = emit
     return checks, verdicts

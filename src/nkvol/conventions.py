@@ -108,10 +108,9 @@ TOLERANCES = {
 def within(residual, name, scale=1.0):
     """residual <= TOLERANCES[name] * scale; False if residual or scale is not finite.
 
-    `name` may be a number instead, for the calls that take a tolerance argument.
     On arrays the gate is taken elementwise and the answer is a boolean array.
     """
     import numpy as np
-    tol = TOLERANCES[name] if isinstance(name, str) else name
+    tol = TOLERANCES[name]
     ok = np.isfinite(residual) & np.isfinite(scale) & (np.asarray(residual) <= tol * np.asarray(scale))
     return bool(ok) if np.ndim(ok) == 0 else ok

@@ -21,7 +21,7 @@ import numpy as np
 from .multilinear import (Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs,
                           wedge_coeffs)
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, _omega_j, bidegree_project, is_pure_bidegree
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_pure_bidegree, split_30
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import NijenhuisTensor, rho_skew_coefficient
 
@@ -76,15 +76,13 @@ class HermitianForm:
         return self.omega
 
 
-def offshape_residual(alg: CoframeAlgebra, h: HermitianForm) -> tuple[float, Form]:
-    """|Pi^{2,1} d omega + Pi^{1,2} d omega| / max(1, |d omega|), and d omega.
-
-    The extremality criterion and the shape of the structure equations both
-    read this residual.
-    """
-    domega = d_invariant(alg, h.omega)
-    off = bidegree_project(h.J, domega, 2, 1) + bidegree_project(h.J, domega, 1, 2)
-    return off.norm() / max(1.0, domega.norm()), domega
+def offshape_residual(alg: CoframeAlgebra, fr: ComplexFrame,
+                      h: HermitianForm) -> tuple[float, Form, Form]:
+    """|(2,1)+(1,2) part of d omega| / max(1, |d omega|), the (3,0) part and d omega, split in
+    the frame fr of h's J by `split_30`: the criticality and shape verdicts read this residual."""
+    domega = d_invariant(alg, h.omega_for(fr.J))
+    c, off = split_30(domega.coeffs, fr.theta_coeffs, fr.v_coords)
+    return float(np.max(np.abs(off))) / max(1.0, domega.norm()), c * fr.theta_top(), domega
 
 
 def norm30_sq(omega: Form, p30: Form) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .multilinear import Form, wedge
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, bidegree_project, is_pure_bidegree,
+from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree, split_30,
                   type_projectors)
 from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
 
@@ -148,19 +148,19 @@ def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor,
                          omega: Form | HermitianForm) -> float:
     """Residual of d^{2,-1} = wedge after Id (x) N* on a (1,1)-form, for the tensor nij of J.
 
-    The left side is the (3,0) component of d omega; the right side applies
-    N* to the (0,1) leg of omega and wedges the legs back together, which
-    gives -3c theta^123 for c the `rho_skew_coefficient`.  The contract is that
-    the residual passes the `cartan` entry of `conventions.TOLERANCES` on every
-    (1,1)-form, complex ones too: a `Form` is checked here, a gated `HermitianForm` is not.
+    The left side is the (3,0) part d omega(v_1, v_2, v_3) theta^123 of d omega
+    (`split_30`); the right side applies N* to the (0,1) leg of omega and wedges
+    the legs back together, which gives -3c theta^123 for c the `rho_skew_coefficient`.
+    The contract is that the residual passes the `cartan` entry of `conventions.TOLERANCES`
+    on every (1,1)-form, complex ones too: a `Form` is checked here, a gated `HermitianForm` is not.
     """
     fr = nij.frame
     if not isinstance(omega, Form):
         omega = omega.omega_for(fr.J)
     elif not is_pure_bidegree(fr.J, omega, 1, 1):
         raise ValueError("cartan_compatibility expects a (1,1)-form")
-    lhs = bidegree_project(fr.J, d_invariant(alg, omega), 3, 0)
-    c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
-    rhs = (-3.0 * c) * fr.theta_top()
+    top = fr.theta_top()
+    lhs = split_30(d_invariant(alg, omega).coeffs, fr.theta_coeffs, fr.v_coords)[0] * top
+    rhs = (-3.0 * rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)) * top
     scale = max(1.0, lhs.norm(), rhs.norm())
     return float((lhs - rhs).norm() / scale)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
-from .acs import bidegree_project
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
 from .hermitian_torsion import (HermitianForm, _skew_part, norm30_sq, offshape_residual,
                                 torsion_criterion)
@@ -56,10 +55,9 @@ class SolveOmegaResult(NamedTuple):
     reason: str = ""
 
 
-def solve_Omega(alg: CoframeAlgebra, h: HermitianForm) -> SolveOmegaResult:
-    """Write d omega = 3 lambda Re Omega with |Omega| = 1, or fail with residual."""
-    off, domega = offshape_residual(alg, h)
-    p30 = bidegree_project(h.J, domega, 3, 0)
+def solve_Omega(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> SolveOmegaResult:
+    """Write d omega = 3 lambda Re Omega with |Omega| = 1 in nij's frame, or fail with residual."""
+    off, p30, domega = offshape_residual(alg, nij.frame, h)
     if within(domega.norm(), "vanishes"):
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
     if within(p30.norm(), "vanishes", max(1.0, domega.norm())):
@@ -139,6 +137,7 @@ class NkSuiteReport(NamedTuple):
     equation_report: StructureEquationReport | None
     nabla_report: NablaOmegaReport
     lam: float
+    Omega: Form | None      # the solved Omega, when d omega has the required shape
     reason: str = ""
 
     @property
@@ -173,7 +172,7 @@ def nk_equivalence_suite(alg: CoframeAlgebra, nij: NijenhuisTensor,
     strict lambda > 0 regime.
     """
     crit = torsion_criterion(nij, h)
-    solved = solve_Omega(alg, h)
+    solved = solve_Omega(alg, nij, h)
     # the nabla omega test reads only J and omega: without a solution the
     # frame's unit (3,0)-form stands in for Omega
     s = SU3Structure(h, solved.Omega if solved.ok else nij.frame.theta_top(), solved.lam)
@@ -191,5 +190,6 @@ def nk_equivalence_suite(alg: CoframeAlgebra, nij: NijenhuisTensor,
         equation_report=eq_rep,
         nabla_report=nab_rep,
         lam=solved.lam,
+        Omega=solved.Omega,
         reason=solved.reason,
     )

@@ -18,11 +18,11 @@ the 18 real deformation parameters with a damped Gauss-Newton loop, all of
 whose residuals come from one kernel: its central-difference Jacobian runs it
 on 36 deformed structures (`criticality_residuals`), and its start point,
 trials and kicks on one (`criticality_residual_vector`), which also gives the
-next Jacobian's frame.  The residual is computed in frame coordinates: on a
-(1,0) frame (theta, v) the (3,0) part of d omega is d omega(v_1, v_2, v_3)
-theta^123, so the off-shape part is d omega minus that and its conjugate,
-without the Lambda^3 projectors that `criticality_test` applies as the
-independent check.
+next Jacobian's frame.  The residual is the off-shape part of d omega from
+`acs.split_30`: on a (1,0) frame (theta, v) the (3,0) part of d omega is
+d omega(v_1, v_2, v_3) theta^123, and the off-shape part is d omega minus that
+and its conjugate, with no Lambda^3 projector.  `criticality_test` reads the
+same split, through `offshape_residual`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .multilinear import Form, contract, matvec, wedge_coeffs
 from .frame_manifold import CoframeAlgebra
 from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame_coords,
-                  j_from_basis, theta_top_coeffs)
+                  j_from_basis, split_30)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import HermitianForm, conformal_stack, norm30_sq, offshape_residual
 from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
@@ -168,9 +168,8 @@ def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) ->
 
 class CriticalityReport(NamedTuple):
     verdict: str                 # "critical" | "non-critical" | "degenerate"
-    residual: float              # sup-norm of the (2,1)+(1,2) part of d omega
+    residual: float              # `offshape_residual`: the (2,1)+(1,2) part of d omega, relative
     degenerate: bool
-    form: HermitianForm | None
 
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
@@ -184,27 +183,17 @@ def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     return (vec if valid else None), ComplexFrame(J, theta, V), bool(st.positive), omega
 
 
-def _offshape(alg: CoframeAlgebra, theta: np.ndarray, V: np.ndarray,
-              omega: np.ndarray) -> np.ndarray:
-    """[Re; Im] of Pi^{2,1} d omega + Pi^{1,2} d omega from (1,0) frames (theta rows,
-    V columns) and 2-form coefficients: d omega minus d omega(v_1, v_2, v_3) theta^123,
-    read through the 3x3 minors of V, and minus its conjugate.  Leading axes stack."""
-    dw = matvec(alg.d_matrices[2], omega)
-    minors = theta_top_coeffs(np.swapaxes(V, -2, -1))  # v_1 ^ v_2 ^ v_3 as coefficients
-    top = theta_top_coeffs(theta)
-    off = (dw - np.sum(dw * minors, axis=-1)[..., None] * top
-           - np.sum(dw * np.conj(minors), axis=-1)[..., None] * np.conj(top))
-    return np.concatenate([off.real, off.imag], axis=-1)
-
-
 def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray, valid):
-    """Residual vectors at J matrices Jm that pass the gates of `AlmostComplexStructure`, zero
-    outside their mask: `valid` narrowed to a positive normalizable candidate.  With the
-    mask come the frames (theta, V) and the `ConformalStack`; leading axes stack."""
+    """Residual vectors, [Re; Im] of the `split_30` off-shape part of d omega, at J matrices Jm
+    that pass the gates of `AlmostComplexStructure`, zero outside their mask: `valid` narrowed to
+    a positive normalizable candidate.  With the mask come the frames (theta, V) and the
+    `ConformalStack`; leading axes stack."""
     theta, V = default_frame_coords(Jm)
     st = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
     valid = valid & st.normalizable
-    return np.where(valid[..., None], _offshape(alg, theta, V, st.normalized_omega), 0.0), valid, theta, V, st
+    off = split_30(matvec(alg.d_matrices[2], st.normalized_omega), theta, V)[1]
+    vec = np.concatenate([off.real, off.imag], axis=-1)
+    return np.where(valid[..., None], vec, 0.0), valid, theta, V, st
 
 
 def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas: np.ndarray,
@@ -234,12 +223,12 @@ def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
     equivalence contract.
     """
     if not nij.nondegenerate:
-        return CriticalityReport("degenerate", 0.0, True, h)
+        return CriticalityReport("degenerate", 0.0, True)
     if h is None:
         raise ValueError("no positive Hermitian candidate omega at this structure")
-    residual = offshape_residual(alg, h)[0]
+    residual = offshape_residual(alg, nij.frame, h)[0]
     verdict = "critical" if within(residual, "shape") else "non-critical"
-    return CriticalityReport(verdict, float(residual), False, h)
+    return CriticalityReport(verdict, residual, False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +301,9 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     Success is gated on the equivalence suite: a vanishing residual reached
     by escaping the compatibility domain (the normalization gauge can
     collapse the residual on structures with no critical point) is reported
-    as a failure, never as a solution.  A solution also carries the largest
-    analytic psi-gradient component, an independent certificate of criticality.
+    as a failure, never as a solution, and so is an omega that fails the gate of
+    `HermitianForm`.  A solution also carries the largest analytic psi-gradient
+    component, an independent certificate of criticality.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -387,14 +377,17 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     form = suite = gradient_max = None
     if converged:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
-        nij = nijenhuis_via_brackets(alg, J, frame=fr)
-        form = HermitianForm(J, omega)
-        suite = nk_equivalence_suite(alg, nij, form)
-        if suite.all_true:
-            gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
+        why = "the equivalence suite rejects the candidate"
+        try:
+            form = HermitianForm(J, omega)
+        except ValueError as ex:  # the stack's gate passed H, `Metric`'s fails omega(., J.)
+            why = str(ex)
         else:
-            converged = False
-            reason = ("residual vanished outside the compatibility domain: "
-                      "the equivalence suite rejects the candidate")
+            nij = nijenhuis_via_brackets(alg, J, frame=fr)
+            suite = nk_equivalence_suite(alg, nij, form)
+            if suite.all_true:
+                gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
+        if gradient_max is None:
+            converged, reason = False, f"residual vanished outside the compatibility domain: {why}"
     return FindCriticalResult(J, converged, iterations, trace, form, suite, reason,
                               records, gradient_max)

@@ -18,17 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
-                               index_tuples, two_form_coeffs, two_form_matrices, wedge,
+                               index_tuples, matvec, two_form_coeffs, two_form_matrices, wedge,
                                zero_form)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
-                       bidegrees, is_pure_bidegree, project_to_acs)
+                       bidegrees, is_pure_bidegree, project_to_acs, split_30)
 from nkvol.conventions import ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric, norm30_sq
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
-from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings, _offshape,
+from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings,
                                  _unit_delta_forms, deform_J, psi_value)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
@@ -355,14 +355,24 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     """The reference for `criticality_residual_vector`: the N* tensor of J, `conformal_solve`
-    on it, then `_offshape` of the normalized omega in the tensor's frame.  Returns (the
-    vector or None, the report, the tensor)."""
+    on it, then [Re; Im] of the `split_30` off-shape part of d omega, omega the normalized
+    one, in the tensor's frame.  Returns (the vector or None, the report, the tensor)."""
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
     w = rep.normalized_omega
     if w is None:
         return None, rep, nij
-    return _offshape(alg, nij.frame.theta_coeffs, nij.frame.v_coords, w.coeffs), rep, nij
+    fr = nij.frame
+    off = split_30(matvec(alg.d_matrices[2], w.coeffs), fr.theta_coeffs, fr.v_coords)[1]
+    return np.concatenate([off.real, off.imag]), rep, nij
+
+
+def offshape_projector_route(alg: CoframeAlgebra, h: HermitianForm) -> tuple[float, Form]:
+    """The oracle for `offshape_residual` through the Lambda^3 projectors of J:
+    |Pi^{2,1} d omega + Pi^{1,2} d omega| / max(1, |d omega|), and Pi^{3,0} d omega."""
+    domega = d_invariant(alg, h.omega)
+    off = bidegree_project(h.J, domega, 2, 1) + bidegree_project(h.J, domega, 1, 2)
+    return off.norm() / max(1.0, domega.norm()), bidegree_project(h.J, domega, 3, 0)
 
 
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
@@ -381,8 +391,9 @@ def j_multiplicative(J: AlmostComplexStructure, a: Form) -> Form:
 # -- comparisons, views and the d-splitting that only the tests call -----------
 
 def forms_close(a: Form, b: Form, tol: float = 1e-12) -> bool:
-    """Comparison at absolute tolerance after scaling to max(1, both norms)."""
-    return within((a - b).norm(), tol, max(1.0, a.norm(), b.norm()))
+    """Comparison at absolute tolerance after scaling to max(1, both norms); NaN fails it."""
+    scale = max(1.0, a.norm(), b.norm())
+    return bool(np.isfinite(scale) and (a - b).norm() <= tol * scale)
 
 
 def metric_volume_form(g: Metric) -> Form:

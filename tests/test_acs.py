@@ -42,7 +42,9 @@ def test_within_fails_on_non_finite():
     from nkvol.conventions import within
 
     assert within(1e-11, "cartan") and not within(1e-11, "routes_agree")
-    assert within(5e-9, "cartan", 100.0) and within(1e-11, 1e-10) and not within(1e-9, 1e-10)
+    assert within(5e-9, "cartan", 100.0)
+    with pytest.raises(KeyError):  # a gate is named by its TOLERANCES entry, never a number
+        within(1e-11, 1e-10)
     for residual, scale in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)):
         assert not within(residual, "cartan", scale)
 

@@ -35,7 +35,7 @@ def nk_structure():
     m = Manifest.load(FIXTURE)
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     h = HermitianForm(J, m.omega)
-    solved = solve_Omega(alg, h)
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), h)
     return alg, SU3Structure(h, solved.Omega, solved.lam)
 
 

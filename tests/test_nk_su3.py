@@ -36,7 +36,7 @@ def torus_structure():
 
 def test_solve_omega_torus_fails():
     alg, J, omega0, _ = torus_structure()
-    solved = solve_Omega(alg, HermitianForm(J, omega0))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega0))
     assert not solved.ok
     assert "d omega = 0" in solved.reason
 
@@ -44,14 +44,14 @@ def test_solve_omega_torus_fails():
 def test_solve_omega_product_shape_failure():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    solved = solve_Omega(alg, HermitianForm(J, product_omega()))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, product_omega()))
     assert not solved.ok
     assert solved.offshape_residual > 1e-3
 
 
 def test_solve_omega_fixture():
     alg, J, omega, Omega = nk_fixture()
-    solved = solve_Omega(alg, HermitianForm(J, omega))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
     assert solved.ok
     assert abs(solved.lam - 2.0) < 1e-12           # regression fixture
     assert abs(norm30_sq(omega, solved.Omega) - 1.0) < 1e-12
@@ -63,7 +63,7 @@ def test_solve_omega_plant_and_recover():
     alg, J, omega, _ = nk_fixture()
     c = 2.0 / 0.5
     planted = (c ** 2) * omega
-    solved = solve_Omega(alg, HermitianForm(J, planted))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, planted))
     assert solved.ok
     assert abs(solved.lam - 0.5) < 1e-12
     # the recovered Omega is the unit-normalized direction of d omega's (3,0) part
@@ -93,8 +93,8 @@ def test_structure_equations_flat_lambda_zero():
 def test_structure_equations_perturbed_fail():
     mp = catalog("s3s3_perturbed", seed=11)
     alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
-    rep = conformal_solve(nijenhuis_via_brackets(alg, Jp))
-    solved = solve_Omega(alg, HermitianForm(Jp, rep.normalized_omega))
+    nij = nijenhuis_via_brackets(alg, Jp)
+    solved = solve_Omega(alg, nij, HermitianForm(Jp, conformal_solve(nij).normalized_omega))
     # the shape residual is the failure diagnostic for perturbed structures
     assert not solved.ok
     assert solved.offshape_residual > 1e-3
@@ -195,11 +195,12 @@ def test_suite_uniqueness_scaled_plant():
     c = 1.7
     omega2 = (c ** 2) * omega
     h2 = HermitianForm(J, omega2)
-    solved = solve_Omega(alg, h2)
+    nij = nijenhuis_via_brackets(alg, J)
+    solved = solve_Omega(alg, nij, h2)
     assert solved.ok
     s2 = SU3Structure(h2, solved.Omega, solved.lam)
     assert check_structure_equations(alg, s2).passes()
-    suite2 = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), h2)
+    suite2 = nk_equivalence_suite(alg, nij, h2)
     assert suite2.all_true
     ratios = [
         (omega2.coeffs[i] / omega.coeffs[i]).real

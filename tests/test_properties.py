@@ -15,12 +15,12 @@ from hypothesis.extra.numpy import arrays
 
 from nkvol.multilinear import Form, wedge
 from nkvol.frame_manifold import CoframeAlgebra, catalog, check_jacobi, d_invariant
-from nkvol.acs import AlmostComplexStructure, default_frame_coords
+from nkvol.acs import AlmostComplexStructure, default_frame_coords, split_30
 from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhuis_via_d,
                              rho_skew_coefficient)
 from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _skew_part,
                                      conformal_stack, torsion_criterion)
-from nkvol.variation_opt import _offshape, psi_value
+from nkvol.variation_opt import psi_value
 
 from helpers import (_basis_change, _rho_components, forms_close, random_acs, random_form,
                      random_invalid_constants, random_valid_algebra)
@@ -141,6 +141,7 @@ def test_conformal_candidate_depends_on_j_alone(seed, magnitude):
         stack = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
         assert stack.normalizable
         omegas.append(stack.normalized_omega)
-        offs.append(_offshape(alg, theta, V, stack.normalized_omega))
+        off = split_30(alg.d_matrices[2] @ stack.normalized_omega, theta, V)[1]
+        offs.append(np.concatenate([off.real, off.imag]))
     for a, b in (omegas, offs):
         assert np.max(np.abs(a - b)) <= FRAME_REL_TOL * np.max(np.abs(a))

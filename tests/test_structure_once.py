@@ -103,3 +103,18 @@ def test_optimize_gates_its_omega_once(tmp_path, counts):
         counts.clear()
         assert run_quiet(["optimize", str(path), *extra]) == 0, extra
         assert counts["is_pure_bidegree"] == counts["Metric"] == 1, (extra, dict(counts))
+
+
+def test_verdicts_build_no_lambda3_projector(tmp_path, monkeypatch):
+    # the verdicts split d omega in J's frame (`acs.split_30`), as the search does: on s3s3,
+    # which carries no Omega3, no command below builds a degree-3 projector.  `alt12`,
+    # which projects onto (2,1)+(1,2) itself, shows that the counter sees them
+    counts = Counter()
+    count_calls(monkeypatch, acs.projector_from_derivation, counts, lambda D, n, p, q: p + q == 3)
+    path = tmp_path / "s3s3.json"
+    catalog("s3s3").save(path)
+    for cmd, built in ((("nijenhuis",), 0), (("nk",), 0), (("functional", "--gradient"), 0),
+                       (("cone",), 0), (("alt12",), 2)):
+        counts.clear()
+        run_quiet([cmd[0], str(path), *cmd[1:]])
+        assert counts["projector_from_derivation"] == built, (cmd, dict(counts))

@@ -403,25 +403,48 @@ def test_stacked_residuals_mask_rejected_slices():
 
 
 def test_offshape_matches_projector_route():
-    # d omega minus its (3,0) and (0,3) parts, read from the frame, against the
-    # Pi^{2,1} + Pi^{1,2} projectors of d omega
-    from nkvol.acs import default_frame_coords
-    from nkvol.variation_opt import _offshape
+    # the frame split of d omega (`split_30`) against the Lambda^3 projectors: its (3,0)
+    # coefficient times theta^123 against Pi^{3,0} d omega, and its off-shape part against
+    # Pi^{2,1} d omega + Pi^{1,2} d omega; then `offshape_residual` on gated omegas against
+    # the projector oracle, which must give the same `shape` verdict
+    from nkvol.acs import default_frame_coords, split_30, theta_top_coeffs
+    from nkvol.conventions import within
+    from nkvol.hermitian_torsion import offshape_residual
+
+    from helpers import offshape_projector_route, product_omega
 
     rng = np.random.default_rng(21)
     for _ in range(6):
         alg = random_valid_algebra(rng)
         Js = [random_acs(rng) for _ in range(3)]
-        omegas = [random_form(rng, 6, 2, real=True) for _ in Js]
+        dws = [d_invariant(alg, random_form(rng, 6, 2, real=True)) for _ in Js]
         theta, V = default_frame_coords(np.array([J.matrix for J in Js]))
-        stacked = _offshape(alg, theta, V, np.array([w.coeffs for w in omegas]))
-        for k, (J, omega) in enumerate(zip(Js, omegas)):
-            dw = d_invariant(alg, omega)
-            off = (bidegree_project(J, dw, 2, 1) + bidegree_project(J, dw, 1, 2)).coeffs
+        c_stacked, off_stacked = split_30(np.array([dw.coeffs for dw in dws]), theta, V)
+        for k, (J, dw) in enumerate(zip(Js, dws)):
+            tol = 1e-13 * max(1.0, dw.norm())
             fr = J.frame()
-            got = _offshape(alg, fr.theta_coeffs, fr.v_coords, omega.coeffs)
-            assert np.max(np.abs(got - np.concatenate([off.real, off.imag]))) <= 1e-13 * max(1.0, dw.norm())
-            assert np.max(np.abs(stacked[k] - got)) <= 1e-13 * max(1.0, dw.norm())
+            c, off = split_30(dw.coeffs, fr.theta_coeffs, fr.v_coords)
+            ref = (bidegree_project(J, dw, 2, 1) + bidegree_project(J, dw, 1, 2)).coeffs
+            assert np.max(np.abs(off - ref)) <= tol
+            assert (c * fr.theta_top() - bidegree_project(J, dw, 3, 0)).norm() <= tol
+            assert np.max(np.abs(off_stacked[k] - off)) <= tol
+            # the (3,0) coefficient is frame-dependent, its (3,0) part is not
+            top_k = theta_top_coeffs(theta[k])
+            assert np.max(np.abs(c_stacked[k] * top_k - c * fr.theta_top().coeffs)) <= tol
+
+    alg, J, omega = nk_fixture()
+    cases = [(alg, J, omega), (*s3s3(), product_omega())]
+    for seed in (7, 11):
+        m = catalog("s3s3_perturbed", seed=seed)
+        algp, Jp = m.algebra(), AlmostComplexStructure(m.J)
+        cases.append((algp, Jp, conformal_solve(nijenhuis_via_brackets(algp, Jp)).normalized_omega))
+    for alg, J, omega in cases:
+        h = HermitianForm(J, omega)
+        residual, p30, domega = offshape_residual(alg, J.frame(), h)
+        ref_residual, ref30 = offshape_projector_route(alg, h)
+        assert abs(residual - ref_residual) <= 1e-13
+        assert (p30 - ref30).norm() <= 1e-13 * max(1.0, domega.norm())
+        assert within(residual, "shape") == within(ref_residual, "shape")
 
 
 def test_jacobian_kernel_builds_no_projectors(monkeypatch):
@@ -634,3 +657,32 @@ def test_psi_gradient_one_pass_matches_each_direction():
         for a in (1, 2):
             ref = ref + wedge(contract(fr.v(a), P), form_from_one_coeffs(6, legs[a]))
         assert forms_close(delta_as_21_form(alg, J, omega, d), ref, 1e-13)
+
+
+def test_random_j_searches_on_su2su2_never_raise(tmp_path, capsys):
+    # 30 random J on su(2)+su(2) (rng 2026) with max_iter 40.  The 5th draw's search
+    # converges to an omega whose H passes the stack's definite gate while its metric,
+    # omega(., J.) in coordinates, fails `Metric`'s: it ends unconverged, outside the
+    # compatibility domain, and `optimize` exits 1 on it, not 2
+    import json
+    from collections import Counter
+
+    from nkvol.cli import run
+
+    alg = catalog("s3s3").algebra()
+    rng = np.random.default_rng(2026)
+    Js = [random_acs(rng) for _ in range(30)]
+    reasons = Counter()
+    for J in Js:
+        res = find_critical(alg, J, max_iter=40)
+        assert not res.converged
+        reasons[res.reason.split(":")[0]] += 1
+    assert reasons == {"no positive candidate omega at start": 22,
+                       "residual vanished outside the compatibility domain": 6,
+                       "max iterations reached": 2}, reasons
+    path = tmp_path / "draw5.json"
+    catalog("s3s3")._replace(name="draw5", J=Js[4].matrix, metric=None).save(path)
+    assert run(["optimize", str(path), "--max-iter", "40", "--json"]) == 1
+    reason = json.loads(capsys.readouterr().out)["checks"]["reason"]
+    assert reason.startswith("residual vanished outside the compatibility domain: "
+                             "omega not positive"), reason
