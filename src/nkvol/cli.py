@@ -144,6 +144,7 @@ def _cmd_nijenhuis(manifest: Manifest):
 
 
 def _cmd_torsion(manifest: Manifest):
+    import numpy as np
     from .hermitian_torsion import conformal_solve, norm30_sq, torsion_criterion
     from .nijenhuis import rho_skew_coefficient
     nij = _structure(manifest)[1]
@@ -165,9 +166,9 @@ def _cmd_torsion(manifest: Manifest):
     })
     verdicts = {"admits_connection": crit.admits_connection}
     if rep.normalized_omega is not None:
-        w, fr = rep.normalized_omega, nij.frame
-        p30 = rho_skew_coefficient(fr.components(w)[:3, 3:], nij.matrix) * fr.theta_top()
-        checks["normalized_gauge_residual"] = abs(norm30_sq(w, p30) - 1.0)
+        A = nij.frame.components(rep.normalized_omega)[:3, 3:]
+        n2 = norm30_sq(rho_skew_coefficient(A, nij.matrix), np.linalg.det(-1j * A).real)
+        checks["normalized_gauge_residual"] = abs(n2 - 1.0)
     return checks, verdicts
 
 
@@ -201,7 +202,8 @@ def _cmd_nk(manifest: Manifest):
 
 
 def _cmd_cone(manifest: Manifest):
-    from .acs import is_pure_bidegree
+    import numpy as np
+    from .acs import split_30
     from .hermitian_torsion import norm30_sq
     from .nk_su3 import SU3Structure, solve_Omega
     from .g2_cone import fernandez_gray_check, metric_roundtrip, normalize_to_unit_lambda
@@ -210,10 +212,12 @@ def _cmd_cone(manifest: Manifest):
     if form is None:
         raise InputError("no positive Hermitian candidate available for the cone")
     solved = solve_Omega(alg, nij, form)
-    if manifest.Omega3 is not None:  # a manifest Omega3 must be a unit (3,0)-form
-        if not is_pure_bidegree(form.J, manifest.Omega3, 3, 0):
+    if manifest.Omega3 is not None:  # a unit (3,0)-form: c theta^123, c = Omega3(v_1, v_2, v_3)
+        fr, O3 = nij.frame, manifest.Omega3
+        c = split_30(O3.coeffs, fr.theta_coeffs, fr.v_coords)[0]
+        if not within((O3 - c * fr.theta_top()).norm(), "pure_bidegree", max(1.0, O3.norm())):
             raise InputError("manifest Omega3 fails the pure_bidegree gate: not a (3,0)-form for J")
-        defect = abs(norm30_sq(form.omega, manifest.Omega3) - 1.0)
+        defect = abs(norm30_sq(c, np.linalg.det(-1j * fr.components(form.omega)[:3, 3:]).real) - 1.0)
         if not within(defect, "unit_norm"):
             raise InputError(f"manifest Omega3 fails the unit_norm gate: ||Omega3|^2 - 1| = {defect:g}")
     if not solved.ok:
@@ -263,7 +267,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
     checks["criticality_residual"] = crit.residual
     checks["criticality_verdict"] = crit.verdict
     if gradient:
-        if crit.degenerate:
+        if crit.verdict == "degenerate":
             raise InputError("gradient undefined: Nijenhuis tensor degenerate")
         grad = psi_gradient(alg, nij, form)
         checks["gradient_components"] = grad.tolist()

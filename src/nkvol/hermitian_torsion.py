@@ -41,16 +41,12 @@ __all__ = [
 ]
 
 
-def _top_density(w: np.ndarray):
-    """The e^{123456} coefficient of omega^3 / 6, for the coefficients w of omega."""
-    return (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]
-
-
 def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
     """g(X, Y) = omega(X, JY), oriented by omega^3, through the one gate of `Metric`; raises naming it."""
+    w = omega.coeffs
+    top = wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]  # omega^3 on e^{123456}
     try:
-        return Metric(_omega_j(J.matrix, omega.coeffs),
-                      orientation=1 if _top_density(omega.coeffs).real > 0 else -1)
+        return Metric(_omega_j(J.matrix, w), orientation=1 if top.real > 0 else -1)
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
 
@@ -77,27 +73,21 @@ class HermitianForm:
 
 
 def offshape_residual(alg: CoframeAlgebra, fr: ComplexFrame,
-                      h: HermitianForm) -> tuple[float, Form, Form]:
-    """|(2,1)+(1,2) part of d omega| / max(1, |d omega|), the (3,0) part and d omega, split in
-    the frame fr of h's J by `split_30`: the criticality and shape verdicts read this residual."""
+                      h: HermitianForm) -> tuple[float, complex, Form]:
+    """|(2,1)+(1,2) part of d omega| / max(1, |d omega|), the coefficient c of its (3,0) part
+    c theta^123 and d omega, split in the frame fr of h's J by `split_30`, for the verdicts."""
     domega = d_invariant(alg, h.omega_for(fr.J))
     c, off = split_30(domega.coeffs, fr.theta_coeffs, fr.v_coords)
-    return float(np.max(np.abs(off))) / max(1.0, domega.norm()), c * fr.theta_top(), domega
+    return float(np.max(np.abs(off))) / max(1.0, domega.norm()), c, domega
 
 
-def norm30_sq(omega: Form, p30: Form) -> float:
-    """|P|^2 of a (3,0)-form against a positive (1,1)-form omega.
-
-    Calibrated so the flat model dz1^dz2^dz3 against (i/2) sum dz^dzbar gives 1:
-    |P|^2 = coef * (P ^ conj P) / (omega^3 / 6), coef = i/8.
-    """
-    dens = _top_density(omega.coeffs)
-    if dens == 0:
-        raise ValueError("degenerate omega: omega^3 = 0")
-    val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p30.coeffs, np.conj(p30.coeffs), 6, 3, 3)[0] / dens
-    if not within(abs(val.imag), "real", max(1.0, abs(val))):
-        raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
-    return float(val.real)
+def norm30_sq(c, det):
+    """|P|^2 = |c|^2 / (8 det H) of P = c theta^123 against omega = i sum H_ab theta^a ^ conj theta^b,
+    whose frame block omega(v_a, conj v_b) is iH.  This is the definition HERMITIAN_30_NORM_COEF
+    * (P ^ conj P) / (omega^3 / 6), calibrated so the flat model dz1^dz2^dz3 against (i/2) sum
+    dz^dzbar gives 1, as omega^3 / 6 = i det H theta^123 ^ conj theta^123.  Leading axes stack;
+    the value is not finite where |c|^2 overflows or det H is 0, which the callers gate."""
+    return (HERMITIAN_30_NORM_COEF / 1j).real * np.abs(c) ** 2 / det
 
 
 def c_map_trilinear(C: np.ndarray) -> np.ndarray:
@@ -201,14 +191,17 @@ def _conformal_map() -> np.ndarray:
     return _conformal_system(np.concatenate([units, 1j * units])).reshape(18, 486)
 
 
-def _orient_positive(H):
+def _orient_positive(H, theta):
     """Flip the Hermitian matrices H that `definite_sign` calls negative; return them, whether
-    that gate calls them definite, and their determinants.  Leading axes stack.  (The
-    metric of i sum H_ab theta^a ^ conj theta^b pairs v_a with conj v_b to H_ab.)"""
+    the metric of i sum H_ab theta^a ^ conj theta^b passes the gate of `Metric`, and their
+    determinants.  That metric, omega(., J.) in coordinates, is 2 Re(theta^T H conj theta)
+    for the (1,0) coframe rows theta; leading axes of H and theta broadcast."""
     eigs = np.linalg.eigvalsh(H)
-    sign = definite_sign(eigs)
-    flip = np.where(sign < 0, -1.0, 1.0)
-    return flip[..., None, None] * H, sign != 0, flip * np.prod(eigs, axis=-1)
+    flip = np.where(definite_sign(eigs) < 0, -1.0, 1.0)
+    H = flip[..., None, None] * H
+    Y = np.swapaxes(theta, -2, -1) @ H @ np.conj(theta)
+    positive = definite_sign(np.linalg.eigvalsh((Y + np.swapaxes(Y, -2, -1)).real)) == 1
+    return H, positive, flip * np.prod(eigs, axis=-1)
 
 
 class ConformalStack(NamedTuple):
@@ -216,11 +209,10 @@ class ConformalStack(NamedTuple):
 
     The solve runs in frame coordinates: a candidate is a Hermitian 3x3 matrix H,
     standing for the real (1,1)-form omega = i sum H_ab theta^a ^ conj theta^b.
-    omega is positive iff H is: `positive` applies `definite_sign`, the gate of `Metric`,
-    to H.  (A candidate is either well inside that gate on H and on the metric of omega,
-    or rank-deficient to rounding on both.)  The skew (3,0) part of
-    omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
-    `rho_skew_coefficient` of the frame block iH, so that |P|^2 = |c|^2 / (8 det H).
+    `positive` is the decision `HermitianForm` makes on omega: `definite_sign`, the gate
+    of `Metric`, on the eigenvalues of its metric omega(., J.) (`_orient_positive`).  The
+    skew (3,0) part of omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
+    `rho_skew_coefficient` of the frame block iH, so that |P|^2 = `norm30_sq`(c, det H).
     The least-squares candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
     Every gate of the solve is a mask here; `conformal_solve` is the case
     without leading axes, and the caller builds the N* matrices it is solved from.
@@ -250,7 +242,7 @@ class ConformalStack(NamedTuple):
         return _hermitian_form_coeffs(self.theta, scale * self.hermitian)
 
     def check_norm(self) -> None:
-        """Raise on a positive candidate with non-finite |P|^2: the `norm30_sq` gate the stack masks."""
+        """Raise on a positive candidate with non-finite |P|^2 (`norm30_sq`): the stack masks it."""
         if self.positive and not np.isfinite(self.n2):
             raise ValueError(f"norm computation returned a non-real or non-finite value {self.n2}")
 
@@ -277,15 +269,15 @@ def conformal_stack(M: np.ndarray, theta: np.ndarray) -> ConformalStack:
     pn = np.linalg.norm(proj, axis=-1)
     # the least-squares direction and the projected canonical one, side by side
     x = np.stack([vt[..., -1, :], proj / np.maximum(pn, 1e-300)[..., None]], axis=-2)
-    H, definite, det = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)))
-    use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & definite[..., 1]
+    H, positive, det = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)),
+                                        theta[..., None, :, :])
+    use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & positive[..., 1]
     H = np.where(use_alt[..., None, None], H[..., 1, :, :], H[..., 0, :, :])
     det = np.where(use_alt, det[..., 1], det[..., 0])
-    c = rho_skew_coefficient(1j * H, M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n2 = np.abs(c) ** 2 / (8.0 * det)
+        n2 = norm30_sq(rho_skew_coefficient(1j * H, M), det)
     return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H,
-                          positive=definite[..., 0] | use_alt, n2=n2)
+                          positive=positive[..., 0] | use_alt, n2=n2)
 
 
 def conformal_solve(nij: NijenhuisTensor) -> ConformalSolveReport:

@@ -57,7 +57,6 @@ class NijenhuisTensor(NamedTuple):
 
     frame: ComplexFrame
     matrix: np.ndarray
-    route: str
 
     @property
     def nondegenerate(self) -> bool:
@@ -104,7 +103,7 @@ def nijenhuis_via_brackets(alg: CoframeAlgebra, J: AlmostComplexStructure,
     """Frame-bracket route: dualize N(X,Y) = P^{0,1}[P^{1,0}X, P^{1,0}Y]."""
     fr = frame if frame is not None else J.frame()
     M = nijenhuis_matrices(alg, J.matrix, fr.theta_coeffs, fr.v_coords)
-    return NijenhuisTensor(fr, M, route="brackets")
+    return NijenhuisTensor(fr, M)
 
 
 def nijenhuis_via_d(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -119,7 +118,7 @@ def nijenhuis_via_d(alg: CoframeAlgebra, J: AlmostComplexStructure,
     blocks = np.array([fr.components(d_invariant(alg, fr.theta_bar(a)))[:3, :3]
                        for a in range(3)])
     M = 0.5 * np.einsum("bcd,acd->ba", EPS3, blocks)
-    return NijenhuisTensor(fr, M / NIJ_D_ROUTE_SIGN, route="d")
+    return NijenhuisTensor(fr, M / NIJ_D_ROUTE_SIGN)
 
 
 class VolumeDensity(NamedTuple):
@@ -159,8 +158,7 @@ def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor,
         omega = omega.omega_for(fr.J)
     elif not is_pure_bidegree(fr.J, omega, 1, 1):
         raise ValueError("cartan_compatibility expects a (1,1)-form")
-    top = fr.theta_top()
-    lhs = split_30(d_invariant(alg, omega).coeffs, fr.theta_coeffs, fr.v_coords)[0] * top
-    rhs = (-3.0 * rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)) * top
-    scale = max(1.0, lhs.norm(), rhs.norm())
-    return float((lhs - rhs).norm() / scale)
+    top = fr.theta_top().norm()  # both sides are multiples of theta^123
+    lhs = split_30(d_invariant(alg, omega).coeffs, fr.theta_coeffs, fr.v_coords)[0]
+    rhs = -3.0 * rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
+    return float(abs(lhs - rhs) * top / max(1.0, abs(lhs) * top, abs(rhs) * top))

@@ -9,10 +9,12 @@ structure has T^{0,1} spanned by the graph vectors
 The functional is the density of the canonical Nijenhuis volume form; its
 analytic first variation is the (2,2) pairing
 
-    dPsi(delta) = 2 Re density( Pi^{2,2} d(delta-as-(2,1)-form) ^ omega )
+    dPsi(delta) = 2 Re density( d(delta-as-(2,1)-form) ^ omega )
 
-in the |rho|_omega = 1 gauge, equal to the central finite-difference
-derivative up to the single frozen constant KAPPA_CONV.  The optimizer
+in the |rho|_omega = 1 gauge (omega is (1,1), so only the (2,2) part of the
+4-form reaches top degree, and no Lambda^4 projector is built), equal to the
+central finite-difference derivative up to the single frozen constant
+KAPPA_CONV.  The optimizer
 minimizes the squared criticality residual |Pi^{(2,1)+(1,2)} d omega|^2 over
 the 18 real deformation parameters with a damped Gauss-Newton loop, all of
 whose residuals come from one kernel: its central-difference Jacobian runs it
@@ -132,27 +134,29 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
     Nijenhuis endomorphism itself is identified with the identity.
     """
     fr = nij.frame
-    P = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix) * fr.theta_top()
-    if within(P.norm(), "vanishes"):
-        raise ValueError("trilinear identification degenerate: skew part of rho vanishes")
-    P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_sq(omega, P)))) * P
+    A = fr.components(omega)[:3, 3:]
+    c = rho_skew_coefficient(A, nij.matrix)
+    P = c * fr.theta_top()
+    n2 = norm30_sq(c, np.linalg.det(-1j * A).real)  # det H, from the frame block A = iH
+    if within(P.norm(), "vanishes") or not np.isfinite(n2):
+        raise ValueError(f"trilinear identification degenerate: |P|^2 = {n2:g}")
+    P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(n2))) * P
     iota = np.array([contract(fr.v(a), P).coeffs for a in range(3)])
     return wedge_coeffs(iota[:, None, :], fr.coframe[None, 3:], 6, 2, 1)
 
 
 def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> np.ndarray:
-    """c[a, b] = KAPPA_CONV * 2 * density(Pi^{2,2} d(E_ab-form) ^ omega), oriented.
+    """c[a, b] = KAPPA_CONV * 2 * density(d(E_ab-form) ^ omega), oriented.
 
     The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b],
-    with E_ab in the frame of nij, the N* tensor of J, and omega that of h.
+    with E_ab in the frame of nij, the N* tensor of J, and omega that of h.  As omega is
+    (1,1), only the (2,2) part of the 4-form d(E_ab-form) reaches top degree in the wedge.
     """
-    J = nij.frame.J
-    omega = h.omega_for(J)
+    omega = h.omega_for(nij.frame.J)
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
     Q = _unit_delta_forms(omega, nij)
-    dd = matvec(J.bidegree_projector(2, 2), matvec(alg.d_matrices[3], Q))
-    pairing = wedge_coeffs(dd, omega.coeffs, 6, 4, 2)[..., 0]
+    pairing = wedge_coeffs(matvec(alg.d_matrices[3], Q), omega.coeffs, 6, 4, 2)[..., 0]
     return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
 
 
@@ -169,7 +173,6 @@ def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) ->
 class CriticalityReport(NamedTuple):
     verdict: str                 # "critical" | "non-critical" | "degenerate"
     residual: float              # `offshape_residual`: the (2,1)+(1,2) part of d omega, relative
-    degenerate: bool
 
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
@@ -223,12 +226,12 @@ def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
     equivalence contract.
     """
     if not nij.nondegenerate:
-        return CriticalityReport("degenerate", 0.0, True)
+        return CriticalityReport("degenerate", 0.0)
     if h is None:
         raise ValueError("no positive Hermitian candidate omega at this structure")
     residual = offshape_residual(alg, nij.frame, h)[0]
     verdict = "critical" if within(residual, "shape") else "non-critical"
-    return CriticalityReport(verdict, residual, False)
+    return CriticalityReport(verdict, residual)
 
 
 # ---------------------------------------------------------------------------

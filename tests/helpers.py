@@ -3,10 +3,11 @@ the oracles and constructions that only the tests use.
 
 The oracles stay independent of the routes they check: the Leibniz
 evaluation, the finite-difference gradient, the single-direction analytic
-gradient, the N-vector route to rho = omega(N(.,.),.), the d-splitting
-identities and the scalar residual composition through `conformal_solve` compute
-on their own.  The package's layers that read N* take the `NijenhuisTensor` their
-caller built; the helpers here that take (alg, J) build that tensor themselves.
+gradient (through the Lambda^4 projector), the N-vector route to
+rho = omega(N(.,.),.), the d-splitting identities, the wedge route to |P|^2 and
+the scalar residual composition through `conformal_solve` compute on their own.
+The package's layers that read N* take the `NijenhuisTensor` their caller
+built; the helpers here that take (alg, J) build that tensor themselves.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ import numpy as np
 
 from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
                                index_tuples, matvec, two_form_coeffs, two_form_matrices, wedge,
-                               zero_form)
+                               wedge_coeffs, zero_form)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
                        bidegrees, is_pure_bidegree, project_to_acs, split_30)
-from nkvol.conventions import ZH_DUALITY_FACTOR, within
-from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets
-from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric, norm30_sq
+from nkvol.conventions import HERMITIAN_30_NORM_COEF, KAPPA_CONV, ZH_DUALITY_FACTOR, within
+from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets, volume_form
+from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
-from nkvol.variation_opt import (CriticalityReport, Deformation, _gradient_pairings,
-                                 _unit_delta_forms, deform_J, psi_value)
+from nkvol.variation_opt import (CriticalityReport, Deformation, _unit_delta_forms, deform_J,
+                                 psi_value)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
@@ -297,7 +298,7 @@ def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
     res["nijenhuis_diagonal"] = float(
         np.max(np.abs(nij.matrix - target)) / max(1.0, float(np.max(np.abs(nij.matrix))))
     )
-    res["adapted_norm"] = abs(norm30_sq(s.form.omega, fr.theta_top()) - 1.0)
+    res["adapted_norm"] = abs(norm30_wedge_route(s.form.omega, fr.theta_top()) - 1.0)
     return res
 
 
@@ -330,9 +331,15 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
 
 def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
                           omega: Form, delta: Deformation) -> float:
-    """2 Re density(Pi^{2,2} d(delta-form) ^ omega), in the |rho| = 1 gauge."""
-    pairings = _gradient_pairings(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
-    return float(np.sum(delta.matrix * pairings).real)
+    """KAPPA_CONV * 2 Re density(Pi^{2,2} d(delta-form) ^ omega), oriented, in the |rho| = 1
+    gauge: the one direction delta, through the Lambda^4 projector of J."""
+    nij = nijenhuis_via_brackets(alg, J)
+    HermitianForm(J, omega)  # the gate of `psi_gradient`
+    if not nij.nondegenerate:
+        raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
+    dd = bidegree_project(J, d_invariant(alg, delta_as_21_form(alg, J, omega, delta)), 2, 2)
+    pairing = wedge(dd, omega).coeffs[0]
+    return float((KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation).real)
 
 
 PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
@@ -365,6 +372,23 @@ def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     fr = nij.frame
     off = split_30(matvec(alg.d_matrices[2], w.coeffs), fr.theta_coeffs, fr.v_coords)[1]
     return np.concatenate([off.real, off.imag]), rep, nij
+
+
+def norm30_wedge_route(omega: Form, p30: Form) -> float:
+    """The oracle for `norm30_sq`: |P|^2 of a (3,0)-form against a positive (1,1)-form omega
+    by its definition, through wedges of forms.
+
+    Calibrated so the flat model dz1^dz2^dz3 against (i/2) sum dz^dzbar gives 1:
+    |P|^2 = coef * (P ^ conj P) / (omega^3 / 6), coef = i/8.
+    """
+    w = omega.coeffs
+    dens = (1.0 / 6.0) * wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]
+    if dens == 0:
+        raise ValueError("degenerate omega: omega^3 = 0")
+    val = HERMITIAN_30_NORM_COEF * wedge_coeffs(p30.coeffs, np.conj(p30.coeffs), 6, 3, 3)[0] / dens
+    if not within(abs(val.imag), "real", max(1.0, abs(val))):
+        raise ValueError(f"norm computation returned a non-real or non-finite value {val}")
+    return float(val.real)
 
 
 def offshape_projector_route(alg: CoframeAlgebra, h: HermitianForm) -> tuple[float, Form]:

@@ -10,7 +10,7 @@ from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.nk_su3 import SU3Structure, solve_Omega
-from nkvol.hermitian_torsion import HermitianForm, norm30_sq
+from nkvol.hermitian_torsion import HermitianForm
 from nkvol.g2_cone import (
     ConeForm,
     build_cone_3form,
@@ -23,7 +23,7 @@ from nkvol.g2_cone import (
 )
 
 from helpers import (FIXTURE, fg_passes, flat_g2_form, flat_su3_forms, forms_close,
-                     j_multiplicative, random_form, random_valid_algebra)
+                     j_multiplicative, norm30_wedge_route, random_form, random_valid_algebra)
 
 RATIO_FIXTURE = 162.0 ** (2.0 / 9.0)   # convention constant of the roundtrip
 SEEDS = st.integers(0, 2**32 - 1)
@@ -212,7 +212,7 @@ def test_fernandez_gray_negative_control():
 
     omega = conformal_solve(nijenhuis_via_brackets(alg, Jp)).normalized_omega
     p30 = bidegree_project(Jp, d_invariant(alg, omega), 3, 0)
-    u = np.sqrt(norm30_sq(omega, p30))
+    u = np.sqrt(norm30_wedge_route(omega, p30))
     s_bad = SU3Structure(HermitianForm(Jp, omega), (1.0 / u) * p30, 2.0 * u / 3.0)
     fg = fernandez_gray_check(alg, normalize_to_unit_lambda(s_bad))
     assert fg.d_rho_residual == 0.0
@@ -253,7 +253,7 @@ def test_metric_roundtrip_broken_anisotropy():
     from nkvol.frame_manifold import d_invariant
 
     p30 = bidegree_project(J, d_invariant(alg, w), 3, 0)
-    u = np.sqrt(norm30_sq(w, p30))
+    u = np.sqrt(norm30_wedge_route(w, p30))
     s_bad = SU3Structure(HermitianForm(J, w), (1.0 / u) * p30, 2.0 * u / 3.0)
     mr = metric_roundtrip(alg, normalize_to_unit_lambda(s_bad))
     if mr.stable:

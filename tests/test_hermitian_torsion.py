@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nkvol.multilinear import Form, basis_form, wedge
+from nkvol.multilinear import Form, basis_form, definite_sign, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
+from nkvol.nk_su3 import solve_Omega
 from nkvol.hermitian_torsion import (
     _conformal_map,
     _conformal_system,
@@ -24,18 +25,19 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import (c_map, flat_omega, forms_close, frame_theta, product_omega, random_acs,
-                     random_valid_algebra, s3s3, torus)
+from helpers import (c_map, flat_omega, flat_su3_forms, forms_close, frame_theta, nk_fixture,
+                     norm30_wedge_route, product_omega, random_acs, random_valid_algebra, s3s3,
+                     torus)
 
 
 def test_norm30_flat_calibration():
     # |dz1^dz2^dz3| = 1 against omega0 = (i/2) sum dz^dzbar = e^12+e^34+e^56
     dz = lambda k: basis_form(6, (2 * k + 1,)) + 1j * basis_form(6, (2 * k + 2,))
     Omega0 = wedge(wedge(dz(0), dz(1)), dz(2))
-    assert abs(norm30_sq(flat_omega(), Omega0) - 1.0) < 1e-14
+    assert abs(norm30_wedge_route(flat_omega(), Omega0) - 1.0) < 1e-14
     # an overflowed (NaN) norm fails the reality gate instead of passing it
     with pytest.raises(ValueError, match="non-finite"):
-        norm30_sq(flat_omega(), Form(6, 3, np.full(20, np.nan)))
+        norm30_wedge_route(flat_omega(), Form(6, 3, np.full(20, np.nan)))
 
 
 def test_hermitian_metric_s3s3_product():
@@ -143,7 +145,7 @@ def test_conformal_solve_normalization_gauge():
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
     crit = torsion_criterion(nij, HermitianForm(J, rep.normalized_omega))
-    assert abs(norm30_sq(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
+    assert abs(norm30_wedge_route(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
 
 
 def test_conformal_solve_plant_and_recover():
@@ -243,9 +245,15 @@ def random_hermitian(rng):
     return A @ A.conj().T + 0.1 * np.eye(3), np.linalg.qr(A)[0]
 
 
+def frame_norm30_sq(fr, omega, P):
+    """`norm30_sq` of P in the frame fr: c = P(v_1, v_2, v_3), det H from omega's block iH."""
+    c = P.evaluate([fr.v(0), fr.v(1), fr.v(2)])
+    return norm30_sq(c, np.linalg.det(-1j * fr.components(omega)[:3, 3:]).real)
+
+
 def test_frame_norm_matches_wedge_route():
     # |P|^2 = |c|^2 / (8 det H) for omega = i sum H_ab theta^a ^ conj theta^b and
-    # P = c theta^123, against the wedge-product formula of norm30_sq
+    # P = c theta^123, against the wedge-product definition (`norm30_wedge_route`)
     rng = np.random.default_rng(31)
     for _ in range(6):
         J = random_acs(rng)
@@ -253,8 +261,9 @@ def test_frame_norm_matches_wedge_route():
         H, _ = random_hermitian(rng)
         c = complex(rng.standard_normal(), rng.standard_normal())
         omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
-        ref = norm30_sq(omega, c * fr.theta_top())
-        assert abs(abs(c) ** 2 / (8.0 * np.linalg.det(H).real) - ref) <= 1e-13 * ref
+        ref = norm30_wedge_route(omega, c * fr.theta_top())
+        assert abs(norm30_sq(c, np.linalg.det(H).real) - ref) <= 1e-13 * ref
+        assert abs(frame_norm30_sq(fr, omega, c * fr.theta_top()) - ref) <= 1e-13 * ref
     # the stack's |P|^2 of its candidate, on structures where that is positive
     mp = catalog("s3s3_perturbed", seed=7)
     for alg, J in ((mp.algebra(), AlmostComplexStructure(mp.J)), s3s3()):
@@ -264,34 +273,60 @@ def test_frame_norm_matches_wedge_route():
         assert st.positive
         omega = Form(6, 2, st.candidate)
         P = rho_skew_coefficient(fr.components(omega)[:3, 3:], M) * fr.theta_top()
-        ref = norm30_sq(omega, P)
+        ref = norm30_wedge_route(omega, P)
         assert abs(st.n2 - ref) <= 1e-13 * ref
+    # the flat model in a frame of its J (dz_k = e^{2k-1} + i e^{2k} of type (1,0)), the
+    # fixture's Omega3 and the Omega that `solve_Omega` finds there: all of unit norm
+    omega0, Omega0 = flat_su3_forms()
+    flat = AlmostComplexStructure(np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]))
+    alg, J, omega, Omega3 = nk_fixture()
+    nij = nijenhuis_via_brackets(alg, J)
+    solved = solve_Omega(alg, nij, HermitianForm(J, omega))
+    for fr, w, P in ((flat.frame(), omega0, Omega0), (nij.frame, omega, Omega3),
+                     (nij.frame, omega, solved.Omega)):
+        ref = norm30_wedge_route(w, P)
+        assert abs(ref - 1.0) <= 1e-10
+        assert abs(frame_norm30_sq(fr, w, P) - ref) <= 1e-13
 
 
 def test_positivity_from_hermitian_matrix_matches_metric():
-    # positive, negative, indefinite and rank-deficient H: the eigenvalue decision on H
-    # against the positivity check of hermitian_metric on omega(., J.); both are the
-    # definite gate, so a rank-deficient H is neither sign whatever its rounding
+    # positive, negative, indefinite, rank-deficient and nearly rank-deficient H: the
+    # stack's decision against the positivity check of hermitian_metric on omega(., J.).
+    # Both are the definite gate on the eigenvalues of that metric, so a rank-deficient H
+    # is neither sign whatever its rounding.  The last H, with eigenvalues 1, 1e-11, 1e-11,
+    # passes the gate on H itself, while its metric in a frame [theta; conj theta] that is
+    # not unitary fails it in each draw here: both decisions must follow the metric
     rng = np.random.default_rng(32)
+    thin_failures = 0
     for _ in range(4):
         J = random_acs(rng)
         fr = J.frame()
         P, U = random_hermitian(rng)
         indefinite = U @ np.diag([1.0, -0.5, 2.0]) @ U.conj().T
         degenerate = U @ np.diag([1.0, 1e-15, 1e-15]) @ U.conj().T
-        for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0), (degenerate, 0.0)):
-            oriented, definite, det = _orient_positive(H)
-            assert bool(definite) == (sign != 0.0)
+        thin = U @ np.diag([1.0, 1e-11, 1e-11]) @ U.conj().T
+        for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0), (degenerate, 0.0), (thin, None)):
+            oriented, positive, det = _orient_positive(H, fr.theta_coeffs)
             omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
+            if sign is None:  # whatever the metric's gate says
+                assert definite_sign(np.linalg.eigvalsh(H)) == 1
+                try:
+                    hermitian_metric(J, omega)
+                except ValueError:
+                    sign, thin_failures = 0.0, thin_failures + 1
+                else:
+                    sign = 1.0
+            assert bool(positive) == (sign != 0.0)
             for s in (1.0, -1.0):
                 if s == sign:
                     hermitian_metric(J, s * omega)
                 else:
                     with pytest.raises(ValueError, match="not positive"):
                         hermitian_metric(J, s * omega)
-            if definite:
+            if positive:
                 assert np.array_equal(oriented, sign * H)
                 assert abs(det - np.linalg.det(oriented).real) <= 1e-12 * det
+    assert thin_failures == 4  # each thin H fails the metric's gate: the case discriminates
 
 
 def test_candidate_positivity_agrees_with_the_metric_gate():

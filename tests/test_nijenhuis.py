@@ -126,7 +126,7 @@ def test_volume_scaling_exponent():
     rng = np.random.default_rng(5)
     for _ in range(5):
         c = rng.standard_normal() + 1j * rng.standard_normal()
-        scaled = NijenhuisTensor(nij.frame, c * nij.matrix, route=nij.route)
+        scaled = NijenhuisTensor(nij.frame, c * nij.matrix)
         ratio = volume_form(scaled).psi / base.psi
         assert abs(ratio - abs(c) ** 6) < 1e-9 * max(1.0, abs(c) ** 6)
 

@@ -6,7 +6,7 @@ from nkvol.multilinear import basis_form, wedge
 from nkvol.frame_manifold import Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure, bidegree_project
 from nkvol.nijenhuis import nijenhuis_via_brackets
-from nkvol.hermitian_torsion import HermitianForm, conformal_solve, norm30_sq
+from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.nk_su3 import (
     SU3Structure,
     check_nabla_omega,
@@ -18,7 +18,7 @@ from nkvol.nk_su3 import (
 from nkvol.variation_opt import psi_gradient, psi_value
 
 from helpers import (FIXTURE, adapted_frame, forms_close, frame_check_residual, lemma_d_splitting_checks,
-                     nk_closed_form, nk_fixture, product_omega)
+                     nk_closed_form, nk_fixture, norm30_wedge_route, product_omega)
 
 
 def torus_structure():
@@ -54,7 +54,7 @@ def test_solve_omega_fixture():
     solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
     assert solved.ok
     assert abs(solved.lam - 2.0) < 1e-12           # regression fixture
-    assert abs(norm30_sq(omega, solved.Omega) - 1.0) < 1e-12
+    assert abs(norm30_wedge_route(omega, solved.Omega) - 1.0) < 1e-12
     assert forms_close(solved.Omega, Omega, tol=1e-10)
 
 
@@ -68,7 +68,7 @@ def test_solve_omega_plant_and_recover():
     assert abs(solved.lam - 0.5) < 1e-12
     # the recovered Omega is the unit-normalized direction of d omega's (3,0) part
     p30 = bidegree_project(J, d_invariant(alg, planted), 3, 0)
-    expect = (1.0 / np.sqrt(norm30_sq(planted, p30))) * p30
+    expect = (1.0 / np.sqrt(norm30_wedge_route(planted, p30))) * p30
     assert forms_close(solved.Omega, expect, tol=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_adapted_frame_properties():
     fr = adapted_frame(J, omega, Omega)
     assert frame_check_residual(fr) < 1e-10
     assert forms_close(fr.theta_top(), Omega, tol=1e-10)
-    assert abs(norm30_sq(omega, fr.theta_top()) - 1.0) < 1e-10
+    assert abs(norm30_wedge_route(omega, fr.theta_top()) - 1.0) < 1e-10
 
 
 # -- the closed-form solution ------------------------------------------------------

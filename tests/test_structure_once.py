@@ -106,15 +106,25 @@ def test_optimize_gates_its_omega_once(tmp_path, counts):
 
 
 def test_verdicts_build_no_lambda3_projector(tmp_path, monkeypatch):
-    # the verdicts split d omega in J's frame (`acs.split_30`), as the search does: on s3s3,
-    # which carries no Omega3, no command below builds a degree-3 projector.  `alt12`,
-    # which projects onto (2,1)+(1,2) itself, shows that the counter sees them
+    # the verdicts read d omega and a manifest Omega3 by their (3,0) coefficient in J's
+    # frame (`acs.split_30`), as the search does, and the gradient wedges d(delta-form)
+    # with omega directly: no command below builds a projector of degree 3 or 4, on the
+    # fixture (which carries Omega3), on s3s3, or in a converged search.  `alt12`, which
+    # projects onto (2,1)+(1,2) itself, shows that the counter sees them
     counts = Counter()
-    count_calls(monkeypatch, acs.projector_from_derivation, counts, lambda D, n, p, q: p + q == 3)
-    path = tmp_path / "s3s3.json"
-    catalog("s3s3").save(path)
-    for cmd, built in ((("nijenhuis",), 0), (("nk",), 0), (("functional", "--gradient"), 0),
-                       (("cone",), 0), (("alt12",), 2)):
+    count_calls(monkeypatch, acs.projector_from_derivation, counts,
+                lambda D, n, p, q: p + q in (3, 4))
+    s3s3 = tmp_path / "s3s3.json"
+    catalog("s3s3").save(s3s3)
+    perturbed = tmp_path / "perturbed.json"
+    catalog("s3s3_perturbed", seed=7).save(perturbed)
+    exits = {FIXTURE: EXITS["fixture"], s3s3: EXITS["s3s3"], perturbed: {}}
+    calls = [(path, cmd, 0) for path in (FIXTURE, s3s3)
+             for cmd in (("nijenhuis",), ("torsion",), ("nk",), ("cone",),
+                         ("functional", "--gradient"))]
+    calls += [(perturbed, ("optimize",), 0), (s3s3, ("alt12",), 2)]
+    for path, cmd, built in calls:
         counts.clear()
-        run_quiet([cmd[0], str(path), *cmd[1:]])
-        assert counts["projector_from_derivation"] == built, (cmd, dict(counts))
+        code = run_quiet([cmd[0], str(path), *cmd[1:]])
+        assert code == exits[path].get(cmd[0], 0), (path.name, cmd)
+        assert counts["projector_from_derivation"] == built, (path.name, cmd, dict(counts))
