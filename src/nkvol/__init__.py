@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "multilinear": ("Form", "Metric", "contract", "hodge_star", "wedge"),
     "frame_manifold": ("CoframeAlgebra", "Manifest", "catalog", "check_jacobi", "d_invariant"),
-    "acs": ("AlmostComplexStructure", "bidegree_project"),
+    "acs": ("AlmostComplexStructure",),
     "nijenhuis": ("nijenhuis_via_brackets", "nijenhuis_via_d", "volume_form"),
     "hermitian_torsion": ("HermitianForm", "alt12_analysis", "conformal_solve", "torsion_criterion"),
     "nk_su3": ("SU3Structure", "nk_equivalence_suite", "solve_Omega"),
     "g2_cone": ("build_cone_3form", "fernandez_gray_check", "metric_roundtrip", "stability_check"),
-    "variation_opt": ("Deformation", "criticality_test", "deform_J", "find_critical", "psi_value"),
+    "variation_opt": ("Deformation", "criticality_test", "deform_J", "find_critical"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .multilinear import (EPS3, Form, _index_array, form_from_one_coeffs,
-                          substitution, two_form_matrices, zero_form)
+from .multilinear import (EPS3, Form, _index_array, compound, form_from_one_coeffs,
+                          substitution, two_form_matrices)
 from .conventions import within
 
 __all__ = [
@@ -27,9 +27,9 @@ __all__ = [
     "AlmostComplexStructure",
     "ComplexFrame",
     "acs_gates",
-    "bidegree_project",
     "bidegrees",
     "default_frame_coords",
+    "is_type_11",
     "j_from_basis",
     "j_squared_residual",
     "project_to_acs",
@@ -188,6 +188,12 @@ class ComplexFrame:
         """Theta = [theta; conj theta] as the rows of a 6x6 matrix, the inverse of F."""
         return np.vstack([self.theta_coeffs, np.conj(self.theta_coeffs)])
 
+    @cached_property
+    def volume(self) -> float:
+        """i det Theta, the coefficient of i theta^123 ^ conj theta^123 on e^{1..6}: real, and
+        positive exactly when J orients the coframe like e^{1..6}."""
+        return float((1j * np.linalg.det(self.coframe)).real)
+
     def components(self, a: Form) -> np.ndarray:
         """a(F_i) of a 1-form, or the matrix a(F_i, F_j) = F^T A F of a 2-form."""
         F = self.vectors
@@ -251,15 +257,9 @@ def project_to_acs(K: np.ndarray) -> np.ndarray:
     return AlmostComplexStructure(j_from_basis(np.hstack([Vp, np.conj(Vp)]))).matrix
 
 
-def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form:
-    """Component of a degree-(p+q) form under the Hodge-type decomposition."""
-    if p + q != a.degree:
-        raise ValueError(f"(p, q) = ({p}, {q}) does not sum to degree {a.degree}")
-    if (p, q) not in bidegrees(a.dimension, a.degree):
-        return zero_form(a.dimension, a.degree)
-    proj = J.bidegree_projector(p, q)
-    return Form(a.dimension, a.degree, proj @ a.coeffs)
-
-
-def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int) -> bool:
-    return within((bidegree_project(J, a, p, q) - a).norm(), "pure_bidegree", max(1.0, a.norm()))
+def is_type_11(J: AlmostComplexStructure, a: Form) -> bool:
+    """The (1,1) test of a 2-form, real or complex: |Pi^{1,1} a - a| = |J* a - a| / 2 at the
+    `pure_bidegree` tolerance, since J* acts on 2-forms through its compound, by +1 on (1,1)
+    and by -1 on (2,0) + (0,2)."""
+    defect = np.max(np.abs(compound(J.jstar, 2) @ a.coeffs - a.coeffs)) / 2.0
+    return within(defect, "pure_bidegree", max(1.0, a.norm()))

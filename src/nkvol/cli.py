@@ -84,12 +84,12 @@ def _pick_omega(nij, manifest: Manifest, rep=None):
     else its positive candidate."""
     from .hermitian_torsion import HermitianForm, conformal_solve
     if manifest.omega is not None:
-        return HermitianForm(nij.frame.J, manifest.omega), "manifest"
+        return HermitianForm(nij.frame, manifest.omega), "manifest"
     rep = rep if rep is not None else conformal_solve(nij)
     if rep.normalized_omega is not None:
-        return HermitianForm(nij.frame.J, rep.normalized_omega), "conformal_solve normalized"
+        return HermitianForm(nij.frame, rep.normalized_omega), "conformal_solve normalized"
     if rep.candidate_positive:
-        return HermitianForm(nij.frame.J, rep.candidate), "conformal_solve candidate"
+        return HermitianForm(nij.frame, rep.candidate), "conformal_solve candidate"
     return None, "none available"
 
 
@@ -202,7 +202,6 @@ def _cmd_nk(manifest: Manifest):
 
 
 def _cmd_cone(manifest: Manifest):
-    import numpy as np
     from .acs import split_30
     from .hermitian_torsion import norm30_sq
     from .nk_su3 import SU3Structure, solve_Omega
@@ -217,7 +216,7 @@ def _cmd_cone(manifest: Manifest):
         c = split_30(O3.coeffs, fr.theta_coeffs, fr.v_coords)[0]
         if not within((O3 - c * fr.theta_top()).norm(), "pure_bidegree", max(1.0, O3.norm())):
             raise InputError("manifest Omega3 fails the pure_bidegree gate: not a (3,0)-form for J")
-        defect = abs(norm30_sq(c, np.linalg.det(-1j * fr.components(form.omega)[:3, 3:]).real) - 1.0)
+        defect = abs(norm30_sq(c, form.read_in(fr).det) - 1.0)
         if not within(defect, "unit_norm"):
             raise InputError(f"manifest Omega3 fails the unit_norm gate: ||Omega3|^2 - 1| = {defect:g}")
     if not solved.ok:
@@ -276,7 +275,7 @@ def _cmd_functional(manifest: Manifest, gradient: bool):
 
 
 def _cmd_optimize(manifest: Manifest, max_iter: int, seed: int, emit: str | None):
-    from .variation_opt import find_critical, psi_value
+    from .variation_opt import find_critical
     alg = manifest.algebra()
     J = _acs_of(manifest)
     res = find_critical(alg, J, max_iter=max_iter, seed=seed)
@@ -292,7 +291,7 @@ def _cmd_optimize(manifest: Manifest, max_iter: int, seed: int, emit: str | None
     verdicts = {"converged": res.converged}
     if res.converged and res.suite is not None:
         verdicts["nk_suite"] = res.suite.all_true
-        checks["psi_final"] = psi_value(alg, res.J)
+        checks["psi_final"] = res.psi
         checks["lambda"] = res.suite.lam
         checks["psi_gradient_max_abs"] = res.psi_gradient_max_abs
     if emit and res.converged:

@@ -100,7 +100,7 @@ def normalize_to_unit_lambda(s: SU3Structure) -> SU3Structure:
     lam = s.lam
     if lam <= 0:
         raise ValueError("normalization needs a strictly positive constant")
-    return SU3Structure(HermitianForm(s.form.J, (lam ** 2) * s.form.omega), (lam ** 3) * s.Omega, 1.0)
+    return SU3Structure(HermitianForm(s.form.frame, (lam ** 2) * s.form.omega), (lam ** 3) * s.Omega, 1.0)
 
 
 def _check_unit_lambda(s: SU3Structure) -> None:

@@ -5,8 +5,10 @@ antisymmetric torsion exactly when the trilinear form
 
     rho(x, y, z) = omega(N(x, y), z),      x, y, z in T^{1,0},
 
-is skew-symmetric; omega, a positive real (1,1)-form, is gated once as a `HermitianForm`.
-Everything here is exact finite-dimensional linear algebra in a chosen (1,0) frame.
+is skew-symmetric; omega, a positive real (1,1)-form, is gated once as a `HermitianForm`,
+which reads it in the (1,0) frame of the N* tensor: its metric, oriented by J, and its frame
+block A = omega(v_a, conj v_b) = iH, whose det H every |(3,0)-form|^2 below uses.
+Everything here is exact finite-dimensional linear algebra in that frame.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multilinear import (Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs,
-                          wedge_coeffs)
+from .multilinear import Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_pure_bidegree, split_30
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_type_11, split_30
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import NijenhuisTensor, rho_skew_coefficient
 
@@ -41,43 +42,47 @@ __all__ = [
 ]
 
 
-def hermitian_metric(J: AlmostComplexStructure, omega: Form) -> Metric:
-    """g(X, Y) = omega(X, JY), oriented by omega^3, through the one gate of `Metric`; raises naming it."""
-    w = omega.coeffs
-    top = wedge_coeffs(wedge_coeffs(w, w, 6, 2, 2), w, 6, 4, 2)[0]  # omega^3 on e^{123456}
+def hermitian_metric(frame: ComplexFrame, omega: Form) -> Metric:
+    """g(X, Y) = omega(X, JY) for the J of frame, oriented by the sign of its i det Theta
+    (`ComplexFrame.volume`), through the one gate of `Metric`; raises naming it."""
     try:
-        return Metric(_omega_j(J.matrix, w), orientation=1 if top.real > 0 else -1)
+        return Metric(_omega_j(frame.J.matrix, omega.coeffs), orientation=1 if frame.volume > 0 else -1)
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
 
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """A positive real (1,1)-form omega for J and its metric, J-oriented: the constructor is
-    the one gate on omega, a (1,1)-and-real test, then `Metric`'s positivity gate."""
+    """A positive real (1,1)-form omega for the J of a (1,0) frame, read in that frame once: its
+    J-oriented metric, and its frame block A = omega(v_a, conj v_b) = iH with det H.  The
+    constructor is the one gate on omega, a (1,1)-and-real test (`is_type_11`), then `Metric`'s
+    positivity gate.  omega^3 / 6 = i det H theta^123 ^ conj theta^123 with det H > 0 orients alike."""
 
-    J: AlmostComplexStructure
+    frame: ComplexFrame
     omega: Form
     metric: Metric = field(init=False)
+    block: np.ndarray = field(init=False)
+    det: float = field(init=False)
 
     def __post_init__(self):
-        if not (is_pure_bidegree(self.J, self.omega, 1, 1) and self.omega.is_real()):
+        if not (is_type_11(self.frame.J, self.omega) and self.omega.is_real()):
             raise ValueError("omega must be a real (1,1)-form")
-        object.__setattr__(self, "metric", hermitian_metric(self.J, self.omega))
+        object.__setattr__(self, "metric", hermitian_metric(self.frame, self.omega))
+        object.__setattr__(self, "block", self.frame.components(self.omega)[:3, 3:])
+        object.__setattr__(self, "det", np.linalg.det(-1j * self.block).real)
 
-    def omega_for(self, J: AlmostComplexStructure) -> Form:
-        """omega, once J is the structure it was gated for."""
-        if J is not self.J and not np.array_equal(J.matrix, self.J.matrix):
-            raise ValueError("omega was gated for another J")
-        return self.omega
+    def read_in(self, fr: ComplexFrame) -> HermitianForm:
+        """self, once fr is the frame it was read in, whose theta also fixes J."""
+        if fr is not self.frame and not np.array_equal(fr.theta_coeffs, self.frame.theta_coeffs):
+            raise ValueError("omega was gated for another J or frame")
+        return self
 
 
-def offshape_residual(alg: CoframeAlgebra, fr: ComplexFrame,
-                      h: HermitianForm) -> tuple[float, complex, Form]:
+def offshape_residual(alg: CoframeAlgebra, h: HermitianForm) -> tuple[float, complex, Form]:
     """|(2,1)+(1,2) part of d omega| / max(1, |d omega|), the coefficient c of its (3,0) part
-    c theta^123 and d omega, split in the frame fr of h's J by `split_30`, for the verdicts."""
-    domega = d_invariant(alg, h.omega_for(fr.J))
-    c, off = split_30(domega.coeffs, fr.theta_coeffs, fr.v_coords)
+    c theta^123 and d omega, split in h's frame by `split_30`, for the verdicts."""
+    domega = d_invariant(alg, h.omega)
+    c, off = split_30(domega.coeffs, h.frame.theta_coeffs, h.frame.v_coords)
     return float(np.max(np.abs(off))) / max(1.0, domega.norm()), c, domega
 
 
@@ -106,25 +111,17 @@ def _skew_part(rho: np.ndarray) -> np.ndarray:
 
 
 class TorsionCriterionReport(NamedTuple):
-    rho: np.ndarray                 # full trilinear components in the frame
-    lambda30_component: Form        # the (3,0)-form carried by the skew part
-    skewness_residual: float        # norm of the non-skew complement
+    skewness_residual: float        # norm of the non-skew complement of rho = omega(N(.,.),.)
     rho_norm: float
     admits_connection: bool
 
 
 def torsion_criterion(nij: NijenhuisTensor, h: HermitianForm) -> TorsionCriterionReport:
     """Decide existence of a Hermitian connection with skew torsion for h, in nij's frame."""
-    fr, M = nij.frame, nij.matrix
-    A = fr.components(h.omega_for(fr.J))[:3, 3:]
-    rho = -c_map_trilinear(A @ M.T)
-    complement = rho - _skew_part(rho)
-    p30 = rho_skew_coefficient(A, M) * fr.theta_top()
+    rho = -c_map_trilinear(h.read_in(nij.frame).block @ nij.matrix.T)
     rho_norm = float(np.max(np.abs(rho)))
-    residual = float(np.max(np.abs(complement)))
+    residual = float(np.max(np.abs(rho - _skew_part(rho))))
     return TorsionCriterionReport(
-        rho=rho,
-        lambda30_component=p30,
         skewness_residual=residual,
         rho_norm=rho_norm,
         admits_connection=within(residual, "skew_torsion", max(rho_norm, 1e-300)),

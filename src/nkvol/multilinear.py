@@ -55,7 +55,6 @@ __all__ = [
     "two_form_matrices",
     "wedge",
     "wedge_coeffs",
-    "zero_form",
 ]
 
 
@@ -214,10 +213,6 @@ class Form:
             return complex(self.coeffs[0])
         V = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
         return complex(self.coeffs @ compound(V, k)[:, 0])
-
-
-def zero_form(n: int, k: int) -> Form:
-    return Form(n, k, np.zeros(comb(n, k), dtype=np.complex128))
 
 
 def basis_form(n: int, indices: tuple[int, ...]) -> Form:

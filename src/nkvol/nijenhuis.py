@@ -17,7 +17,9 @@ Theta = theta^1 ^ theta^2 ^ theta^3,
 
 which is frame-independent (a GL(3,C) frame change scales |det M|^2 by
 1/|det S|^2 and i Theta ^ conj Theta by |det S|^2) and non-negative against
-the orientation induced by the almost complex structure.
+the orientation induced by the almost complex structure.  Its coefficient on
+e^{1..6} is |det M|^2 times i det [theta; conj theta] (`ComplexFrame.volume`,
+whose sign is J's orientation), so no wedge of 3-forms is built.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, wedge
+from .multilinear import Form
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import (EPS3, AlmostComplexStructure, ComplexFrame, is_pure_bidegree, split_30,
-                  type_projectors)
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_type_11, split_30, type_projectors
 from .conventions import NIJ_D_ROUTE_SIGN, TOLERANCES
 
 if TYPE_CHECKING:
@@ -122,25 +123,15 @@ def nijenhuis_via_d(alg: CoframeAlgebra, J: AlmostComplexStructure,
 
 
 class VolumeDensity(NamedTuple):
-    """The canonical volume 6-form and its density against e^{123456}."""
+    """The density of the canonical volume 6-form against the J-orientation."""
 
-    vol_form: Form
     psi: float
-    orientation: float  # sign of the J-orientation against e^{123456}
 
 
 def volume_form(nij: NijenhuisTensor) -> VolumeDensity:
-    """Vol = |det M|^2 * i Theta ^ conj Theta; Psi its density, >= 0."""
-    fr = nij.frame
-    theta_top = fr.theta_top()
-    kappa = 1j * wedge(theta_top, theta_top.conjugate())
-    density_kappa = kappa.coeffs[0]
-    # kappa is a real positive multiple of the J-orientation by construction
-    orient = float(np.sign(density_kappa.real))
-    det2 = abs(np.linalg.det(nij.matrix)) ** 2
-    vol = det2 * kappa
-    psi = det2 * abs(density_kappa)
-    return VolumeDensity(vol_form=vol, psi=float(psi), orientation=orient)
+    """Vol = |det M|^2 * i Theta ^ conj Theta, whose coefficient on e^{123456} is |det M|^2 times
+    the frame's i det Theta (`ComplexFrame.volume`); Psi its density, >= 0."""
+    return VolumeDensity(psi=float(abs(np.linalg.det(nij.matrix)) ** 2 * abs(nij.frame.volume)))
 
 
 def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor,
@@ -151,14 +142,17 @@ def cartan_compatibility(alg: CoframeAlgebra, nij: NijenhuisTensor,
     (`split_30`); the right side applies N* to the (0,1) leg of omega and wedges
     the legs back together, which gives -3c theta^123 for c the `rho_skew_coefficient`.
     The contract is that the residual passes the `cartan` entry of `conventions.TOLERANCES`
-    on every (1,1)-form, complex ones too: a `Form` is checked here, a gated `HermitianForm` is not.
+    on every (1,1)-form, complex ones too: a `Form` is checked here (`is_type_11`), a gated
+    `HermitianForm` is not, and its frame block is read in nij's frame.
     """
     fr = nij.frame
-    if not isinstance(omega, Form):
-        omega = omega.omega_for(fr.J)
-    elif not is_pure_bidegree(fr.J, omega, 1, 1):
-        raise ValueError("cartan_compatibility expects a (1,1)-form")
+    if isinstance(omega, Form):
+        if not is_type_11(fr.J, omega):
+            raise ValueError("cartan_compatibility expects a (1,1)-form")
+        A = fr.components(omega)[:3, 3:]
+    else:
+        A, omega = omega.read_in(fr).block, omega.omega
     top = fr.theta_top().norm()  # both sides are multiples of theta^123
     lhs = split_30(d_invariant(alg, omega).coeffs, fr.theta_coeffs, fr.v_coords)[0]
-    rhs = -3.0 * rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
+    rhs = -3.0 * rho_skew_coefficient(A, nij.matrix)
     return float(abs(lhs - rhs) * top / max(1.0, abs(lhs) * top, abs(rhs) * top))

@@ -57,7 +57,7 @@ class SolveOmegaResult(NamedTuple):
 
 def solve_Omega(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> SolveOmegaResult:
     """Write d omega = 3 lambda Re Omega with |Omega| = 1 in nij's frame, or fail with residual."""
-    off, c, domega = offshape_residual(alg, nij.frame, h)
+    off, c, domega = offshape_residual(alg, h.read_in(nij.frame))
     p30 = c * nij.frame.theta_top()
     if within(domega.norm(), "vanishes"):
         return SolveOmegaResult(False, None, 0.0, 0.0, reason="d omega = 0: no strict solution")
@@ -66,7 +66,7 @@ def solve_Omega(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> 
     if not within(off, "shape"):
         return SolveOmegaResult(False, None, 0.0, off,
                                 reason="d omega has (2,1)+(1,2) components: not of the required shape")
-    u = np.sqrt(norm30_sq(c, np.linalg.det(-1j * nij.frame.components(h.omega)[:3, 3:]).real))
+    u = np.sqrt(norm30_sq(c, h.det))
     if not np.isfinite(u):
         raise ValueError(f"norm computation returned a non-finite value {u}")
     Omega = (1.0 / u) * p30

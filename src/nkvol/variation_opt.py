@@ -59,7 +59,6 @@ __all__ = [
     "delta_basis",
     "find_critical",
     "psi_gradient",
-    "psi_value",
 ]
 
 JACOBIAN_FD_STEP = 1e-6   # central difference of the optimizer's Jacobian, per real parameter
@@ -120,24 +119,19 @@ def _graph_chart(V: np.ndarray, T: np.ndarray):
     return j_from_basis(B), det, complementary
 
 
-def psi_value(alg: CoframeAlgebra, J: AlmostComplexStructure) -> float:
-    """Density of the canonical volume form; zero iff the tensor degenerates."""
-    return volume_form(nijenhuis_via_brackets(alg, J)).psi
-
-
-def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
+def _unit_delta_forms(h: HermitianForm, nij: NijenhuisTensor) -> np.ndarray:
     """Coefficients [a, b] of the (2,1)-forms (iota_{v_a} P) ^ conj theta^b of the unit deformations E_ab.
 
     T^{1,0} is identified with Lambda^{2,0} by contracting into the skew
     (3,0) part P of omega(N(.,.),.), normalized to |P|_omega = 1 and rescaled
     by the inverse duality factor so that on shape-equation solutions the
-    Nijenhuis endomorphism itself is identified with the identity.
+    Nijenhuis endomorphism itself is identified with the identity.  omega is
+    h's, read in nij's frame.
     """
     fr = nij.frame
-    A = fr.components(omega)[:3, 3:]
-    c = rho_skew_coefficient(A, nij.matrix)
+    c = rho_skew_coefficient(h.read_in(fr).block, nij.matrix)
     P = c * fr.theta_top()
-    n2 = norm30_sq(c, np.linalg.det(-1j * A).real)  # det H, from the frame block A = iH
+    n2 = norm30_sq(c, h.det)
     if within(P.norm(), "vanishes") or not np.isfinite(n2):
         raise ValueError(f"trilinear identification degenerate: |P|^2 = {n2:g}")
     P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(n2))) * P
@@ -146,18 +140,17 @@ def _unit_delta_forms(omega: Form, nij: NijenhuisTensor) -> np.ndarray:
 
 
 def _gradient_pairings(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> np.ndarray:
-    """c[a, b] = KAPPA_CONV * 2 * density(d(E_ab-form) ^ omega), oriented.
+    """c[a, b] = KAPPA_CONV * 2 * density(d(E_ab-form) ^ omega), oriented by h's metric.
 
     The first variation is linear in delta: dPsi(delta) = Re sum_ab delta[a, b] c[a, b],
     with E_ab in the frame of nij, the N* tensor of J, and omega that of h.  As omega is
     (1,1), only the (2,2) part of the 4-form d(E_ab-form) reaches top degree in the wedge.
     """
-    omega = h.omega_for(nij.frame.J)
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
-    Q = _unit_delta_forms(omega, nij)
-    pairing = wedge_coeffs(matvec(alg.d_matrices[3], Q), omega.coeffs, 6, 4, 2)[..., 0]
-    return KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation
+    Q = _unit_delta_forms(h, nij)
+    pairing = wedge_coeffs(matvec(alg.d_matrices[3], Q), h.omega.coeffs, 6, 4, 2)[..., 0]
+    return KAPPA_CONV * 2.0 * pairing * h.metric.orientation
 
 
 def psi_gradient(alg: CoframeAlgebra, nij: NijenhuisTensor, h: HermitianForm) -> np.ndarray:
@@ -229,7 +222,7 @@ def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
         return CriticalityReport("degenerate", 0.0)
     if h is None:
         raise ValueError("no positive Hermitian candidate omega at this structure")
-    residual = offshape_residual(alg, nij.frame, h)[0]
+    residual = offshape_residual(alg, h.read_in(nij.frame))[0]
     verdict = "critical" if within(residual, "shape") else "non-critical"
     return CriticalityReport(verdict, residual)
 
@@ -259,6 +252,7 @@ class FindCriticalResult(NamedTuple):
     reason: str = ""
     records: Sequence[IterationRecord] = ()
     psi_gradient_max_abs: float | None = None   # the analytic certificate, on convergence
+    psi: float | None = None                    # the volume density of J, on convergence
 
 
 def _objective(vec) -> float:
@@ -306,7 +300,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     collapse the residual on structures with no critical point) is reported
     as a failure, never as a solution, and so is an omega that fails the gate of
     `HermitianForm`.  A solution also carries the largest analytic psi-gradient
-    component, an independent certificate of criticality.
+    component, an independent certificate of criticality, and psi, both from the N*
+    tensor the suite reads.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -377,12 +372,12 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
         reason = "max iterations reached after convergence"
     if not converged and reason == "converged":
         reason = "max iterations reached"
-    form = suite = gradient_max = None
+    form = suite = gradient_max = psi = None
     if converged:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
         why = "the equivalence suite rejects the candidate"
         try:
-            form = HermitianForm(J, omega)
+            form = HermitianForm(fr, omega)
         except ValueError as ex:  # the stack's gate passed H, `Metric`'s fails omega(., J.)
             why = str(ex)
         else:
@@ -390,7 +385,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
             suite = nk_equivalence_suite(alg, nij, form)
             if suite.all_true:
                 gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
+                psi = volume_form(nij).psi
         if gradient_max is None:
             converged, reason = False, f"residual vanished outside the compatibility domain: {why}"
     return FindCriticalResult(J, converged, iterations, trace, form, suite, reason,
-                              records, gradient_max)
+                              records, gradient_max, psi)

@@ -4,8 +4,9 @@ the oracles and constructions that only the tests use.
 The oracles stay independent of the routes they check: the Leibniz
 evaluation, the finite-difference gradient, the single-direction analytic
 gradient (through the Lambda^4 projector), the N-vector route to
-rho = omega(N(.,.),.), the d-splitting identities, the wedge route to |P|^2 and
-the scalar residual composition through `conformal_solve` compute on their own.
+rho = omega(N(.,.),.), the d-splitting identities, the wedge route to |P|^2, the
+Lambda^k projectors of the bidegree calculus (`bidegree_project`) and the scalar
+residual composition through `conformal_solve` compute on their own.
 The package's layers that read N* take the `NijenhuisTensor` their caller
 built; the helpers here that take (alg, J) build that tensor themselves.
 """
@@ -20,17 +21,16 @@ import numpy as np
 
 from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
                                index_tuples, matvec, two_form_coeffs, two_form_matrices, wedge,
-                               wedge_coeffs, zero_form)
+                               wedge_coeffs)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
-from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegree_project,
-                       bidegrees, is_pure_bidegree, project_to_acs, split_30)
+from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegrees,
+                       project_to_acs, split_30)
 from nkvol.conventions import HERMITIAN_30_NORM_COEF, KAPPA_CONV, ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets, volume_form
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
-from nkvol.variation_opt import (CriticalityReport, Deformation, _unit_delta_forms, deform_J,
-                                 psi_value)
+from nkvol.variation_opt import CriticalityReport, Deformation, _unit_delta_forms, deform_J
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
@@ -217,6 +217,25 @@ def flat_omega():
 
 # -- oracles and constructions only the tests use ------------------------------
 
+def zero_form(n: int, k: int) -> Form:
+    return Form(n, k, np.zeros(comb(n, k), dtype=np.complex128))
+
+
+def bidegree_project(J: AlmostComplexStructure, a: Form, p: int, q: int) -> Form:
+    """The oracle of the bidegree calculus: the component of a degree-(p+q) form under the
+    Hodge-type decomposition, through the Lambda^k projector of J."""
+    if p + q != a.degree:
+        raise ValueError(f"(p, q) = ({p}, {q}) does not sum to degree {a.degree}")
+    if (p, q) not in bidegrees(a.dimension, a.degree):
+        return zero_form(a.dimension, a.degree)
+    proj = J.bidegree_projector(p, q)
+    return Form(a.dimension, a.degree, proj @ a.coeffs)
+
+
+def is_pure_bidegree(J: AlmostComplexStructure, a: Form, p: int, q: int) -> bool:
+    return within((bidegree_project(J, a, p, q) - a).norm(), "pure_bidegree", max(1.0, a.norm()))
+
+
 def inner_product(g: Metric, a: Form, b: Form) -> complex:
     """Bilinear (unconjugated) extension of the metric pairing on equal-degree forms."""
     if a.degree != b.degree or a.dimension != b.dimension:
@@ -254,9 +273,8 @@ def adapted_frame(J: AlmostComplexStructure, omega: Form,
     The normalization matches the flat model, where dz_k = e^{2k-1} + i e^{2k}
     has squared length 2 and dz1 ^ dz2 ^ dz3 has unit norm against omega0.
     """
-    g = hermitian_metric(J, omega)
-    ginv = g.inverse()
     fr0 = J.frame()
+    ginv = hermitian_metric(fr0, omega).inverse()
     rows = fr0.theta_coeffs
     H = rows @ ginv @ np.conj(rows).T
     L = np.linalg.cholesky(H)
@@ -280,7 +298,7 @@ def lemma_d_splitting_checks(alg: CoframeAlgebra, s: SU3Structure) -> dict:
     d^{-1,2} Omega, and the diagonal action of the Nijenhuis map on the
     adapted conjugate coframe.
     """
-    J = s.form.J
+    J = s.form.frame.J
     dO = d_invariant(alg, s.Omega)
     dOb = d_invariant(alg, s.Omega.conjugate())
     scale = max(1.0, dO.norm())
@@ -325,7 +343,7 @@ def delta_as_21_form(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form
     P is the unit skew (3,0) part of omega(N(.,.),.) (`_unit_delta_forms`).
     """
     fr = frame if frame is not None else J.frame()
-    Q = _unit_delta_forms(omega, nijenhuis_via_brackets(alg, J, frame=fr))
+    Q = _unit_delta_forms(HermitianForm(fr, omega), nijenhuis_via_brackets(alg, J, frame=fr))
     return Form(6, 3, np.einsum("ab,abk->k", delta.matrix, Q))
 
 
@@ -334,15 +352,21 @@ def psi_gradient_analytic(alg: CoframeAlgebra, J: AlmostComplexStructure,
     """KAPPA_CONV * 2 Re density(Pi^{2,2} d(delta-form) ^ omega), oriented, in the |rho| = 1
     gauge: the one direction delta, through the Lambda^4 projector of J."""
     nij = nijenhuis_via_brackets(alg, J)
-    HermitianForm(J, omega)  # the gate of `psi_gradient`
+    HermitianForm(nij.frame, omega)  # the gate of `psi_gradient`
     if not nij.nondegenerate:
         raise ValueError("gradient undefined: Nijenhuis tensor degenerate")
     dd = bidegree_project(J, d_invariant(alg, delta_as_21_form(alg, J, omega, delta)), 2, 2)
     pairing = wedge(dd, omega).coeffs[0]
-    return float((KAPPA_CONV * 2.0 * pairing * volume_form(nij).orientation).real)
+    return float((KAPPA_CONV * 2.0 * pairing * np.sign(nij.frame.volume)).real)
 
 
 PSI_FD_STEP = 1e-4        # central difference of psi_gradient_fd, halved once by Richardson
+
+
+def psi_value(alg: CoframeAlgebra, J: AlmostComplexStructure) -> float:
+    """The finite-difference oracle's psi: the density of the canonical volume form of J,
+    from its own frame and N* tensor; zero iff the tensor degenerates."""
+    return volume_form(nijenhuis_via_brackets(alg, J)).psi
 
 
 def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
@@ -395,8 +419,9 @@ def offshape_projector_route(alg: CoframeAlgebra, h: HermitianForm) -> tuple[flo
     """The oracle for `offshape_residual` through the Lambda^3 projectors of J:
     |Pi^{2,1} d omega + Pi^{1,2} d omega| / max(1, |d omega|), and Pi^{3,0} d omega."""
     domega = d_invariant(alg, h.omega)
-    off = bidegree_project(h.J, domega, 2, 1) + bidegree_project(h.J, domega, 1, 2)
-    return off.norm() / max(1.0, domega.norm()), bidegree_project(h.J, domega, 3, 0)
+    J = h.frame.J
+    off = bidegree_project(J, domega, 2, 1) + bidegree_project(J, domega, 1, 2)
+    return off.norm() / max(1.0, domega.norm()), bidegree_project(J, domega, 3, 0)
 
 
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,

@@ -12,7 +12,7 @@ import numpy as np
 
 from nkvol.multilinear import Metric, basis_form, hodge_star, wedge
 from nkvol.frame_manifold import catalog, check_jacobi
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.acs import AlmostComplexStructure
 from nkvol.conventions import KAPPA_CONV
 from nkvol.hermitian_torsion import HermitianForm, alt12_analysis, conformal_solve
 from nkvol.nijenhuis import cartan_compatibility, nijenhuis_via_brackets, nijenhuis_via_d
@@ -28,6 +28,7 @@ from nkvol.variation_opt import (
 
 from helpers import (
     FIXTURE,
+    bidegree_project,
     flat_g2_form,
     inner_product,
     is_critical,
@@ -146,7 +147,7 @@ def test_criterion_06_nk_flagship():
     # uniqueness corollary: a rescaled solution stays a solution with a
     # constant component ratio
     omega = res.form.omega
-    h2 = HermitianForm(res.J, 2.25 * omega)
+    h2 = HermitianForm(res.J.frame(), 2.25 * omega)
     nij2 = nijenhuis_via_brackets(alg, res.J)
     s2 = solve_Omega(alg, nij2, h2)
     ok &= s2.ok and nk_equivalence_suite(alg, nij2, h2).all_true
@@ -160,7 +161,7 @@ def test_criterion_06_nk_flagship():
 
 def test_criterion_07_g2_cone():
     alg, J, omega, Omega3 = nk_fixture()
-    h = HermitianForm(J, omega)
+    h = HermitianForm(J.frame(), omega)
     solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), h)
     snorm = normalize_to_unit_lambda(SU3Structure(h, solved.Omega, solved.lam))
     fg = fernandez_gray_check(alg, snorm)
@@ -215,7 +216,7 @@ def test_criterion_08_variation_calculus():
     for alg, J in structures:
         nij = nijenhuis_via_brackets(alg, J)
         omega = conformal_solve(nij).normalized_omega
-        rep = criticality_test(alg, nij, HermitianForm(J, omega))
+        rep = criticality_test(alg, nij, HermitianForm(J.frame(), omega))
         gmax = max(abs(psi_gradient_analytic(alg, J, omega, d)) for d in delta_basis())
         ok &= (rep.residual <= 1e-8) == (gmax <= 1e-7)
     _verdict(8, "analytic gradient = FD at one constant (<1e-6); critical components <1e-8", ok)
@@ -226,7 +227,7 @@ def test_criterion_09_theorem_roundtrip():
     # critical => suite true and suite true => critical, on the fixture
     algf, Jf, omegaf, _ = nk_fixture()
     nijf = nijenhuis_via_brackets(algf, Jf)
-    hf = HermitianForm(Jf, omegaf)
+    hf = HermitianForm(Jf.frame(), omegaf)
     rep = criticality_test(algf, nijf, hf)
     suite = nk_equivalence_suite(algf, nijf, hf)
     ok &= is_critical(rep) and suite.all_true
@@ -234,7 +235,7 @@ def test_criterion_09_theorem_roundtrip():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     nij = nijenhuis_via_brackets(alg, J)
-    h = HermitianForm(J, conformal_solve(nij).normalized_omega)
+    h = HermitianForm(J.frame(), conformal_solve(nij).normalized_omega)
     ok &= not is_critical(criticality_test(alg, nij, h))
     ok &= not nk_equivalence_suite(alg, nij, h).all_true
     # torus: degenerate, excluded from the theorem's scope
@@ -246,7 +247,7 @@ def test_criterion_09_theorem_roundtrip():
         mp = catalog("s3s3_perturbed", seed=seed)
         palg, pJ = mp.algebra(), AlmostComplexStructure(mp.J)
         pnij = nijenhuis_via_brackets(palg, pJ)
-        w = HermitianForm(pJ, conformal_solve(pnij).normalized_omega)
+        w = HermitianForm(pJ.frame(), conformal_solve(pnij).normalized_omega)
         crep = criticality_test(palg, pnij, w)
         ok &= (not is_critical(crep)) and crep.residual > 1e-4
         psuite = nk_equivalence_suite(palg, pnij, w)

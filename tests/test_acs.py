@@ -5,18 +5,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nkvol.multilinear import Form, basis_form, form_from_one_coeffs, wedge, zero_form
+from nkvol.multilinear import Form, basis_form, compound, form_from_one_coeffs, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import (
     EPS3,
     AlmostComplexStructure,
-    bidegree_project,
     bidegrees,
+    is_type_11,
     project_to_acs,
 )
 
-from helpers import (d_split, forms_close, frame_check_residual, frame_theta, frame_two_form,
-                     j_multiplicative, random_acs, random_form)
+from helpers import (bidegree_project, d_split, forms_close, frame_check_residual, frame_theta,
+                     frame_two_form, is_pure_bidegree, j_multiplicative, random_acs, random_form,
+                     zero_form)
 
 
 def torus_J():
@@ -95,6 +96,32 @@ def test_projection_idempotent_and_conjugation():
             assert forms_close(bidegree_project(J, pa, p, q), pa, tol=1e-11)
             conj_swap = bidegree_project(J, a.conjugate(), q, p)
             assert forms_close(pa.conjugate(), conj_swap, tol=1e-11)
+
+
+def test_type_11_gate_matches_the_projector_oracle():
+    # the (1,1) gate reads |J* a - a| / 2 (`is_type_11`), which is |Pi^{1,1} a - a| exactly:
+    # J* acts on 2-forms through its compound, by +1 on (1,1) and -1 on (2,0) + (0,2).  On
+    # random J, against the projector oracle: random real and complex 2-forms, their (1,1)
+    # parts, and those parts moved off by s times the `pure_bidegree` gate along their
+    # (2,0) + (0,2) part, s = 0.5 and 0.99 inside the gate and s = 1.01 and 2 outside it
+    from nkvol.conventions import TOLERANCES
+
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        J = random_acs(rng)
+        for real in (True, False):
+            a = random_form(rng, 6, 2, real=real)
+            a11 = bidegree_project(J, a, 1, 1)
+            off = a - a11
+            cases = [(a, False), (a11, True)]
+            for s in (0.5, 0.99, 1.01, 2.0):
+                t = s * TOLERANCES["pure_bidegree"] * max(1.0, a11.norm())
+                cases.append((a11 + (t / off.norm()) * off, s < 1.0))
+            for f, inside in cases:
+                defect = np.max(np.abs(compound(J.jstar, 2) @ f.coeffs - f.coeffs)) / 2.0
+                ref = (bidegree_project(J, f, 1, 1) - f).norm()
+                assert abs(defect - ref) <= 1e-14 * max(1.0, f.norm())
+                assert is_type_11(J, f) == is_pure_bidegree(J, f, 1, 1) == inside
 
 
 def _eigenbasis_projection(J, a, p, q):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nkvol.multilinear import Form, Metric, basis_form, wedge, zero_form
+from nkvol.multilinear import Form, Metric, basis_form, wedge
 from nkvol.conventions import CATALOG_NAMES
 from nkvol.frame_manifold import (
     CoframeAlgebra,
@@ -18,7 +18,7 @@ from nkvol.frame_manifold import (
 )
 
 from helpers import (forms_close, jacobi_residual, metric_volume_form, random_form,
-                     random_invalid_constants, random_valid_algebra)
+                     random_invalid_constants, random_valid_algebra, zero_form)
 
 
 def su2_plus_su2():

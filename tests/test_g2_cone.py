@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nkvol.multilinear import Form, Metric, basis_form, hodge_star, wedge, zero_form
+from nkvol.multilinear import Form, Metric, basis_form, hodge_star, wedge
 from nkvol.frame_manifold import Manifest, catalog, d_invariant
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.nk_su3 import SU3Structure, solve_Omega
 from nkvol.hermitian_torsion import HermitianForm
@@ -22,8 +22,9 @@ from nkvol.g2_cone import (
     stability_check,
 )
 
-from helpers import (FIXTURE, fg_passes, flat_g2_form, flat_su3_forms, forms_close,
-                     j_multiplicative, norm30_wedge_route, random_form, random_valid_algebra)
+from helpers import (FIXTURE, bidegree_project, fg_passes, flat_g2_form, flat_su3_forms,
+                     forms_close, j_multiplicative, norm30_wedge_route, random_form,
+                     random_valid_algebra, zero_form)
 
 RATIO_FIXTURE = 162.0 ** (2.0 / 9.0)   # convention constant of the roundtrip
 SEEDS = st.integers(0, 2**32 - 1)
@@ -34,7 +35,7 @@ STAR_TOL = 1e-12   # relative to max(1, |x|); the worst of 400 seeded draws was 
 def nk_structure():
     m = Manifest.load(FIXTURE)
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    h = HermitianForm(J, m.omega)
+    h = HermitianForm(J.frame(), m.omega)
     solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), h)
     return alg, SU3Structure(h, solved.Omega, solved.lam)
 
@@ -159,8 +160,6 @@ def test_gl7_action_rank_matches_per_map_substitution():
 
 
 def test_zero_form_not_stable():
-    from nkvol.multilinear import zero_form
-
     rep = stability_check(zero_form(7, 3))
     assert not rep.stable
     assert rep.metric is None
@@ -196,7 +195,7 @@ def test_fernandez_gray_fixture():
     assert fg_passes(fg)
     # the rotation relation at unit lambda: the slot action of J on d omega is 3 Im Omega
     i_domega = snorm.Omega.imag()
-    slot_action = j_multiplicative(snorm.form.J, d_invariant(alg, snorm.form.omega))
+    slot_action = j_multiplicative(snorm.form.frame.J, d_invariant(alg, snorm.form.omega))
     rot_res = ((1.0 / 3.0) * slot_action - i_domega).norm() / max(1.0, i_domega.norm())
     assert rot_res < 1e-10
     assert abs(s.lam - 2.0) < 1e-12  # the rescale factor
@@ -213,7 +212,7 @@ def test_fernandez_gray_negative_control():
     omega = conformal_solve(nijenhuis_via_brackets(alg, Jp)).normalized_omega
     p30 = bidegree_project(Jp, d_invariant(alg, omega), 3, 0)
     u = np.sqrt(norm30_wedge_route(omega, p30))
-    s_bad = SU3Structure(HermitianForm(Jp, omega), (1.0 / u) * p30, 2.0 * u / 3.0)
+    s_bad = SU3Structure(HermitianForm(Jp.frame(), omega), (1.0 / u) * p30, 2.0 * u / 3.0)
     fg = fernandez_gray_check(alg, normalize_to_unit_lambda(s_bad))
     assert fg.d_rho_residual == 0.0
     assert fg.dstar_rho_residual > 1e-4
@@ -254,7 +253,7 @@ def test_metric_roundtrip_broken_anisotropy():
 
     p30 = bidegree_project(J, d_invariant(alg, w), 3, 0)
     u = np.sqrt(norm30_wedge_route(w, p30))
-    s_bad = SU3Structure(HermitianForm(J, w), (1.0 / u) * p30, 2.0 * u / 3.0)
+    s_bad = SU3Structure(HermitianForm(J.frame(), w), (1.0 / u) * p30, 2.0 * u / 3.0)
     mr = metric_roundtrip(alg, normalize_to_unit_lambda(s_bad))
     if mr.stable:
         assert mr.ratio_spread > 1e-3

@@ -5,7 +5,7 @@ import pytest
 
 from nkvol.multilinear import Form, basis_form, definite_sign, wedge
 from nkvol.frame_manifold import catalog
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
 from nkvol.nk_su3 import solve_Omega
 from nkvol.hermitian_torsion import (
@@ -25,9 +25,9 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import (c_map, flat_omega, flat_su3_forms, forms_close, frame_theta, nk_fixture,
-                     norm30_wedge_route, product_omega, random_acs, random_valid_algebra, s3s3,
-                     torus)
+from helpers import (bidegree_project, c_map, flat_omega, flat_su3_forms, forms_close,
+                     frame_from_thetas, frame_theta, nk_fixture, norm30_wedge_route, product_omega,
+                     random_acs, random_valid_algebra, s3s3, torus)
 
 
 def test_norm30_flat_calibration():
@@ -42,7 +42,7 @@ def test_norm30_flat_calibration():
 
 def test_hermitian_metric_s3s3_product():
     alg, J = s3s3()
-    g = hermitian_metric(J, product_omega())
+    g = hermitian_metric(J.frame(), product_omega())
     assert np.max(np.abs(g.matrix - np.eye(6))) < 1e-13
 
 
@@ -50,7 +50,7 @@ def test_torsion_criterion_torus_trivial():
     alg, J = torus()
     # with the stored coframe action J e^1 = e^2, the positive Hermitian form
     # carries the opposite sign: omega0 = -(e^12 + e^34 + e^56)
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(J, -1.0 * flat_omega()))
+    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), -1.0 * flat_omega()))
     assert rep.admits_connection
     assert rep.rho_norm == 0.0
     assert rep.skewness_residual == 0.0
@@ -58,19 +58,20 @@ def test_torsion_criterion_torus_trivial():
 
 def test_torsion_criterion_s3s3_equal_scale():
     alg, J = s3s3()
-    rep = torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(J, product_omega()))
+    nij, h = nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), product_omega())
+    rep = torsion_criterion(nij, h)
     # recorded fixture: the equal-scale product structure admits the connection
     assert rep.admits_connection
     assert rep.skewness_residual <= 1e-12
     assert rep.rho_norm > 0.05
-    assert rep.lambda30_component.norm() > 0.05
+    assert (rho_skew_coefficient(h.block, nij.matrix) * nij.frame.theta_top()).norm() > 0.05
 
 
 def test_torsion_criterion_s3s3_anisotropic():
     # the J-compatible anisotropic analogue of a (1,1,5)-pattern metric
     alg, J = s3s3()
     rep = torsion_criterion(nijenhuis_via_brackets(alg, J),
-                            HermitianForm(J, product_omega(scales=(1.0, 1.0, 5.0))))
+                            HermitianForm(J.frame(), product_omega(scales=(1.0, 1.0, 5.0))))
     assert not rep.admits_connection
     assert rep.skewness_residual > 0.01 * rep.rho_norm
 
@@ -80,12 +81,16 @@ def test_torsion_criterion_rejects_nonpositive():
     # criterion rejects a form gated for another J
     alg, J = s3s3()
     with pytest.raises(ValueError, match="omega not positive"):
-        HermitianForm(J, -1.0 * product_omega())
+        HermitianForm(J.frame(), -1.0 * product_omega())
     with pytest.raises(ValueError, match="real \\(1,1\\)-form"):
-        HermitianForm(J, flat_omega())  # not (1,1) for this J
+        HermitianForm(J.frame(), flat_omega())  # not (1,1) for this J
     _, Jt = torus()
     with pytest.raises(ValueError, match="another J"):
-        torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(Jt, -1.0 * flat_omega()))
+        torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(Jt.frame(), -1.0 * flat_omega()))
+    # and one read in another frame of the same J: its frame block holds in that frame only
+    other = frame_from_thetas(J, 2.0 * J.frame().theta_coeffs)
+    with pytest.raises(ValueError, match="another J or frame"):
+        torsion_criterion(nijenhuis_via_brackets(alg, J), HermitianForm(other, product_omega()))
 
 
 def test_c_map_zero_when_integrable():
@@ -101,9 +106,9 @@ def test_c_map_matches_rho():
     w = product_omega(scales=(1.3, 0.8, 1.1))
     nij = nijenhuis_via_brackets(alg, J)
     C = c_map(alg, J, w, nij=nij)
-    rep = torsion_criterion(nij, HermitianForm(J, w))
+    rho = -c_map_trilinear(HermitianForm(J.frame(), w).block @ nij.matrix.T)
     T = c_map_trilinear(C)
-    assert np.max(np.abs(rep.rho + T)) < 1e-12
+    assert np.max(np.abs(rho + T)) < 1e-12
 
 
 def test_c_map_linear():
@@ -144,15 +149,16 @@ def test_conformal_solve_normalization_gauge():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
-    crit = torsion_criterion(nij, HermitianForm(J, rep.normalized_omega))
-    assert abs(norm30_wedge_route(rep.normalized_omega, crit.lambda30_component) - 1.0) < 1e-12
+    p30 = rho_skew_coefficient(HermitianForm(J.frame(), rep.normalized_omega).block, nij.matrix)
+    p30 = p30 * nij.frame.theta_top()
+    assert abs(norm30_wedge_route(rep.normalized_omega, p30) - 1.0) < 1e-12
 
 
 def test_conformal_solve_plant_and_recover():
     alg, J = s3s3()
     planted = 2.7 * product_omega()
     nij = nijenhuis_via_brackets(alg, J)
-    assert torsion_criterion(nij, HermitianForm(J, planted)).admits_connection
+    assert torsion_criterion(nij, HermitianForm(J.frame(), planted)).admits_connection
     rep = conformal_solve(nij)
     ratios = []
     for i in range(15):
@@ -232,10 +238,10 @@ def test_hermitian_metric_checks_positivity_once(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(1) or eigvalsh(G))
-    hermitian_metric(J, product_omega())
+    hermitian_metric(J.frame(), product_omega())
     assert len(calls) == 1
     with pytest.raises(ValueError, match="omega not positive"):
-        hermitian_metric(J, -1.0 * product_omega())
+        hermitian_metric(J.frame(), -1.0 * product_omega())
     assert len(calls) == 2
 
 
@@ -281,7 +287,7 @@ def test_frame_norm_matches_wedge_route():
     flat = AlmostComplexStructure(np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]))
     alg, J, omega, Omega3 = nk_fixture()
     nij = nijenhuis_via_brackets(alg, J)
-    solved = solve_Omega(alg, nij, HermitianForm(J, omega))
+    solved = solve_Omega(alg, nij, HermitianForm(J.frame(), omega))
     for fr, w, P in ((flat.frame(), omega0, Omega0), (nij.frame, omega, Omega3),
                      (nij.frame, omega, solved.Omega)):
         ref = norm30_wedge_route(w, P)
@@ -293,14 +299,18 @@ def test_positivity_from_hermitian_matrix_matches_metric():
     # positive, negative, indefinite, rank-deficient and nearly rank-deficient H: the
     # stack's decision against the positivity check of hermitian_metric on omega(., J.).
     # Both are the definite gate on the eigenvalues of that metric, so a rank-deficient H
-    # is neither sign whatever its rounding.  The last H, with eigenvalues 1, 1e-11, 1e-11,
+    # is neither sign whatever its rounding.  The thin H, with eigenvalues 1, 1e-11, 1e-11,
     # passes the gate on H itself, while its metric in a frame [theta; conj theta] that is
-    # not unitary fails it in each draw here: both decisions must follow the metric
+    # not unitary fails it in each draw here: both decisions must follow the metric.
+    # Every metric that passes is oriented by i det Theta, J's orientation, also where
+    # omega^3 = 6 i det H theta^123 ^ conj theta^123 is rounding: with eigenvalues 1, 1e-10,
+    # 1e-10 the metric passes in each draw, and the sign of omega^3 differs in the first
     rng = np.random.default_rng(32)
     thin_failures = 0
     for _ in range(4):
         J = random_acs(rng)
         fr = J.frame()
+        orientation = 1 if (1j * np.linalg.det(fr.coframe)).real > 0 else -1
         P, U = random_hermitian(rng)
         indefinite = U @ np.diag([1.0, -0.5, 2.0]) @ U.conj().T
         degenerate = U @ np.diag([1.0, 1e-15, 1e-15]) @ U.conj().T
@@ -311,7 +321,7 @@ def test_positivity_from_hermitian_matrix_matches_metric():
             if sign is None:  # whatever the metric's gate says
                 assert definite_sign(np.linalg.eigvalsh(H)) == 1
                 try:
-                    hermitian_metric(J, omega)
+                    hermitian_metric(J.frame(), omega)
                 except ValueError:
                     sign, thin_failures = 0.0, thin_failures + 1
                 else:
@@ -319,13 +329,20 @@ def test_positivity_from_hermitian_matrix_matches_metric():
             assert bool(positive) == (sign != 0.0)
             for s in (1.0, -1.0):
                 if s == sign:
-                    hermitian_metric(J, s * omega)
+                    assert hermitian_metric(J.frame(), s * omega).orientation == orientation
                 else:
                     with pytest.raises(ValueError, match="not positive"):
-                        hermitian_metric(J, s * omega)
+                        hermitian_metric(J.frame(), s * omega)
             if positive:
                 assert np.array_equal(oriented, sign * H)
                 assert abs(det - np.linalg.det(oriented).real) <= 1e-12 * det
+        thin10 = U @ np.diag([1.0, 1e-10, 1e-10]) @ U.conj().T
+        assert _orient_positive(thin10, fr.theta_coeffs)[1]
+        omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, thin10))
+        assert hermitian_metric(J.frame(), omega).orientation == orientation
+        # where omega^3 is far from rounding it gives the same orientation
+        w = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, P))
+        assert np.sign(wedge(wedge(w, w), w).coeffs[0].real) == orientation
     assert thin_failures == 4  # each thin H fails the metric's gate: the case discriminates
 
 
@@ -338,7 +355,7 @@ def test_candidate_positivity_agrees_with_the_metric_gate():
         alg, J = random_valid_algebra(rng), random_acs(rng)
         rep = conformal_solve(nijenhuis_via_brackets(alg, J))
         try:
-            HermitianForm(J, rep.candidate)
+            HermitianForm(J.frame(), rep.candidate)
         except ValueError:
             assert not rep.candidate_positive
         else:

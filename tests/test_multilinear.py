@@ -13,11 +13,10 @@ from nkvol.multilinear import (
     hodge_star,
     substitution,
     wedge,
-    zero_form,
 )
 
 from helpers import (forms_close, inner_product, metric_volume_form, oracle_evaluate,
-                     oracle_wedge_evaluate, random_form, random_vectors)
+                     oracle_wedge_evaluate, random_form, random_vectors, zero_form)
 
 
 def test_basis_products():

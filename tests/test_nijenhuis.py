@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from nkvol.multilinear import form_from_one_coeffs
+from nkvol.multilinear import form_from_one_coeffs, wedge
 from nkvol.frame_manifold import CoframeAlgebra
-from nkvol.acs import bidegree_project
 from nkvol.hermitian_torsion import HermitianForm
 from nkvol.nijenhuis import (
     NijenhuisTensor,
@@ -15,7 +14,7 @@ from nkvol.nijenhuis import (
     volume_form,
 )
 
-from helpers import (forms_close, frame_from_thetas, nijenhuis_apply, nijenhuis_in_frame, product_omega,
+from helpers import (bidegree_project, forms_close, frame_from_thetas, nijenhuis_apply, nijenhuis_in_frame, product_omega,
                      random_acs, random_form, random_valid_algebra, s3s3, torus)
 
 
@@ -105,17 +104,24 @@ def test_volume_frame_independent():
             continue
         fr2 = frame_from_thetas(J, T @ J.frame().theta_coeffs)
         other = volume_form(nijenhuis_via_brackets(alg, J, frame=fr2))
-        assert forms_close(other.vol_form, base.vol_form, tol=1e-10)
         assert abs(other.psi - base.psi) < 1e-10 * base.psi
 
 
 def test_volume_real_positive_orientation():
-    alg, J = s3s3()
-    vd = volume_form(nijenhuis_via_brackets(alg, J))
-    assert np.max(np.abs(vd.vol_form.coeffs.imag)) <= 1e-12 * max(1.0, vd.vol_form.norm())
-    dens = vd.vol_form.coeffs[0].real
-    assert dens * vd.orientation >= 0
-    assert vd.psi >= 0
+    # the frame's i det Theta is the e^{1..6} coefficient of i theta^123 ^ conj theta^123 by
+    # the wedge, real, and psi is |det M|^2 times its size; its sign, J's orientation,
+    # does not depend on the frame
+    rng = np.random.default_rng(8)
+    for alg, J in [s3s3()] + [(random_valid_algebra(rng), random_acs(rng)) for _ in range(10)]:
+        nij = nijenhuis_via_brackets(alg, J)
+        vd = volume_form(nij)
+        top = nij.frame.theta_top()
+        kappa = 1j * wedge(top, top.conjugate()).coeffs[0]
+        assert abs(kappa.imag) <= 1e-12 * max(1.0, abs(kappa))
+        assert abs(nij.frame.volume - kappa.real) <= 1e-12 * abs(kappa)
+        other = frame_from_thetas(J, (rng.standard_normal((3, 3)) + 1j) @ nij.frame.theta_coeffs)
+        assert np.sign(other.volume) == np.sign(kappa.real)
+        assert abs(vd.psi - abs(np.linalg.det(nij.matrix)) ** 2 * abs(kappa)) <= 1e-12 * max(vd.psi, 1e-300)
 
 
 def test_volume_scaling_exponent():
@@ -151,7 +157,7 @@ def test_cartan_identity_s3s3_product_omega():
     residual = cartan_compatibility(alg, nij, product_omega())
     assert residual < 1e-10
     # a command's gated omega gives the same residual
-    assert cartan_compatibility(alg, nij, HermitianForm(J, product_omega())) == residual
+    assert cartan_compatibility(alg, nij, HermitianForm(J.frame(), product_omega())) == residual
 
 
 def test_cartan_identity_random_sweep():

@@ -4,7 +4,7 @@ import numpy as np
 
 from nkvol.multilinear import basis_form, wedge
 from nkvol.frame_manifold import Manifest, catalog, d_invariant
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.nk_su3 import (
@@ -15,10 +15,11 @@ from nkvol.nk_su3 import (
     solve_Omega,
 )
 
-from nkvol.variation_opt import psi_gradient, psi_value
+from nkvol.variation_opt import psi_gradient
 
-from helpers import (FIXTURE, adapted_frame, forms_close, frame_check_residual, lemma_d_splitting_checks,
-                     nk_closed_form, nk_fixture, norm30_wedge_route, product_omega)
+from helpers import (FIXTURE, adapted_frame, bidegree_project, forms_close, frame_check_residual,
+                     lemma_d_splitting_checks, nk_closed_form, nk_fixture, norm30_wedge_route,
+                     product_omega, psi_value)
 
 
 def torus_structure():
@@ -36,7 +37,7 @@ def torus_structure():
 
 def test_solve_omega_torus_fails():
     alg, J, omega0, _ = torus_structure()
-    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega0))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), omega0))
     assert not solved.ok
     assert "d omega = 0" in solved.reason
 
@@ -44,14 +45,14 @@ def test_solve_omega_torus_fails():
 def test_solve_omega_product_shape_failure():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
-    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, product_omega()))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), product_omega()))
     assert not solved.ok
     assert solved.offshape_residual > 1e-3
 
 
 def test_solve_omega_fixture():
     alg, J, omega, Omega = nk_fixture()
-    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), omega))
     assert solved.ok
     assert abs(solved.lam - 2.0) < 1e-12           # regression fixture
     assert abs(norm30_wedge_route(omega, solved.Omega) - 1.0) < 1e-12
@@ -63,7 +64,7 @@ def test_solve_omega_plant_and_recover():
     alg, J, omega, _ = nk_fixture()
     c = 2.0 / 0.5
     planted = (c ** 2) * omega
-    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, planted))
+    solved = solve_Omega(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), planted))
     assert solved.ok
     assert abs(solved.lam - 0.5) < 1e-12
     # the recovered Omega is the unit-normalized direction of d omega's (3,0) part
@@ -77,7 +78,7 @@ def test_solve_omega_plant_and_recover():
 
 def test_structure_equations_fixture():
     alg, J, omega, Omega = nk_fixture()
-    s = SU3Structure(HermitianForm(J, omega), Omega, 2.0)
+    s = SU3Structure(HermitianForm(J.frame(), omega), Omega, 2.0)
     rep = check_structure_equations(alg, s)
     assert rep.r1 < 1e-9 and rep.r2 < 1e-9 and rep.r3 < 1e-9
     assert rep.passes()
@@ -85,7 +86,7 @@ def test_structure_equations_fixture():
 
 def test_structure_equations_flat_lambda_zero():
     alg, J, omega0, Omega0 = torus_structure()
-    s = SU3Structure(HermitianForm(J, omega0), Omega0, 0.0)
+    s = SU3Structure(HermitianForm(J.frame(), omega0), Omega0, 0.0)
     rep = check_structure_equations(alg, s)
     assert rep.r2 == 0.0  # r2 = |d Omega| on the flat model
 
@@ -94,7 +95,7 @@ def test_structure_equations_perturbed_fail():
     mp = catalog("s3s3_perturbed", seed=11)
     alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
     nij = nijenhuis_via_brackets(alg, Jp)
-    solved = solve_Omega(alg, nij, HermitianForm(Jp, conformal_solve(nij).normalized_omega))
+    solved = solve_Omega(alg, nij, HermitianForm(Jp.frame(), conformal_solve(nij).normalized_omega))
     # the shape residual is the failure diagnostic for perturbed structures
     assert not solved.ok
     assert solved.offshape_residual > 1e-3
@@ -105,7 +106,7 @@ def test_structure_equations_perturbed_fail():
 
 def test_nabla_omega_flat_kaehler():
     alg, J, omega0, Omega0 = torus_structure()
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J, omega0), Omega0, 0.0))
+    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega0), Omega0, 0.0))
     assert rep.antisymmetry_residual == 0.0
     assert not rep.strict                      # reported, not an error
     assert rep.strictness_min == 0.0
@@ -113,7 +114,7 @@ def test_nabla_omega_flat_kaehler():
 
 def test_nabla_omega_fixture():
     alg, J, omega, Omega = nk_fixture()
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J, omega), Omega, 2.0))
+    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), Omega, 2.0))
     assert rep.antisymmetry_residual < 1e-9
     assert rep.identification_residual < 1e-9
     assert rep.strict
@@ -125,7 +126,7 @@ def test_nabla_omega_wrong_scale_negative_control():
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     omega = product_omega(scales=(1.0, 1.0, 5.0))
     fr = adapted_frame(J, omega)
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J, omega), fr.theta_top(), 1.0))
+    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), fr.theta_top(), 1.0))
     assert rep.antisymmetry_residual > 1e-3
 
 
@@ -137,7 +138,7 @@ def test_nabla_identification_residual_is_structural():
     for scales in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
         omega = product_omega(scales=scales)
         fr = adapted_frame(J, omega)
-        rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J, omega), fr.theta_top(), 1.0))
+        rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), fr.theta_top(), 1.0))
         assert rep.identification_residual < 1e-12
 
 
@@ -146,7 +147,7 @@ def test_nabla_identification_residual_is_structural():
 
 def test_suite_fixture_all_true():
     alg, J, omega, _ = nk_fixture()
-    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), omega))
     assert suite.verdicts == (True, True, True)
     assert suite.all_true and suite.consistent()
     assert not suite.degenerate
@@ -155,7 +156,7 @@ def test_suite_fixture_all_true():
 
 def test_suite_torus_degenerate_distinct():
     alg, J, omega0, _ = torus_structure()
-    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega0))
+    suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), omega0))
     assert suite.torsion_ok          # rho = 0 is skew
     assert suite.degenerate          # but the tensor is singular: no strict NK
     assert not suite.equations_ok
@@ -169,7 +170,7 @@ def test_suite_product_partial_but_consistent():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     suite = nk_equivalence_suite(alg, nijenhuis_via_brackets(alg, J),
-                                 HermitianForm(J, product_omega()))
+                                 HermitianForm(J.frame(), product_omega()))
     assert suite.torsion_ok
     assert not suite.hypothesis_ok
     assert suite.offshape_residual > 1e-3
@@ -183,7 +184,7 @@ def test_suite_perturbed_consistent():
         alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
         nij = nijenhuis_via_brackets(alg, Jp)
         rep = conformal_solve(nij)
-        suite = nk_equivalence_suite(alg, nij, HermitianForm(Jp, rep.normalized_omega))
+        suite = nk_equivalence_suite(alg, nij, HermitianForm(Jp.frame(), rep.normalized_omega))
         assert not suite.all_true
         assert suite.consistent()
 
@@ -194,7 +195,7 @@ def test_suite_uniqueness_scaled_plant():
     alg, J, omega, Omega = nk_fixture()
     c = 1.7
     omega2 = (c ** 2) * omega
-    h2 = HermitianForm(J, omega2)
+    h2 = HermitianForm(J.frame(), omega2)
     nij = nijenhuis_via_brackets(alg, J)
     solved = solve_Omega(alg, nij, h2)
     assert solved.ok
@@ -216,7 +217,7 @@ def test_suite_uniqueness_scaled_plant():
 
 def test_lemma_d_splitting_fixture():
     alg, J, omega, Omega = nk_fixture()
-    s = SU3Structure(HermitianForm(J, omega), Omega, 2.0)
+    s = SU3Structure(HermitianForm(J.frame(), omega), Omega, 2.0)
     res = lemma_d_splitting_checks(alg, s)
     for key in ("d01_Omega", "d10_Omega_bar", "pairing_22",
                 "dOmega_via_d21bar", "dOmega_via_dm12"):
@@ -229,7 +230,7 @@ def test_lemma_d_splitting_fixture():
 
 def test_lemma_d_splitting_torus_trivial():
     alg, J, omega0, Omega0 = torus_structure()
-    res = lemma_d_splitting_checks(alg, SU3Structure(HermitianForm(J, omega0), Omega0, 0.0))
+    res = lemma_d_splitting_checks(alg, SU3Structure(HermitianForm(J.frame(), omega0), Omega0, 0.0))
     for key in ("d01_Omega", "d10_Omega_bar", "pairing_22",
                 "dOmega_via_d21bar", "dOmega_via_dm12"):
         assert res[key] == 0.0
@@ -251,7 +252,7 @@ def test_closed_form_structure_is_nearly_kaehler():
     m = nk_closed_form()
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     nij = nijenhuis_via_brackets(alg, J)
-    h = HermitianForm(J, conformal_solve(nij).normalized_omega)
+    h = HermitianForm(J.frame(), conformal_solve(nij).normalized_omega)
     suite = nk_equivalence_suite(alg, nij, h)
     assert suite.all_true and suite.consistent()
     assert abs(suite.lam - 2.0) <= 1e-12
@@ -261,7 +262,7 @@ def test_closed_form_structure_is_nearly_kaehler():
     Jt = AlmostComplexStructure(m.J.T)
     assert abs(psi_value(alg, Jt) * 3.0 ** 1.5 - 1.0) <= 1e-12
     nij_t = nijenhuis_via_brackets(alg, Jt)
-    suite_t = nk_equivalence_suite(alg, nij_t, HermitianForm(Jt, conformal_solve(nij_t).normalized_omega))
+    suite_t = nk_equivalence_suite(alg, nij_t, HermitianForm(Jt.frame(), conformal_solve(nij_t).normalized_omega))
     assert not suite_t.all_true and suite_t.consistent()
     # the committed fixture, which the optimizer found, is this structure
     assert np.max(np.abs(Manifest.load(FIXTURE).J - m.J)) <= 5e-10

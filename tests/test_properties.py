@@ -19,11 +19,10 @@ from nkvol.acs import AlmostComplexStructure, default_frame_coords, split_30
 from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhuis_via_d,
                              rho_skew_coefficient)
 from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _skew_part,
-                                     conformal_stack, torsion_criterion)
-from nkvol.variation_opt import psi_value
+                                     c_map_trilinear, conformal_stack)
 
-from helpers import (_basis_change, _rho_components, forms_close, random_acs, random_form,
-                     random_invalid_constants, random_valid_algebra)
+from helpers import (_basis_change, _rho_components, forms_close, psi_value, random_acs,
+                     random_form, random_invalid_constants, random_valid_algebra)
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -121,7 +120,8 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     ref = _rho_components(alg, J, omega, fr)
     tol = CMAP_REL_TOL * np.max(np.abs(ref))
     nij = nijenhuis_via_brackets(alg, J, frame=fr)
-    assert np.max(np.abs(torsion_criterion(nij, HermitianForm(J, omega)).rho - ref)) <= tol
+    rho = -c_map_trilinear(HermitianForm(fr, omega).block @ nij.matrix.T)
+    assert np.max(np.abs(rho - ref)) <= tol
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
 

@@ -6,7 +6,7 @@ The layers that read N* take the `NijenhuisTensor` their caller built, and the
 layers that read omega take the `HermitianForm` their caller gated.  The
 builders are counted the way `perfbench/tracer.py` wraps functions: the wrapper
 replaces the function in every nkvol namespace that bound it.  A gate of omega
-is one (1,1) test (`is_pure_bidegree` at bidegree (1,1)) and one `Metric`
+is one (1,1) test (`acs.is_type_11`, J-invariance) and one `Metric`
 build.  Each command runs in this process through `nkvol.cli.run`.
 """
 
@@ -60,7 +60,7 @@ def counts(monkeypatch) -> Counter:
     for fn in (acs.default_frame_coords, nijenhuis.nijenhuis_matrices,
                hermitian_torsion.conformal_solve):
         count_calls(monkeypatch, fn, counts)
-    count_calls(monkeypatch, acs.is_pure_bidegree, counts, lambda J, a, p, q: (p, q) == (1, 1))
+    count_calls(monkeypatch, acs.is_type_11, counts)
     post_init = multilinear.Metric.__post_init__
 
     def counted_post_init(self):
@@ -91,9 +91,9 @@ def test_each_verify_command_builds_one_frame_and_one_tensor(tmp_path, counts, n
         assert counts["nijenhuis_matrices"] <= 1, (cmd, dict(counts))
         assert counts["conformal_solve"] <= 1, (cmd, dict(counts))
         limit = 2 if (name, cmd[0]) == ("fixture", "cone") else 1
-        assert counts["is_pure_bidegree"] == counts["Metric"] <= limit, (cmd, dict(counts))
+        assert counts["is_type_11"] == counts["Metric"] <= limit, (cmd, dict(counts))
         gates.update(counts)
-    assert gates["is_pure_bidegree"] == gates["Metric"] == GATES[name], dict(gates)
+    assert gates["is_type_11"] == gates["Metric"] == GATES[name], dict(gates)
 
 
 def test_optimize_gates_its_omega_once(tmp_path, counts):
@@ -102,29 +102,32 @@ def test_optimize_gates_its_omega_once(tmp_path, counts):
     for extra in ((), ("--emit", str(tmp_path / "critical.json"))):
         counts.clear()
         assert run_quiet(["optimize", str(path), *extra]) == 0, extra
-        assert counts["is_pure_bidegree"] == counts["Metric"] == 1, (extra, dict(counts))
+        assert counts["is_type_11"] == counts["Metric"] == 1, (extra, dict(counts))
 
 
 def test_verdicts_build_no_lambda3_projector(tmp_path, monkeypatch):
     # the verdicts read d omega and a manifest Omega3 by their (3,0) coefficient in J's
-    # frame (`acs.split_30`), as the search does, and the gradient wedges d(delta-form)
-    # with omega directly: no command below builds a projector of degree 3 or 4, on the
-    # fixture (which carries Omega3), on s3s3, or in a converged search.  `alt12`, which
-    # projects onto (2,1)+(1,2) itself, shows that the counter sees them
+    # frame (`acs.split_30`), as the search does, the gradient wedges d(delta-form) with
+    # omega directly, the (1,1) gate of omega is J-invariance, and the orientation and the
+    # volume come from the frame's i det Theta: no command below builds a projector of any
+    # degree or wedges two 3-forms, on the fixture (which carries Omega3), s3s3, torus6 and
+    # s3s3_perturbed, or in a converged search.  `alt12`, which projects onto (2,0), (0,2),
+    # (2,1) and (1,2) itself, shows that the counter sees them
     counts = Counter()
-    count_calls(monkeypatch, acs.projector_from_derivation, counts,
-                lambda D, n, p, q: p + q in (3, 4))
-    s3s3 = tmp_path / "s3s3.json"
-    catalog("s3s3").save(s3s3)
-    perturbed = tmp_path / "perturbed.json"
-    catalog("s3s3_perturbed", seed=7).save(perturbed)
-    exits = {FIXTURE: EXITS["fixture"], s3s3: EXITS["s3s3"], perturbed: {}}
-    calls = [(path, cmd, 0) for path in (FIXTURE, s3s3)
+    count_calls(monkeypatch, acs.projector_from_derivation, counts)
+    count_calls(monkeypatch, multilinear.wedge_coeffs, counts,
+                lambda a, b, n, ka, kb: (ka, kb) == (3, 3))
+    paths = {"fixture": FIXTURE}
+    for name in ("s3s3", "torus6", "s3s3_perturbed"):
+        paths[name] = tmp_path / f"{name}.json"
+        catalog(name, seed=7 if name == "s3s3_perturbed" else None).save(paths[name])
+    calls = [(name, cmd, 0) for name in paths
              for cmd in (("nijenhuis",), ("torsion",), ("nk",), ("cone",),
                          ("functional", "--gradient"))]
-    calls += [(perturbed, ("optimize",), 0), (s3s3, ("alt12",), 2)]
-    for path, cmd, built in calls:
+    calls += [("s3s3_perturbed", ("optimize",), 0), ("s3s3", ("alt12",), 4)]  # a converged search
+    for name, cmd, built in calls:
         counts.clear()
-        code = run_quiet([cmd[0], str(path), *cmd[1:]])
-        assert code == exits[path].get(cmd[0], 0), (path.name, cmd)
-        assert counts["projector_from_derivation"] == built, (path.name, cmd, dict(counts))
+        code = run_quiet([cmd[0], str(paths[name]), *cmd[1:]])
+        assert code == EXITS[name].get(cmd[0], 0), (name, cmd)
+        assert counts["projector_from_derivation"] == built, (name, cmd, dict(counts))
+        assert counts["wedge_coeffs"] == 0, (name, cmd, dict(counts))

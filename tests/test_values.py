@@ -44,10 +44,10 @@ def test_report_attributes_cannot_be_assigned():
 
 
 def test_hermitian_form_cannot_be_assigned():
-    # the gated value: a reassigned omega would skip its gate
+    # the gated value: a reassigned field would skip its gate or its reading in the frame
     J = AlmostComplexStructure(catalog("s3s3").J)
-    h = HermitianForm(J, product_omega())
-    for name in ("J", "omega", "metric", "extra"):
+    h = HermitianForm(J.frame(), product_omega())
+    for name in ("frame", "omega", "metric", "block", "det", "extra"):
         with pytest.raises(AttributeError):
             setattr(h, name, None)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
-from nkvol.acs import AlmostComplexStructure, bidegree_project
+from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.variation_opt import (
@@ -19,12 +19,11 @@ from nkvol.variation_opt import (
     delta_basis,
     find_critical,
     psi_gradient,
-    psi_value,
 )
 
-from helpers import (FIXTURE, delta_as_21_form, frame_from_thetas, is_critical, psi_gradient_analytic,
-                     psi_gradient_fd, random_acs, random_form, random_valid_algebra, s3s3,
-                     scalar_residual_vector)
+from helpers import (FIXTURE, bidegree_project, delta_as_21_form, frame_from_thetas, is_critical,
+                     psi_gradient_analytic, psi_gradient_fd, psi_value, random_acs, random_form,
+                     random_valid_algebra, s3s3, scalar_residual_vector)
 
 
 def nk_fixture():
@@ -186,7 +185,7 @@ def test_gradient_rejects_degenerate():
 
 def test_criticality_fixture():
     alg, J, omega = nk_fixture()
-    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J, omega))
+    rep = criticality_test(alg, nijenhuis_via_brackets(alg, J), HermitianForm(J.frame(), omega))
     assert is_critical(rep)
     assert rep.residual < 1e-12
 
@@ -194,7 +193,7 @@ def test_criticality_fixture():
 def test_criticality_catalog_noncritical():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
-    rep = criticality_test(alg, nij, HermitianForm(J, conformal_solve(nij).normalized_omega))
+    rep = criticality_test(alg, nij, HermitianForm(J.frame(), conformal_solve(nij).normalized_omega))
     assert rep.verdict == "non-critical"
     assert rep.residual > 1e-3
 
@@ -226,7 +225,7 @@ def test_criticality_equals_gradient_vanishing():
     for alg_, J_ in structures:
         nij = nijenhuis_via_brackets(alg_, J_)
         omega = conformal_solve(nij).normalized_omega
-        rep = criticality_test(alg_, nij, HermitianForm(J_, omega))
+        rep = criticality_test(alg_, nij, HermitianForm(J_.frame(), omega))
         gmax = max(abs(psi_gradient_analytic(alg_, J_, omega, d)) for d in delta_basis())
         assert (rep.residual <= 1e-8) == (gmax <= 1e-7), (rep.residual, gmax)
 
@@ -438,8 +437,8 @@ def test_offshape_matches_projector_route():
         algp, Jp = m.algebra(), AlmostComplexStructure(m.J)
         cases.append((algp, Jp, conformal_solve(nijenhuis_via_brackets(algp, Jp)).normalized_omega))
     for alg, J, omega in cases:
-        h = HermitianForm(J, omega)
-        residual, c, domega = offshape_residual(alg, J.frame(), h)
+        h = HermitianForm(J.frame(), omega)
+        residual, c, domega = offshape_residual(alg, h)
         p30 = c * J.frame().theta_top()
         ref_residual, ref30 = offshape_projector_route(alg, h)
         assert abs(residual - ref_residual) <= 1e-13
@@ -634,8 +633,8 @@ def test_search_runs_without_conformal_solve(monkeypatch):
 
 def test_psi_gradient_one_pass_matches_each_direction():
     from nkvol.conventions import ZH_DUALITY_FACTOR
-    from nkvol.hermitian_torsion import torsion_criterion
     from nkvol.multilinear import contract, form_from_one_coeffs, wedge
+    from nkvol.nijenhuis import rho_skew_coefficient
     from helpers import forms_close, norm30_wedge_route
 
     mp = catalog("s3s3_perturbed", seed=7)
@@ -644,12 +643,12 @@ def test_psi_gradient_one_pass_matches_each_direction():
         nij = nijenhuis_via_brackets(alg, J)
         if omega is None:
             omega = conformal_solve(nij).normalized_omega
-        grad = psi_gradient(alg, nij, HermitianForm(J, omega))
+        grad = psi_gradient(alg, nij, HermitianForm(J.frame(), omega))
         each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
         assert np.max(np.abs(grad - each)) <= 1e-15
         # the (2,1)-form against its construction from the full torsion criterion
         fr = J.frame()
-        P = torsion_criterion(nij, HermitianForm(J, omega)).lambda30_component
+        P = rho_skew_coefficient(HermitianForm(fr, omega).block, nij.matrix) * fr.theta_top()
         P = (1.0 / (ZH_DUALITY_FACTOR * np.sqrt(norm30_wedge_route(omega, P)))) * P
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         legs = d.matrix @ fr.coframe[3:]
