@@ -29,7 +29,6 @@ from .multilinear import (Form, Metric, _wedge_tensor, basis_form, compound, def
                           hodge_star, wedge)
 from .frame_manifold import CoframeAlgebra, d_invariant
 from .conventions import TOLERANCES, within
-from .hermitian_torsion import HermitianForm
 from .nk_su3 import SU3Structure
 
 __all__ = [
@@ -95,12 +94,13 @@ def normalize_to_unit_lambda(s: SU3Structure) -> SU3Structure:
     """Rescale the base data so the structure constant becomes 1.
 
     omega -> lam^2 omega, Omega -> lam^3 Omega leaves |Omega| = 1 and turns
-    d omega = 3 lam Re Omega into d omega = 3 Re Omega.
+    d omega = 3 lam Re Omega into d omega = 3 Re Omega.  The gated omega scales
+    without a second gate (`HermitianForm.scaled`).
     """
     lam = s.lam
     if lam <= 0:
         raise ValueError("normalization needs a strictly positive constant")
-    return SU3Structure(HermitianForm(s.form.frame, (lam ** 2) * s.form.omega), (lam ** 3) * s.Omega, 1.0)
+    return SU3Structure(s.form.scaled(lam ** 2), (lam ** 3) * s.Omega, 1.0)
 
 
 def _check_unit_lambda(s: SU3Structure) -> None:

@@ -13,6 +13,7 @@ Everything here is exact finite-dimensional linear algebra in that frame.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -33,6 +34,7 @@ __all__ = [
     "HermitianForm",
     "TorsionCriterionReport",
     "alt12_analysis",
+    "candidate_tangent",
     "conformal_solve",
     "conformal_stack",
     "hermitian_metric",
@@ -70,6 +72,19 @@ class HermitianForm:
         object.__setattr__(self, "metric", hermitian_metric(self.frame, self.omega))
         object.__setattr__(self, "block", self.frame.components(self.omega)[:3, 3:])
         object.__setattr__(self, "det", np.linalg.det(-1j * self.block).real)
+
+    def scaled(self, s: float) -> HermitianForm:
+        """s omega for s > 0, without a second gate (copies skip `__post_init__`): the metric
+        is s g, oriented alike, the block s A and det H becomes s^3 det H."""
+        if not s > 0:
+            raise ValueError(f"omega scales by a positive number only, got {s:g}")
+        out, metric = copy(self), copy(self.metric)
+        object.__setattr__(metric, "matrix", s * self.metric.matrix)
+        metric.matrix.flags.writeable = False
+        for name, value in (("omega", s * self.omega), ("metric", metric),
+                            ("block", s * self.block), ("det", s ** 3 * self.det)):
+            object.__setattr__(out, name, value)
+        return out
 
     def read_in(self, fr: ComplexFrame) -> HermitianForm:
         """self, once fr is the frame it was read in, whose theta also fixes J."""
@@ -150,6 +165,7 @@ def _hermitian_units() -> np.ndarray:
 
 
 _HERMITIAN_UNITS = _hermitian_units()
+_CANONICAL = np.r_[np.ones(3), np.zeros(6)]  # i sum theta^a ^ conj theta^a in that basis
 
 
 def _hermitian_form_coeffs(theta: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -190,15 +206,15 @@ def _conformal_map() -> np.ndarray:
 
 def _orient_positive(H, theta):
     """Flip the Hermitian matrices H that `definite_sign` calls negative; return them, whether
-    the metric of i sum H_ab theta^a ^ conj theta^b passes the gate of `Metric`, and their
-    determinants.  That metric, omega(., J.) in coordinates, is 2 Re(theta^T H conj theta)
+    the metric of i sum H_ab theta^a ^ conj theta^b passes the gate of `Metric`, their determinants
+    and the flips.  That metric, omega(., J.) in coordinates, is 2 Re(theta^T H conj theta)
     for the (1,0) coframe rows theta; leading axes of H and theta broadcast."""
     eigs = np.linalg.eigvalsh(H)
     flip = np.where(definite_sign(eigs) < 0, -1.0, 1.0)
     H = flip[..., None, None] * H
     Y = np.swapaxes(theta, -2, -1) @ H @ np.conj(theta)
     positive = definite_sign(np.linalg.eigvalsh((Y + np.swapaxes(Y, -2, -1)).real)) == 1
-    return H, positive, flip * np.prod(eigs, axis=-1)
+    return H, positive, flip * np.prod(eigs, axis=-1), flip
 
 
 class ConformalStack(NamedTuple):
@@ -221,6 +237,10 @@ class ConformalStack(NamedTuple):
     hermitian: np.ndarray        # H of the sign-fixed candidate [..., 3, 3]
     positive: np.ndarray         # the candidate passes the definite gate
     n2: np.ndarray               # |P|^2 of the candidate, before its gates
+    M: np.ndarray                # the N* matrices [..., 3, 3]
+    vt: np.ndarray               # right singular vectors of the system, as rows [..., 9, 9]
+    flip: np.ndarray             # +-1 that fixed the candidate's sign
+    projected: np.ndarray        # the candidate is the canonical direction projected on `null`
 
     @property
     def candidate(self) -> np.ndarray:
@@ -260,21 +280,42 @@ def conformal_stack(M: np.ndarray, theta: np.ndarray) -> ConformalStack:
     _, s, vt = np.linalg.svd(np.linalg.qr(system, mode="r"))  # no 54 x 9 left vectors
     null = s <= TOLERANCES["nullspace"] * np.maximum(s[..., :1], 1e-300)
 
-    canonical = np.zeros(9)
-    canonical[:3] = 1.0  # i sum theta^a ^ conj theta^a in the hermitian basis
-    proj = matvec(np.swapaxes(vt, -2, -1), null * matvec(vt, canonical))
+    proj = matvec(np.swapaxes(vt, -2, -1), null * matvec(vt, _CANONICAL))
     pn = np.linalg.norm(proj, axis=-1)
     # the least-squares direction and the projected canonical one, side by side
     x = np.stack([vt[..., -1, :], proj / np.maximum(pn, 1e-300)[..., None]], axis=-2)
-    H, positive, det = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)),
-                                        theta[..., None, :, :])
+    H, positive, det, flip = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)),
+                                              theta[..., None, :, :])
     use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & positive[..., 1]
     H = np.where(use_alt[..., None, None], H[..., 1, :, :], H[..., 0, :, :])
     det = np.where(use_alt, det[..., 1], det[..., 0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = norm30_sq(rho_skew_coefficient(1j * H, M), det)
     return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H,
-                          positive=positive[..., 0] | use_alt, n2=n2)
+                          positive=positive[..., 0] | use_alt, n2=n2, M=M, vt=vt,
+                          flip=np.where(use_alt, flip[..., 1], flip[..., 0]), projected=use_alt)
+
+
+def candidate_tangent(st: ConformalStack, dM: np.ndarray) -> np.ndarray:
+    """Tangents H' of one structure's candidate along tangents dM of its N* matrix (leading axis).
+
+    The candidate x is the unit projection P c / |P c| onto a cluster K of right singular
+    vectors v: the last one with c = v_9, or the strict nullspace with c canonical.  First-order
+    perturbation of P against the squared singular values outside K gives, for G = A^T A,
+    P' = sum_{k in K, j not in K} (v_j v_k^T + v_k v_j^T) v_j^T G' v_k / (s_k^2 - s_j^2)."""
+    s2, vt, K = st.singular_values ** 2, st.vt, st.null if st.projected else np.arange(9) == 8
+    G = _conformal_map().reshape(18, 54, 9)
+    AV = np.tensordot(np.concatenate([st.M.real, st.M.imag]).ravel(), G, axes=1) @ vt.T
+    W = np.swapaxes(G @ vt.T, -2, -1) @ AV  # [e, j, k] = (G_e v_j) . (A v_k)
+    entries = np.concatenate([dM.real, dM.imag], axis=-2).reshape(-1, 18)
+    dG = (entries @ (W + np.swapaxes(W, -2, -1)).reshape(18, 81)).reshape(-1, 9, 9)
+    a = vt @ _CANONICAL if st.projected else np.eye(9)[8]  # c in the basis v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.where(~K[:, None] & K[None, :], dG / (s2[None, :] - s2[:, None]), 0.0)
+    y, na = np.where(K, a, 0.0), np.linalg.norm(a[K])
+    z = (R @ a + a @ R) / na  # x' = (1 - x x^T) P' c / |P c|, x = P c / |P c|
+    z -= (z @ y)[:, None] * y / na ** 2
+    return st.flip * np.tensordot(z @ vt, _HERMITIAN_UNITS, axes=(-1, 0))
 
 
 def conformal_solve(nij: NijenhuisTensor) -> ConformalSolveReport:

@@ -66,24 +66,23 @@ class NijenhuisTensor(NamedTuple):
         return bool(abs(np.linalg.det(m)) > TOLERANCES["nondegenerate"] * max(op, 1e-300) ** 3)
 
 
-def nijenhuis_vectors(alg: CoframeAlgebra, Jm: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Columns N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d], so N(v_c, v_d) = eps_bcd N^b.
-
-    Jm is the J matrix and V the (1,0) frame vectors as columns; leading axes stack.
-    """
-    # [v_c, v_d]^i = V[j, c] c^i_jk V[k, d]: the inner matmul over k, then the outer over j
-    inner = alg.structure_constants @ V[..., None, :, :]
+def bracket_vectors(alg: CoframeAlgebra, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Columns 1/2 eps_bcd [v_c, w_d] of the vectors V and W as columns: bilinear, and symmetric
+    in (V, W) since the bracket and eps are both skew.  Leading axes broadcast."""
+    # [v_c, w_d]^i = V[j, c] c^i_jk W[k, d]: the inner matmul over k, then the outer over j
+    inner = alg.structure_constants @ W[..., None, :, :]
     brackets = np.swapaxes(V, -2, -1)[..., None, :, :] @ inner
-    q01 = np.swapaxes(type_projectors(Jm)[1], -2, -1)  # transposed: P^{0,1} on vectors
-    return q01 @ (brackets.reshape(brackets.shape[:-2] + (9,)) @ (0.5 * EPS3.reshape(3, 9).T))
+    return brackets.reshape(brackets.shape[:-2] + (9,)) @ (0.5 * EPS3.reshape(3, 9).T)
 
 
 def nijenhuis_matrices(alg: CoframeAlgebra, Jm: np.ndarray, theta: np.ndarray,
                        V: np.ndarray) -> np.ndarray:
     """The bracket-route matrix of N* for J matrices with frames (theta, V); leading axes stack."""
-    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d)), so M[b, a] is
-    # the conj(theta^a) coordinate of N^b
-    return np.swapaxes(np.conj(theta) @ nijenhuis_vectors(alg, Jm, V), -2, -1)
+    # the vectors N^b = 1/2 eps_bcd P^{0,1}[v_c, v_d] give N(v_c, v_d) = eps_bcd N^b, and
+    # N*(conj theta^a)(v_c, v_d) = conj(theta^a)(N(v_c, v_d)), so M[b, a] is the
+    # conj(theta^a) coordinate of N^b
+    q01 = np.swapaxes(type_projectors(Jm)[1], -2, -1)  # transposed: P^{0,1} on vectors
+    return np.swapaxes(np.conj(theta) @ (q01 @ bracket_vectors(alg, V, V)), -2, -1)
 
 
 def rho_skew_coefficient(A: np.ndarray, M: np.ndarray) -> np.ndarray:

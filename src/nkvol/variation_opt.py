@@ -14,17 +14,16 @@ analytic first variation is the (2,2) pairing
 in the |rho|_omega = 1 gauge (omega is (1,1), so only the (2,2) part of the
 4-form reaches top degree, and no Lambda^4 projector is built), equal to the
 central finite-difference derivative up to the single frozen constant
-KAPPA_CONV.  The optimizer
-minimizes the squared criticality residual |Pi^{(2,1)+(1,2)} d omega|^2 over
-the 18 real deformation parameters with a damped Gauss-Newton loop, all of
-whose residuals come from one kernel: its central-difference Jacobian runs it
-on 36 deformed structures (`criticality_residuals`), and its start point,
-trials and kicks on one (`criticality_residual_vector`), which also gives the
-next Jacobian's frame.  The residual is the off-shape part of d omega from
-`acs.split_30`: on a (1,0) frame (theta, v) the (3,0) part of d omega is
-d omega(v_1, v_2, v_3) theta^123, and the off-shape part is d omega minus that
-and its conjugate, with no Lambda^3 projector.  `criticality_test` reads the
-same split, through `offshape_residual`.
+KAPPA_CONV.  The optimizer minimizes the squared criticality residual
+|Pi^{(2,1)+(1,2)} d omega|^2 over the 18 real deformation parameters with a
+damped Gauss-Newton loop.  Its start point, trials and kicks run one kernel on
+one structure each (`criticality_residual_vector`), and its Jacobian is that
+kernel's forward-mode derivative at the accepted point (`_jacobian`), read from
+the frame, N* matrix and singular vectors of the point's own evaluation.  The
+residual is the off-shape part of d omega from `acs.split_30`: on a (1,0) frame
+(theta, v) the (3,0) part of d omega is d omega(v_1, v_2, v_3) theta^123, and
+the off-shape part is d omega minus that and its conjugate, with no Lambda^3
+projector.  `criticality_test` reads the same split, through `offshape_residual`.
 """
 
 from __future__ import annotations
@@ -35,14 +34,15 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, contract, matvec, wedge_coeffs
+from .multilinear import Form, contract, matvec, two_form_coeffs, wedge_coeffs
 from .frame_manifold import CoframeAlgebra
-from .acs import (AlmostComplexStructure, ComplexFrame, acs_gates, default_frame_coords,
-                  j_from_basis, split_30)
+from .acs import (AlmostComplexStructure, ComplexFrame, default_frame_coords, j_from_basis,
+                  split_30, theta_top_coeffs)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
-from .hermitian_torsion import HermitianForm, conformal_stack, norm30_sq, offshape_residual
-from .nijenhuis import (NijenhuisTensor, nijenhuis_matrices, nijenhuis_via_brackets,
-                        rho_skew_coefficient, volume_form)
+from .hermitian_torsion import (ConformalStack, HermitianForm, candidate_tangent, conformal_stack,
+                                norm30_sq, offshape_residual)
+from .nijenhuis import (NijenhuisTensor, bracket_vectors, nijenhuis_matrices, rho_skew_coefficient,
+                        volume_form)
 
 if TYPE_CHECKING:
     from .nk_su3 import NkSuiteReport
@@ -53,7 +53,6 @@ __all__ = [
     "FindCriticalResult",
     "IterationRecord",
     "criticality_residual_vector",
-    "criticality_residuals",
     "criticality_test",
     "deform_J",
     "delta_basis",
@@ -61,7 +60,6 @@ __all__ = [
     "psi_gradient",
 ]
 
-JACOBIAN_FD_STEP = 1e-6   # central difference of the optimizer's Jacobian, per real parameter
 INNER_TARGET = 1e-26      # the search iterates until the objective is below this, or stalls
 
 
@@ -90,6 +88,9 @@ class Deformation:
 def delta_basis() -> list[Deformation]:
     """The 18 canonical real directions (E_ab and i E_ab)."""
     return [Deformation.from_real_params(p) for p in np.eye(18)]
+
+
+_DELTAS = np.array([d.matrix for d in delta_basis()])
 
 
 def deform_J(J: AlmostComplexStructure, delta: Deformation, t: float,
@@ -170,43 +171,63 @@ class CriticalityReport(NamedTuple):
 
 def criticality_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     """`_residual_kernel` at J: the real residual vector (None without a positive normalizable
-    candidate, which the optimizer treats as a rejected step), J's frame, whether the
-    candidate is positive, and the normalized omega (None with the vector).  A positive
-    candidate with a non-finite |P|^2 raises, as in `conformal_solve`."""
-    vec, valid, theta, V, st = _residual_kernel(alg, J.matrix, True)
+    candidate, which the optimizer treats as a rejected step), J's frame and the
+    `ConformalStack`, which holds the candidate, its positivity and normalized omega, and what
+    `_jacobian` differentiates.  A positive candidate with a non-finite |P|^2 raises, as in
+    `conformal_solve`."""
+    vec, valid, theta, V, st = _residual_kernel(alg, J.matrix)
     st.check_norm()
-    omega = Form(6, 2, st.normalized_omega) if valid else None
-    return (vec if valid else None), ComplexFrame(J, theta, V), bool(st.positive), omega
+    return (vec if valid else None), ComplexFrame(J, theta, V), st
 
 
-def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray, valid):
+def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray):
     """Residual vectors, [Re; Im] of the `split_30` off-shape part of d omega, at J matrices Jm
-    that pass the gates of `AlmostComplexStructure`, zero outside their mask: `valid` narrowed to
-    a positive normalizable candidate.  With the mask come the frames (theta, V) and the
-    `ConformalStack`; leading axes stack."""
+    that pass the gates of `AlmostComplexStructure`, with the mask where they count (a positive
+    normalizable candidate), the frames (theta, V) and the `ConformalStack`; leading axes stack."""
     theta, V = default_frame_coords(Jm)
     st = conformal_stack(nijenhuis_matrices(alg, Jm, theta, V), theta)
-    valid = valid & st.normalizable
     off = split_30(matvec(alg.d_matrices[2], st.normalized_omega), theta, V)[1]
-    vec = np.concatenate([off.real, off.imag], axis=-1)
-    return np.where(valid[..., None], vec, 0.0), valid, theta, V, st
+    return np.concatenate([off.real, off.imag], axis=-1), st.normalizable, theta, V, st
 
 
-def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas: np.ndarray,
-                          frame: ComplexFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vectors at the graph-chart deformations of J by a stack of delta matrices.
+def _top_tangent(rows, drows) -> np.ndarray:
+    """The tangent of the trilinear `theta_top_coeffs` at rows along drows (leading axis)."""
+    slots = np.eye(3, dtype=bool)[:, None, :, None]
+    return theta_top_coeffs(np.where(slots, drows, rows)).sum(axis=0)
 
-    Slice k is the vector of `criticality_residual_vector` at
-    `deform_J(J, Deformation(deltas[k]), 1.0, frame)`, from the same `_residual_kernel`.
-    Returns the vectors and a mask that is also False where the graph is not
-    complementary or the chart's matrix fails the gates of `AlmostComplexStructure`;
-    the vectors are zero there.
-    """
-    fr = frame if frame is not None else J.frame()
-    Jm, _, valid = _graph_chart(fr.v_coords, deltas)
-    valid = valid & acs_gates(Jm)[1]
-    Jm = np.where(valid[..., None, None], Jm, J.matrix)  # a valid stand-in keeps every slice finite
-    return _residual_kernel(alg, Jm, valid)[:2]
+
+def _jacobian(alg: CoframeAlgebra, fr: ComplexFrame, st: ConformalStack) -> np.ndarray:
+    """The 40 x 18 Jacobian of `_residual_kernel` along `delta_basis` at t = 0, from the frame and
+    stack of the point's `criticality_residual_vector`: each step of the kernel by the product
+    rule, with no new frame, N*, QR or SVD.  The residual does not change under a unitary
+    change of frame, so the smooth Loewdin frame of P^{1,0}(t) theta^T serves for the SVD one."""
+    theta, V, Jm, F = fr.theta_coeffs, fr.v_coords, fr.J.matrix, fr.vectors
+    Z = (V @ _DELTAS) @ np.conj(theta)
+    dJ = 2.0 * (Z.imag - Jm @ Z.real)  # Re((B'D - J B') Theta), B' = [conj(V delta), V delta]
+    X = -0.5j * theta @ dJ  # rows theta (P^{1,0})'^T, less half the Gram's tangent (Loewdin)
+    G = X @ np.conj(theta).T
+    dtheta = X - 0.5 * (G + np.conj(np.swapaxes(G, -2, -1))) @ theta
+    dV = -(F @ np.concatenate([dtheta, np.conj(dtheta)], axis=-2) @ F)[..., :3]
+    q01, K = fr.J.p01().T, bracket_vectors(alg, V, V)  # M = (conj theta q01 K)^T
+    dN = 0.5j * dJ @ K + q01 @ (2.0 * bracket_vectors(alg, V, dV))
+    dM = np.swapaxes(np.conj(dtheta) @ q01 @ K + np.conj(theta) @ dN, -2, -1)
+    # the candidate, det H' = det H tr(H^-1 H'), the |P|^2 gauge and omega = n2 H
+    H, n2, M = st.hermitian, st.n2, st.M
+    dH = candidate_tangent(st, dM)
+    c = rho_skew_coefficient(1j * H, M)
+    dc = rho_skew_coefficient(1j * dH, M) + rho_skew_coefficient(1j * H, dM)
+    dn2 = n2 * (2.0 * (dc / c).real - np.sum(np.linalg.inv(H).T * dH, axis=(-2, -1)).real)
+    W, dW = 1j * n2 * H, 1j * (dn2[:, None, None] * H + n2 * dH)
+    Y = np.swapaxes(dtheta, -2, -1) @ W @ np.conj(theta)
+    Y = Y + theta.T @ (W @ np.conj(dtheta) + dW @ np.conj(theta))
+    d2 = alg.d_matrices[2].real
+    phi, dphi = d2 @ st.normalized_omega, two_form_coeffs(2.0 * Y.real) @ d2.T
+    # `split_30` of the real d omega, whose minors and theta^123 are trilinear
+    minors, top = theta_top_coeffs(V.T), theta_top_coeffs(theta)
+    dc30 = dphi @ minors + _top_tangent(V.T, np.swapaxes(dV, -2, -1)) @ phi
+    doff = dphi - 2.0 * (dc30[:, None] * top + (phi @ minors) * _top_tangent(theta, dtheta)).real
+    # C-ordered, which fixes the summation order of jac.T @ jac; the real residual's Im half is 0
+    return np.ascontiguousarray(np.concatenate([doff.T, np.zeros_like(doff.T)]))
 
 
 def criticality_test(alg: CoframeAlgebra, nij: NijenhuisTensor,
@@ -239,7 +260,7 @@ class IterationRecord(NamedTuple):
     step_norm: float | None     # |accepted step| in the 18 real parameters; None if none was
     rejected_trials: int        # damped trials rejected
     kick: float | None          # magnitude of the accepted kick; None without one
-    residual_evals: int         # structures evaluated: the Jacobian's 36, then trials and kicks
+    residual_evals: int         # structures evaluated: the trials and kicks in the working region
 
 
 class FindCriticalResult(NamedTuple):
@@ -263,7 +284,7 @@ def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
            params: np.ndarray, norm_cap: float, R: float):
     """Try the step of 18 real parameters from J against the objective R.
 
-    Returns ((J', vector, frame, omega, objective) or None, whether the residual
+    Returns ((J', vector, frame, stack, objective) or None, whether the residual
     was evaluated).  None rejects the step: it leaves the chart or the working
     region (tested before the residual is paid for), finds no normalizable
     candidate, or does not strictly lower R.
@@ -275,12 +296,12 @@ def _trial(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame,
     if np.linalg.norm(Jtry.matrix, 2) > norm_cap:
         return None, False  # left the working region
     try:
-        vec, fr, _, omega = criticality_residual_vector(alg, Jtry)
+        vec, fr, st = criticality_residual_vector(alg, Jtry)
     except ValueError:
         return None, True
     if vec is None or not _objective(vec) < R:
         return None, True
-    return (Jtry, vec, fr, omega, _objective(vec)), True
+    return (Jtry, vec, fr, st, _objective(vec)), True
 
 
 def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int = 100,
@@ -301,13 +322,13 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     as a failure, never as a solution, and so is an omega that fails the gate of
     `HermitianForm`.  A solution also carries the largest analytic psi-gradient
     component, an independent certificate of criticality, and psi, both from the N*
-    tensor the suite reads.
+    tensor the suite reads: the accepted point's, not built again.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if seed < 0:  # here, not at the first kick after the whole search has run
         raise ValueError(f"seed must be >= 0, got {seed}")
-    vec, fr, _, omega = criticality_residual_vector(alg, J0)
+    vec, fr, st = criticality_residual_vector(alg, J0)
     if vec is None:
         return FindCriticalResult(J0, False, 0, [], None,
                                   reason="no positive candidate omega at start")
@@ -320,15 +341,9 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     iterations = 0
     reason = "converged"
     norm_cap = 100.0 * max(1.0, np.linalg.norm(J0.matrix, 2))
-    # central differences: +h and -h along each of the 18 real directions
-    steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
-    fd_deltas = np.concatenate([steps, -steps])
     while R > INNER_TARGET and iterations < max_iter:
-        vecs, valid = criticality_residuals(alg, J, fd_deltas, frame=fr)
-        both = valid[:18] & valid[18:]  # a column with a rejected side stays zero
-        jac = np.zeros((len(vec), 18))  # C-ordered: fixes the summation order of jac.T @ jac
-        jac[:, both] = ((vecs[:18] - vecs[18:]) / (2.0 * JACOBIAN_FD_STEP))[both].T
-        evals, rejected = len(fd_deltas), 0
+        jac = _jacobian(alg, fr, st)
+        evals, rejected = 0, 0
         step_norm = kick = None
         for _ in range(40):
             try:
@@ -340,7 +355,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
             got, evaluated = _trial(alg, J, fr, step, norm_cap, R)
             evals += evaluated
             if got is not None:
-                J, vec, fr, omega, R = got
+                J, vec, fr, st, R = got
                 mu = max(mu / 3.0, 1e-14)
                 step_norm = float(np.linalg.norm(step))
                 break
@@ -356,7 +371,7 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
                     got, evaluated = _trial(alg, J, fr, params, norm_cap, R)
                     evals += evaluated
                     if got is not None:
-                        J, vec, fr, omega, R = got
+                        J, vec, fr, st, R = got
                         step_norm, kick = float(np.linalg.norm(params)), mag
                         break
                 if kick is not None:
@@ -377,11 +392,11 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
         why = "the equivalence suite rejects the candidate"
         try:
-            form = HermitianForm(fr, omega)
+            form = HermitianForm(fr, Form(6, 2, st.normalized_omega))
         except ValueError as ex:  # the stack's gate passed H, `Metric`'s fails omega(., J.)
             why = str(ex)
         else:
-            nij = nijenhuis_via_brackets(alg, J, frame=fr)
+            nij = NijenhuisTensor(fr, st.M)  # the accepted point's N*, built once
             suite = nk_equivalence_suite(alg, nij, form)
             if suite.all_true:
                 gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))

@@ -23,14 +23,15 @@ from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_fr
                                index_tuples, matvec, two_form_coeffs, two_form_matrices, wedge,
                                wedge_coeffs)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
-from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, bidegrees,
+from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, acs_gates, bidegrees,
                        project_to_acs, split_30)
 from nkvol.conventions import HERMITIAN_30_NORM_COEF, KAPPA_CONV, ZH_DUALITY_FACTOR, within
-from nkvol.nijenhuis import NijenhuisTensor, nijenhuis_vectors, nijenhuis_via_brackets, volume_form
+from nkvol.nijenhuis import NijenhuisTensor, bracket_vectors, nijenhuis_via_brackets, volume_form
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
-from nkvol.variation_opt import CriticalityReport, Deformation, _unit_delta_forms, deform_J
+from nkvol.variation_opt import (CriticalityReport, Deformation, _graph_chart, _residual_kernel,
+                                 _unit_delta_forms, deform_J, delta_basis)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
@@ -398,6 +399,46 @@ def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     return np.concatenate([off.real, off.imag]), rep, nij
 
 
+JACOBIAN_FD_STEP = 1e-6   # central difference of `fd_jacobian`, per real parameter
+
+
+def criticality_residuals(alg: CoframeAlgebra, J: AlmostComplexStructure, deltas: np.ndarray,
+                          frame: ComplexFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vectors at the graph-chart deformations of J by a stack of delta matrices.
+
+    Slice k is the vector of `criticality_residual_vector` at
+    `deform_J(J, Deformation(deltas[k]), 1.0, frame)`, from the same `_residual_kernel`.
+    Returns the vectors and a mask that is also False where the graph is not
+    complementary or the chart's matrix fails the gates of `AlmostComplexStructure`;
+    the vectors are zero there.
+    """
+    fr = frame if frame is not None else J.frame()
+    Jm, _, valid = _graph_chart(fr.v_coords, deltas)
+    valid = valid & acs_gates(Jm)[1]
+    Jm = np.where(valid[..., None, None], Jm, J.matrix)  # a valid stand-in keeps every slice finite
+    vecs, normalizable = _residual_kernel(alg, Jm)[:2]
+    valid = valid & normalizable
+    return np.where(valid[..., None], vecs, 0.0), valid
+
+
+def fd_deltas(h: float = JACOBIAN_FD_STEP) -> np.ndarray:
+    """+h and -h along each of the 18 real directions of `delta_basis`."""
+    steps = h * np.array([d.matrix for d in delta_basis()])
+    return np.concatenate([steps, -steps])
+
+
+def fd_jacobian(alg: CoframeAlgebra, J: AlmostComplexStructure, frame: ComplexFrame | None = None,
+                h: float = JACOBIAN_FD_STEP) -> np.ndarray:
+    """The oracle of the search's analytic Jacobian: central differences of the residual
+    over the 36 structures `J +- h delta_p` in one stacked kernel call.  A column with a
+    rejected side stays zero."""
+    vecs, valid = criticality_residuals(alg, J, fd_deltas(h), frame=frame)
+    both = valid[:18] & valid[18:]
+    jac = np.zeros((vecs.shape[-1], 18))
+    jac[:, both] = ((vecs[:18] - vecs[18:]) / (2.0 * h))[both].T
+    return jac
+
+
 def norm30_wedge_route(omega: Form, p30: Form) -> float:
     """The oracle for `norm30_sq`: |P|^2 of a (3,0)-form against a positive (1,1)-form omega
     by its definition, through wedges of forms.
@@ -426,8 +467,9 @@ def offshape_projector_route(alg: CoframeAlgebra, h: HermitianForm) -> tuple[flo
 
 def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
-    """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c)."""
-    N = nijenhuis_vectors(alg, J.matrix, fr.v_coords)
+    """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c), with the vectors
+    N^d = 1/2 eps_dbc P^{0,1}[v_b, v_c]."""
+    N = J.p01().T @ bracket_vectors(alg, fr.v_coords, fr.v_coords)
     R = N.T @ two_form_matrices(omega.coeffs, 6) @ fr.v_coords
     return np.einsum("dab,dc->abc", EPS3, R)
 

@@ -443,7 +443,7 @@ def test_optimize_reports_iteration_records(tmp_path):
     for rec in records:
         assert set(rec) == {"objective", "mu", "step_norm", "rejected_trials", "kick",
                             "residual_evals"}
-        assert rec["residual_evals"] >= 36 and rec["kick"] is None
+        assert rec["residual_evals"] >= 1 and rec["kick"] is None  # the accepted trial at least
     assert [rec["objective"] for rec in records] == checks["trace"][1:]
     assert checks["psi_gradient_max_abs"] < 1e-8
     # the human-readable report summarizes the records

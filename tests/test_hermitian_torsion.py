@@ -316,7 +316,7 @@ def test_positivity_from_hermitian_matrix_matches_metric():
         degenerate = U @ np.diag([1.0, 1e-15, 1e-15]) @ U.conj().T
         thin = U @ np.diag([1.0, 1e-11, 1e-11]) @ U.conj().T
         for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0), (degenerate, 0.0), (thin, None)):
-            oriented, positive, det = _orient_positive(H, fr.theta_coeffs)
+            oriented, positive, det, _ = _orient_positive(H, fr.theta_coeffs)
             omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
             if sign is None:  # whatever the metric's gate says
                 assert definite_sign(np.linalg.eigvalsh(H)) == 1

@@ -1,8 +1,9 @@
 """Property-based identities: d^2 = 0 exactly when the Jacobi identity holds, the
 Leibniz rule for d, the two Nijenhuis routes, the volume density under frame
 changes and rescaling, the stacked residual kernel against the single-structure
-path, the C-map route to rho = omega(N(.,.),.) against the N-vector oracle, and
-the conformal candidate under unitary changes of the (1,0) frame.
+path, the search's analytic Jacobian against the central difference, the C-map
+route to rho = omega(N(.,.),.) against the N-vector oracle, and the conformal
+candidate under unitary changes of the (1,0) frame.
 
 Examples are drawn by hypothesis under the derandomized profile of conftest.py;
 the structures come from the seeded generators in helpers.py.
@@ -20,9 +21,10 @@ from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhu
                              rho_skew_coefficient)
 from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _skew_part,
                                      c_map_trilinear, conformal_stack)
+from nkvol.variation_opt import _jacobian, criticality_residual_vector
 
-from helpers import (_basis_change, _rho_components, forms_close, psi_value, random_acs,
-                     random_form, random_invalid_constants, random_valid_algebra)
+from helpers import (_basis_change, _rho_components, fd_jacobian, forms_close, psi_value,
+                     random_acs, random_form, random_invalid_constants, random_valid_algebra)
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -33,6 +35,9 @@ ROUTES_REL_TOL = 1e-12  # relative to max(1, |N*|); the worst of 400 seeded draw
 PSI_REL_TOL = 1e-11  # relative; the worst of 400 seeded draws was 1.3e-13
 CMAP_REL_TOL = 1e-12  # relative to max |rho|; the worst of 1000 seeded draws was 6.7e-15
 FRAME_REL_TOL = 1e-12  # relative; the worst of 200 seeded draws was 5.8e-15
+JACOBIAN_REL_TOL = 1e-6  # relative; the worst of 500 seeded draws was 1.4e-8
+INSIDE_CONE = 1e-3  # least over largest eigenvalue of the candidate's H
+RICHARDSON_STEP = 1e-5  # central differences at this step and half of it, extrapolated
 
 
 @given(SEEDS, st.booleans(), st.integers(1, 4))
@@ -106,6 +111,29 @@ def test_stacked_residuals_match_scalar_path_on_random_deltas(case, parts):
     else:
         alg, J = su2r3()
     assert_stack_matches_scalar(alg, J, parts[0] + 1j * parts[1])
+
+
+@given(SEEDS)
+def test_analytic_jacobian_matches_central_difference_on_random_structures(seed):
+    # the first draw of the seed with a positive normalizable candidate whose H lies inside
+    # the cone, on the algebras where N* is nondegenerate, against the Richardson
+    # extrapolation of the central difference: the central difference's truncation error
+    # grows as H nears the cone's boundary (3.5e-7 at h = 1e-6 on the 389th of 500 seeds),
+    # and closer still no step resolves the kernel (1.1e-5 at h = 1e-6 on startable draws
+    # with eigenvalue ratios near 4e-5, where the extrapolation agreed to 5e-9)
+    rng = np.random.default_rng(seed)
+    while True:
+        alg, J = random_valid_algebra(rng, kinds=("su2su2", "su2r3")), random_acs(rng)
+        vec, fr, stack = criticality_residual_vector(alg, J)
+        if vec is not None:
+            eigs = np.linalg.eigvalsh(stack.hermitian)
+            if eigs[0] >= INSIDE_CONE * eigs[-1]:
+                break
+    half, full = (fd_jacobian(alg, J, frame=fr, h=h)
+                  for h in (RICHARDSON_STEP / 2, RICHARDSON_STEP))
+    oracle = (4.0 * half - full) / 3.0
+    analytic = _jacobian(alg, fr, stack)
+    assert np.max(np.abs(analytic - oracle)) <= JACOBIAN_REL_TOL * np.max(np.abs(oracle))
 
 
 @given(SEEDS)

@@ -10,10 +10,8 @@ from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.variation_opt import (
-    JACOBIAN_FD_STEP,
     Deformation,
     criticality_residual_vector,
-    criticality_residuals,
     criticality_test,
     deform_J,
     delta_basis,
@@ -21,9 +19,10 @@ from nkvol.variation_opt import (
     psi_gradient,
 )
 
-from helpers import (FIXTURE, bidegree_project, delta_as_21_form, frame_from_thetas, is_critical,
-                     psi_gradient_analytic, psi_gradient_fd, psi_value, random_acs, random_form,
-                     random_valid_algebra, s3s3, scalar_residual_vector)
+from helpers import (FIXTURE, bidegree_project, criticality_residuals, delta_as_21_form, fd_deltas,
+                     fd_jacobian, frame_from_thetas, is_critical, psi_gradient_analytic,
+                     psi_gradient_fd, psi_value, random_acs, random_form, random_valid_algebra,
+                     s3s3, scalar_residual_vector)
 
 
 def nk_fixture():
@@ -286,19 +285,21 @@ def test_find_critical_no_solution_is_honest_failure():
 
 def test_find_critical_exhausts_the_trust_region_on_su2r3():
     # with the default max_iter the search stalls: 40 rejected damped trials and
-    # 24 kicks none of which lowers the objective end it
+    # 24 kicks none of which lowers the objective end it.  Where on the plateau it stalls
+    # follows the Jacobian's rounding: 55 iterations with the central difference, 44 with
+    # the analytic Jacobian
     alg, J = su2r3()
     res = find_critical(alg, J, seed=0)
     assert not res.converged and res.reason == "trust region exhausted above tolerance"
-    assert res.iterations == 55 and len(res.records) == 56 and len(res.trace) == 56
+    assert res.iterations == 44 and len(res.records) == 45 and len(res.trace) == 45
     assert all(res.trace[i + 1] <= res.trace[i] for i in range(len(res.trace) - 1))
     last = res.records[-1]
     assert last.step_norm is None and last.rejected_trials == 40 and last.kick is None
     # every kick at seed 0 leaves the chart or the working region unevaluated;
     # at seed 3 three kicks are evaluated and do not lower the objective
-    assert last.residual_evals == 36
+    assert last.residual_evals == 0
     again = find_critical(alg, J, seed=3)
-    assert again.reason == res.reason and again.records[-1].residual_evals == 39
+    assert again.reason == res.reason and again.records[-1].residual_evals == 3
     assert again.records[:-1] == res.records[:-1]
     assert find_critical(alg, J, seed=3).records == again.records
 
@@ -334,11 +335,6 @@ NON_POSITIVE_DELTA = np.array([[0.2 - 0.6j, 0.6 - 0.3j, -0.1 + 0.1j],
                                [0.5 + 0.3j, 0.1 + 0.1j, -0.4 + 0.2j]])
 
 
-def fd_deltas():
-    steps = JACOBIAN_FD_STEP * np.array([d.matrix for d in delta_basis()])
-    return np.concatenate([steps, -steps])
-
-
 def assert_stack_matches_scalar(alg, J, deltas):
     """The stacked kernel and `criticality_residual_vector` at each deformed structure
     against the scalar reference `scalar_residual_vector` (None where it raises)."""
@@ -353,15 +349,15 @@ def assert_stack_matches_scalar(alg, J, deltas):
             ref = None
         else:
             # on one structure the kernel runs the reference's arithmetic: equal bit for bit
-            vec, frame, positive, omega = criticality_residual_vector(alg, Jd)
-            assert positive == rep.candidate_positive, k
+            vec, frame, st = criticality_residual_vector(alg, Jd)
+            assert st.positive == rep.candidate_positive, k
             assert np.array_equal(frame.theta_coeffs, nij.frame.theta_coeffs), k
             assert np.array_equal(frame.v_coords, nij.frame.v_coords), k
             if ref is None:
-                assert vec is None and omega is None and rep.normalized_omega is None, k
+                assert vec is None and not st.normalizable and rep.normalized_omega is None, k
             else:
                 assert np.array_equal(vec, ref), k
-                assert np.array_equal(omega.coeffs, rep.normalized_omega.coeffs), k
+                assert np.array_equal(st.normalized_omega, rep.normalized_omega.coeffs), k
         assert valid[k] == (ref is not None), k
         if ref is None:
             assert not np.any(vecs[k]), k
@@ -391,9 +387,8 @@ def test_stacked_residuals_mask_rejected_slices():
     # positive candidate at the other structure
     with pytest.raises(ValueError, match="not complementary"):
         deform_J(J, Deformation(np.eye(3)), 1.0)
-    vec, _, positive, omega = criticality_residual_vector(
-        alg, deform_J(J, Deformation(NON_POSITIVE_DELTA), 1.0))
-    assert vec is None and omega is None and not positive
+    vec, _, st = criticality_residual_vector(alg, deform_J(J, Deformation(NON_POSITIVE_DELTA), 1.0))
+    assert vec is None and not st.positive and not st.normalizable
     valid = assert_stack_matches_scalar(alg, J, deltas)
     assert valid.tolist() == [True, False, False, True]
     # the same slices as one-slice stacks
@@ -447,13 +442,18 @@ def test_offshape_matches_projector_route():
 
 
 def test_jacobian_kernel_builds_no_projectors(monkeypatch):
-    # one stacked Jacobian evaluation works in frame coordinates: no Lambda^3
-    # projector or derivation matrix, and only the frame and conformal SVDs
+    # one stacked kernel evaluation works in frame coordinates: no Lambda^3 projector or
+    # derivation matrix, and only the frame and conformal SVDs.  The analytic Jacobian
+    # differentiates the accepted point's evaluation: no projector, no SVD, QR or
+    # eigendecomposition, and no new frame or N* matrix
     import sys
+
+    import nkvol.variation_opt as vo
 
     alg, J = su2r3()
     fr = J.frame()
     criticality_residuals(alg, J, fd_deltas(), frame=fr)  # builds the algebra's d matrices once
+    _, frame, st = criticality_residual_vector(alg, J)
     calls = []
 
     def counted(name, fn):
@@ -464,14 +464,92 @@ def test_jacobian_kernel_builds_no_projectors(monkeypatch):
 
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("nkvol."):
-            for name in ("projector_from_derivation", "substitution"):
+            for name in ("projector_from_derivation", "substitution", "default_frame_coords",
+                         "nijenhuis_matrices", "conformal_stack"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    for name in ("svd", "qr", "eig", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _, valid = criticality_residuals(alg, J, fd_deltas(), frame=fr)
     assert valid.all()
     assert "projector_from_derivation" not in calls and "substitution" not in calls, calls
     assert calls.count("svd") <= 2, calls
+    calls.clear()
+    assert vo._jacobian(alg, frame, st).shape == (40, 18)
+    assert calls == [], calls
+
+
+def jacobian_error(alg, J) -> float:
+    """max |analytic - central difference| / max |central difference| of the search's
+    Jacobian at J, taken in the frame of J's residual evaluation."""
+    import nkvol.variation_opt as vo
+
+    vec, fr, st = criticality_residual_vector(alg, J)
+    assert vec is not None
+    fd = fd_jacobian(alg, J, frame=fr)
+    return float(np.max(np.abs(vo._jacobian(alg, fr, st) - fd)) / np.max(np.abs(fd)))
+
+
+JACOBIAN_REL_TOL = 1e-6  # against the central difference; the worst point below is 8.2e-9
+
+
+def test_analytic_jacobian_matches_central_difference():
+    # the fixture, seed 7 at both magnitudes and su(2)+R^3, each at its start and its first
+    # three iterates (the fixture has none: its search converges at the start), then the
+    # eight su(2)+su(2) draws of rng 2026 with a positive candidate
+    mp = [catalog("s3s3_perturbed", seed=7, magnitude=m) for m in (0.05, 0.3)]
+    starts = [nk_fixture()[:2], *[(m.algebra(), AlmostComplexStructure(m.J)) for m in mp], su2r3()]
+    points = [(alg, find_critical(alg, J0, max_iter=k).J) for alg, J0 in starts for k in range(4)]
+    alg = catalog("s3s3").algebra()
+    rng = np.random.default_rng(2026)
+    draws = [J for J in (random_acs(rng) for _ in range(30))
+             if criticality_residual_vector(alg, J)[0] is not None]
+    assert len(draws) == 8
+    for alg_, J in [*points, *((alg, J) for J in draws)]:
+        assert jacobian_error(alg_, J) <= JACOBIAN_REL_TOL
+
+
+def test_candidate_tangent_on_the_projected_branch(monkeypatch):
+    # census draw 134 of rng 11 (`test_valid_manifests_exit_2_only_out_of_scope`) reaches
+    # the projected branch at its 11th Jacobian: four singular values of the conformal
+    # system lie near 1e-11 of the top one, inside the strict nullspace, and H's least
+    # eigenvalue is 5e-12 of its largest, just inside the definite cut.  At h = 1e-6 the
+    # four leave the nullspace and one side of each of the 18 central differences fails
+    # the positivity gate, so the central difference is the zero matrix there.  The
+    # branch's oracle holds the cluster instead: the canonical direction projected onto
+    # the four least right singular vectors of the system of M +- h dM, for random dM
+    import nkvol.variation_opt as vo
+    from nkvol.hermitian_torsion import (_CANONICAL, _HERMITIAN_UNITS, _conformal_map,
+                                         candidate_tangent)
+
+    rng = np.random.default_rng(11)
+    for _ in range(135):
+        alg, J = random_valid_algebra(rng), random_acs(rng)
+    jacobian, seen = vo._jacobian, []
+
+    def record(alg_, fr, st):
+        seen.append((fr, st))
+        return jacobian(alg_, fr, st)
+
+    monkeypatch.setattr(vo, "_jacobian", record)
+    find_critical(alg, J, max_iter=30)
+    projected = [k for k, (_, st) in enumerate(seen) if st.projected]
+    assert projected and projected[0] == 10, projected
+    fr, st = seen[projected[0]]
+    assert int(st.null.sum()) == 4
+    assert not fd_jacobian(alg, fr.J, frame=fr).any()
+
+    def branch(M):
+        system = (np.concatenate([M.real, M.imag]).ravel() @ _conformal_map()).reshape(54, 9)
+        vt = np.linalg.svd(system)[2][-4:]
+        x = vt.T @ (vt @ _CANONICAL)
+        return st.flip * np.tensordot(x / np.linalg.norm(x), _HERMITIAN_UNITS, axes=(-1, 0))
+
+    assert np.max(np.abs(branch(st.M) - st.hermitian)) <= 1e-12
+    dM = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    h = 1e-6
+    fd = np.array([(branch(st.M + h * d) - branch(st.M - h * d)) / (2.0 * h) for d in dM])
+    assert np.max(np.abs(candidate_tangent(st, dM) - fd)) <= JACOBIAN_REL_TOL * np.max(np.abs(fd))
 
 
 def test_stacked_conformal_solve_canonical_branch():
@@ -580,29 +658,30 @@ def test_su2r3_trace_stable_under_ulp_conjugation():
 def test_telemetry_counts_every_structure(monkeypatch):
     import nkvol.variation_opt as vo
 
-    stacks, scalar_calls = [], [0]
-    stacked, scalar = vo.criticality_residuals, vo.criticality_residual_vector
+    jacobians, scalar_calls = [], [0]
+    jacobian, scalar = vo._jacobian, vo.criticality_residual_vector
 
-    def count_stack(alg, J, deltas, frame=None):
-        stacks.append(len(deltas))
-        return stacked(alg, J, deltas, frame=frame)
+    def count_jacobian(alg, fr, st):
+        jacobians.append(fr.J)
+        return jacobian(alg, fr, st)
 
     def count_scalar(*args, **kwargs):
         scalar_calls[0] += 1
         return scalar(*args, **kwargs)
 
-    monkeypatch.setattr(vo, "criticality_residuals", count_stack)
+    monkeypatch.setattr(vo, "_jacobian", count_jacobian)
     monkeypatch.setattr(vo, "criticality_residual_vector", count_scalar)
     alg, J = su2r3()
     res = vo.find_critical(alg, J, max_iter=18)
-    # one stacked Jacobian of 36 structures per iteration, each counted as one
-    # evaluation; then one evaluation per trial that stayed in the working region
-    assert stacks == [36] * len(res.records)
-    assert sum(r.residual_evals for r in res.records) == 36 * len(stacks) + scalar_calls[0] - 1
+    # one analytic Jacobian per iteration, at the start and then at each accepted point,
+    # which evaluates no structure; one evaluation per trial that stayed in the working
+    # region, the start's not counted
+    assert len(jacobians) == len(res.records) and jacobians[0] is J
+    assert sum(r.residual_evals for r in res.records) == scalar_calls[0] - 1
     # every trial rejected on this search left the working region, which is
     # tested before the residual is paid for: only the accepted trial is evaluated
     assert sum(r.rejected_trials for r in res.records) > 0
-    assert all(r.residual_evals == 37 and r.kick is None for r in res.records)
+    assert all(r.residual_evals == 1 and r.kick is None for r in res.records)
     assert [r.objective for r in res.records] == res.trace[1:]
     assert res.records == su2r3_search_18().records  # deterministic
 
