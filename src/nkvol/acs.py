@@ -110,11 +110,6 @@ def j_squared_residual(m: np.ndarray):
     return res, np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)) ** 2)
 
 
-def _omega_j(Jm, omega) -> np.ndarray:
-    """omega(X, JY) as a real matrix, from J matrices and 2-form coefficients; leading axes stack."""
-    return (two_form_matrices(omega, Jm.shape[-1]) @ Jm).real
-
-
 def acs_gates(m: np.ndarray):
     """The constructor's gates per matrix of a stack: (finite entries, finite and J^2 = -Id)."""
     m = np.asarray(m, dtype=np.float64)

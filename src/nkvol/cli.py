@@ -78,19 +78,18 @@ def _structure(manifest: Manifest):
     return alg, nijenhuis_via_brackets(alg, _acs_of(manifest))
 
 
-def _pick_omega(nij, manifest: Manifest, rep=None):
+def _pick_omega(nij, manifest: Manifest, st=None):
     """The one pick of omega for every command that reads it, as a gated `HermitianForm`:
-    the manifest omega, else the normalized omega of rep (or of nij's conformal solve),
-    else its positive candidate."""
+    the manifest omega, else the form of st (or of nij's conformal solve), its normalized
+    omega or else its positive candidate."""
     from .hermitian_torsion import HermitianForm, conformal_solve
     if manifest.omega is not None:
         return HermitianForm(nij.frame, manifest.omega), "manifest"
-    rep = rep if rep is not None else conformal_solve(nij)
-    if rep.normalized_omega is not None:
-        return HermitianForm(nij.frame, rep.normalized_omega), "conformal_solve normalized"
-    if rep.candidate_positive:
-        return HermitianForm(nij.frame, rep.candidate), "conformal_solve candidate"
-    return None, "none available"
+    st = st if st is not None else conformal_solve(nij)
+    form = st.form(nij.frame)
+    if form is None:
+        return None, "none available"
+    return form, "conformal_solve " + ("normalized" if st.normalizable else "candidate")
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +97,9 @@ def _pick_omega(nij, manifest: Manifest, rep=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(manifest: Manifest):
-    from .acs import _omega_j, j_squared_residual
+    from .acs import j_squared_residual
     from .frame_manifold import check_jacobi
+    from .multilinear import two_form_matrices
     alg = manifest.algebra()
     rep = check_jacobi(alg)
     checks = {
@@ -114,7 +114,7 @@ def _cmd_check(manifest: Manifest):
         checks["j_squared_residual"] = j_res
         verdicts["j_valid"] = within(j_res, "j_squared", scale)
         if verdicts["j_valid"] and manifest.omega is not None and manifest.metric is not None:
-            G = _omega_j(manifest.J, manifest.omega.coeffs)
+            G = (two_form_matrices(manifest.omega.coeffs, 6) @ manifest.J).real  # omega(., J.)
             verdicts["metric_compatible"] = within(abs(manifest.metric - G).max(), "metric",
                                                    max(1.0, abs(G).max()))
     return checks, verdicts
@@ -148,14 +148,14 @@ def _cmd_torsion(manifest: Manifest):
     from .hermitian_torsion import conformal_solve, norm30_sq, torsion_criterion
     from .nijenhuis import rho_skew_coefficient
     nij = _structure(manifest)[1]
-    rep = conformal_solve(nij)
+    st = conformal_solve(nij)
     checks = {
-        "solution_dimension": rep.solution_dimension,
-        "candidate_positive": rep.candidate_positive,
-        "candidate_residual": rep.candidate_residual,
-        "singular_values": [float(x) for x in rep.singular_values],
+        "solution_dimension": int(st.solution_dimension),
+        "candidate_positive": bool(st.positive),
+        "candidate_residual": float(st.candidate_residual),
+        "singular_values": [float(x) for x in st.singular_values],
     }
-    form, source = _pick_omega(nij, manifest, rep)
+    form, source = _pick_omega(nij, manifest, st)
     if form is None:
         raise InputError("no positive Hermitian candidate available for the criterion")
     crit = torsion_criterion(nij, form)
@@ -165,10 +165,10 @@ def _cmd_torsion(manifest: Manifest):
         "rho_norm": crit.rho_norm,
     })
     verdicts = {"admits_connection": crit.admits_connection}
-    if rep.normalized_omega is not None:
-        A = nij.frame.components(rep.normalized_omega)[:3, 3:]
-        n2 = norm30_sq(rho_skew_coefficient(A, nij.matrix), np.linalg.det(-1j * A).real)
-        checks["normalized_gauge_residual"] = abs(n2 - 1.0)
+    if st.normalizable:  # |P|^2 of the normalized omega = n2 i H
+        W = st.n2 * st.hermitian
+        n2 = norm30_sq(rho_skew_coefficient(1j * W, st.M), np.linalg.det(W).real)
+        checks["normalized_gauge_residual"] = float(abs(n2 - 1.0))
     return checks, verdicts
 
 
@@ -235,10 +235,10 @@ def _cmd_cone(manifest: Manifest):
         "d_rho_residual": fg.d_rho_residual,
         "dstar_rho_residual": fg.dstar_rho_residual,
         "star_formula_residual": fg.star_formula_residual,
-        "roundtrip_ratio": mr.ratio,
-        "roundtrip_spread": mr.ratio_spread,
         "stabilizer_dimension": mr.stabilizer_dimension,
     }
+    if mr.stable:  # an unstable cone 3-form induces no metric to compare
+        checks.update({"roundtrip_ratio": mr.ratio, "roundtrip_spread": mr.ratio_spread})
     verdicts = {
         "shape_equations": True,
         "closed": fg.closed,
@@ -246,7 +246,7 @@ def _cmd_cone(manifest: Manifest):
         "dual_formula": within(fg.star_formula_residual, "cone_dual_formula"),
         "stable": mr.stable,
         "stabilizer_14": bool(mr.stabilizer_dimension == 14),
-        "metric_proportional": within(mr.ratio_spread, "cone"),
+        "metric_proportional": mr.stable and within(mr.ratio_spread, "cone"),
     }
     return checks, verdicts
 

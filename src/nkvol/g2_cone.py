@@ -206,8 +206,8 @@ def fernandez_gray_check(alg: CoframeAlgebra, s: SU3Structure) -> FernandezGrayR
 
 class MetricRoundtripReport(NamedTuple):
     stable: bool
-    ratio: float                  # scalar relating g_phi to the cone metric at t = 1
-    ratio_spread: float           # max componentwise deviation, relative
+    ratio: float | None           # scalar relating g_phi to the cone metric at t = 1; None if unstable
+    ratio_spread: float | None    # max componentwise deviation, relative; None if unstable
     stabilizer_dimension: int
 
 
@@ -221,11 +221,11 @@ def metric_roundtrip(alg: CoframeAlgebra, s: SU3Structure) -> MetricRoundtripRep
     """
     _check_unit_lambda(s)
     rep = stability_check(build_cone_3form(s.form.omega, alg).at_t(1.0))
+    if not rep.stable:
+        return MetricRoundtripReport(False, None, None, rep.stabilizer_dimension)
     gc = np.zeros((7, 7))  # the cone metric t^2 g + dt^2 at t = 1
     gc[:6, :6] = s.form.metric.matrix
     gc[6, 6] = 1.0
-    if not rep.stable:
-        return MetricRoundtripReport(False, 0.0, np.inf, rep.stabilizer_dimension)
     r = float(np.sum(rep.metric * gc) / np.sum(gc * gc))
     spread = float(np.max(np.abs(rep.metric - r * gc)) / (abs(r) * np.max(np.abs(gc))))
     return MetricRoundtripReport(True, r, spread, rep.stabilizer_dimension)

@@ -6,15 +6,16 @@ antisymmetric torsion exactly when the trilinear form
     rho(x, y, z) = omega(N(x, y), z),      x, y, z in T^{1,0},
 
 is skew-symmetric; omega, a positive real (1,1)-form, is gated once as a `HermitianForm`,
-which reads it in the (1,0) frame of the N* tensor: its metric, oriented by J, and its frame
-block A = omega(v_a, conj v_b) = iH, whose det H every |(3,0)-form|^2 below uses.
+which reads it in the (1,0) frame of the N* tensor: its frame block A = omega(v_a, conj v_b) = iH,
+whose det H every |(3,0)-form|^2 below uses, and its metric 2 Re(theta^T H conj theta), the one
+positivity decision, which the conformal solve hands out with its omega (`ConformalStack.form`).
 Everything here is exact finite-dimensional linear algebra in that frame.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -23,13 +24,12 @@ import numpy as np
 
 from .multilinear import Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, _omega_j, is_type_11, split_30
+from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_type_11, split_30
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import NijenhuisTensor, rho_skew_coefficient
 
 __all__ = [
     "Alt12Report",
-    "ConformalSolveReport",
     "ConformalStack",
     "HermitianForm",
     "TorsionCriterionReport",
@@ -44,34 +44,50 @@ __all__ = [
 ]
 
 
-def hermitian_metric(frame: ComplexFrame, omega: Form) -> Metric:
-    """g(X, Y) = omega(X, JY) for the J of frame, oriented by the sign of its i det Theta
-    (`ComplexFrame.volume`), through the one gate of `Metric`; raises naming it."""
+def _metric_matrix(H, theta) -> np.ndarray:
+    """omega(., J.) of i sum H_ab theta^a ^ conj theta^b for the (1,0) coframe rows theta:
+    2 Re Y, Y = theta^T H conj theta, as Re(Y + Y^T), exactly symmetric; leading axes broadcast."""
+    Y = np.swapaxes(theta, -2, -1) @ H @ np.conj(theta)
+    return (Y + np.swapaxes(Y, -2, -1)).real
+
+
+def hermitian_metric(frame: ComplexFrame, g: np.ndarray) -> Metric:
+    """The metric g = omega(., J.) (`_metric_matrix`) for the J of frame through the one gate of
+    `Metric`, oriented by the sign of its i det Theta (`ComplexFrame.volume`); raises naming it."""
     try:
-        return Metric(_omega_j(frame.J.matrix, omega.coeffs), orientation=1 if frame.volume > 0 else -1)
+        return Metric(g, orientation=1 if frame.volume > 0 else -1)
     except ValueError as ex:
         raise ValueError(f"omega not positive: {ex}") from ex
 
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """A positive real (1,1)-form omega for the J of a (1,0) frame, read in that frame once: its
-    J-oriented metric, and its frame block A = omega(v_a, conj v_b) = iH with det H.  The
-    constructor is the one gate on omega, a (1,1)-and-real test (`is_type_11`), then `Metric`'s
-    positivity gate.  omega^3 / 6 = i det H theta^123 ^ conj theta^123 with det H > 0 orients alike."""
+    """A positive real (1,1)-form omega for the J of a (1,0) frame, read there once: its block
+    A = omega(v_a, conj v_b) = iH, det H and J-oriented metric g (`hermitian_metric`).  An omega
+    from outside must pass `is_type_11` and be real; given (H, g) of the conformal solve instead,
+    omega = i sum H_ab theta^a ^ conj theta^b is (1,1) by construction, and `Metric` on those bits
+    of g is the one gate.  omega^3 / 6 = i det H theta^123 ^ conj theta^123 orients alike."""
 
     frame: ComplexFrame
-    omega: Form
+    omega: Form | None = None
     metric: Metric = field(init=False)
     block: np.ndarray = field(init=False)
     det: float = field(init=False)
+    H: InitVar[np.ndarray | None] = None
+    g: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        if not (is_type_11(self.frame.J, self.omega) and self.omega.is_real()):
-            raise ValueError("omega must be a real (1,1)-form")
-        object.__setattr__(self, "metric", hermitian_metric(self.frame, self.omega))
-        object.__setattr__(self, "block", self.frame.components(self.omega)[:3, 3:])
-        object.__setattr__(self, "det", np.linalg.det(-1j * self.block).real)
+    def __post_init__(self, H, g):
+        if H is None:
+            if not (is_type_11(self.frame.J, self.omega) and self.omega.is_real()):
+                raise ValueError("omega must be a real (1,1)-form")
+            H = -1j * self.frame.components(self.omega)[:3, 3:]
+            g = _metric_matrix(H, self.frame.theta_coeffs)
+        else:
+            omega = Form(6, 2, _hermitian_form_coeffs(self.frame.theta_coeffs, H))
+            object.__setattr__(self, "omega", omega)
+        for name, value in (("metric", hermitian_metric(self.frame, g)), ("block", 1j * H),
+                            ("det", np.linalg.det(H).real)):
+            object.__setattr__(self, name, value)
 
     def scaled(self, s: float) -> HermitianForm:
         """s omega for s > 0, without a second gate (copies skip `__post_init__`): the metric
@@ -143,15 +159,6 @@ def torsion_criterion(nij: NijenhuisTensor, h: HermitianForm) -> TorsionCriterio
     )
 
 
-class ConformalSolveReport(NamedTuple):
-    singular_values: np.ndarray
-    solution_dimension: int
-    candidate: Form                  # least-squares direction (sign-fixed)
-    candidate_positive: bool
-    normalized_omega: Form | None    # candidate scaled to |rho|_omega = 1, if positive
-    candidate_residual: float        # smallest singular value (relative)
-
-
 def _hermitian_units() -> np.ndarray:
     """A basis h_1..h_9 of the Hermitian 3x3 matrices, orthonormal under tr(A B^*): E_aa,
     then per a < b the pair (E_ab + E_ba)/sqrt 2, i (E_ab - E_ba)/sqrt 2.  Its coordinates
@@ -205,16 +212,15 @@ def _conformal_map() -> np.ndarray:
 
 
 def _orient_positive(H, theta):
-    """Flip the Hermitian matrices H that `definite_sign` calls negative; return them, whether
-    the metric of i sum H_ab theta^a ^ conj theta^b passes the gate of `Metric`, their determinants
-    and the flips.  That metric, omega(., J.) in coordinates, is 2 Re(theta^T H conj theta)
-    for the (1,0) coframe rows theta; leading axes of H and theta broadcast."""
+    """Flip the Hermitian matrices H that `definite_sign` calls negative; return them, the metric
+    g of i sum H_ab theta^a ^ conj theta^b (`_metric_matrix`), whether g passes the gate of
+    `Metric`, their determinants and the flips; leading axes of H and theta broadcast."""
     eigs = np.linalg.eigvalsh(H)
     flip = np.where(definite_sign(eigs) < 0, -1.0, 1.0)
     H = flip[..., None, None] * H
-    Y = np.swapaxes(theta, -2, -1) @ H @ np.conj(theta)
-    positive = definite_sign(np.linalg.eigvalsh((Y + np.swapaxes(Y, -2, -1)).real)) == 1
-    return H, positive, flip * np.prod(eigs, axis=-1), flip
+    g = _metric_matrix(H, theta)
+    positive = definite_sign(np.linalg.eigvalsh(g)) == 1
+    return H, g, positive, flip * np.prod(eigs, axis=-1), flip
 
 
 class ConformalStack(NamedTuple):
@@ -222,11 +228,11 @@ class ConformalStack(NamedTuple):
 
     The solve runs in frame coordinates: a candidate is a Hermitian 3x3 matrix H,
     standing for the real (1,1)-form omega = i sum H_ab theta^a ^ conj theta^b.
-    `positive` is the decision `HermitianForm` makes on omega: `definite_sign`, the gate
-    of `Metric`, on the eigenvalues of its metric omega(., J.) (`_orient_positive`).  The
-    skew (3,0) part of omega(N(.,.),.) is c theta^123 with c = -tr(i H M^T)/3, the
-    `rho_skew_coefficient` of the frame block iH, so that |P|^2 = `norm30_sq`(c, det H).
-    The least-squares candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
+    `positive` is the one positivity decision on omega: `definite_sign`, the gate of `Metric`,
+    on the eigenvalues of its `metric` omega(., J.), which `form` hands to `Metric` as is.  The
+    skew (3,0) part of omega(N(.,.),.) is c theta^123, c = -tr(i H M^T)/3 the `rho_skew_coefficient`
+    of the frame block iH, so that |P|^2 = `norm30_sq`(c, det H).  The least-squares
+    candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
     Every gate of the solve is a mask here; `conformal_solve` is the case
     without leading axes, and the caller builds the N* matrices it is solved from.
     """
@@ -235,6 +241,7 @@ class ConformalStack(NamedTuple):
     singular_values: np.ndarray  # [..., 9], descending
     null: np.ndarray             # [..., 9]: singular values cut as the strict nullspace
     hermitian: np.ndarray        # H of the sign-fixed candidate [..., 3, 3]
+    metric: np.ndarray           # its metric g = omega(., J.) [..., 6, 6]
     positive: np.ndarray         # the candidate passes the definite gate
     n2: np.ndarray               # |P|^2 of the candidate, before its gates
     M: np.ndarray                # the N* matrices [..., 3, 3]
@@ -243,9 +250,14 @@ class ConformalStack(NamedTuple):
     projected: np.ndarray        # the candidate is the canonical direction projected on `null`
 
     @property
-    def candidate(self) -> np.ndarray:
-        """Coefficients of the sign-fixed candidate [..., 15]."""
-        return _hermitian_form_coeffs(self.theta, self.hermitian)
+    def solution_dimension(self) -> np.ndarray:
+        """Dimension of the strict nullspace."""
+        return self.null.sum(axis=-1)
+
+    @property
+    def candidate_residual(self) -> np.ndarray:
+        """The smallest singular value relative to the largest; 0 where all vanish."""
+        return self.singular_values[..., -1] / np.maximum(self.singular_values[..., 0], 1e-300)
 
     @property
     def normalizable(self) -> np.ndarray:
@@ -257,6 +269,14 @@ class ConformalStack(NamedTuple):
         """Coefficients of the candidate scaled to |rho|_omega = 1; zero where not normalizable."""
         scale = np.where(self.normalizable, self.n2, 0.0)[..., None, None]
         return _hermitian_form_coeffs(self.theta, scale * self.hermitian)
+
+    def form(self, frame: ComplexFrame) -> HermitianForm | None:
+        """One structure's omega in the frame of its theta, gated on `metric`: normalized to
+        |rho|_omega = 1 where normalizable, else the positive candidate, else None."""
+        if not self.positive:
+            return None
+        h = HermitianForm(frame, H=self.hermitian, g=self.metric)
+        return h.scaled(float(self.n2)) if self.normalizable else h
 
     def check_norm(self) -> None:
         """Raise on a positive candidate with non-finite |P|^2 (`norm30_sq`): the stack masks it."""
@@ -284,14 +304,15 @@ def conformal_stack(M: np.ndarray, theta: np.ndarray) -> ConformalStack:
     pn = np.linalg.norm(proj, axis=-1)
     # the least-squares direction and the projected canonical one, side by side
     x = np.stack([vt[..., -1, :], proj / np.maximum(pn, 1e-300)[..., None]], axis=-2)
-    H, positive, det, flip = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)),
-                                              theta[..., None, :, :])
+    H, g, positive, det, flip = _orient_positive(np.tensordot(x, _HERMITIAN_UNITS, axes=(-1, 0)),
+                                                 theta[..., None, :, :])
     use_alt = (null.sum(axis=-1) > 1) & (pn > TOLERANCES["nullspace"]) & positive[..., 1]
     H = np.where(use_alt[..., None, None], H[..., 1, :, :], H[..., 0, :, :])
+    g = np.where(use_alt[..., None, None], g[..., 1, :, :], g[..., 0, :, :])
     det = np.where(use_alt, det[..., 1], det[..., 0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = norm30_sq(rho_skew_coefficient(1j * H, M), det)
-    return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H,
+    return ConformalStack(theta=theta, singular_values=s, null=null, hermitian=H, metric=g,
                           positive=positive[..., 0] | use_alt, n2=n2, M=M, vt=vt,
                           flip=np.where(use_alt, flip[..., 1], flip[..., 0]), projected=use_alt)
 
@@ -318,27 +339,14 @@ def candidate_tangent(st: ConformalStack, dM: np.ndarray) -> np.ndarray:
     return st.flip * np.tensordot(z @ vt, _HERMITIAN_UNITS, axes=(-1, 0))
 
 
-def conformal_solve(nij: NijenhuisTensor) -> ConformalSolveReport:
-    """Solve {a real (1,1): C(a) is totally antisymmetric} and report positivity.
-
-    nij is the N* tensor of J that the caller built.  The strict nullspace is cut at
-    the `nullspace` tolerance relative to the largest singular value; independently,
-    the least-squares direction (the smallest singular vector) is always reported,
-    which keeps the solver usable along optimization paths where the structure is
-    only approximately compatible.
-    """
+def conformal_solve(nij: NijenhuisTensor) -> ConformalStack:
+    """Solve {a real (1,1): C(a) is totally antisymmetric} for the J of the N* tensor nij that the
+    caller built: the `ConformalStack` without leading axes, which raises on a positive candidate
+    with non-finite |P|^2.  Its least-squares candidate keeps the solver usable along
+    optimization paths where the structure is only approximately compatible."""
     st = conformal_stack(nij.matrix, nij.frame.theta_coeffs)
     st.check_norm()
-    s = st.singular_values
-    smax = s.max()
-    return ConformalSolveReport(
-        singular_values=s,
-        solution_dimension=int(st.null.sum()),
-        candidate=Form(6, 2, st.candidate),
-        candidate_positive=bool(st.positive),
-        normalized_omega=Form(6, 2, st.normalized_omega) if st.normalizable else None,
-        candidate_residual=float(s[-1] / max(smax, 1e-300)) if smax > 0 else 0.0,
-    )
+    return st
 
 
 # ---------------------------------------------------------------------------

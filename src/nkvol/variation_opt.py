@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .multilinear import Form, contract, matvec, two_form_coeffs, wedge_coeffs
+from .multilinear import contract, matvec, two_form_coeffs, wedge_coeffs
 from .frame_manifold import CoframeAlgebra
 from .acs import (AlmostComplexStructure, ComplexFrame, default_frame_coords, j_from_basis,
                   split_30, theta_top_coeffs)
@@ -319,8 +319,8 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     Success is gated on the equivalence suite: a vanishing residual reached
     by escaping the compatibility domain (the normalization gauge can
     collapse the residual on structures with no critical point) is reported
-    as a failure, never as a solution, and so is an omega that fails the gate of
-    `HermitianForm`.  A solution also carries the largest analytic psi-gradient
+    as a failure, never as a solution; the suite reads the stack's own omega
+    (`ConformalStack.form`).  A solution also carries the largest analytic psi-gradient
     component, an independent certificate of criticality, and psi, both from the N*
     tensor the suite reads: the accepted point's, not built again.
     """
@@ -390,18 +390,14 @@ def find_critical(alg: CoframeAlgebra, J0: AlmostComplexStructure, max_iter: int
     form = suite = gradient_max = psi = None
     if converged:
         from .nk_su3 import nk_equivalence_suite  # only a converged search loads it
-        why = "the equivalence suite rejects the candidate"
-        try:
-            form = HermitianForm(fr, Form(6, 2, st.normalized_omega))
-        except ValueError as ex:  # the stack's gate passed H, `Metric`'s fails omega(., J.)
-            why = str(ex)
+        form = st.form(fr)  # normalizable, as every accepted point is
+        nij = NijenhuisTensor(fr, st.M)  # the accepted point's N*, built once
+        suite = nk_equivalence_suite(alg, nij, form)
+        if suite.all_true:
+            gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
+            psi = volume_form(nij).psi
         else:
-            nij = NijenhuisTensor(fr, st.M)  # the accepted point's N*, built once
-            suite = nk_equivalence_suite(alg, nij, form)
-            if suite.all_true:
-                gradient_max = float(np.max(np.abs(psi_gradient(alg, nij, form))))
-                psi = volume_form(nij).psi
-        if gradient_max is None:
-            converged, reason = False, f"residual vanished outside the compatibility domain: {why}"
+            converged, reason = False, ("residual vanished outside the compatibility domain: "
+                                        "the equivalence suite rejects the candidate")
     return FindCriticalResult(J, converged, iterations, trace, form, suite, reason,
                               records, gradient_max, psi)

@@ -27,11 +27,11 @@ from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, acs_
                        project_to_acs, split_30)
 from nkvol.conventions import HERMITIAN_30_NORM_COEF, KAPPA_CONV, ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, bracket_vectors, nijenhuis_via_brackets, volume_form
-from nkvol.hermitian_torsion import HermitianForm, conformal_solve, hermitian_metric
+from nkvol.hermitian_torsion import HermitianForm, _hermitian_form_coeffs, conformal_solve
 from nkvol.nk_su3 import SU3Structure
 from nkvol.g2_cone import FernandezGrayReport, _embed
 from nkvol.variation_opt import (CriticalityReport, Deformation, _graph_chart, _residual_kernel,
-                                 _unit_delta_forms, deform_J, delta_basis)
+                                 _unit_delta_forms, deform_J, delta_basis, find_critical)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "s3s3_critical.json"
 
@@ -136,6 +136,16 @@ def random_valid_algebra(rng, kinds=("su2su2", "su2r3", "heisenberg", "abelian")
     # exact antisymmetry survives the einsum only up to rounding; enforce it
     cc = 0.5 * (cc - np.swapaxes(cc, 1, 2))
     return CoframeAlgebra(cc)
+
+
+def vanished_su2su2_search():
+    """su(2)+su(2) and the search (`max_iter` 40) from its 0-based `random_acs` draw 5 of rng 2026:
+    the residual vanishes outside the compatibility domain, at a J whose conformal candidate
+    has a metric with least eigenvalue about 1e-12 of its largest, at the `definite` cut."""
+    alg = catalog("s3s3").algebra()
+    rng = np.random.default_rng(2026)
+    J = [random_acs(rng) for _ in range(6)][5]
+    return alg, find_critical(alg, J, max_iter=40)
 
 
 def random_invalid_constants(rng) -> CoframeAlgebra:
@@ -275,7 +285,7 @@ def adapted_frame(J: AlmostComplexStructure, omega: Form,
     has squared length 2 and dz1 ^ dz2 ^ dz3 has unit norm against omega0.
     """
     fr0 = J.frame()
-    ginv = hermitian_metric(fr0, omega).inverse()
+    ginv = HermitianForm(fr0, omega).metric.inverse()
     rows = fr0.theta_coeffs
     H = rows @ ginv @ np.conj(rows).T
     L = np.linalg.cholesky(H)
@@ -385,17 +395,22 @@ def psi_gradient_fd(alg: CoframeAlgebra, J: AlmostComplexStructure,
     return (4.0 * d2 - d1) / 3.0
 
 
+def candidate_coeffs(st) -> np.ndarray:
+    """Coefficients [..., 15] of a `ConformalStack`'s sign-fixed candidate, positive or not:
+    i sum H_ab theta^a ^ conj theta^b."""
+    return _hermitian_form_coeffs(st.theta, st.hermitian)
+
+
 def scalar_residual_vector(alg: CoframeAlgebra, J: AlmostComplexStructure):
     """The reference for `criticality_residual_vector`: the N* tensor of J, `conformal_solve`
     on it, then [Re; Im] of the `split_30` off-shape part of d omega, omega the normalized
     one, in the tensor's frame.  Returns (the vector or None, the report, the tensor)."""
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
-    w = rep.normalized_omega
-    if w is None:
+    if not rep.normalizable:
         return None, rep, nij
     fr = nij.frame
-    off = split_30(matvec(alg.d_matrices[2], w.coeffs), fr.theta_coeffs, fr.v_coords)[1]
+    off = split_30(matvec(alg.d_matrices[2], rep.normalized_omega), fr.theta_coeffs, fr.v_coords)[1]
     return np.concatenate([off.real, off.imag]), rep, nij
 
 

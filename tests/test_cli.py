@@ -741,3 +741,40 @@ def test_valid_manifests_exit_2_only_out_of_scope(tmp_path, capsys):
         "functional": {"gradient undefined: Nijenhuis tensor degenerate": 84,
                        "gradient undefined: no positive Hermitian candidate omega at this structure": 43},
     }, errors
+
+
+def test_vanished_search_manifest_exits_on_its_verdicts(tmp_path, capsys):
+    # the final J of su(2)+su(2) draw 5 of rng 2026, saved without omega: the conformal solve
+    # decides its thin omega positive once and hands that omega out, so no command exits 2 on
+    # positivity, and every check is finite.  The cone 3-form of that omega is unstable: `cone`
+    # reports no roundtrip ratio or spread and exits 1.  So does a manifest omega
+    # n2 (H + 1e-10 lambda_max(H) Id) from the same solve, whose spread used to be infinite
+    import numpy as np
+
+    from helpers import vanished_su2su2_search
+    from nkvol import cli
+    from nkvol.frame_manifold import catalog
+    from nkvol.hermitian_torsion import _hermitian_form_coeffs, conformal_solve
+    from nkvol.multilinear import Form
+    from nkvol.nijenhuis import nijenhuis_via_brackets
+
+    alg, res = vanished_su2su2_search()
+    assert res.reason.endswith(": the equivalence suite rejects the candidate"), res.reason
+    bare = catalog("s3s3")._replace(name="draw5_final", J=res.J.matrix, metric=None,
+                                    omega=None, Omega3=None)
+    bare.save(tmp_path / "bare.json")
+    st = conformal_solve(nijenhuis_via_brackets(alg, res.J))
+    H = st.n2 * (st.hermitian + 1e-10 * np.linalg.eigvalsh(st.hermitian)[-1] * np.eye(3))
+    omega = Form(6, 2, _hermitian_form_coeffs(st.theta, H).real.astype(complex))
+    bare._replace(omega=omega).save(tmp_path / "thick.json")
+    calls = [("bare", "nijenhuis", 0), ("bare", "torsion", 1), ("bare", "nk", 1), ("bare", "cone", 1),
+             ("thick", "cone", 1)]
+    for name, command, expected in calls:
+        code = cli.run([command, str(tmp_path / f"{name}.json"), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == expected, (name, command, report.get("error"))
+        json.dumps(report["checks"], allow_nan=False)  # raises on a non-finite check
+        if command == "cone":
+            assert not report["verdicts"]["stable"], name
+            assert not report["verdicts"]["metric_proportional"], name
+            assert not {"roundtrip_ratio", "roundtrip_spread"} & set(report["checks"]), name

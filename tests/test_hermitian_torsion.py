@@ -25,9 +25,9 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import (bidegree_project, c_map, flat_omega, flat_su3_forms, forms_close,
-                     frame_from_thetas, frame_theta, nk_fixture, norm30_wedge_route, product_omega,
-                     random_acs, random_valid_algebra, s3s3, torus)
+from helpers import (bidegree_project, c_map, candidate_coeffs, flat_omega, flat_su3_forms,
+                     forms_close, frame_from_thetas, frame_theta, nk_fixture, norm30_wedge_route,
+                     product_omega, random_acs, random_valid_algebra, s3s3, torus)
 
 
 def test_norm30_flat_calibration():
@@ -42,7 +42,7 @@ def test_norm30_flat_calibration():
 
 def test_hermitian_metric_s3s3_product():
     alg, J = s3s3()
-    g = hermitian_metric(J.frame(), product_omega())
+    g = HermitianForm(J.frame(), product_omega()).metric
     assert np.max(np.abs(g.matrix - np.eye(6))) < 1e-13
 
 
@@ -133,14 +133,14 @@ def test_conformal_solve_s3s3_unique_positive():
     alg, J = s3s3()
     rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     assert rep.solution_dimension == 1
-    assert rep.candidate_positive
-    assert rep.normalized_omega is not None
+    assert rep.positive
+    assert rep.normalizable
     # the recovered direction is the equal-scale product form
     w0 = product_omega()
     ratios = []
     for i in range(15):
         if abs(w0.coeffs[i]) > 1e-9:
-            ratios.append((rep.candidate.coeffs[i] / w0.coeffs[i]).real)
+            ratios.append((candidate_coeffs(rep)[i] / w0.coeffs[i]).real)
     ratios = np.array(ratios)
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10 * abs(ratios[0])
 
@@ -149,9 +149,9 @@ def test_conformal_solve_normalization_gauge():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
     rep = conformal_solve(nij)
-    p30 = rho_skew_coefficient(HermitianForm(J.frame(), rep.normalized_omega).block, nij.matrix)
-    p30 = p30 * nij.frame.theta_top()
-    assert abs(norm30_wedge_route(rep.normalized_omega, p30) - 1.0) < 1e-12
+    h = rep.form(nij.frame)
+    p30 = rho_skew_coefficient(h.block, nij.matrix) * nij.frame.theta_top()
+    assert abs(norm30_wedge_route(h.omega, p30) - 1.0) < 1e-12
 
 
 def test_conformal_solve_plant_and_recover():
@@ -163,7 +163,7 @@ def test_conformal_solve_plant_and_recover():
     ratios = []
     for i in range(15):
         if abs(planted.coeffs[i]) > 1e-9:
-            ratios.append((rep.candidate.coeffs[i] / planted.coeffs[i]).real)
+            ratios.append((candidate_coeffs(rep)[i] / planted.coeffs[i]).real)
     ratios = np.array(ratios)
     assert np.max(np.abs(ratios - ratios.mean())) < 1e-10 * abs(ratios.mean())
 
@@ -180,7 +180,7 @@ def test_conformal_solve_perturbed_least_squares():
     rep = conformal_solve(nijenhuis_via_brackets(alg, J))
     assert rep.solution_dimension == 0          # strict solution gone
     assert rep.candidate_residual > 1e-6        # visibly off
-    assert rep.candidate_positive               # but still a usable metric seed
+    assert rep.positive                         # but still a usable metric seed
 
 
 def test_alt12_ranks():
@@ -235,13 +235,14 @@ def test_conformal_map_matches_system():
 
 def test_hermitian_metric_checks_positivity_once(monkeypatch):
     alg, J = s3s3()
+    g = HermitianForm(J.frame(), product_omega()).metric.matrix
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(1) or eigvalsh(G))
-    hermitian_metric(J.frame(), product_omega())
+    hermitian_metric(J.frame(), g)
     assert len(calls) == 1
     with pytest.raises(ValueError, match="omega not positive"):
-        hermitian_metric(J.frame(), -1.0 * product_omega())
+        hermitian_metric(J.frame(), -g)
     assert len(calls) == 2
 
 
@@ -277,7 +278,7 @@ def test_frame_norm_matches_wedge_route():
         M = nijenhuis_via_brackets(alg, J, frame=fr).matrix
         st = conformal_stack(M, fr.theta_coeffs)
         assert st.positive
-        omega = Form(6, 2, st.candidate)
+        omega = Form(6, 2, candidate_coeffs(st))
         P = rho_skew_coefficient(fr.components(omega)[:3, 3:], M) * fr.theta_top()
         ref = norm30_wedge_route(omega, P)
         assert abs(st.n2 - ref) <= 1e-13 * ref
@@ -297,8 +298,8 @@ def test_frame_norm_matches_wedge_route():
 
 def test_positivity_from_hermitian_matrix_matches_metric():
     # positive, negative, indefinite, rank-deficient and nearly rank-deficient H: the
-    # stack's decision against the positivity check of hermitian_metric on omega(., J.).
-    # Both are the definite gate on the eigenvalues of that metric, so a rank-deficient H
+    # stack's decision against the gate of HermitianForm on omega read from its coefficients.
+    # Both are the definite gate on the eigenvalues of its metric, so a rank-deficient H
     # is neither sign whatever its rounding.  The thin H, with eigenvalues 1, 1e-11, 1e-11,
     # passes the gate on H itself, while its metric in a frame [theta; conj theta] that is
     # not unitary fails it in each draw here: both decisions must follow the metric.
@@ -316,12 +317,12 @@ def test_positivity_from_hermitian_matrix_matches_metric():
         degenerate = U @ np.diag([1.0, 1e-15, 1e-15]) @ U.conj().T
         thin = U @ np.diag([1.0, 1e-11, 1e-11]) @ U.conj().T
         for H, sign in ((P, 1.0), (-P, -1.0), (indefinite, 0.0), (degenerate, 0.0), (thin, None)):
-            oriented, positive, det, _ = _orient_positive(H, fr.theta_coeffs)
+            oriented, _, positive, det, _ = _orient_positive(H, fr.theta_coeffs)
             omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, H))
             if sign is None:  # whatever the metric's gate says
                 assert definite_sign(np.linalg.eigvalsh(H)) == 1
                 try:
-                    hermitian_metric(J.frame(), omega)
+                    HermitianForm(J.frame(), omega)
                 except ValueError:
                     sign, thin_failures = 0.0, thin_failures + 1
                 else:
@@ -329,17 +330,17 @@ def test_positivity_from_hermitian_matrix_matches_metric():
             assert bool(positive) == (sign != 0.0)
             for s in (1.0, -1.0):
                 if s == sign:
-                    assert hermitian_metric(J.frame(), s * omega).orientation == orientation
+                    assert HermitianForm(J.frame(), s * omega).metric.orientation == orientation
                 else:
                     with pytest.raises(ValueError, match="not positive"):
-                        hermitian_metric(J.frame(), s * omega)
+                        HermitianForm(J.frame(), s * omega)
             if positive:
                 assert np.array_equal(oriented, sign * H)
                 assert abs(det - np.linalg.det(oriented).real) <= 1e-12 * det
         thin10 = U @ np.diag([1.0, 1e-10, 1e-10]) @ U.conj().T
-        assert _orient_positive(thin10, fr.theta_coeffs)[1]
+        assert _orient_positive(thin10, fr.theta_coeffs)[2]
         omega = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, thin10))
-        assert hermitian_metric(J.frame(), omega).orientation == orientation
+        assert HermitianForm(J.frame(), omega).metric.orientation == orientation
         # where omega^3 is far from rounding it gives the same orientation
         w = Form(6, 2, _hermitian_form_coeffs(fr.theta_coeffs, P))
         assert np.sign(wedge(wedge(w, w), w).coeffs[0].real) == orientation
@@ -347,16 +348,17 @@ def test_positivity_from_hermitian_matrix_matches_metric():
 
 
 def test_candidate_positivity_agrees_with_the_metric_gate():
-    # the stack reads the definite gate on H, HermitianForm reads it on the metric
-    # of omega: on random structures the two agree, rank-deficient candidates included
-    # (these 300 draws hold 12 whose sign of rounding differs between H and the metric)
+    # the stack decides on the metric of its H, HermitianForm on the metric of the H it
+    # reads back from omega's coefficients: on random structures the two agree,
+    # rank-deficient candidates included (these 300 draws hold 12 whose sign of rounding
+    # differs between H and the metric)
     rng = np.random.default_rng(0)
     for _ in range(300):
         alg, J = random_valid_algebra(rng), random_acs(rng)
         rep = conformal_solve(nijenhuis_via_brackets(alg, J))
         try:
-            HermitianForm(J.frame(), rep.candidate)
+            HermitianForm(J.frame(), Form(6, 2, candidate_coeffs(rep)))
         except ValueError:
-            assert not rep.candidate_positive
+            assert not rep.positive
         else:
-            assert rep.candidate_positive
+            assert rep.positive

@@ -95,7 +95,7 @@ def test_structure_equations_perturbed_fail():
     mp = catalog("s3s3_perturbed", seed=11)
     alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
     nij = nijenhuis_via_brackets(alg, Jp)
-    solved = solve_Omega(alg, nij, HermitianForm(Jp.frame(), conformal_solve(nij).normalized_omega))
+    solved = solve_Omega(alg, nij, conformal_solve(nij).form(nij.frame))
     # the shape residual is the failure diagnostic for perturbed structures
     assert not solved.ok
     assert solved.offshape_residual > 1e-3
@@ -184,7 +184,7 @@ def test_suite_perturbed_consistent():
         alg, Jp = mp.algebra(), AlmostComplexStructure(mp.J)
         nij = nijenhuis_via_brackets(alg, Jp)
         rep = conformal_solve(nij)
-        suite = nk_equivalence_suite(alg, nij, HermitianForm(Jp.frame(), rep.normalized_omega))
+        suite = nk_equivalence_suite(alg, nij, rep.form(nij.frame))
         assert not suite.all_true
         assert suite.consistent()
 
@@ -252,7 +252,7 @@ def test_closed_form_structure_is_nearly_kaehler():
     m = nk_closed_form()
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     nij = nijenhuis_via_brackets(alg, J)
-    h = HermitianForm(J.frame(), conformal_solve(nij).normalized_omega)
+    h = conformal_solve(nij).form(nij.frame)
     suite = nk_equivalence_suite(alg, nij, h)
     assert suite.all_true and suite.consistent()
     assert abs(suite.lam - 2.0) <= 1e-12
@@ -262,7 +262,7 @@ def test_closed_form_structure_is_nearly_kaehler():
     Jt = AlmostComplexStructure(m.J.T)
     assert abs(psi_value(alg, Jt) * 3.0 ** 1.5 - 1.0) <= 1e-12
     nij_t = nijenhuis_via_brackets(alg, Jt)
-    suite_t = nk_equivalence_suite(alg, nij_t, HermitianForm(Jt.frame(), conformal_solve(nij_t).normalized_omega))
+    suite_t = nk_equivalence_suite(alg, nij_t, conformal_solve(nij_t).form(nij_t.frame))
     assert not suite_t.all_true and suite_t.consistent()
     # the committed fixture, which the optimizer found, is this structure
     assert np.max(np.abs(Manifest.load(FIXTURE).J - m.J)) <= 5e-10

@@ -6,8 +6,9 @@ The layers that read N* take the `NijenhuisTensor` their caller built, and the
 layers that read omega take the `HermitianForm` their caller gated.  The
 builders are counted the way `perfbench/tracer.py` wraps functions: the wrapper
 replaces the function in every nkvol namespace that bound it.  A gate of omega
-is one (1,1) test (`acs.is_type_11`, J-invariance) and one `Metric`
-build.  Each command runs in this process through `nkvol.cli.run`.
+is one `Metric` build, after one (1,1) test (`acs.is_type_11`, J-invariance) for
+an omega from outside, the manifest's: the conformal solve's omega is (1,1) by
+construction.  Each command runs in this process through `nkvol.cli.run`.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ EXITS = {
 }
 # omega gates per manifest over the seven commands: one per command that reads omega
 # (20 in all); `cone` rescales its gated omega to unit lambda without a second gate.
+# Only the fixture carries its own omega, so only its gates test (1,1).
 # torus6 has no normalized omega, but a positive candidate, which every command that
 # reads omega picks: `functional` gates it too, then stops at the degenerate tensor
 GATES = {"fixture": 5, "s3s3": 5, "torus6": 5, "s3s3_perturbed": 5}
@@ -90,9 +92,10 @@ def test_each_verify_command_builds_one_frame_and_one_tensor(tmp_path, counts, n
         assert counts["default_frame_coords"] <= 1, (cmd, dict(counts))
         assert counts["nijenhuis_matrices"] <= 1, (cmd, dict(counts))
         assert counts["conformal_solve"] <= 1, (cmd, dict(counts))
-        assert counts["is_type_11"] == counts["Metric"] <= 1, (cmd, dict(counts))
+        assert counts["is_type_11"] <= counts["Metric"] <= 1, (cmd, dict(counts))
         gates.update(counts)
-    assert gates["is_type_11"] == gates["Metric"] == GATES[name], dict(gates)
+    assert gates["Metric"] == GATES[name], dict(gates)
+    assert gates["is_type_11"] == (GATES[name] if name == "fixture" else 0), dict(gates)
 
 
 def test_optimize_gates_its_omega_once(tmp_path, counts):
@@ -101,7 +104,7 @@ def test_optimize_gates_its_omega_once(tmp_path, counts):
     for extra in ((), ("--emit", str(tmp_path / "critical.json"))):
         counts.clear()
         assert run_quiet(["optimize", str(path), *extra]) == 0, extra
-        assert counts["is_type_11"] == counts["Metric"] == 1, (extra, dict(counts))
+        assert counts["Metric"] == 1 and counts["is_type_11"] == 0, (extra, dict(counts))
 
 
 def test_converged_search_builds_one_tensor_per_evaluated_structure(tmp_path, monkeypatch):

@@ -12,8 +12,8 @@ import nkvol
 from nkvol.frame_manifold import JacobiReport, Manifest, catalog
 from nkvol.acs import AlmostComplexStructure
 from nkvol.g2_cone import ConeForm, FernandezGrayReport, MetricRoundtripReport, Stable3FormReport
-from nkvol.hermitian_torsion import (Alt12Report, ConformalSolveReport, ConformalStack,
-                                     HermitianForm, TorsionCriterionReport)
+from nkvol.hermitian_torsion import (Alt12Report, ConformalStack, HermitianForm,
+                                     TorsionCriterionReport)
 from nkvol.nijenhuis import NijenhuisTensor, VolumeDensity
 from nkvol.nk_su3 import (NablaOmegaReport, NkSuiteReport, SolveOmegaResult,
                           StructureEquationReport, SU3Structure)
@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORTS = (
     JacobiReport, Manifest,
     ConeForm, Stable3FormReport, FernandezGrayReport, MetricRoundtripReport,
-    TorsionCriterionReport, ConformalSolveReport, ConformalStack, Alt12Report,
+    TorsionCriterionReport, ConformalStack, Alt12Report,
     NijenhuisTensor, VolumeDensity,
     SU3Structure, SolveOmegaResult, StructureEquationReport, NablaOmegaReport, NkSuiteReport,
     CriticalityReport, IterationRecord, FindCriticalResult,

@@ -7,6 +7,7 @@ import pytest
 
 from nkvol.frame_manifold import CoframeAlgebra, Manifest, catalog, d_invariant
 from nkvol.acs import AlmostComplexStructure
+from nkvol.multilinear import Form
 from nkvol.nijenhuis import nijenhuis_via_brackets
 from nkvol.hermitian_torsion import HermitianForm, conformal_solve
 from nkvol.variation_opt import (
@@ -19,10 +20,10 @@ from nkvol.variation_opt import (
     psi_gradient,
 )
 
-from helpers import (FIXTURE, bidegree_project, criticality_residuals, delta_as_21_form, fd_deltas,
-                     fd_jacobian, frame_from_thetas, is_critical, psi_gradient_analytic,
-                     psi_gradient_fd, psi_value, random_acs, random_form, random_valid_algebra,
-                     s3s3, scalar_residual_vector)
+from helpers import (FIXTURE, bidegree_project, candidate_coeffs, criticality_residuals,
+                     delta_as_21_form, fd_deltas, fd_jacobian, frame_from_thetas, is_critical,
+                     psi_gradient_analytic, psi_gradient_fd, psi_value, random_acs, random_form,
+                     random_valid_algebra, s3s3, scalar_residual_vector, vanished_su2su2_search)
 
 
 def nk_fixture():
@@ -134,7 +135,7 @@ def test_gradient_matches_fd_on_three_structures():
     cases = [s3s3(), su2r3(), su2su2_asymmetric()]
     rng = np.random.default_rng(42)
     for alg, J in cases:
-        omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+        omega = Form(6, 2, conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega)
         worst = 0.0
         for _ in range(50):
             d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -157,7 +158,7 @@ def test_gradient_wrong_bidegree_contributes_zero():
     from nkvol.multilinear import wedge
 
     alg, J = s3s3()
-    omega = conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega
+    omega = Form(6, 2, conformal_solve(nijenhuis_via_brackets(alg, J)).normalized_omega)
     rng = np.random.default_rng(3)
     for _ in range(10):
         d = Deformation(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -192,7 +193,7 @@ def test_criticality_fixture():
 def test_criticality_catalog_noncritical():
     alg, J = s3s3()
     nij = nijenhuis_via_brackets(alg, J)
-    rep = criticality_test(alg, nij, HermitianForm(J.frame(), conformal_solve(nij).normalized_omega))
+    rep = criticality_test(alg, nij, conformal_solve(nij).form(nij.frame))
     assert rep.verdict == "non-critical"
     assert rep.residual > 1e-3
 
@@ -223,7 +224,7 @@ def test_criticality_equals_gradient_vanishing():
         structures.append((mp.algebra(), AlmostComplexStructure(mp.J)))
     for alg_, J_ in structures:
         nij = nijenhuis_via_brackets(alg_, J_)
-        omega = conformal_solve(nij).normalized_omega
+        omega = Form(6, 2, conformal_solve(nij).normalized_omega)
         rep = criticality_test(alg_, nij, HermitianForm(J_.frame(), omega))
         gmax = max(abs(psi_gradient_analytic(alg_, J_, omega, d)) for d in delta_basis())
         assert (rep.residual <= 1e-8) == (gmax <= 1e-7), (rep.residual, gmax)
@@ -350,14 +351,14 @@ def assert_stack_matches_scalar(alg, J, deltas):
         else:
             # on one structure the kernel runs the reference's arithmetic: equal bit for bit
             vec, frame, st = criticality_residual_vector(alg, Jd)
-            assert st.positive == rep.candidate_positive, k
+            assert st.positive == rep.positive, k
             assert np.array_equal(frame.theta_coeffs, nij.frame.theta_coeffs), k
             assert np.array_equal(frame.v_coords, nij.frame.v_coords), k
             if ref is None:
-                assert vec is None and not st.normalizable and rep.normalized_omega is None, k
+                assert vec is None and not st.normalizable and not rep.normalizable, k
             else:
                 assert np.array_equal(vec, ref), k
-                assert np.array_equal(st.normalized_omega, rep.normalized_omega.coeffs), k
+                assert np.array_equal(st.normalized_omega, rep.normalized_omega), k
         assert valid[k] == (ref is not None), k
         if ref is None:
             assert not np.any(vecs[k]), k
@@ -430,7 +431,8 @@ def test_offshape_matches_projector_route():
     for seed in (7, 11):
         m = catalog("s3s3_perturbed", seed=seed)
         algp, Jp = m.algebra(), AlmostComplexStructure(m.J)
-        cases.append((algp, Jp, conformal_solve(nijenhuis_via_brackets(algp, Jp)).normalized_omega))
+        omega = conformal_solve(nijenhuis_via_brackets(algp, Jp)).normalized_omega
+        cases.append((algp, Jp, Form(6, 2, omega)))
     for alg, J, omega in cases:
         h = HermitianForm(J.frame(), omega)
         residual, c, domega = offshape_residual(alg, h)
@@ -572,13 +574,13 @@ def test_stacked_conformal_solve_canonical_branch():
     for k, Jd in enumerate(Js):
         rep = conformal_solve(nijenhuis_via_brackets(alg, Jd))
         assert rep.solution_dimension == int(st.null[k].sum()) == 9
-        assert bool(st.positive[k]) == rep.candidate_positive
-        assert np.max(np.abs(st.candidate[k] - rep.candidate.coeffs)) <= 1e-13
+        assert st.positive[k] == rep.positive
+        assert np.max(np.abs(candidate_coeffs(st)[k] - candidate_coeffs(rep))) <= 1e-13
         # the canonical direction i sum theta^a ^ conj theta^a, unit length in the
         # Hermitian basis, is the positive candidate up to sign
         canonical = _hermitian_basis(Jd.frame().coframe) @ np.r_[np.ones(3), np.zeros(6)] / np.sqrt(3.0)
-        assert rep.candidate_positive
-        assert min(np.max(np.abs(rep.candidate.coeffs - sign * canonical)) for sign in (1, -1)) <= 1e-12
+        assert rep.positive
+        assert min(np.max(np.abs(candidate_coeffs(rep) - sign * canonical)) for sign in (1, -1)) <= 1e-12
 
 
 def test_find_critical_iteration_counts_pinned():
@@ -721,7 +723,7 @@ def test_psi_gradient_one_pass_matches_each_direction():
     for alg, J, omega in (nk_fixture(), (mp.algebra(), AlmostComplexStructure(mp.J), None)):
         nij = nijenhuis_via_brackets(alg, J)
         if omega is None:
-            omega = conformal_solve(nij).normalized_omega
+            omega = Form(6, 2, conformal_solve(nij).normalized_omega)
         grad = psi_gradient(alg, nij, HermitianForm(J.frame(), omega))
         each = [psi_gradient_analytic(alg, J, omega, d) for d in delta_basis()]
         assert np.max(np.abs(grad - each)) <= 1e-15
@@ -765,3 +767,16 @@ def test_random_j_searches_on_su2su2_never_raise(tmp_path, capsys):
     reason = json.loads(capsys.readouterr().out)["checks"]["reason"]
     assert reason == ("residual vanished outside the compatibility domain: "
                       "the equivalence suite rejects the candidate"), reason
+
+
+def test_census_searches_at_the_definite_cut_reach_the_suite():
+    # the five searches of the census (30 su(2)+su(2) draws of rng 2026 at max_iter 40, then
+    # 150 draws of rng 11 at max_iter 30) whose residual vanishes where the candidate's metric
+    # sits at the `definite` cut: the suite reads the omega whose positivity the search's stack
+    # decided, so each ends with the suite's verdict and none with "omega not positive"
+    reasons = [vanished_su2su2_search()[1].reason]
+    rng = np.random.default_rng(11)
+    draws = [(random_valid_algebra(rng), random_acs(rng)) for _ in range(101)]
+    reasons += [find_critical(*draws[k], max_iter=30).reason for k in (23, 32, 67, 100)]
+    assert reasons == ["residual vanished outside the compatibility domain: "
+                       "the equivalence suite rejects the candidate"] * 5, reasons
