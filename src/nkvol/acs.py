@@ -68,12 +68,6 @@ class AlmostComplexStructure:
         """J* on 1-form coefficient vectors."""
         return self.matrix.T
 
-    def p10(self) -> np.ndarray:
-        return type_projectors(self.matrix)[0]
-
-    def p01(self) -> np.ndarray:
-        return type_projectors(self.matrix)[1]
-
     def derivation_matrix(self, k: int) -> np.ndarray:
         """Extension of J* to degree-k forms as a derivation (charge operator)."""
         return substitution(self.jstar, 1, k)

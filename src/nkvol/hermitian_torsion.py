@@ -1,14 +1,15 @@
 """The positive Hermitian form, skew-torsion criterion, conformal recovery of omega, Alt_12.
 
 An almost Hermitian structure admits a Hermitian connection with totally
-antisymmetric torsion exactly when the trilinear form
+antisymmetric torsion exactly when C = A M^T is scalar, for the trilinear form
 
-    rho(x, y, z) = omega(N(x, y), z),      x, y, z in T^{1,0},
+    rho(v_a, v_b, v_c) = omega(N(v_a, v_b), v_c) = -eps_dab C[c, d]
 
-is skew-symmetric; omega, a positive real (1,1)-form, is gated once as a `HermitianForm`,
-which reads it in the (1,0) frame of the N* tensor: its frame block A = omega(v_a, conj v_b) = iH,
-whose det H every |(3,0)-form|^2 below uses, and its metric 2 Re(theta^T H conj theta), the one
-positivity decision, which the conformal solve hands out with its omega (`ConformalStack.form`).
+of omega's frame block A and the N* matrix M on T^{1,0}, whose skew part is -tr(C)/3 eps_abc.
+omega, a positive real (1,1)-form, is gated once as a `HermitianForm`, which reads it in the
+(1,0) frame of the N* tensor: its frame block A = omega(v_a, conj v_b) = iH, whose det H every
+|(3,0)-form|^2 below uses, and its metric 2 Re(theta^T H conj theta), the one positivity
+decision, which the conformal solve hands out with its omega (`ConformalStack.form`).
 Everything here is exact finite-dimensional linear algebra in that frame.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .multilinear import Form, Metric, _wedge_tensor, definite_sign, matvec, two_form_coeffs
 from .frame_manifold import CoframeAlgebra, d_invariant
-from .acs import EPS3, AlmostComplexStructure, ComplexFrame, is_type_11, split_30
+from .acs import AlmostComplexStructure, ComplexFrame, is_type_11, split_30, type_projectors
 from .conventions import HERMITIAN_30_NORM_COEF, TOLERANCES, within
 from .nijenhuis import NijenhuisTensor, rho_skew_coefficient
 
@@ -126,32 +127,23 @@ def norm30_sq(c, det):
     return (HERMITIAN_30_NORM_COEF / 1j).real * np.abs(c) ** 2 / det
 
 
-def c_map_trilinear(C: np.ndarray) -> np.ndarray:
-    """Expand C-matrices into trilinear components T[a, b, c] = eps_{dab} C[c, d].
-
-    The C-map of a (1,1)-form with frame block A (`rho_skew_coefficient`) is
-    C = A M^T for the N* matrix M, and rho = omega(N(.,.),.) is -T(A M^T).
-    Leading axes stack.
-    """
-    return np.einsum("dab,...cd->...abc", EPS3, C)
-
-
-def _skew_part(rho: np.ndarray) -> np.ndarray:
-    """Total antisymmetrization of tensors already skew in their first two slots."""
-    return (rho + np.einsum("...bca->...abc", rho) + np.einsum("...cab->...abc", rho)) / 3.0
+def _traceless(C: np.ndarray) -> np.ndarray:
+    """C - tr(C)/3 I: the non-skew part of rho = -eps_dab C[c, d] is -eps_dab C_0[c, d], which
+    holds each entry of C_0 twice with opposite signs.  Leading axes stack."""
+    return C - (np.trace(C, axis1=-2, axis2=-1) / 3.0)[..., None, None] * np.eye(3)
 
 
 class TorsionCriterionReport(NamedTuple):
-    skewness_residual: float        # norm of the non-skew complement of rho = omega(N(.,.),.)
-    rho_norm: float
+    skewness_residual: float        # max |non-skew part of rho| = max |traceless part of C|
+    rho_norm: float                 # max |rho| = max |C|
     admits_connection: bool
 
 
 def torsion_criterion(nij: NijenhuisTensor, h: HermitianForm) -> TorsionCriterionReport:
     """Decide existence of a Hermitian connection with skew torsion for h, in nij's frame."""
-    rho = -c_map_trilinear(h.read_in(nij.frame).block @ nij.matrix.T)
-    rho_norm = float(np.max(np.abs(rho)))
-    residual = float(np.max(np.abs(rho - _skew_part(rho))))
+    C = h.read_in(nij.frame).block @ nij.matrix.T
+    rho_norm = float(np.max(np.abs(C)))
+    residual = float(np.max(np.abs(_traceless(C))))
     return TorsionCriterionReport(
         skewness_residual=residual,
         rho_norm=rho_norm,
@@ -193,22 +185,21 @@ def _hermitian_basis(T: np.ndarray) -> np.ndarray:
 
 
 def _conformal_system(M: np.ndarray) -> np.ndarray:
-    """The real 54 x 9 system of the conformal solve for the N* matrix M.
+    """The real 18 x 9 system of the conformal solve for the N* matrix M.
 
-    Column k is the non-skew part of the trilinear of C(i h_k) = i h_k M^T.
-    Leading axes of M stack.
+    Column k is sqrt 2 [Re; Im] of the traceless part of C(i h_k) = i h_k M^T, whose norm is
+    that of the non-skew part of rho (`_traceless`).  Leading axes of M stack.
     """
-    T = c_map_trilinear(1j * _HERMITIAN_UNITS @ np.swapaxes(M, -2, -1)[..., None, :, :])
-    complement = T - _skew_part(T)
-    complement = complement.reshape(complement.shape[:-4] + (9, 27))
-    return np.swapaxes(np.concatenate([complement.real, complement.imag], axis=-1), -2, -1)
+    C0 = _traceless(1j * _HERMITIAN_UNITS @ np.swapaxes(M, -2, -1)[..., None, :, :])
+    C0 = np.sqrt(2.0) * C0.reshape(C0.shape[:-2] + (9,))
+    return np.swapaxes(np.concatenate([C0.real, C0.imag], axis=-1), -2, -1)
 
 
 @lru_cache(maxsize=None)
 def _conformal_map() -> np.ndarray:
-    """`_conformal_system` as the 18 x 486 real-linear map of the entries [Re M, Im M]."""
+    """`_conformal_system` as the 18 x 162 real-linear map of the entries [Re M, Im M]."""
     units = np.eye(9).reshape(9, 3, 3)
-    return _conformal_system(np.concatenate([units, 1j * units])).reshape(18, 486)
+    return _conformal_system(np.concatenate([units, 1j * units])).reshape(18, 162)
 
 
 def _orient_positive(H, theta):
@@ -231,8 +222,9 @@ class ConformalStack(NamedTuple):
     `positive` is the one positivity decision on omega: `definite_sign`, the gate of `Metric`,
     on the eigenvalues of its `metric` omega(., J.), which `form` hands to `Metric` as is.  The
     skew (3,0) part of omega(N(.,.),.) is c theta^123, c = -tr(i H M^T)/3 the `rho_skew_coefficient`
-    of the frame block iH, so that |P|^2 = `norm30_sq`(c, det H).  The least-squares
-    candidate minimizes |non-skew part of C(iH)| / |H|_F: it depends on J alone.
+    of the frame block iH, so that |P|^2 = `norm30_sq`(c, det H): -c is the scalar part of
+    C(iH) = iH M^T, and its traceless part the residual.  The least-squares candidate
+    minimizes |traceless part of C(iH)| / |H|_F: it depends on J alone.
     Every gate of the solve is a mask here; `conformal_solve` is the case
     without leading axes, and the caller builds the N* matrices it is solved from.
     """
@@ -296,8 +288,8 @@ def conformal_stack(M: np.ndarray, theta: np.ndarray) -> ConformalStack:
     # one row per structure, so that a stack and a single structure share the
     # summation order, and so the rounding, of this product
     entries = np.concatenate([M.real, M.imag], axis=-2).reshape(M.shape[:-2] + (1, 18))
-    system = (entries @ _conformal_map()).reshape(M.shape[:-2] + (54, 9))
-    _, s, vt = np.linalg.svd(np.linalg.qr(system, mode="r"))  # no 54 x 9 left vectors
+    system = (entries @ _conformal_map()).reshape(M.shape[:-2] + (18, 9))
+    _, s, vt = np.linalg.svd(system, full_matrices=False)
     null = s <= TOLERANCES["nullspace"] * np.maximum(s[..., :1], 1e-300)
 
     proj = matvec(np.swapaxes(vt, -2, -1), null * matvec(vt, _CANONICAL))
@@ -325,7 +317,7 @@ def candidate_tangent(st: ConformalStack, dM: np.ndarray) -> np.ndarray:
     perturbation of P against the squared singular values outside K gives, for G = A^T A,
     P' = sum_{k in K, j not in K} (v_j v_k^T + v_k v_j^T) v_j^T G' v_k / (s_k^2 - s_j^2)."""
     s2, vt, K = st.singular_values ** 2, st.vt, st.null if st.projected else np.arange(9) == 8
-    G = _conformal_map().reshape(18, 54, 9)
+    G = _conformal_map().reshape(18, 18, 9)
     AV = np.tensordot(np.concatenate([st.M.real, st.M.imag]).ravel(), G, axes=1) @ vt.T
     W = np.swapaxes(G @ vt.T, -2, -1) @ AV  # [e, j, k] = (G_e v_j) . (A v_k)
     entries = np.concatenate([dM.real, dM.imag], axis=-2).reshape(-1, 18)
@@ -375,8 +367,9 @@ def _tensor_projector_21_12(J: AlmostComplexStructure) -> np.ndarray:
     """Projector of Lambda^2 (x) Lambda^1 onto total bidegree (2,1)+(1,2): the identity less
     the only two products outside it, (2,0) (x) (1,0) and (0,2) (x) (0,1)."""
     n = J.dimension
-    return (np.eye(comb(n, 2) * n) - np.kron(J.bidegree_projector(2, 0), J.p10())
-            - np.kron(J.bidegree_projector(0, 2), J.p01()))
+    p10, p01 = type_projectors(J.matrix)
+    return (np.eye(comb(n, 2) * n) - np.kron(J.bidegree_projector(2, 0), p10)
+            - np.kron(J.bidegree_projector(0, 2), p01))
 
 
 def alt12_analysis(J: AlmostComplexStructure) -> Alt12Report:

@@ -91,9 +91,9 @@ def rho_skew_coefficient(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     A is the (v, conj v) block omega(v_a, conj v_b) of omega in frame
     coordinates (`ComplexFrame.components`), the matrix of its (1,1) part
     sum A[a, b] theta^a ^ conj theta^b, and M the N* matrix.  Then
-    rho[a, b, c] = -eps_dab (A M^T)[c, d], whose skew part at (1, 2, 3) is
-    -tr(A M^T)/3; equivalently sum A[a, b] theta^a ^ N*(conj theta^b) =
-    -3c theta^123, since theta^a ^ tcheck^d = delta_ad theta^123.  Leading axes stack.
+    rho[a, b, c] = -eps_dab C[c, d] for C = A M^T: its scalar part -c I gives the skew part
+    of rho, and its traceless part the non-skew residual.  Equivalently
+    sum A[a, b] theta^a ^ N*(conj theta^b) = -3c theta^123, since theta^a ^ tcheck^d = delta_ad theta^123.  Leading axes stack.
     """
     return -np.sum(A * M, axis=(-2, -1)) / 3.0
 

@@ -22,8 +22,7 @@ import numpy as np
 from .multilinear import Form, _index_array, two_form_matrices, wedge
 from .frame_manifold import CoframeAlgebra, covariant_derivative_form, d_invariant, levi_civita
 from .conventions import NABLA_OMEGA_TO_DOMEGA, TOLERANCES, within
-from .hermitian_torsion import (HermitianForm, _skew_part, norm30_sq, offshape_residual,
-                                torsion_criterion)
+from .hermitian_torsion import HermitianForm, norm30_sq, offshape_residual, torsion_criterion
 from .nijenhuis import NijenhuisTensor
 
 __all__ = [
@@ -100,10 +99,15 @@ class NablaOmegaReport(NamedTuple):
     strict: bool
 
 
-def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
+def _skew_part(T: np.ndarray) -> np.ndarray:
+    """Total antisymmetrization of tensors T[x, y, z] already skew in one pair of slots."""
+    return (T + np.einsum("...bca->...abc", T) + np.einsum("...cab->...abc", T)) / 3.0
+
+
+def check_nabla_omega(alg: CoframeAlgebra, h: HermitianForm) -> NablaOmegaReport:
     """Levi-Civita test: nabla omega totally antisymmetric, equal to d omega."""
-    gamma = levi_civita(alg, s.form.metric)
-    nablas = covariant_derivative_form(gamma, s.form.omega)
+    gamma = levi_civita(alg, h.metric)
+    nablas = covariant_derivative_form(gamma, h.omega)
     T = two_form_matrices(np.array([f.coeffs for f in nablas]), 6).real
     S = _skew_part(T)
     scale = max(1.0, float(np.max(np.abs(T))))
@@ -112,7 +116,7 @@ def check_nabla_omega(alg: CoframeAlgebra, s: SU3Structure) -> NablaOmegaReport:
     # identify the antisymmetric part with a 3-form and compare with d omega
     j, k, l = _index_array(6, 3).T
     phi = Form(6, 3, S[j, k, l])
-    domega = d_invariant(alg, s.form.omega)
+    domega = d_invariant(alg, h.omega)
     ident_res = (NABLA_OMEGA_TO_DOMEGA * phi - domega).norm() / max(1.0, domega.norm())
 
     per_dir = np.array([f.norm() for f in nablas])
@@ -176,11 +180,9 @@ def nk_equivalence_suite(alg: CoframeAlgebra, nij: NijenhuisTensor,
     """
     crit = torsion_criterion(nij, h)
     solved = solve_Omega(alg, nij, h)
-    # the nabla omega test reads only J and omega: without a solution the
-    # frame's unit (3,0)-form stands in for Omega
-    s = SU3Structure(h, solved.Omega if solved.ok else nij.frame.theta_top(), solved.lam)
-    eq_rep = check_structure_equations(alg, s) if solved.ok else None
-    nab_rep = check_nabla_omega(alg, s)
+    eq_rep = (check_structure_equations(alg, SU3Structure(h, solved.Omega, solved.lam))
+              if solved.ok else None)
+    nab_rep = check_nabla_omega(alg, h)
     return NkSuiteReport(
         torsion_ok=crit.admits_connection,
         equations_ok=eq_rep is not None and eq_rep.passes() and solved.lam > TOLERANCES["strict"],

@@ -37,7 +37,7 @@ import numpy as np
 from .multilinear import contract, matvec, two_form_coeffs, wedge_coeffs
 from .frame_manifold import CoframeAlgebra
 from .acs import (AlmostComplexStructure, ComplexFrame, default_frame_coords, j_from_basis,
-                  split_30, theta_top_coeffs)
+                  split_30, theta_top_coeffs, type_projectors)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import (ConformalStack, HermitianForm, candidate_tangent, conformal_stack,
                                 norm30_sq, offshape_residual)
@@ -208,7 +208,7 @@ def _jacobian(alg: CoframeAlgebra, fr: ComplexFrame, st: ConformalStack) -> np.n
     G = X @ np.conj(theta).T
     dtheta = X - 0.5 * (G + np.conj(np.swapaxes(G, -2, -1))) @ theta
     dV = -(F @ np.concatenate([dtheta, np.conj(dtheta)], axis=-2) @ F)[..., :3]
-    q01, K = fr.J.p01().T, bracket_vectors(alg, V, V)  # M = (conj theta q01 K)^T
+    q01, K = type_projectors(Jm)[1].T, bracket_vectors(alg, V, V)  # M = (conj theta q01 K)^T
     dN = 0.5j * dJ @ K + q01 @ (2.0 * bracket_vectors(alg, V, dV))
     dM = np.swapaxes(np.conj(dtheta) @ q01 @ K + np.conj(theta) @ dN, -2, -1)
     # the candidate, det H' = det H tr(H^-1 H'), the |P|^2 gauge and omega = n2 H

@@ -24,7 +24,7 @@ from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_fr
                                wedge_coeffs)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, acs_gates, bidegrees,
-                       project_to_acs, split_30)
+                       project_to_acs, split_30, type_projectors)
 from nkvol.conventions import HERMITIAN_30_NORM_COEF, KAPPA_CONV, ZH_DUALITY_FACTOR, within
 from nkvol.nijenhuis import NijenhuisTensor, bracket_vectors, nijenhuis_via_brackets, volume_form
 from nkvol.hermitian_torsion import HermitianForm, _hermitian_form_coeffs, conformal_solve
@@ -276,6 +276,12 @@ def c_map(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
     return A @ nij.matrix.T
 
 
+def c_map_trilinear(C: np.ndarray) -> np.ndarray:
+    """The oracle trilinear T[a, b, c] = eps_dab C[c, d] of C-matrices: rho = omega(N(.,.),.)
+    is -T(A M^T) for omega's frame block A and the N* matrix M.  Leading axes stack."""
+    return np.einsum("dab,...cd->...abc", EPS3, C)
+
+
 
 def adapted_frame(J: AlmostComplexStructure, omega: Form,
                   Omega: Form | None = None) -> ComplexFrame:
@@ -484,7 +490,7 @@ def _rho_components(alg: CoframeAlgebra, J: AlmostComplexStructure, omega: Form,
                     fr: ComplexFrame) -> np.ndarray:
     """rho[a, b, c] = omega(N(v_a, v_b), v_c) = eps_dab omega(N^d, v_c), with the vectors
     N^d = 1/2 eps_dbc P^{0,1}[v_b, v_c]."""
-    N = J.p01().T @ bracket_vectors(alg, fr.v_coords, fr.v_coords)
+    N = type_projectors(J.matrix)[1].T @ bracket_vectors(alg, fr.v_coords, fr.v_coords)
     R = N.T @ two_form_matrices(omega.coeffs, 6) @ fr.v_coords
     return np.einsum("dab,dc->abc", EPS3, R)
 

@@ -13,6 +13,7 @@ from nkvol.acs import (
     bidegrees,
     is_type_11,
     project_to_acs,
+    type_projectors,
 )
 
 from helpers import (bidegree_project, d_split, forms_close, frame_check_residual, frame_theta,
@@ -54,7 +55,7 @@ def test_projector_identities():
     rng = np.random.default_rng(1)
     for _ in range(10):
         J = random_acs(rng)
-        P, Q = J.p10(), J.p01()
+        P, Q = type_projectors(J.matrix)
         assert np.max(np.abs(P + Q - np.eye(6))) < 1e-12
         assert np.max(np.abs(P @ P - P)) < 1e-12
         assert np.max(np.abs(np.conj(P) - Q)) < 1e-12

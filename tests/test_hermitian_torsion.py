@@ -7,7 +7,7 @@ from nkvol.multilinear import Form, basis_form, definite_sign, wedge
 from nkvol.frame_manifold import catalog
 from nkvol.acs import AlmostComplexStructure
 from nkvol.nijenhuis import nijenhuis_via_brackets, rho_skew_coefficient
-from nkvol.nk_su3 import solve_Omega
+from nkvol.nk_su3 import _skew_part, solve_Omega
 from nkvol.hermitian_torsion import (
     _conformal_map,
     _conformal_system,
@@ -15,9 +15,7 @@ from nkvol.hermitian_torsion import (
     _hermitian_form_coeffs,
     _orient_positive,
     HermitianForm,
-    _skew_part,
     alt12_analysis,
-    c_map_trilinear,
     conformal_solve,
     conformal_stack,
     hermitian_metric,
@@ -25,9 +23,10 @@ from nkvol.hermitian_torsion import (
     torsion_criterion,
 )
 
-from helpers import (bidegree_project, c_map, candidate_coeffs, flat_omega, flat_su3_forms,
-                     forms_close, frame_from_thetas, frame_theta, nk_fixture, norm30_wedge_route,
-                     product_omega, random_acs, random_valid_algebra, s3s3, torus)
+from helpers import (bidegree_project, c_map, c_map_trilinear, candidate_coeffs, flat_omega,
+                     flat_su3_forms, forms_close, frame_from_thetas, frame_theta, nk_fixture,
+                     norm30_wedge_route, product_omega, random_acs, random_valid_algebra, s3s3,
+                     torus)
 
 
 def test_norm30_flat_calibration():
@@ -202,7 +201,8 @@ def test_alt12_ranks_basis_independent():
 
 
 def test_conformal_system_matches_c_map():
-    # the closed-form system against c_map applied to each Hermitian basis form
+    # the 18-row system of traceless parts against the 54 rows of the non-skew part of the
+    # trilinear of c_map on each Hermitian basis form: an isometry, so the Gram matrices agree
     rng = np.random.default_rng(8)
     for _ in range(4):
         alg, J = random_valid_algebra(rng), random_acs(rng)
@@ -220,7 +220,9 @@ def test_conformal_system_matches_c_map():
             complement = (T - _skew_part(T)).ravel()
             cols.append(np.concatenate([complement.real, complement.imag]))
         L = np.column_stack(cols)
-        assert np.max(np.abs(_conformal_system(nij.matrix) - L)) <= 1e-13 * max(1.0, np.max(np.abs(L)))
+        S = _conformal_system(nij.matrix)
+        assert S.shape == (18, 9) and L.shape == (54, 9)
+        assert np.max(np.abs(S.T @ S - L.T @ L)) <= 1e-13 * max(1.0, np.max(np.abs(L.T @ L)))
 
 
 def test_conformal_map_matches_system():
@@ -229,7 +231,7 @@ def test_conformal_map_matches_system():
     for _ in range(4):
         M = nijenhuis_via_brackets(random_valid_algebra(rng), random_acs(rng)).matrix
         ref = _conformal_system(M)
-        mapped = (np.concatenate([M.real, M.imag]).ravel() @ _conformal_map()).reshape(54, 9)
+        mapped = (np.concatenate([M.real, M.imag]).ravel() @ _conformal_map()).reshape(18, 9)
         assert np.max(np.abs(mapped - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 

@@ -105,16 +105,16 @@ def test_structure_equations_perturbed_fail():
 
 
 def test_nabla_omega_flat_kaehler():
-    alg, J, omega0, Omega0 = torus_structure()
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega0), Omega0, 0.0))
+    alg, J, omega0, _ = torus_structure()
+    rep = check_nabla_omega(alg, HermitianForm(J.frame(), omega0))
     assert rep.antisymmetry_residual == 0.0
     assert not rep.strict                      # reported, not an error
     assert rep.strictness_min == 0.0
 
 
 def test_nabla_omega_fixture():
-    alg, J, omega, Omega = nk_fixture()
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), Omega, 2.0))
+    alg, J, omega, _ = nk_fixture()
+    rep = check_nabla_omega(alg, HermitianForm(J.frame(), omega))
     assert rep.antisymmetry_residual < 1e-9
     assert rep.identification_residual < 1e-9
     assert rep.strict
@@ -125,8 +125,7 @@ def test_nabla_omega_wrong_scale_negative_control():
     m = catalog("s3s3")
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     omega = product_omega(scales=(1.0, 1.0, 5.0))
-    fr = adapted_frame(J, omega)
-    rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), fr.theta_top(), 1.0))
+    rep = check_nabla_omega(alg, HermitianForm(J.frame(), omega))
     assert rep.antisymmetry_residual > 1e-3
 
 
@@ -137,8 +136,7 @@ def test_nabla_identification_residual_is_structural():
     alg, J = m.algebra(), AlmostComplexStructure(m.J)
     for scales in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
         omega = product_omega(scales=scales)
-        fr = adapted_frame(J, omega)
-        rep = check_nabla_omega(alg, SU3Structure(HermitianForm(J.frame(), omega), fr.theta_top(), 1.0))
+        rep = check_nabla_omega(alg, HermitianForm(J.frame(), omega))
         assert rep.identification_residual < 1e-12
 
 

@@ -2,8 +2,9 @@
 Leibniz rule for d, the two Nijenhuis routes, the volume density under frame
 changes and rescaling, the stacked residual kernel against the single-structure
 path, the search's analytic Jacobian against the central difference, the C-map
-route to rho = omega(N(.,.),.) against the N-vector oracle, and the conformal
-candidate under unitary changes of the (1,0) frame.
+route to rho = omega(N(.,.),.) against the N-vector oracle, the traceless part of C
+against the non-skew part of rho, and the conformal candidate under unitary changes
+of the (1,0) frame.
 
 Examples are drawn by hypothesis under the derandomized profile of conftest.py;
 the structures come from the seeded generators in helpers.py.
@@ -19,12 +20,14 @@ from nkvol.frame_manifold import CoframeAlgebra, catalog, check_jacobi, d_invari
 from nkvol.acs import AlmostComplexStructure, default_frame_coords, split_30
 from nkvol.nijenhuis import (nijenhuis_matrices, nijenhuis_via_brackets, nijenhuis_via_d,
                              rho_skew_coefficient)
-from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _skew_part,
-                                     c_map_trilinear, conformal_stack)
+from nkvol.hermitian_torsion import (HermitianForm, _hermitian_form_coeffs, _traceless,
+                                     conformal_stack)
+from nkvol.nk_su3 import _skew_part
 from nkvol.variation_opt import _jacobian, criticality_residual_vector
 
-from helpers import (_basis_change, _rho_components, fd_jacobian, forms_close, psi_value,
-                     random_acs, random_form, random_invalid_constants, random_valid_algebra)
+from helpers import (_basis_change, _rho_components, c_map_trilinear, fd_jacobian, forms_close,
+                     psi_value, random_acs, random_form, random_invalid_constants,
+                     random_valid_algebra)
 from test_variation_opt import assert_stack_matches_scalar, nk_fixture, su2r3
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -152,6 +155,22 @@ def test_c_map_rho_matches_the_n_vector_oracle(seed):
     assert np.max(np.abs(rho - ref)) <= tol
     c = rho_skew_coefficient(fr.components(omega)[:3, 3:], nij.matrix)
     assert abs(c - _skew_part(ref)[0, 1, 2]) <= tol
+
+
+@given(SEEDS, st.floats(-12.0, 12.0))
+def test_traceless_part_of_c_is_the_non_skew_part_of_rho(seed, log_scale):
+    # T = eps_dab C[c, d] has skew part tr(C)/3 eps_abc, so T - skew(T) = eps_dab C_0[c, d]
+    # holds each entry of the traceless part C_0 twice, with opposite signs
+    rng = np.random.default_rng(seed)
+    C = 10.0 ** log_scale * (rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+    T = c_map_trilinear(C)
+    off, C0 = T - _skew_part(T), _traceless(C)
+    tol = 1e-14 * np.max(np.abs(C), axis=(-2, -1))
+    assert np.all(np.abs(np.max(np.abs(C0), axis=(-2, -1)) - np.max(np.abs(off), axis=(-3, -2, -1)))
+                  <= tol)
+    assert np.all(np.abs(np.sqrt(2.0) * np.linalg.norm(C0, axis=(-2, -1))
+                         - np.sqrt(np.sum(np.abs(off) ** 2, axis=(-3, -2, -1)))) <= 10.0 * tol)
+    assert np.array_equal(np.max(np.abs(C), axis=(-2, -1)), np.max(np.abs(T), axis=(-3, -2, -1)))
 
 
 @given(SEEDS, st.floats(0.05, 1.0))
