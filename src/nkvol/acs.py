@@ -14,7 +14,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -195,13 +195,21 @@ class ComplexFrame:
         return Form(self.dimension, 3, theta_top_coeffs(self.theta_coeffs))
 
 
+@lru_cache(maxsize=None)
+def _triple_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (i, j, k) of each increasing triple of 0..n-1, rotated once (j, k, i) and
+    twice (k, i, j): gathered from rows x, y, z, they give x . (y x z) term by term."""
+    idx = _index_array(n, 3)
+    return idx, idx[:, [1, 2, 0]], idx[:, [2, 0, 1]]
+
+
 def theta_top_coeffs(theta) -> np.ndarray:
     """Coefficients of theta^1 ^ theta^2 ^ theta^3 from the rows theta: the minors
     det theta[:, I] as triple products x . (y x z), several times faster on stacks
     than factoring each minor in `compound`.  Leading axes stack."""
-    x, y, z = np.moveaxis(theta[..., _index_array(theta.shape[-1], 3)], -3, 0)
-    y_cross_z = y[..., [1, 2, 0]] * z[..., [2, 0, 1]] - y[..., [2, 0, 1]] * z[..., [1, 2, 0]]
-    return np.sum(x * y_cross_z, axis=-1)
+    idx, r1, r2 = _triple_columns(theta.shape[-1])
+    x, y, z = theta[..., 0, :], theta[..., 1, :], theta[..., 2, :]
+    return np.sum(x[..., idx] * (y[..., r1] * z[..., r2] - y[..., r2] * z[..., r1]), axis=-1)
 
 
 def split_30(phi, theta, V) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,13 @@ single report object printed with sorted keys and shortest-round-trip floats, so
 identical inputs produce byte-identical output and every number is finite;
 wall-clock timing appears only in the human-readable format.
 
+The command line is read against one table, `_COMMANDS` and `_CATALOG`: a
+subcommand, its FILE or NAME, and its options as `--opt value` or `--opt=value`,
+spelled out in full, with `--json` accepted anywhere.  `-h` or `--help` prints
+the usage built from that table and exits 0; a line that does not parse prints
+it to stderr with `nkvol: error: ...` and exits 2.  The parser is plain code, so
+no call imports argparse, gettext or locale.
+
 `main()`, the `nkvol` entry point, runs a call with the cyclic garbage collector
 off, since a call makes no reference cycles, and ends the process with
 `os._exit` once the report is flushed, skipping the interpreter's teardown; so
@@ -17,7 +24,6 @@ returns the exit code and leaves the collector as it found it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -315,23 +321,34 @@ def _cmd_alt12(manifest: Manifest):
     return checks, verdicts
 
 
-# subcommand -> (its help text; its top layer, which imports the layers below it; its handler).
-# run() imports the layers before it reads the manifest, so they compile on a small heap
+# subcommand -> (its help text; its top layer, which imports the layers below it; its handler;
+# its options, flag -> (destination, type, default), where the type bool marks a flag that
+# takes no value).  Each takes one FILE.  run() imports the layers before it reads the
+# manifest, so they compile on a small heap
 _COMMANDS = {
-    "check": ("Jacobi gate and J validity", "frame_manifold", lambda m, a: _cmd_check(m)),
+    "check": ("Jacobi gate and J validity", "frame_manifold", lambda m, a: _cmd_check(m), {}),
     "nijenhuis": ("two-route tensor, determinant, volume density", "hermitian_torsion",
-                  lambda m, a: _cmd_nijenhuis(m)),
+                  lambda m, a: _cmd_nijenhuis(m), {}),
     "torsion": ("skew-torsion criterion and conformal solve", "hermitian_torsion",
-                lambda m, a: _cmd_torsion(m)),
-    "nk": ("three-way equivalence suite", "nk_su3", lambda m, a: _cmd_nk(m)),
+                lambda m, a: _cmd_torsion(m), {}),
+    "nk": ("three-way equivalence suite", "nk_su3", lambda m, a: _cmd_nk(m), {}),
     "cone": ("cone 3-form: stability, harmonicity, metric roundtrip", "g2_cone",
-             lambda m, a: _cmd_cone(m)),
+             lambda m, a: _cmd_cone(m), {}),
     "alt12": ("antisymmetrization-operator ranks", "hermitian_torsion",
-              lambda m, a: _cmd_alt12(m)),
+              lambda m, a: _cmd_alt12(m), {}),
     "functional": ("volume density and optional gradient", "variation_opt",
-                   lambda m, a: _cmd_functional(m, a.gradient)),
+                   lambda m, a: _cmd_functional(m, **a), {"--gradient": ("gradient", bool, False)}),
     "optimize": ("search for a critical structure", "variation_opt",
-                 lambda m, a: _cmd_optimize(m, a.max_iter, a.seed, a.emit)),
+                 lambda m, a: _cmd_optimize(m, **a),
+                 {"--max-iter": ("max_iter", int, 100), "--seed": ("seed", int, 0),
+                  "--emit": ("emit", str, None)}),
+}
+# catalog subcommand -> (its help text; its one argument, or None; its options, as above)
+_CATALOG = {
+    "list": ("list catalog names", None, {}),
+    "emit": ("write a catalog manifest", "NAME",
+             {"--seed": ("seed", int, None), "--magnitude": ("magnitude", float, 0.05),
+              "--out": ("out", str, None)}),
 }
 
 
@@ -377,69 +394,138 @@ def _human(val):
     return val
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # --json is accepted anywhere on the line; it is stripped by run() before
-    # parsing, so it appears here only for the help text
-    p = argparse.ArgumentParser(prog="nkvol",
-                                description="checks and optimization for invariant "
-                                            "almost complex structures on coframe models")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report output (accepted with any subcommand)")
-    sub = p.add_subparsers(dest="command", required=True)
+_HELP = ("-h", "--help")
+_ABOUT = ("nkvol: checks and optimization for invariant almost complex structures on coframe "
+          "models.\n--json, accepted anywhere on the line, prints the machine-readable report.")
 
-    cat = sub.add_parser("catalog", help="built-in model catalog")
-    catsub = cat.add_subparsers(dest="catalog_command", required=True)
-    catsub.add_parser("list", help="list catalog names")
-    emit = catsub.add_parser("emit", help="write a catalog manifest")
-    emit.add_argument("name")
-    emit.add_argument("--seed", type=int, default=None)
-    emit.add_argument("--magnitude", type=float, default=0.05)
-    emit.add_argument("--out", default=None)
 
-    for name, (helptext, *_) in _COMMANDS.items():
-        sub.add_parser(name, help=helptext).add_argument("file")
-    sub.choices["functional"].add_argument("--gradient", action="store_true")
-    opt = sub.choices["optimize"]
-    opt.add_argument("--max-iter", type=int, default=100)
-    opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--emit", default=None, help="write the solved manifest here")
-    return p
+class _Usage(Exception):
+    """A command line that does not parse: (the command words read, the message), or a
+    request for help, whose message is None."""
+
+
+def _usage(words: list[str]) -> str:
+    """The usage line of each command that begins with words (of every command, for none),
+    each followed by its help text."""
+    rows = [(["catalog", sub], slot, helptext, options)
+            for sub, (helptext, slot, options) in _CATALOG.items()]
+    rows += [([name], "FILE", helptext, options)
+             for name, (helptext, _, _, options) in _COMMANDS.items()]
+    lines = ["usage:"]
+    for row, slot, helptext, options in rows:
+        if row[:len(words)] == words:
+            flags = [f"[{flag}]" if kind is bool else f"[{flag} {dest.upper()}]"
+                     for flag, (dest, kind, _) in options.items()]
+            lines += [" ".join(["  nkvol [--json]", *row, *([slot] if slot else []), *flags]),
+                      f"      {helptext}"]
+    return "\n".join(lines)
+
+
+def _choice(what: str, word: str | None, names) -> str:
+    if word is None:
+        return f"the following arguments are required: {what}"
+    return f"argument {what}: invalid choice: {word!r} (choose from {', '.join(map(repr, names))})"
+
+
+def _parse(argv: list[str]) -> tuple[list[str], str | None, dict]:
+    """The command words of argv (`[command]`, `["catalog", "list"]` or `["catalog", "emit"]`),
+    its one argument (FILE, NAME or None) and its options by destination, each absent one at
+    its default.  An option is `--opt value` or `--opt=value`, and a value that starts with
+    `--` is missing.  Raises `_Usage`."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        raise _Usage([], None)
+    if command == "catalog":
+        sub = argv[1] if len(argv) > 1 else None
+        if sub in _HELP:
+            raise _Usage([command], None)
+        if sub not in _CATALOG:
+            raise _Usage([command], _choice("catalog command", sub, _CATALOG))
+        words, (_, slot, options) = argv[:2], _CATALOG[sub]
+    elif command in _COMMANDS:
+        words, slot, options = argv[:1], "FILE", _COMMANDS[command][3]
+    else:
+        raise _Usage([], _choice("command", command, ["catalog", *_COMMANDS]))
+    rest = argv[len(words):]
+    if any(tok in _HELP for tok in rest):
+        raise _Usage(words, None)
+    target, extra = None, []
+    opts = {dest: default for dest, _, default in options.values()}
+    tokens = iter(rest)
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag not in options:
+            if slot and target is None and not tok.startswith("-"):
+                target = tok
+            else:
+                extra.append(tok)
+            continue
+        dest, kind, _ = options[flag]
+        if kind is bool:
+            if eq:
+                raise _Usage(words, f"argument {flag}: ignored explicit argument {value!r}")
+            opts[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _Usage(words, f"argument {flag}: expected one argument")
+        try:
+            opts[dest] = kind(value)
+        except ValueError:
+            message = f"argument {flag}: invalid {kind.__name__} value: {value!r}"
+            raise _Usage(words, message) from None
+    if slot and target is None:
+        raise _Usage(words, f"the following arguments are required: {slot}")
+    if extra:
+        raise _Usage(words, "unrecognized arguments: " + " ".join(extra))
+    return words, target, opts
 
 
 def run(argv: list[str]) -> int:
     argv = list(argv)
     as_json = "--json" in argv
     argv = [a for a in argv if a != "--json"]
-    try:  # the parser is not kept: it is garbage before a subcommand compiles its layers
-        args = _build_parser().parse_args(argv)
-    except SystemExit as ex:
-        return 2 if ex.code not in (0, None) else 0
-    gc.collect(0)  # free the parser's cycles now: main() runs with the collector off
+    try:
+        words, target, opts = _parse(argv)
+    except _Usage as ex:
+        words, message = ex.args
+        if message is None:
+            text, stream, code = f"{_ABOUT}\n{_usage(words)}", sys.stdout, 0
+        else:
+            text, stream, code = f"{_usage(words)}\nnkvol: error: {message}", sys.stderr, 2
+        if stream is not None:  # None when the descriptor was closed at start
+            try:
+                print(text, file=stream)
+                stream.flush()
+            except OSError:  # a closed pipe: the usage is lost, the exit code stands
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return code
     started = time.monotonic()
 
-    report: dict = {"command": args.command, "constants": CONSTANTS, "tolerances": TOLERANCES}
+    report: dict = {"command": words[0], "constants": CONSTANTS, "tolerances": TOLERANCES}
     try:
         verdicts = {}  # a catalog call has none
-        if args.command in _COMMANDS:
-            _, layer, handler = _COMMANDS[args.command]
+        if words[0] in _COMMANDS:
+            _, layer, handler, _ = _COMMANDS[words[0]]
             import_module(f".{layer}", __package__)
-            manifest, digest = _load(args.file)
+            manifest, digest = _load(target)
             report["manifest"] = {"name": manifest.name, "sha256": digest}
-            checks, verdicts = handler(manifest, args)
+            checks, verdicts = handler(manifest, opts)
             bad = [key for key, value in checks.items() if not _finite(value)]
             if bad:
                 raise InputError(f"non-finite values in checks: {', '.join(bad)}")
-        elif args.catalog_command == "list":
+        elif words[1] == "list":
             checks = {"catalog": list(CATALOG_NAMES)}
         else:
             from .frame_manifold import catalog
             try:
-                manifest = catalog(args.name, seed=args.seed, magnitude=args.magnitude)
+                manifest = catalog(target, seed=opts["seed"], magnitude=opts["magnitude"])
             except ValueError as ex:
                 raise InputError(str(ex)) from ex
-            if args.out:
-                manifest.save(args.out)
-                checks = {"written": args.out, "name": manifest.name}
+            if opts["out"]:
+                manifest.save(opts["out"])
+                checks = {"written": opts["out"], "name": manifest.name}
             else:
                 checks = {"manifest": manifest.to_dict()}
     except InputError as ex:
@@ -469,7 +555,7 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    gc.disable()
+    gc.disable()  # the parser and the call make no reference cycles: nothing for it to free
     code = run(sys.argv[1:])
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when the descriptor was closed at start

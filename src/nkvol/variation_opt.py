@@ -36,8 +36,8 @@ import numpy as np
 
 from .multilinear import contract, matvec, two_form_coeffs, wedge_coeffs
 from .frame_manifold import CoframeAlgebra
-from .acs import (AlmostComplexStructure, ComplexFrame, default_frame_coords, j_from_basis,
-                  split_30, theta_top_coeffs, type_projectors)
+from .acs import (AlmostComplexStructure, ComplexFrame, _triple_columns, default_frame_coords,
+                  j_from_basis, split_30, theta_top_coeffs, type_projectors)
 from .conventions import KAPPA_CONV, TOLERANCES, ZH_DUALITY_FACTOR, within
 from .hermitian_torsion import (ConformalStack, HermitianForm, candidate_tangent, conformal_stack,
                                 norm30_sq, offshape_residual)
@@ -191,9 +191,15 @@ def _residual_kernel(alg: CoframeAlgebra, Jm: np.ndarray):
 
 
 def _top_tangent(rows, drows) -> np.ndarray:
-    """The tangent of the trilinear `theta_top_coeffs` at rows along drows (leading axis)."""
-    slots = np.eye(3, dtype=bool)[:, None, :, None]
-    return theta_top_coeffs(np.where(slots, drows, rows)).sum(axis=0)
+    """The tangent of the trilinear `theta_top_coeffs` at the three rows along drows (leading
+    axis): the triple product with each slot's row replaced in turn, each term by term from the
+    base rows' gathered columns, in `theta_top_coeffs`'s order of products and sums."""
+    idx, r1, r2 = _triple_columns(rows.shape[-1])
+    x, y1, y2, z1, z2 = rows[0, idx], rows[1, r1], rows[1, r2], rows[2, r1], rows[2, r2]
+    dx, dy, dz = drows[..., 0, :], drows[..., 1, :], drows[..., 2, :]
+    p, q, r = (dx[..., idx] * (y1 * z2 - y2 * z1), x * (dy[..., r1] * z2 - dy[..., r2] * z1),
+               x * (y1 * dz[..., r2] - y2 * dz[..., r1]))
+    return np.sum(p, axis=-1) + np.sum(q, axis=-1) + np.sum(r, axis=-1)
 
 
 def _jacobian(alg: CoframeAlgebra, fr: ComplexFrame, st: ConformalStack) -> np.ndarray:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nkvol.multilinear import (EPS3, Form, Metric, basis_form, compound, form_from_one_coeffs,
-                               index_tuples, matvec, two_form_coeffs, two_form_matrices, wedge,
-                               wedge_coeffs)
+from nkvol.multilinear import (EPS3, Form, Metric, _index_array, basis_form, compound,
+                               form_from_one_coeffs, index_tuples, matvec, two_form_coeffs,
+                               two_form_matrices, wedge, wedge_coeffs)
 from nkvol.frame_manifold import CoframeAlgebra, JacobiReport, Manifest, catalog, d_invariant
 from nkvol.acs import (AlmostComplexStructure, ComplexFrame, _dual_vectors, acs_gates, bidegrees,
                        project_to_acs, split_30, type_projectors)
@@ -274,6 +274,21 @@ def c_map(alg: CoframeAlgebra, J: AlmostComplexStructure, a: Form,
         nij = nijenhuis_via_brackets(alg, J)
     A = nij.frame.components(a)[:3, 3:]
     return A @ nij.matrix.T
+
+
+def theta_top_reference(theta) -> np.ndarray:
+    """`acs.theta_top_coeffs` through one gather of the rows at every increasing triple, moved
+    to the front, and list-indexed cross products: the same products and sums."""
+    x, y, z = np.moveaxis(theta[..., _index_array(theta.shape[-1], 3)], -3, 0)
+    y_cross_z = y[..., [1, 2, 0]] * z[..., [2, 0, 1]] - y[..., [2, 0, 1]] * z[..., [1, 2, 0]]
+    return np.sum(x * y_cross_z, axis=-1)
+
+
+def top_tangent_reference(rows, drows) -> np.ndarray:
+    """`variation_opt._top_tangent` as 3 x len(drows) stacked triple products, each slot's row
+    replaced through np.where, summed over the slots."""
+    slots = np.eye(3, dtype=bool)[:, None, :, None]
+    return theta_top_reference(np.where(slots, drows, rows)).sum(axis=0)
 
 
 def c_map_trilinear(C: np.ndarray) -> np.ndarray:

@@ -140,6 +140,64 @@ def test_optimize_rejects_bad_numeric_arguments(tmp_path):
     assert "max_iter" in p.stdout
 
 
+def test_argv_forms(capsys):
+    # the parser reads one table: `--opt value` and `--opt=value` alike, --json anywhere;
+    # every usage error prints the usage and `nkvol: error: ...` to stderr and exits 2, with
+    # nothing on stdout; --help prints the usage to stdout and exits 0
+    from nkvol import cli
+
+    def call(*argv):
+        code = cli.run([str(a) for a in argv])
+        return (code, *capsys.readouterr())
+
+    emit = ("catalog", "emit", "s3s3_perturbed")
+    for forms in (
+            [(*emit, "--seed", "3", "--magnitude", "0.1", "--json"),
+             (*emit, "--seed=3", "--magnitude=0.1", "--json"),
+             ("--json", *emit, "--magnitude", "0.1", "--seed=3"),
+             ("catalog", "--json", "emit", "--seed", "3", "s3s3_perturbed", "--magnitude=0.1")],
+            [("optimize", FIXTURE, "--max-iter", "2", "--seed", "1", "--json"),
+             ("optimize", "--max-iter=2", FIXTURE, "--json", "--seed=1")],
+            [("functional", FIXTURE, "--gradient", "--json"),
+             ("functional", "--gradient", "--json", FIXTURE)]):
+        first = call(*forms[0])
+        assert first[0] == 0 and first[2] == "", (forms[0], first)
+        for argv in forms[1:]:
+            assert call(*argv) == first, argv
+    for argv, message in (
+            ((), "the following arguments are required: command"),
+            (("nosuch", FIXTURE), "invalid choice: 'nosuch'"),
+            (("catalog",), "the following arguments are required: catalog command"),
+            (("catalog", "nosuch"), "invalid choice: 'nosuch' (choose from 'list', 'emit')"),
+            (("nk",), "the following arguments are required: FILE"),
+            (("catalog", "emit", "--seed", "1"), "the following arguments are required: NAME"),
+            (("check", FIXTURE, "--bogus"), "unrecognized arguments: --bogus"),
+            (("nk", FIXTURE, "extra.json"), "unrecognized arguments: extra.json"),
+            (("optimize", FIXTURE, "--max", "3"), "unrecognized arguments: --max 3"),
+            (("optimize", FIXTURE, "--max-iter"), "argument --max-iter: expected one argument"),
+            (("optimize", FIXTURE, "--max-iter", "--seed", "1"), "expected one argument"),
+            (("optimize", FIXTURE, "--max-iter", "x"), "argument --max-iter: invalid int value"),
+            (("optimize", FIXTURE, "--seed=2.5"), "argument --seed: invalid int value: '2.5'"),
+            ((*emit, "--magnitude", "big"), "argument --magnitude: invalid float value: 'big'"),
+            (("functional", FIXTURE, "--gradient=1"), "ignored explicit argument '1'")):
+        code, out, err = call(*argv, "--json")
+        assert code == 2 and out == "", (argv, code, out)
+        usage, _, error = err.rstrip("\n").rpartition("\n")
+        assert usage.startswith("usage:\n  nkvol [--json] "), (argv, err)
+        assert error.startswith("nkvol: error: ") and message in error, (argv, err)
+    code, out, err = call("--help")
+    assert code == 0 and err == "", err
+    assert out.count("\n  nkvol [--json] ") == len(cli._CATALOG) + len(cli._COMMANDS), out
+    for argv in (("optimize", "--help"), ("optimize", FIXTURE, "-h")):
+        code, out, err = call(*argv)
+        assert code == 0 and err == "", (argv, err)
+        assert "optimize FILE [--max-iter MAX_ITER] [--seed SEED] [--emit EMIT]" in out, out
+        assert out.count("\n  nkvol [--json] ") == 1, out
+    # a negative value is a value, which the program itself rejects
+    code, out, err = call("optimize", FIXTURE, "--seed", "-1", "--json")
+    assert code == 2 and err == "" and "seed" in json.loads(out)["error"], (out, err)
+
+
 def test_missing_file_is_input_error():
     p = run_cli("nk", "/nonexistent/file.json")
     assert p.returncode == 2
@@ -402,6 +460,21 @@ def test_closed_stdout_is_unwritable_output():
         assert "Traceback" not in p.stderr and "Exception ignored" not in p.stderr, p.stderr
 
 
+def test_usage_to_a_closed_pipe_keeps_the_exit_code():
+    # help to a closed stdout still exits 0 and a usage error to a closed stderr still exits 2,
+    # with no traceback
+    for args, closed, code in ((("--help",), "stdout", 0), (("nosuch",), "stderr", 2)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+        try:
+            p = subprocess.run([sys.executable, "-m", "nkvol.cli", *args], text=True, **streams)
+        finally:
+            os.close(write_end)
+        assert p.returncode == code, (args, p.stdout, p.stderr)
+        assert "Traceback" not in (p.stdout or "") + (p.stderr or ""), (args, p.stdout, p.stderr)
+
+
 def test_internal_error_exit_three(monkeypatch, capsys):
     from nkvol import cli
 
@@ -452,8 +525,9 @@ def test_optimize_reports_iteration_records(tmp_path):
 
 
 def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
-    """The nkvol modules, numpy, numpy.random and _hashlib a fresh process holds after one CLI
-    call, and its output; the modules named in `blocked` cannot be imported there."""
+    """The nkvol modules, numpy, numpy.random, _hashlib, argparse, gettext and locale a fresh
+    process holds after one CLI call, and its output; the modules named in `blocked` cannot be
+    imported there."""
     code = ("import contextlib, io, sys\n"
             f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
             "from nkvol.cli import run\n"
@@ -461,7 +535,8 @@ def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
             "with contextlib.redirect_stdout(out):\n"
             f"    run({list(args)!r})\n"
             "print(' '.join(m for m in sys.modules\n"
-            "               if m == 'numpy' or m.startswith(('nkvol', 'numpy.random', '_hashlib'))))\n"
+            "               if m in ('numpy', 'argparse', 'gettext', 'locale')\n"
+            "               or m.startswith(('nkvol', 'numpy.random', '_hashlib'))))\n"
             "print(out.getvalue())\n")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
@@ -470,13 +545,17 @@ def modules_after(*args: str, blocked: tuple = ()) -> tuple[set, str]:
 
 
 def test_subcommands_load_only_their_layers(tmp_path):
-    # calls that compute nothing run on the standard library alone
+    # calls that compute nothing run on the standard library alone, and no call loads
+    # argparse or its gettext and locale: the parser is nkvol's own
+    parser_modules = {"argparse", "gettext", "locale"}
     for args in (("catalog", "list"), ("catalog", "list", "--json"), ("--help",),
                  ("optimize", "--help"), ("optimize",), ("nosuch",)):
         loaded, _ = modules_after(*args)
         assert loaded == {"nkvol", "nkvol.cli", "nkvol.conventions"}, (args, loaded)
+        assert not loaded & parser_modules, (args, loaded)
     loaded, _ = modules_after("optimize", str(FIXTURE))
     assert "nkvol.variation_opt" in loaded and "nkvol.g2_cone" not in loaded, loaded
+    assert not loaded & parser_modules, loaded
     # check runs the acs layer only: the Jacobi gate, and the J gates when J is present
     jless = tmp_path / "jless.json"
     jless.write_text(json.dumps({"name": "jless", "dimension": 6, "structure_constants": []}))

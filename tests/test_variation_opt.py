@@ -481,6 +481,35 @@ def test_jacobian_kernel_builds_no_projectors(monkeypatch):
     assert calls == [], calls
 
 
+def test_triple_products_match_their_references_bit_for_bit():
+    # theta_top_coeffs and the Jacobian's _top_tangent take the stacked references' products
+    # and sums in the same order, so they agree to the bit, signed zeros included, on random
+    # complex stacks, with exact zeros of both signs (as in structured frames) and with the
+    # strided rows the Jacobian passes (V^T and dV swapped)
+    import nkvol.variation_opt as vo
+    from nkvol.acs import theta_top_coeffs
+
+    from helpers import theta_top_reference, top_tangent_reference
+
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(35)
+    for k in range(200):
+        rows = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        drows = rng.standard_normal((18, 3, 6)) + 1j * rng.standard_normal((18, 3, 6))
+        if k % 2:
+            rows[:, rng.integers(0, 6, 2)] = -0.0
+            rows[rng.integers(0, 3)] = 0.0
+            drows[:, :, rng.integers(0, 6, 3)] = rng.choice([0.0, -0.0])
+            drows[::2] *= -1
+        for theta in (rows, drows, drows.real, drows.reshape(3, 6, 3, 6)):
+            assert same(theta_top_coeffs(theta), theta_top_reference(theta)), k
+        strided = np.swapaxes(np.swapaxes(drows, -2, -1).copy(), -2, -1)
+        for r, d in ((rows, drows), (rows.T.copy().T, strided)):
+            assert same(vo._top_tangent(r, d), top_tangent_reference(r, d)), k
+
+
 def jacobian_error(alg, J) -> float:
     """max |analytic - central difference| / max |central difference| of the search's
     Jacobian at J, taken in the frame of J's residual evaluation."""
